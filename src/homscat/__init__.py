@@ -8,8 +8,6 @@ from .classify import (
     ReversibilityReport,
     center_reversal,
     check_reversibility,
-    classify_hessian,
-    first_order_hessian,
     hessian_from_scattering,
     indefiniteness_ensemble,
     random_reversible_form,
@@ -29,10 +27,7 @@ from .majorize import (
     CenterBlock,
     MajorizationError,
     MajorizationWitness,
-    bracket_adjoint_matrix,
-    bracket_adjoint_nullity,
     bracket_kernel_basis,
-    bracket_matrix,
     hessian_bracket,
     hessian_bracket_adjoint,
     in_bracket_range,
@@ -47,7 +42,7 @@ from .matkit import (
     center_diagonal,
     center_frequencies,
     classification_tol,
-    eigh_jacobi,
+    eigh,
     inertia,
     is_symmetric,
     is_symplectic,
@@ -60,7 +55,6 @@ from .matkit import (
 from .models import (
     HamiltonianSystem,
     ModelSpec,
-    build_integrable,
     bump,
     center_variational_field,
     homoclinic_orbit,

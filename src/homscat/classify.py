@@ -27,7 +27,7 @@ from .matkit import (
     SignatureReport,
     _square,
     center_frequencies,
-    eigh_jacobi,
+    eigh,
     inertia,
     is_symplectic,
     matrix_exponential,
@@ -57,16 +57,6 @@ def hessian_from_scattering(sigma, D_center) -> np.ndarray:
         defect = max_abs(S.T @ J @ S - J)
         raise ValueError(f"scattering matrix is not symplectic (defect {defect:.3e})")
     return S.T @ D @ S - D
-
-
-def first_order_hessian(block: CenterBlock, B) -> np.ndarray:
-    """First-order Hessian of the splitting function: the bracket of B."""
-    return hessian_bracket(block, B)
-
-
-def classify_hessian(Hess, tol: float | None = None) -> SignatureReport:
-    """Inertia of the reduced Hessian; a nonzero n_zero flags degeneracy."""
-    return inertia(Hess, tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,7 +95,7 @@ def random_symplectic(l: int, rng: np.random.Generator, max_factors: int = 5, ma
     for _ in range(int(rng.integers(1, max_factors + 1))):
         raw = rng.standard_normal((2 * l, 2 * l))
         B = 0.5 * (raw + raw.T)
-        w, _ = eigh_jacobi(B)
+        w, _ = eigh(B)
         spectral = max(abs(w[0]), abs(w[-1]))
         if spectral == 0.0:
             continue
@@ -133,7 +123,7 @@ def indefiniteness_ensemble(D_center, trials: int, seed: int, tol: float = 1e-9)
         rng = np.random.default_rng((int(seed), k))
         sigma = random_symplectic(omega.size, rng)
         H = hessian_from_scattering(sigma, D)
-        w, _ = eigh_jacobi(H)
+        w, _ = eigh(H)
         lo, hi = float(w[-1]), float(w[0])
         largest_min = max(largest_min, lo)
         smallest_max = min(smallest_max, hi)
@@ -317,7 +307,7 @@ def reversible_signature(sigma, R, D_center, tol: float, class_tol: float | None
     A = np.asarray(R, dtype=float) @ S
     M = 0.5 * (np.eye(A.shape[0]) + A.T @ A)
     root = spd_sqrt(M)
-    w, V = eigh_jacobi(root)
+    w, V = eigh(root)
     root_inv = (V / w) @ V.T
     K = root @ A @ root_inv
     ortho_defect = max_abs(K.T @ K - np.eye(K.shape[0]))

@@ -14,7 +14,8 @@ from .majorize import MajorizationError, majorizes, mirsky_matrix
 from .matkit import (
     NotPositiveDefiniteError,
     center_diagonal,
-    eigh_jacobi,
+    eigh,
+    inertia,
     max_abs,
 )
 
@@ -147,7 +148,7 @@ def _cmd_classify(args) -> tuple[dict, bool]:
     omega = _float_list(args.omega)
     D = center_diagonal(omega)
     H = classify.hessian_from_scattering(sigma, D)
-    report = classify.classify_hessian(H, args.tol)
+    report = inertia(H, args.tol)
     payload = {
         "command": "classify",
         "omega": omega,
@@ -214,7 +215,7 @@ def _cmd_mirsky(args) -> tuple[dict, bool]:
     d = np.array(_float_list(args.diag))
     eigs = np.array(_float_list(args.eigs))
     M = mirsky_matrix(d, eigs)
-    w, _ = eigh_jacobi(M)
+    w, _ = eigh(M)
     payload = {
         "command": "mirsky",
         "diag": [float(x) for x in d],

@@ -4,9 +4,12 @@ operator generating first-order scattering Hessians.
 The bracket sends a symmetric B to B @ J @ D - D @ J @ B over a centre block
 D = diag(w_1..w_l, w_1..w_l).  Its kernel consists of the paired diagonals
 diag(a_1..a_l, a_1..a_l); its range is the set of symmetric matrices whose
-diagonal entries cancel in conjugate pairs.  Together with Mirsky's
-diagonal-versus-spectrum criterion this lets us build a symmetric target
-with any prescribed indefinite signature and solve for a generator B.
+diagonal entries cancel in conjugate pairs.  Off the diagonal the bracket
+splits into 2x2 systems with determinants +-(w_i^2 - w_j^2), one per
+oscillator pair, so it is inverted in closed form (solve_bracket).
+Together with Mirsky's diagonal-versus-spectrum criterion this lets us
+build a symmetric target with any prescribed indefinite signature and
+solve for a generator B.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ import numpy as np
 
 from .matkit import (
     _require_symmetric,
-    eigh_jacobi,
     max_abs,
     standard_symplectic_form,
 )
@@ -172,7 +174,9 @@ class CenterBlock:
 
     omega holds l nonzero frequencies with pairwise distinct squares; the
     block carries D = diag(omega, omega) together with the standard
-    symplectic form of matching size.
+    symplectic form of matching size.  Distinct squares are exactly what
+    makes the bracket invertible off its paired-diagonal kernel: the 2x2
+    systems of solve_bracket have determinants +-(w_i^2 - w_j^2).
     """
 
     omega: np.ndarray
@@ -254,79 +258,19 @@ def in_bracket_range(block: CenterBlock, M, tol: float = 1e-8) -> bool:
     return bool(np.all(np.abs(dvec[:l] + dvec[l:]) <= tol))
 
 
-def _sym_index_pairs(d: int) -> list[tuple[int, int]]:
-    # fixed ordering: row-major upper triangle, diagonal entries included in place
-    return [(i, j) for i in range(d) for j in range(i, d)]
-
-
-def sym_coords(M) -> np.ndarray:
-    """Coordinates of a symmetric matrix in the orthonormal basis
-    {E_ii} u {(E_ij + E_ji)/sqrt(2)}, row-major upper-triangle order."""
-    A = _require_symmetric(M, "symmetric matrix")
-    d = A.shape[0]
-    root2 = np.sqrt(2.0)
-    return np.array([A[i, j] if i == j else root2 * A[i, j] for i, j in _sym_index_pairs(d)])
-
-
-def sym_from_coords(v, d: int) -> np.ndarray:
-    """Inverse of sym_coords for dimension d."""
-    vec = np.asarray(v, dtype=float)
-    pairs = _sym_index_pairs(d)
-    if vec.shape != (len(pairs),):
-        raise ValueError(f"expected {len(pairs)} coordinates for dimension {d}, got {vec.shape}")
-    A = np.zeros((d, d))
-    inv_root2 = 1.0 / np.sqrt(2.0)
-    for k, (i, j) in enumerate(pairs):
-        if i == j:
-            A[i, i] = vec[k]
-        else:
-            A[i, j] = A[j, i] = vec[k] * inv_root2
-    return A
-
-
-def bracket_matrix(block: CenterBlock) -> np.ndarray:
-    """Matricization of the bracket on the space of symmetric matrices."""
-    d = block.dim
-    pairs = _sym_index_pairs(d)
-    N = len(pairs)
-    X = np.empty((N, N))
-    for k in range(N):
-        e = np.zeros(N)
-        e[k] = 1.0
-        X[:, k] = sym_coords(hessian_bracket(block, sym_from_coords(e, d)))
-    return X
-
-
-def bracket_adjoint_matrix(block: CenterBlock) -> np.ndarray:
-    """Matricization of the adjoint bracket; equals bracket_matrix(block).T."""
-    d = block.dim
-    pairs = _sym_index_pairs(d)
-    N = len(pairs)
-    X = np.empty((N, N))
-    for k in range(N):
-        e = np.zeros(N)
-        e[k] = 1.0
-        X[:, k] = sym_coords(hessian_bracket_adjoint(block, sym_from_coords(e, d)))
-    return X
-
-
-def bracket_adjoint_nullity(block: CenterBlock, rel_tol: float = 1e-8) -> int:
-    """Dimension of the numerical nullspace of the matricized adjoint bracket."""
-    X = bracket_adjoint_matrix(block)
-    w, _ = eigh_jacobi(X.T @ X)
-    sv = np.sqrt(np.clip(w, 0.0, None))
-    top = sv[0] if sv.size else 0.0
-    if top == 0.0:
-        return int(sv.size)
-    return int(np.sum(sv <= rel_tol * top))
-
-
 def solve_bracket(block: CenterBlock, G) -> np.ndarray:
-    """Minimum-norm symmetric B with bracket(B) = G.
+    """Minimum-norm symmetric B with bracket(B) = G, in closed form.
 
-    G must be symmetric and lie in the bracket range (conjugate diagonal
-    pairs cancelling).  The l-dimensional kernel makes the preimage
-    non-unique; least squares returns the representative orthogonal to it.
+    Write B = [[P, Q], [Q^T, R]].  The bracket then splits into independent
+    2x2 systems, one per oscillator pair i != j: (Q_ij, Q_ji) from the
+    diagonal blocks G11_ij, G22_ij, and (P_ij, R_ij) from G12_ij, G12_ji.
+    Each has determinant +-(w_i^2 - w_j^2), so the distinct-squares
+    hypothesis on the centre block is exactly what makes them invertible.
+    On the diagonal, G11_ii = -2 w_i Q_ii and G22_ii = 2 w_i Q_ii are
+    consistent only when G_ii + G_{l+i,l+i} = 0, which is the range test;
+    G12_ii = w_i (P_ii - R_ii) fixes only the difference; a common shift of
+    P_ii and R_ii is the paired-diagonal kernel, and P_ii = -R_ii picks the
+    representative orthogonal to it.
     """
     Gs = _check_block_input(block, G, "bracket target")
     tol = 1e-8 * max(1.0, max_abs(Gs))
@@ -334,10 +278,19 @@ def solve_bracket(block: CenterBlock, G) -> np.ndarray:
         raise ValueError(
             "target is outside the bracket range: diagonal entries do not cancel in conjugate pairs"
         )
-    X = bracket_matrix(block)
-    g = sym_coords(Gs)
-    sol, *_ = np.linalg.lstsq(X, g, rcond=None)
-    B = sym_from_coords(sol, block.dim)
+    l, w = block.l, block.omega
+    G11, G12, G22 = Gs[:l, :l], Gs[:l, l:], Gs[l:, l:]
+    wi, wj = w[:, None], w[None, :]
+    delta = wi * wi - wj * wj
+    np.fill_diagonal(delta, 1.0)  # the diagonal is overwritten below
+    Q = (wj * G11 + wi * G22) / delta
+    P = (wi * G12.T - wj * G12) / delta
+    R = (wj * G12.T - wi * G12) / delta
+    k = np.arange(l)
+    Q[k, k] = G22[k, k] / (2.0 * w)
+    P[k, k] = G12[k, k] / (2.0 * w)
+    R[k, k] = -P[k, k]
+    B = np.block([[P, Q], [Q.T, R]])
     residual = max_abs(hessian_bracket(block, B) - Gs)
     if residual > 1e-8 * max(1.0, max_abs(Gs)):
         raise ArithmeticError(f"bracket solve left residual {residual:.3e}")

@@ -256,11 +256,6 @@ class HamiltonianSystem:
         return np.diag(signs)
 
 
-def build_integrable(spec: ModelSpec) -> HamiltonianSystem:
-    """The eps = 0 model; spec validation already rejects duplicate frequencies."""
-    return HamiltonianSystem(spec)
-
-
 def homoclinic_orbit(spec: ModelSpec, t):
     """State on the homoclinic loop: x_1 = (3/2) sech^2(t/2), y_1 = xdot_1,
     all other coordinates zero.  Accepts a scalar or a vector of times."""

@@ -4,8 +4,6 @@ import pytest
 from homscat.classify import (
     center_reversal,
     check_reversibility,
-    classify_hessian,
-    first_order_hessian,
     hessian_from_scattering,
     indefiniteness_ensemble,
     random_reversible_form,
@@ -16,6 +14,7 @@ from homscat.classify import (
 from homscat.majorize import CenterBlock, hessian_bracket, indefinite_spectrum
 from homscat.matkit import (
     center_diagonal,
+    inertia,
     matrix_exponential,
     max_abs,
     standard_symplectic_form,
@@ -65,37 +64,31 @@ class TestHessianFromScattering:
 
 
 class TestFirstOrderHessian:
-    def test_alias_of_bracket(self):
-        rng = np.random.default_rng(5)
-        block = CenterBlock(np.array([1.0, 3.0]))
-        B = random_symmetric(rng, 4)
-        assert np.array_equal(first_order_hessian(block, B), hessian_bracket(block, B))
-
     def test_kernel_gives_zero(self):
         block = CenterBlock(np.array([1.0, 3.0]))
         B = np.diag([0.2, -0.9, 0.2, -0.9])
-        assert max_abs(first_order_hessian(block, B)) == 0.0
+        assert max_abs(hessian_bracket(block, B)) == 0.0
 
     def test_signature_instance(self):
         block = CenterBlock(np.array([1.0]))
-        H = first_order_hessian(block, np.array([[0.0, 1.0], [1.0, 0.0]]))
-        assert classify_hessian(H).inertia == (1, 1, 0)
+        H = hessian_bracket(block, np.array([[0.0, 1.0], [1.0, 0.0]]))
+        assert inertia(H).inertia == (1, 1, 0)
 
     def test_traceless(self):
         rng = np.random.default_rng(6)
         block = CenterBlock(np.array([1.0, 2.0, 3.5]))
         for _ in range(10):
-            assert abs(np.trace(first_order_hessian(block, random_symmetric(rng, 6)))) <= 1e-12
+            assert abs(np.trace(hessian_bracket(block, random_symmetric(rng, 6)))) <= 1e-12
 
 
 class TestClassifyHessian:
     def test_zero_is_degenerate(self):
-        rep = classify_hessian(np.zeros((4, 4)), 1e-9)
+        rep = inertia(np.zeros((4, 4)), 1e-9)
         assert rep.inertia == (0, 0, 4)
         assert rep.degenerate
 
     def test_two_by_two(self):
-        assert classify_hessian(np.array([[-2.0, 0.0], [0.0, 2.0]])).inertia == (1, 1, 0)
+        assert inertia(np.array([[-2.0, 0.0], [0.0, 2.0]])).inertia == (1, 1, 0)
 
 
 class TestIndefinitenessEnsemble:

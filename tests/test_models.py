@@ -3,8 +3,8 @@ import pytest
 
 from homscat.matkit import max_abs, standard_symplectic_form, symplectic_rotation
 from homscat.models import (
+    HamiltonianSystem,
     ModelSpec,
-    build_integrable,
     bump,
     center_variational_field,
     homoclinic_orbit,
@@ -107,21 +107,21 @@ class TestModelSpec:
 
 class TestIntegrableSystem:
     def test_equilibrium_at_origin(self):
-        system = build_integrable(two_center_spec())
+        system = HamiltonianSystem(two_center_spec())
         zero = np.zeros(system.dim)
         assert system.hamiltonian(zero) == 0.0
         assert max_abs(system.gradient(zero)) == 0.0
 
     def test_hessian_center_block(self):
         spec = two_center_spec()
-        system = build_integrable(spec)
+        system = HamiltonianSystem(spec)
         H2 = system.hessian(np.zeros(system.dim))
         assert np.array_equal(H2[:4, :4], np.diag([1.0, 2.0, 1.0, 2.0]))
         assert np.array_equal(H2[4:, 4:], np.diag([-1.0, -0.8, 1.0, 0.8]))
 
     def test_gradient_matches_finite_differences(self):
         spec = two_center_spec()
-        system = build_integrable(spec)
+        system = HamiltonianSystem(spec)
         rng = np.random.default_rng(4)
         h = 1e-6
         for _ in range(5):
@@ -136,13 +136,13 @@ class TestIntegrableSystem:
 
     def test_energy_vanishes_on_homoclinic(self):
         spec = two_center_spec()
-        system = build_integrable(spec)
+        system = HamiltonianSystem(spec)
         for t in np.linspace(-30.0, 30.0, 121):
             assert abs(system.hamiltonian(homoclinic_orbit(spec, t))) <= 1e-10
 
     def test_vector_field_is_J_grad(self):
         spec = two_center_spec()
-        system = build_integrable(spec)
+        system = HamiltonianSystem(spec)
         rng = np.random.default_rng(9)
         u = rng.standard_normal(system.dim)
         assert max_abs(system.vector_field(u) - system.symplectic_form @ system.gradient(u)) <= 1e-14
@@ -163,7 +163,7 @@ class TestHomoclinicOrbit:
 
     def test_solves_equations(self):
         spec = two_center_spec()
-        system = build_integrable(spec)
+        system = HamiltonianSystem(spec)
         worst = 0.0
         for t in np.linspace(-20.0, 20.0, 401):
             residual = analytic_orbit_derivative(spec, t) - system.vector_field(homoclinic_orbit(spec, t))
@@ -178,7 +178,7 @@ class TestHomoclinicOrbit:
 
     def test_reversal_symmetry(self):
         spec = two_center_spec()
-        system = build_integrable(spec)
+        system = HamiltonianSystem(spec)
         R = system.reversal
         rng = np.random.default_rng(12)
         for _ in range(5):
