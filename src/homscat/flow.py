@@ -1,12 +1,15 @@
 """Fundamental solutions of linear time-dependent systems and extraction of
 the scattering matrix relative to the free centre rotation.
 
-The scattering matrix of a centre-block problem is the stabilised value of
-Psi(-T) Phi(T, -T) Psi(-T), where Phi is the fundamental solution of the
-perturbed variational equation and Psi the free centre flow.  For the
-compactly supported perturbations built here the limit is attained exactly
-once T clears the support, but the convergence loop still runs so that a
-mis-specified problem is reported instead of silently truncated.
+The scattering matrix of a centre-block problem is Psi(-T) Phi(T, -T) Psi(-T)
+for T past the perturbation's support, where Phi is the fundamental solution
+of the variational equation zdot = A(t) z and Psi(t) = exp(t J D) the free
+centre flow.  That product is the propagator W(T, -T) of the co-rotating
+frame w = Psi(-t) z, where wdot = Psi(t)^T (A(t) - J D) Psi(t) w has a
+coefficient that vanishes outside the support.  So W is integrated once over
+the declared support, and one unit slab beyond each end checks the
+declaration, so that a mis-specified problem is reported instead of silently
+truncated.
 """
 
 from __future__ import annotations
@@ -26,18 +29,21 @@ from .matkit import (
 
 DEFAULT_SIGMA_TOL = 1e-8
 DEFAULT_INTEGRATOR_TOL = 1e-10
-_MAX_STEPS = 2 ** 22
+# bound on the (2n + 1) d^2 field entries of one RK4 pass, which holds a few
+# arrays of that size: 32 MiB each at the bound
+_MAX_FIELD_ELEMENTS = 2 ** 22
 
 
 class ScatteringConvergenceError(RuntimeError):
-    """The scattering iterates failed to stabilise before the support ran out."""
+    """The field differs from J D beyond the declared support; `trace` holds
+    the (T_used, residual) of the witness slabs that showed it."""
 
-    def __init__(self, trace: list[tuple[float, float]]):
-        self.trace = list(trace)
-        pretty = ", ".join(f"T={t:g}: {r:.3e}" for t, r in self.trace)
+    def __init__(self, support_halfwidth: float, residual: float, tol: float):
+        T = support_halfwidth + 1.0
+        self.trace = [(T, residual)]
         super().__init__(
-            "scattering matrix did not converge before the declared support "
-            f"was exhausted (residual trace: {pretty})"
+            f"the field differs from J D beyond the declared support halfwidth {support_halfwidth:g}: "
+            f"the unit slabs out to |t| = {T:g} move the scattering matrix by {residual:.3e} > {tol:.3e}"
         )
 
 
@@ -48,17 +54,9 @@ def center_linear_flow(D_center, t: float) -> np.ndarray:
 
 
 def _field_values(fld: Callable, ts: np.ndarray, d: int) -> np.ndarray:
-    values = None
-    try:
-        batch = np.asarray(fld(ts), dtype=float)
-        if batch.shape == (ts.size, d, d):
-            values = batch
-    except Exception:
-        values = None
-    if values is None:
-        values = np.stack([np.asarray(fld(float(t)), dtype=float) for t in ts])
+    values = np.asarray(fld(ts), dtype=float)
     if values.shape != (ts.size, d, d):
-        raise ValueError(f"field returned shape {values.shape}, expected ({ts.size}, {d}, {d})")
+        raise ValueError(f"field returned shape {values.shape} for {ts.size} times, expected ({ts.size}, {d}, {d})")
     if not np.all(np.isfinite(values)):
         raise ValueError("field produced non-finite values")
     return values
@@ -92,9 +90,11 @@ def _rk4_product(fld: Callable, t0: float, t1: float, n: int, d: int) -> np.ndar
 def fundamental_solution(fld: Callable, t0: float, t1: float, tol: float = DEFAULT_INTEGRATOR_TOL) -> np.ndarray:
     """Phi(t1, t0) for udot = field(t) u, by fixed-step RK4 with step doubling.
 
-    The step count is doubled until two successive refinements agree to
-    within tol * max(1, t1 - t0) in max-abs norm; the finer result is
-    returned.
+    `fld` follows the field contract of ScatteringProblem: a 1-D array of
+    times in, an (n, d, d) array out.  The step count is doubled until two
+    successive refinements agree to within tol * max(1, t1 - t0) in max-abs
+    norm; the finer result is returned.  A pass that would sample more than
+    2**22 field entries raises ArithmeticError instead.
     """
     t0, t1 = float(t0), float(t1)
     if not (np.isfinite(t0) and np.isfinite(t1)):
@@ -103,32 +103,40 @@ def fundamental_solution(fld: Callable, t0: float, t1: float, tol: float = DEFAU
         raise ValueError("t0 must not exceed t1")
     if tol <= 0:
         raise ValueError("integrator tolerance must be positive")
-    probe = _square(np.asarray(fld(t0), dtype=float), "field value")
-    d = probe.shape[0]
+    probe = np.asarray(fld(np.array([t0])), dtype=float)
+    if probe.ndim != 3 or probe.shape[0] != 1:
+        raise ValueError(f"field returned shape {probe.shape} for 1 time, expected (1, d, d)")
+    d = _square(probe[0], "field value").shape[0]
     if t1 == t0:
         return np.eye(d)
     span = t1 - t0
     n = int(2 ** np.ceil(np.log2(max(16.0, 8.0 * span))))
-    previous = _rk4_product(fld, t0, t1, n, d)
     budget = tol * max(1.0, span)
+    previous = None
     while True:
-        n *= 2
-        if n > _MAX_STEPS:
-            raise ArithmeticError("step refinement exhausted without meeting the tolerance")
+        if (2 * n + 1) * d * d > _MAX_FIELD_ELEMENTS:
+            raise ArithmeticError(
+                f"step refinement exhausted without meeting the tolerance: n = {n} steps of a "
+                f"{d} x {d} field would exceed {_MAX_FIELD_ELEMENTS} field samples"
+            )
         current = _rk4_product(fld, t0, t1, n, d)
-        if max_abs(current - previous) <= budget:
+        if previous is not None and max_abs(current - previous) <= budget:
             return current
         previous = current
+        n *= 2
 
 
 @dataclass(eq=False)
 class ScatteringProblem:
     """A centre-block variational problem with a compactly supported perturbation.
 
-    `field` maps t to the 2l x 2l coefficient matrix; outside
-    [-support_halfwidth, support_halfwidth] it must equal `asymptotic_field`,
-    which is J @ D_center.  The declaration is the caller's contract; a wrong
-    support surfaces as a convergence failure in scattering_matrix.
+    `field` maps a 1-D array of n times to the (n, 2l, 2l) array of
+    coefficient matrices at those times; exceptions it raises propagate.
+    Outside [-support_halfwidth, support_halfwidth] it must equal
+    `asymptotic_field`, which is J @ D_center.  The declaration is the
+    caller's contract: scattering_matrix integrates only over the declared
+    support, and a field that still differs from J D in the unit slabs
+    beyond it raises ScatteringConvergenceError.
     """
 
     field: Callable
@@ -146,9 +154,7 @@ class ScatteringProblem:
         self.support_halfwidth = float(self.support_halfwidth)
         if not (self.support_halfwidth > 0):
             raise ValueError("support_halfwidth must be positive")
-        sample = _square(np.asarray(self.field(0.0), dtype=float), "field value")
-        if sample.shape != self.D_center.shape:
-            raise ValueError("field dimension does not match D_center")
+        _field_values(self.field, np.zeros(1), self.dim)
 
     @property
     def dim(self) -> int:
@@ -181,42 +187,37 @@ def scattering_matrix(
     tol: float = DEFAULT_SIGMA_TOL,
     integrator_tol: float = DEFAULT_INTEGRATOR_TOL,
 ) -> ScatteringResult:
-    """Stabilised value of Psi(-T) Phi(T, -T) Psi(-T) over increasing T.
+    """Psi(-T) Phi(T, -T) Psi(-T), solved in the co-rotating frame.
 
-    T advances in unit steps; the loop stops once two successive iterates
-    agree to within tol entrywise.  Failure to stabilise before
-    support_halfwidth + 2 raises ScatteringConvergenceError carrying the
-    residual trace, which signals a mis-specified problem.
+    With T_s = support_halfwidth, the co-rotating propagator W(T_s, -T_s)
+    is the scattering matrix.  The unit slabs [T_s, T_s + 1] and
+    [-T_s - 1, -T_s] are integrated as well; T_used = T_s + 1 and the
+    residual is how far they move the result.  A residual above tol means
+    the field differs from J D beyond the declared support and raises
+    ScatteringConvergenceError.
     """
     if tol <= 0:
         raise ValueError("scattering tolerance must be positive")
     D = problem.D_center
-    l = D.shape[0] // 2
-    J = standard_symplectic_form(l)
-    t_max = problem.support_halfwidth + 2.0
-    T = 1.0
-    Phi = fundamental_solution(problem.field, -T, T, integrator_tol)
-    half = center_linear_flow(D, -T)
-    sigma_prev = half @ Phi @ half
-    trace: list[tuple[float, float]] = []
-    while True:
-        T_next = T + 1.0
-        ahead = fundamental_solution(problem.field, T, T_next, integrator_tol)
-        behind = fundamental_solution(problem.field, -T_next, -T, integrator_tol)
-        Phi = ahead @ Phi @ behind
-        half = center_linear_flow(D, -T_next)
-        sigma = half @ Phi @ half
-        residual = max_abs(sigma - sigma_prev)
-        trace.append((T_next, residual))
-        if residual <= tol:
-            defect = max_abs(sigma.T @ J @ sigma - J)
-            return ScatteringResult(
-                sigma=sigma,
-                T_used=T_next,
-                residual=residual,
-                symplectic_defect=defect,
-            )
-        if T_next > t_max:
-            raise ScatteringConvergenceError(trace)
-        sigma_prev = sigma
-        T = T_next
+    d = problem.dim
+    omega = center_frequencies(D)
+
+    def corotating(ts):
+        R = symplectic_rotation(np.multiply.outer(ts, omega))
+        return R.swapaxes(1, 2) @ (_field_values(problem.field, ts, d) - problem.asymptotic_field) @ R
+
+    T_s = problem.support_halfwidth
+    inner = fundamental_solution(corotating, -T_s, T_s, integrator_tol)
+    ahead = fundamental_solution(corotating, T_s, T_s + 1.0, integrator_tol)
+    behind = fundamental_solution(corotating, -T_s - 1.0, -T_s, integrator_tol)
+    sigma = ahead @ inner @ behind
+    residual = max_abs(sigma - inner)
+    if residual > tol:
+        raise ScatteringConvergenceError(T_s, residual, tol)
+    J = standard_symplectic_form(d // 2)
+    return ScatteringResult(
+        sigma=sigma,
+        T_used=T_s + 1.0,
+        residual=residual,
+        symplectic_defect=max_abs(sigma.T @ J @ sigma - J),
+    )

@@ -75,19 +75,22 @@ def symplectic_rotation(theta) -> np.ndarray:
 
     The returned matrix is orthogonal and symplectic; it is the fundamental
     solution of the decoupled centre dynamics at unit frequencies theta.
+    A (k, n) array of angles gives the (k, 2n, 2n) stack of its rows'
+    rotations.
     """
     th = np.atleast_1d(np.asarray(theta, dtype=float))
-    if th.ndim != 1 or th.size == 0:
-        raise ValueError("theta must be a nonempty vector of angles")
+    if th.ndim > 2 or th.shape[-1] == 0:
+        raise ValueError("theta must be a nonempty vector of angles or a (k, n) array of them")
     if not np.all(np.isfinite(th)):
         raise ValueError("theta contains non-finite entries")
-    n = th.size
-    R = np.zeros((2 * n, 2 * n))
+    n = th.shape[-1]
+    c, s = np.cos(th), np.sin(th)
+    R = np.zeros(th.shape[:-1] + (2 * n, 2 * n))
     i = np.arange(n)
-    R[i, i] = np.cos(th)
-    R[i, n + i] = np.sin(th)
-    R[n + i, i] = -np.sin(th)
-    R[n + i, n + i] = np.cos(th)
+    R[..., i, i] = c
+    R[..., i, n + i] = s
+    R[..., n + i, i] = -s
+    R[..., n + i, n + i] = c
     return R
 
 

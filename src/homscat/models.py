@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import flow
-from .matkit import _square, center_diagonal, max_abs, standard_symplectic_form
+from .matkit import _square, center_diagonal, max_abs, standard_symplectic_form, symplectic_rotation
 
 _PROFILE_MASS_NODES = 8192
 _profile_mass_cache: dict[int, float] = {}
@@ -276,19 +276,6 @@ def bump(spec: ModelSpec, t):
     return float(out[0]) if np.ndim(t) == 0 else out
 
 
-def _rotation_batch(omega: np.ndarray, t: np.ndarray) -> np.ndarray:
-    ang = t[:, None] * omega[None, :]
-    c, s = np.cos(ang), np.sin(ang)
-    l = omega.size
-    out = np.zeros((t.size, 2 * l, 2 * l))
-    i = np.arange(l)
-    out[:, i, i] = c
-    out[:, i, l + i] = s
-    out[:, l + i, i] = -s
-    out[:, l + i, l + i] = c
-    return out
-
-
 def center_variational_field(spec: ModelSpec, t):
     """Centre-block coefficient of the variational equation in the lab frame:
 
@@ -308,9 +295,8 @@ def center_variational_field(spec: ModelSpec, t):
         hot = xi != 0.0
         if np.any(hot):
             JC = J @ spec.C
-            rot_fwd = _rotation_batch(spec.omega, tt[hot])
-            rot_bwd = _rotation_batch(spec.omega, -tt[hot])
-            out[hot] -= spec.eps * xi[hot, None, None] * (rot_fwd @ JC @ rot_bwd)
+            rot = symplectic_rotation(np.multiply.outer(tt[hot], spec.omega))
+            out[hot] -= spec.eps * xi[hot, None, None] * (rot @ JC @ rot.swapaxes(1, 2))
     return out[0] if np.ndim(t) == 0 else out
 
 

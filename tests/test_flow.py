@@ -36,6 +36,18 @@ def plain_rk4(field, t0, t1, steps, dim):
     return Phi
 
 
+def constant(A):
+    """Batched field that is A at every time."""
+    return lambda t: np.broadcast_to(A, np.shape(t) + A.shape)
+
+
+def entrywise(t, rows):
+    """Stack a nested list of entries, each a scalar or an array shaped like
+    t, into an (n, d, d) array for a 1-D t (or (d, d) for a scalar t)."""
+    t = np.asarray(t, dtype=float)
+    return np.stack([np.stack([np.broadcast_to(x, t.shape) for x in row], -1) for row in rows], -2)
+
+
 def perturbed_spec(seed, l=2, eps=0.05, T_support=3.0):
     rng = np.random.default_rng(seed)
     C = rng.standard_normal((2 * l, 2 * l))
@@ -46,44 +58,76 @@ def perturbed_spec(seed, l=2, eps=0.05, T_support=3.0):
 
 class TestFundamentalSolution:
     def test_zero_field(self):
-        Phi = fundamental_solution(lambda t: np.zeros((3, 3)), 0.0, 2.0)
+        Phi = fundamental_solution(constant(np.zeros((3, 3))), 0.0, 2.0)
         assert max_abs(Phi - np.eye(3)) <= 1e-12
 
     def test_constant_rotation(self):
         J = standard_symplectic_form(1)
-        Phi = fundamental_solution(lambda t: J, 0.0, np.pi / 2)
+        Phi = fundamental_solution(constant(J), 0.0, np.pi / 2)
         assert max_abs(Phi - np.array([[0.0, 1.0], [-1.0, 0.0]])) <= 1e-9
 
     def test_constant_field_matches_exponential(self):
         rng = np.random.default_rng(2)
         A = rng.standard_normal((4, 4))
-        Phi = fundamental_solution(lambda t: A, 0.0, 1.0)
+        Phi = fundamental_solution(constant(A), 0.0, 1.0)
         assert max_abs(Phi - matrix_exponential(A)) <= 1e-8
 
     def test_agrees_with_plain_loop(self):
-        field = lambda t: np.array([[0.0, 1.0], [-np.cos(t), -0.1]])
+        field = lambda t: entrywise(t, [[0.0, 1.0], [-np.cos(t), -0.1]])
         Phi = fundamental_solution(field, -1.0, 2.0)
         ref = plain_rk4(field, -1.0, 2.0, 6000, 2)
         assert max_abs(Phi - ref) <= 1e-9
 
     def test_group_property(self):
-        field = lambda t: np.array([[0.0, 1.0 + 0.3 * np.sin(t)], [-1.0, 0.0]])
+        field = lambda t: entrywise(t, [[0.0, 1.0 + 0.3 * np.sin(t)], [-1.0, 0.0]])
         full = fundamental_solution(field, 0.0, 2.0)
         composed = fundamental_solution(field, 1.0, 2.0) @ fundamental_solution(field, 0.0, 1.0)
         assert max_abs(full - composed) <= 1e-8
 
     def test_empty_interval(self):
-        assert np.array_equal(fundamental_solution(lambda t: np.eye(2), 1.0, 1.0), np.eye(2))
+        assert np.array_equal(fundamental_solution(constant(np.eye(2)), 1.0, 1.0), np.eye(2))
 
     def test_rejects_reversed_interval(self):
         with pytest.raises(ValueError):
-            fundamental_solution(lambda t: np.eye(2), 1.0, 0.0)
+            fundamental_solution(constant(np.eye(2)), 1.0, 0.0)
+
+    def test_field_exceptions_propagate(self):
+        # a field that fails on the batch contract is an error, not a cue to
+        # re-run it one time at a time
+        def scalar_only(t):
+            if np.ndim(t) != 0:
+                raise TypeError("scalar times only")
+            return np.eye(2)
+
+        with pytest.raises(TypeError, match="scalar times only"):
+            fundamental_solution(scalar_only, 0.0, 1.0)
+
+    def test_rejects_unbatched_shape(self):
+        with pytest.raises(ValueError, match=r"shape \(2, 2\)"):
+            fundamental_solution(lambda t: np.eye(2), 0.0, 1.0)
+        with pytest.raises(ValueError, match=r"shape \(2, 2\)"):
+            ScatteringProblem(
+                field=lambda t: np.eye(2),
+                asymptotic_field=standard_symplectic_form(1),
+                support_halfwidth=1.0,
+                D_center=np.eye(2),
+            )
+
+    def test_refinement_cap_bounds_memory(self):
+        # a jump at a node keeps RK4 first order, so step doubling never meets
+        # the tolerance; the cap on field samples stops it at n = 32768 for d = 8
+        B = np.random.default_rng(5).standard_normal((8, 8))
+
+        def jump(t):
+            return np.where(np.asarray(t)[:, None, None] >= 2.5, B, 0.0)
+
+        with pytest.raises(ArithmeticError, match="n = 32768 steps of a 8 x 8 field"):
+            fundamental_solution(jump, 2.0, 3.0)
 
     def test_rejects_nonfinite_field(self):
         def bad(t):
-            A = np.eye(2)
-            if abs(t - 0.5) < 0.2:
-                A = A * np.nan
+            A = np.tile(np.eye(2), (np.size(t), 1, 1))
+            A[np.abs(t - 0.5) < 0.2] = np.nan
             return A
 
         with pytest.raises(ValueError):
@@ -151,7 +195,7 @@ class TestScatteringMatrix:
         base = J @ D
 
         def drifting(t):
-            return base + 0.05 * np.exp(-0.01 * t * t) * np.array([[1.0, 0.0], [0.0, -1.0]])
+            return base + 0.05 * np.exp(-0.01 * t * t)[:, None, None] * np.array([[1.0, 0.0], [0.0, -1.0]])
 
         problem = ScatteringProblem(
             field=drifting, asymptotic_field=base, support_halfwidth=0.5, D_center=D
@@ -161,11 +205,33 @@ class TestScatteringMatrix:
         assert len(info.value.trace) >= 1
         assert all(residual > 1e-10 for _, residual in info.value.trace)
 
+    def test_perturbation_inside_declared_support_is_not_truncated(self):
+        # the field equals J D on |t| < 2.5 and is bumped on 2.5 < |t| < 3; a
+        # stop rule that accepts two agreeing iterates before T reaches the
+        # declared support returns sigma = I
+        D = center_diagonal([1.0])
+        base = standard_symplectic_form(1) @ D
+        kick = np.array([[1.0, 0.0], [0.0, -1.0]])
+
+        def shell(t):
+            s = (np.abs(np.asarray(t, dtype=float)) - 2.75) / 0.25
+            inside = np.abs(s) < 1.0
+            g = np.where(inside, np.exp(-1.0 / np.where(inside, 1.0 - s * s, 1.0)), 0.0)
+            return base + 3.0 * g[..., None, None] * kick
+
+        problem = ScatteringProblem(field=shell, asymptotic_field=base, support_halfwidth=3.5, D_center=D)
+        result = scattering_matrix(problem)
+        T = 4.5
+        Phi = plain_rk4(shell, -T, T, 9000, 2)
+        reference = center_linear_flow(D, -T) @ Phi @ center_linear_flow(D, -T)
+        assert max_abs(result.sigma - reference) <= 1e-7
+        assert max_abs(result.sigma - np.eye(2)) > 0.5
+
     def test_rejects_inconsistent_asymptotics(self):
         D = center_diagonal([1.0])
         with pytest.raises(ValueError):
             ScatteringProblem(
-                field=lambda t: np.eye(2),
+                field=constant(np.eye(2)),
                 asymptotic_field=np.eye(2),
                 support_halfwidth=1.0,
                 D_center=D,
@@ -198,3 +264,4 @@ class TestStructurePreservation:
         ends = center_linear_flow(D, -T) @ Phi @ center_linear_flow(D, -T)
         gram_difference = ends.T @ D @ ends - D
         assert max_abs(gram_difference - H) <= 1e-7
+

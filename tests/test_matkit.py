@@ -80,6 +80,11 @@ class TestSymplecticRotation:
         assert is_symplectic(R, 1e-12)
         assert max_abs(R.T @ R - np.eye(2 * len(angles))) <= 1e-12
 
+    def test_batched_matches_stacked(self):
+        angles = np.random.default_rng(3).uniform(-10.0, 10.0, (5, 3))
+        stacked = np.stack([symplectic_rotation(row) for row in angles])
+        assert np.array_equal(symplectic_rotation(angles), stacked)
+
 
 class TestMatrixExponential:
     def test_zero(self):
@@ -111,7 +116,7 @@ class TestMatrixExponential:
         assert is_symplectic(matrix_exponential(-eps * J @ B), 1e-9)
 
 
-class TestEighJacobi:
+class TestEigh:
     def test_diagonal_sorted(self):
         w, _ = eigh(np.diag([2.0, -3.0, 0.0]))
         assert np.array_equal(w, np.array([2.0, 0.0, -3.0]))
