@@ -42,7 +42,8 @@ _REALIZE_MAX_HALVINGS = 20
 
 
 class RealizationError(RuntimeError):
-    """The eps-halving retry loop was exhausted without hitting the target signature."""
+    """The target signature was not reached: the eps halvings ran out, or eps
+    puts the first-order Hessian eigenvalues under the zero tolerance."""
 
 
 def hessian_from_scattering(sigma, D_center) -> np.ndarray:
@@ -72,19 +73,6 @@ class EnsembleSummary:
     definite_negative: int
     largest_min_eigenvalue: float
     smallest_max_eigenvalue: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "l": int(self.l),
-            "omega": [float(x) for x in self.omega],
-            "trials": int(self.trials),
-            "seed": int(self.seed),
-            "tol": float(self.tol),
-            "definite_positive": int(self.definite_positive),
-            "definite_negative": int(self.definite_negative),
-            "largest_min_eigenvalue": float(self.largest_min_eigenvalue),
-            "smallest_max_eigenvalue": float(self.smallest_max_eigenvalue),
-        }
 
 
 def random_symplectic(l: int, rng: np.random.Generator, max_factors: int = 5, max_norm: float = 2.0) -> np.ndarray:
@@ -159,23 +147,6 @@ class RealizationReport:
     first_order_gap: float
     gap_constant: float
 
-    def to_json_dict(self) -> dict:
-        def mat(M):
-            return {"dim": int(M.shape[0]), "data": [float(x) for x in M.ravel()]}
-
-        return {
-            "l": int(self.l),
-            "m": int(self.m),
-            "b": [float(x) for x in self.b],
-            "G": mat(self.G),
-            "B": mat(self.B),
-            "eps_used": float(self.eps_used),
-            "sigma": mat(self.sigma),
-            "achieved": self.achieved.to_json_dict(),
-            "first_order_gap": float(self.first_order_gap),
-            "gap_constant": float(self.gap_constant),
-        }
-
 
 def realize_signature(l: int, m: int, omega, eps: float) -> RealizationReport:
     """Construct a scattering matrix whose reduced Hessian has signature (m, 2l - m).
@@ -183,7 +154,9 @@ def realize_signature(l: int, m: int, omega, eps: float) -> RealizationReport:
     Pipeline: majorizing spectrum -> symmetric target with the balanced +-1
     diagonal -> bracket solve for the generator B -> sigma = exp(-eps J B).
     If the achieved signature misses the target (the second-order terms are
-    not yet dominated), eps is halved, up to 20 times.
+    not yet dominated), eps is halved, up to 20 times.  A miss with the
+    smallest first-order eigenvalue eps * min|b| at or below the zero
+    tolerance raises at once: halving eps only moves it further below.
     """
     l, m = int(l), int(m)
     w = np.atleast_1d(np.asarray(omega, dtype=float))
@@ -197,6 +170,7 @@ def realize_signature(l: int, m: int, omega, eps: float) -> RealizationReport:
     b = indefinite_spectrum(l, m)
     G = mirsky_matrix(balanced, b)
     B = solve_bracket(block, G)
+    b_min = np.min(np.abs(b))
     target = (m, 2 * l - m, 0)
     eps_cur = eps
     for _ in range(_REALIZE_MAX_HALVINGS):
@@ -216,6 +190,12 @@ def realize_signature(l: int, m: int, omega, eps: float) -> RealizationReport:
                 achieved=achieved,
                 first_order_gap=gap,
                 gap_constant=gap / eps_cur,
+            )
+        if eps_cur * b_min <= achieved.tol:
+            raise RealizationError(
+                f"eps = {eps_cur:.3g} puts the smallest first-order Hessian eigenvalue "
+                f"eps * min|b| = {eps_cur * b_min:.3g} at or below the zero tolerance {achieved.tol:.3g}; "
+                f"signature ({m}, {2 * l - m}) needs eps above {achieved.tol / b_min:.3g}"
             )
         eps_cur *= 0.5
     raise RealizationError(
@@ -250,9 +230,6 @@ class ReversibilityReport:
     residual: float
     tol: float
     passed: bool
-
-    def to_json_dict(self) -> dict:
-        return {"residual": float(self.residual), "tol": float(self.tol), "passed": bool(self.passed)}
 
 
 def _validated_reversal(R) -> np.ndarray:

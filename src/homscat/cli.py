@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from datetime import datetime, timezone
@@ -10,17 +11,12 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import classify, flow, models
-from .majorize import MajorizationError, majorizes, mirsky_matrix
-from .matkit import (
-    NotPositiveDefiniteError,
-    center_diagonal,
-    eigh,
-    inertia,
-    max_abs,
-)
+from .majorize import majorizes, mirsky_matrix
+from .matkit import center_diagonal, eigh, inertia, max_abs
 
 _FAILURE_EXIT = 1
 _USAGE_EXIT = 2
+_NUMERICAL_EXIT = 3
 
 
 class CLIError(ValueError):
@@ -43,10 +39,6 @@ def _float_list(text: str) -> list[float]:
     return values
 
 
-def _mat_to_json(M: np.ndarray) -> dict:
-    return {"dim": int(M.shape[0]), "data": [float(x) for x in M.ravel()]}
-
-
 def _mat_from_json(doc) -> np.ndarray:
     if not isinstance(doc, dict) or "dim" not in doc or "data" not in doc:
         raise CLIError("matrix document must be an object with 'dim' and 'data'")
@@ -57,6 +49,26 @@ def _mat_from_json(doc) -> np.ndarray:
     if not np.all(np.isfinite(data)):
         raise CLIError("matrix contains non-finite entries")
     return data.reshape(dim, dim)
+
+
+def to_json(value):
+    """Encode a report payload: dataclasses become dicts of their fields,
+    square matrices {"dim", "data"} documents with row-major entries."""
+    if dataclasses.is_dataclass(value):
+        return {f.name: to_json(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, dict):
+        return {key: to_json(item) for key, item in value.items()}
+    if isinstance(value, np.ndarray) and value.ndim == 2:
+        return {"dim": value.shape[0], "data": [float(x) for x in value.ravel()]}
+    if isinstance(value, (list, tuple, np.ndarray)):
+        return [to_json(item) for item in value]
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    if isinstance(value, str):
+        return value
+    return float(value)
 
 
 def _load_json(path: str) -> dict:
@@ -70,9 +82,8 @@ def _load_json(path: str) -> dict:
 
 
 def _emit(payload: dict, out_path: str | None) -> None:
-    payload = dict(payload)
-    payload["timestamp"] = datetime.now(timezone.utc).isoformat()
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    payload = dict(payload, timestamp=datetime.now(timezone.utc).isoformat())
+    text = json.dumps(to_json(payload), indent=2, sort_keys=True) + "\n"
     if out_path:
         with open(out_path, "w", encoding="utf-8") as handle:
             handle.write(text)
@@ -138,9 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_scatter(args) -> tuple[dict, bool]:
     spec = models.ModelSpec.from_json_dict(_load_json(args.spec))
     result = flow.scattering_matrix(models.scattering_problem(spec), tol=args.tol)
-    payload = {"command": "scatter", "spec": spec.to_json_dict(), "tol": float(args.tol)}
-    payload.update(result.to_json_dict())
-    return payload, True
+    return {"command": "scatter", "spec": spec.to_json_dict(), "tol": args.tol, **vars(result)}, True
 
 
 def _cmd_classify(args) -> tuple[dict, bool]:
@@ -152,9 +161,9 @@ def _cmd_classify(args) -> tuple[dict, bool]:
     payload = {
         "command": "classify",
         "omega": omega,
-        "hessian": _mat_to_json(H),
-        "signature": report.to_json_dict(),
-        "degenerate": bool(report.degenerate),
+        "hessian": H,
+        "signature": report,
+        "degenerate": report.degenerate,
     }
     return payload, True
 
@@ -162,9 +171,7 @@ def _cmd_classify(args) -> tuple[dict, bool]:
 def _cmd_realize(args) -> tuple[dict, bool]:
     omega = _float_list(args.omega)
     report = classify.realize_signature(args.l, args.m, omega, args.eps)
-    payload = {"command": "realize", "omega": omega}
-    payload.update(report.to_json_dict())
-    return payload, True
+    return {"command": "realize", "omega": omega, **vars(report)}, True
 
 
 def _cmd_indefinite(args) -> tuple[dict, bool]:
@@ -172,11 +179,8 @@ def _cmd_indefinite(args) -> tuple[dict, bool]:
     if len(omega) != args.l:
         raise CLIError(f"omega has {len(omega)} entries but --l is {args.l}")
     summary = classify.indefiniteness_ensemble(center_diagonal(omega), args.trials, args.seed, args.tol)
-    payload = {"command": "indefinite"}
-    payload.update(summary.to_json_dict())
     ok = summary.definite_positive == 0 and summary.definite_negative == 0
-    payload["pass"] = bool(ok)
-    return payload, ok
+    return {"command": "indefinite", **vars(summary), "pass": ok}, ok
 
 
 def _cmd_reversible(args) -> tuple[dict, bool]:
@@ -187,8 +191,8 @@ def _cmd_reversible(args) -> tuple[dict, bool]:
     payload = {
         "command": "reversible",
         "spec": spec.to_json_dict(),
-        "sigma": _mat_to_json(result.sigma),
-        "reversibility": rev.to_json_dict(),
+        "sigma": result.sigma,
+        "reversibility": rev,
     }
     if not rev.passed:
         payload["pass"] = False
@@ -196,16 +200,16 @@ def _cmd_reversible(args) -> tuple[dict, bool]:
     D = center_diagonal(spec.omega)
     report = classify.reversible_signature(result.sigma, R, D, args.tol)
     w = report.eigenvalues
-    pairing_defect = float(np.max(np.abs(w + w[::-1])))
+    pairing_defect = np.max(np.abs(w + w[::-1]))
     expected = (spec.l, spec.l, 0)
     ok = report.degenerate or report.inertia == expected
     payload.update(
         {
-            "signature": report.to_json_dict(),
-            "degenerate": bool(report.degenerate),
+            "signature": report,
+            "degenerate": report.degenerate,
             "eigenvalue_pairing_defect": pairing_defect,
-            "expected_signature": [spec.l, spec.l, 0],
-            "pass": bool(ok),
+            "expected_signature": expected,
+            "pass": ok,
         }
     )
     return payload, ok
@@ -218,20 +222,18 @@ def _cmd_mirsky(args) -> tuple[dict, bool]:
     w, _ = eigh(M)
     payload = {
         "command": "mirsky",
-        "diag": [float(x) for x in d],
-        "eigs": [float(x) for x in eigs],
-        "matrix": _mat_to_json(M),
-        "diag_error": float(max_abs(np.diag(M) - d)),
-        "eigenvalue_error": float(max_abs(np.sort(w) - np.sort(eigs))),
+        "diag": d,
+        "eigs": eigs,
+        "matrix": M,
+        "diag_error": max_abs(np.diag(M) - d),
+        "eigenvalue_error": max_abs(np.sort(w) - np.sort(eigs)),
     }
     return payload, True
 
 
 def _cmd_majorize(args) -> tuple[dict, bool]:
     witness = majorizes(_float_list(args.a), _float_list(args.b), args.tol)
-    payload = {"command": "majorize"}
-    payload.update(witness.to_json_dict())
-    return payload, True
+    return {"command": "majorize", **vars(witness)}, True
 
 
 def _cmd_demo_integrable(args) -> tuple[dict, bool]:
@@ -246,13 +248,13 @@ def _cmd_demo_integrable(args) -> tuple[dict, bool]:
     ok = deviation <= args.tol
     payload = {
         "command": "demo-integrable",
-        "l": int(args.l),
+        "l": args.l,
         "omega": omega,
-        "tol": float(args.tol),
-        "max_deviation_from_identity": float(deviation),
-        "pass": bool(ok),
+        "tol": args.tol,
+        "max_deviation_from_identity": deviation,
+        "pass": ok,
+        **vars(result),
     }
-    payload.update(result.to_json_dict())
     return payload, ok
 
 
@@ -268,23 +270,21 @@ _HANDLERS = {
 }
 
 
+def _fail(exc: Exception, kind: str, code: int) -> int:
+    message = " ".join(str(exc).split())
+    sys.stderr.write(json.dumps({"error": message, "kind": kind}) + "\n")
+    return code
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
         payload, ok = _HANDLERS[args.command](args)
-    except (
-        CLIError,
-        MajorizationError,
-        NotPositiveDefiniteError,
-        ValueError,
-        ArithmeticError,
-        flow.ScatteringConvergenceError,
-        classify.RealizationError,
-    ) as exc:
-        message = " ".join(str(exc).split())
-        sys.stderr.write(json.dumps({"error": message}) + "\n")
-        return _USAGE_EXIT
+    except ValueError as exc:
+        return _fail(exc, "input", _USAGE_EXIT)
+    except (ArithmeticError, flow.ScatteringConvergenceError, classify.RealizationError) as exc:
+        return _fail(exc, "numerical", _NUMERICAL_EXIT)
     _emit(payload, args.out)
     return 0 if ok else _FAILURE_EXIT
 

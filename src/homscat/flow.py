@@ -133,24 +133,19 @@ class ScatteringProblem:
     `field` maps a 1-D array of n times to the (n, 2l, 2l) array of
     coefficient matrices at those times; exceptions it raises propagate.
     Outside [-support_halfwidth, support_halfwidth] it must equal
-    `asymptotic_field`, which is J @ D_center.  The declaration is the
-    caller's contract: scattering_matrix integrates only over the declared
-    support, and a field that still differs from J D in the unit slabs
-    beyond it raises ScatteringConvergenceError.
+    J @ D_center.  The declaration is the caller's contract:
+    scattering_matrix integrates only over the declared support, and a
+    field that still differs from J D in the unit slabs beyond it raises
+    ScatteringConvergenceError.
     """
 
     field: Callable
-    asymptotic_field: np.ndarray
     support_halfwidth: float
     D_center: np.ndarray
 
     def __post_init__(self):
         self.D_center = _square(self.D_center, "D_center")
-        omega = center_frequencies(self.D_center)
-        self.asymptotic_field = _square(self.asymptotic_field, "asymptotic_field")
-        expected = standard_symplectic_form(omega.size) @ self.D_center
-        if max_abs(self.asymptotic_field - expected) > 1e-12 * max(1.0, max_abs(expected)):
-            raise ValueError("asymptotic_field must equal J @ D_center")
+        center_frequencies(self.D_center)
         self.support_halfwidth = float(self.support_halfwidth)
         if not (self.support_halfwidth > 0):
             raise ValueError("support_halfwidth must be positive")
@@ -169,17 +164,6 @@ class ScatteringResult:
     T_used: float
     residual: float
     symplectic_defect: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "sigma": {
-                "dim": int(self.sigma.shape[0]),
-                "data": [float(x) for x in self.sigma.ravel()],
-            },
-            "T_used": float(self.T_used),
-            "residual": float(self.residual),
-            "symplectic_defect": float(self.symplectic_defect),
-        }
 
 
 def scattering_matrix(
@@ -201,10 +185,12 @@ def scattering_matrix(
     D = problem.D_center
     d = problem.dim
     omega = center_frequencies(D)
+    J = standard_symplectic_form(d // 2)
+    JD = J @ D
 
     def corotating(ts):
         R = symplectic_rotation(np.multiply.outer(ts, omega))
-        return R.swapaxes(1, 2) @ (_field_values(problem.field, ts, d) - problem.asymptotic_field) @ R
+        return R.swapaxes(1, 2) @ (_field_values(problem.field, ts, d) - JD) @ R
 
     T_s = problem.support_halfwidth
     inner = fundamental_solution(corotating, -T_s, T_s, integrator_tol)
@@ -214,7 +200,6 @@ def scattering_matrix(
     residual = max_abs(sigma - inner)
     if residual > tol:
         raise ScatteringConvergenceError(T_s, residual, tol)
-    J = standard_symplectic_form(d // 2)
     return ScatteringResult(
         sigma=sigma,
         T_used=T_s + 1.0,

@@ -53,16 +53,6 @@ class MajorizationWitness:
             return int(bad[0]) + 1
         return int(self.a_sorted.size)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "a_sorted": [float(x) for x in self.a_sorted],
-            "b_sorted": [float(x) for x in self.b_sorted],
-            "partial_sum_gaps": [float(x) for x in self.partial_sum_gaps],
-            "total_gap": float(self.total_gap),
-            "holds": bool(self.holds),
-            "tol": float(self.tol),
-        }
-
 
 def majorizes(a, b, tol: float = _MAJORIZE_TOL) -> MajorizationWitness:
     """Decide a <| b: sorted partial sums of a never exceed those of b, totals equal."""

@@ -155,15 +155,6 @@ class SignatureReport:
     def dim(self) -> int:
         return self.n_pos + self.n_neg + self.n_zero
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n_pos": int(self.n_pos),
-            "n_neg": int(self.n_neg),
-            "n_zero": int(self.n_zero),
-            "eigenvalues": [float(x) for x in self.eigenvalues],
-            "tol": float(self.tol),
-        }
-
 
 def inertia(S, tol: float | None = None) -> SignatureReport:
     """Count eigenvalues of a symmetric matrix above tol, below -tol, and between."""

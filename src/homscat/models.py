@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import flow
+from .majorize import CenterBlock
 from .matkit import _square, center_diagonal, max_abs, standard_symplectic_form, symplectic_rotation
 
 _PROFILE_MASS_NODES = 8192
@@ -95,18 +96,9 @@ class ModelSpec:
             raise ValueError("need at least one centre pair")
         if self.n_hyp < 1:
             raise ValueError("need at least one hyperbolic pair")
-        w = np.atleast_1d(np.asarray(self.omega, dtype=float))
-        if w.shape != (self.l,) or not np.all(np.isfinite(w)):
-            raise ValueError(f"omega must be a finite vector of length {self.l}")
-        if np.any(w == 0.0):
-            raise ValueError("centre frequencies must be nonzero")
-        sq = w * w
-        for i in range(self.l):
-            for j in range(i + 1, self.l):
-                if w[i] == w[j]:
-                    raise ValueError(f"duplicate centre frequency omega[{i}] = omega[{j}]")
-                if abs(sq[i] - sq[j]) <= 1e-12 * max(1.0, sq.max()):
-                    raise ValueError(f"squared frequencies coincide: omega[{i}]^2 = omega[{j}]^2")
+        w = CenterBlock(self.omega).omega
+        if w.shape != (self.l,):
+            raise ValueError(f"omega must be a vector of length {self.l}")
         self.omega = w
         a = np.atleast_1d(np.asarray(self.alpha, dtype=float)) if np.size(self.alpha) else np.zeros(0)
         if a.shape != (self.n_hyp - 1,) or not np.all(np.isfinite(a)):
@@ -323,11 +315,8 @@ def scattering_problem(spec: ModelSpec) -> flow.ScatteringProblem:
     """Centre-block scattering problem of the (possibly perturbed) model."""
     if max_abs(spec.mu) != 0.0:
         raise ValueError("scattering requires mu = 0: the homoclinic loop persists only without splitting")
-    D = center_diagonal(spec.omega)
-    J = standard_symplectic_form(spec.l)
     return flow.ScatteringProblem(
         field=lambda t: center_variational_field(spec, t),
-        asymptotic_field=J @ D,
         support_halfwidth=spec.T_support,
-        D_center=D,
+        D_center=center_diagonal(spec.omega),
     )

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from homscat.classify import (
+    RealizationError,
     center_reversal,
     check_reversibility,
     hessian_from_scattering,
@@ -11,6 +12,7 @@ from homscat.classify import (
     realize_signature,
     reversible_signature,
 )
+from homscat.cli import to_json
 from homscat.majorize import CenterBlock, hessian_bracket, indefinite_spectrum
 from homscat.matkit import (
     center_diagonal,
@@ -110,7 +112,7 @@ class TestIndefinitenessEnsemble:
         D = center_diagonal([1.0, 2.0])
         a = indefiniteness_ensemble(D, trials=50, seed=5)
         b = indefiniteness_ensemble(D, trials=50, seed=5)
-        assert a.to_json_dict() == b.to_json_dict()
+        assert to_json(a) == to_json(b)
 
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):
@@ -135,7 +137,7 @@ class TestRealizeSignature:
         assert np.array_equal(report.b, indefinite_spectrum(2, 2))
         assert report.first_order_gap <= report.gap_constant * report.eps_used + 1e-15
         assert max_abs(np.diag(report.G) - np.array([1.0, 1.0, -1.0, -1.0])) <= 1e-10
-        doc = report.to_json_dict()
+        doc = to_json(report)
         assert doc["l"] == 2 and doc["m"] == 2
         assert doc["sigma"]["dim"] == 4
         assert doc["achieved"]["n_pos"] == 2
@@ -156,6 +158,14 @@ class TestRealizeSignature:
         report = realize_signature(2, 1, [1.0, 2.0], 4.0)
         assert report.achieved.inertia == (1, 3, 0)
         assert report.eps_used < 4.0
+
+    @pytest.mark.parametrize("eps", [1e-8, 1e-7])
+    def test_tiny_eps_names_the_zero_tolerance(self, eps):
+        # H ~ eps G has eigenvalues near eps * min|b| = eps, at or below the
+        # 1e-7 floor of the zero tolerance; halving eps only moves further away
+        with pytest.raises(RealizationError, match="zero tolerance") as info:
+            realize_signature(2, 1, [1.0, 2.0], eps)
+        assert f"eps = {eps:.3g}" in str(info.value)
 
 
 class TestRotationQuotient:

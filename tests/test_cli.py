@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from homscat.cli import main
 from homscat.matkit import matrix_exponential, max_abs, standard_symplectic_form
@@ -24,6 +25,91 @@ def write_matrix(tmp_path, M, name="sigma.json"):
     path = tmp_path / name
     path.write_text(json.dumps({"dim": M.shape[0], "data": [float(x) for x in M.ravel()]}))
     return str(path)
+
+
+def skeleton(value):
+    """JSON type skeleton: leaves become their type names, a list the sorted
+    set of its item skeletons, so an int printed as 1 and a float printed as
+    1.0 stay distinct."""
+    if isinstance(value, dict):
+        return {key: skeleton(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [json.loads(t) for t in sorted({json.dumps(skeleton(item), sort_keys=True) for item in value})]
+    return type(value).__name__
+
+
+MATRIX = {"dim": "int", "data": ["float"]}
+SIGNATURE = {"n_pos": "int", "n_neg": "int", "n_zero": "int", "eigenvalues": ["float"], "tol": "float"}
+SPEC = {
+    "l": "int", "n_hyp": "int", "omega": ["float"], "alpha": [], "eps": "float", "C": ["float"],
+    "mu": ["float"], "T_support": "float", "bump_order": "int",
+}
+SCATTERING = {"sigma": MATRIX, "T_used": "float", "residual": "float", "symplectic_defect": "float"}
+
+
+def reversible_spec():
+    C = np.diag([0.7, -0.4])  # block diagonal over the reversal eigenspaces
+    return ModelSpec(l=1, n_hyp=1, omega=[1.0], eps=0.05, C=C, T_support=2.0)
+
+
+# subcommand -> (argv builder over tmp_path, skeleton of the payload minus timestamp)
+REPORTS = {
+    "scatter": (
+        lambda tmp: ["scatter", "--spec", write_spec(tmp, reversible_spec())],
+        {"command": "str", "spec": SPEC, "tol": "float", **SCATTERING},
+    ),
+    "classify": (
+        lambda tmp: ["classify", "--sigma", write_matrix(tmp, matrix_exponential(
+            -0.01 * standard_symplectic_form(1) @ np.diag([2.0, -1.0]))), "--omega", "1"],
+        {"command": "str", "omega": ["float"], "hessian": MATRIX, "signature": SIGNATURE, "degenerate": "bool"},
+    ),
+    "realize": (
+        lambda tmp: ["realize", "--l", "1", "--m", "1", "--omega", "1", "--eps", "0.01"],
+        {
+            "command": "str", "omega": ["float"], "l": "int", "m": "int", "b": ["float"], "G": MATRIX,
+            "B": MATRIX, "eps_used": "float", "sigma": MATRIX, "achieved": SIGNATURE,
+            "first_order_gap": "float", "gap_constant": "float",
+        },
+    ),
+    "indefinite": (
+        lambda tmp: ["indefinite", "--l", "1", "--omega", "1", "--trials", "5", "--seed", "3"],
+        {
+            "command": "str", "l": "int", "omega": ["float"], "trials": "int", "seed": "int", "tol": "float",
+            "definite_positive": "int", "definite_negative": "int", "largest_min_eigenvalue": "float",
+            "smallest_max_eigenvalue": "float", "pass": "bool",
+        },
+    ),
+    "reversible": (
+        lambda tmp: ["reversible", "--spec", write_spec(tmp, reversible_spec())],
+        {
+            "command": "str", "spec": SPEC, "sigma": MATRIX,
+            "reversibility": {"residual": "float", "tol": "float", "passed": "bool"},
+            "signature": SIGNATURE, "degenerate": "bool", "eigenvalue_pairing_defect": "float",
+            "expected_signature": ["int"], "pass": "bool",
+        },
+    ),
+    "mirsky": (
+        lambda tmp: ["mirsky", "--diag", "1,-1", "--eigs", "2,-2"],
+        {
+            "command": "str", "diag": ["float"], "eigs": ["float"], "matrix": MATRIX,
+            "diag_error": "float", "eigenvalue_error": "float",
+        },
+    ),
+    "majorize": (
+        lambda tmp: ["majorize", "--a", "1,-1", "--b", "2,-2"],
+        {
+            "command": "str", "a_sorted": ["float"], "b_sorted": ["float"], "partial_sum_gaps": ["float"],
+            "total_gap": "float", "holds": "bool", "tol": "float",
+        },
+    ),
+    "demo-integrable": (
+        lambda tmp: ["demo-integrable", "--l", "1"],
+        {
+            "command": "str", "l": "int", "omega": ["float"], "tol": "float",
+            "max_deviation_from_identity": "float", "pass": "bool", **SCATTERING,
+        },
+    ),
+}
 
 
 class TestDemoIntegrable:
@@ -78,15 +164,16 @@ class TestRealizeCommand:
     def test_out_of_range_m(self, capsys):
         code, _, err = run(capsys, ["realize", "--l", "2", "--m", "0", "--omega", "1,2", "--eps", "0.01"])
         assert code == 2
-        assert "error" in json.loads(err)
+        message = json.loads(err)
+        assert "error" in message and message["kind"] == "input"
 
-    def test_deterministic_payload(self, capsys):
-        argv = ["realize", "--l", "1", "--m", "1", "--omega", "1", "--eps", "0.01"]
-        _, first, _ = run(capsys, argv)
-        _, second, _ = run(capsys, argv)
-        first.pop("timestamp")
-        second.pop("timestamp")
-        assert first == second
+    def test_tiny_eps_is_a_numerical_failure(self, capsys):
+        code, payload, err = run(capsys, ["realize", "--l", "2", "--m", "1", "--omega", "1,2", "--eps", "1e-8"])
+        assert code == 3
+        assert payload is None
+        message = json.loads(err)
+        assert message["kind"] == "numerical"
+        assert "zero tolerance" in message["error"]
 
 
 class TestIndefiniteCommand:
@@ -205,6 +292,19 @@ class TestCliPlumbing:
         doc = json.loads(out.read_text())
         assert doc["holds"] is True
         assert "timestamp" in doc
+
+    @pytest.mark.parametrize("command", sorted(REPORTS))
+    def test_deterministic_payload(self, capsys, tmp_path, command):
+        build, expected = REPORTS[command]
+        argv = build(tmp_path)
+        code, first, _ = run(capsys, argv)
+        _, second, _ = run(capsys, argv)
+        assert code == 0
+        assert isinstance(first.pop("timestamp"), str)
+        second.pop("timestamp")
+        # compared as JSON text: 1 == 1.0 in Python, but not in the report
+        assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
+        assert skeleton(first) == expected
 
     def test_bad_number_list(self, capsys):
         code, _, err = run(capsys, ["majorize", "--a", "1,spam", "--b", "1,1"])

@@ -108,7 +108,6 @@ class TestFundamentalSolution:
         with pytest.raises(ValueError, match=r"shape \(2, 2\)"):
             ScatteringProblem(
                 field=lambda t: np.eye(2),
-                asymptotic_field=standard_symplectic_form(1),
                 support_halfwidth=1.0,
                 D_center=np.eye(2),
             )
@@ -197,9 +196,7 @@ class TestScatteringMatrix:
         def drifting(t):
             return base + 0.05 * np.exp(-0.01 * t * t)[:, None, None] * np.array([[1.0, 0.0], [0.0, -1.0]])
 
-        problem = ScatteringProblem(
-            field=drifting, asymptotic_field=base, support_halfwidth=0.5, D_center=D
-        )
+        problem = ScatteringProblem(field=drifting, support_halfwidth=0.5, D_center=D)
         with pytest.raises(ScatteringConvergenceError) as info:
             scattering_matrix(problem, tol=1e-10)
         assert len(info.value.trace) >= 1
@@ -219,23 +216,13 @@ class TestScatteringMatrix:
             g = np.where(inside, np.exp(-1.0 / np.where(inside, 1.0 - s * s, 1.0)), 0.0)
             return base + 3.0 * g[..., None, None] * kick
 
-        problem = ScatteringProblem(field=shell, asymptotic_field=base, support_halfwidth=3.5, D_center=D)
+        problem = ScatteringProblem(field=shell, support_halfwidth=3.5, D_center=D)
         result = scattering_matrix(problem)
         T = 4.5
         Phi = plain_rk4(shell, -T, T, 9000, 2)
         reference = center_linear_flow(D, -T) @ Phi @ center_linear_flow(D, -T)
         assert max_abs(result.sigma - reference) <= 1e-7
         assert max_abs(result.sigma - np.eye(2)) > 0.5
-
-    def test_rejects_inconsistent_asymptotics(self):
-        D = center_diagonal([1.0])
-        with pytest.raises(ValueError):
-            ScatteringProblem(
-                field=constant(np.eye(2)),
-                asymptotic_field=np.eye(2),
-                support_halfwidth=1.0,
-                D_center=D,
-            )
 
 
 class TestStructurePreservation:

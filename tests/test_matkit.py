@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from homscat.cli import to_json
 from homscat.matkit import (
     NotPositiveDefiniteError,
     center_diagonal,
@@ -173,7 +174,7 @@ class TestInertia:
         assert inertia(Q.T @ S @ Q, 1e-9).inertia == inertia(S, 1e-9).inertia
 
     def test_report_json(self):
-        doc = inertia(np.diag([1.0, -1.0]), 1e-9).to_json_dict()
+        doc = to_json(inertia(np.diag([1.0, -1.0]), 1e-9))
         assert doc["n_pos"] == 1 and doc["n_neg"] == 1 and doc["n_zero"] == 0
         assert doc["eigenvalues"] == [1.0, -1.0]
 
