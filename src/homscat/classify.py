@@ -25,11 +25,12 @@ from .majorize import (
 )
 from .matkit import (
     SignatureReport,
+    _positive_tol,
+    _slice_max_abs,
     _square,
     center_frequencies,
     eigh,
     inertia,
-    is_symplectic,
     matrix_exponential,
     max_abs,
     spd_sqrt,
@@ -39,6 +40,10 @@ from .matkit import (
 _SYMPLECTIC_PRECONDITION_TOL = 1e-7
 _STRUCTURE_TOL = 1e-10
 _REALIZE_MAX_HALVINGS = 20
+_MAX_FACTORS = 5
+# bound on the matrix entries of one chunk of ensemble trials at _MAX_FACTORS
+# factors each: the stacked kernels hold a few arrays of that size, 128 KiB each
+_MAX_CHUNK_ELEMENTS = 2 ** 14
 
 
 class RealizationError(RuntimeError):
@@ -47,17 +52,19 @@ class RealizationError(RuntimeError):
 
 
 def hessian_from_scattering(sigma, D_center) -> np.ndarray:
-    """sigma^T D sigma - D; requires sigma symplectic within 1e-7."""
-    S = _square(sigma, "scattering matrix")
+    """sigma^T D sigma - D, or that of each slice of a (k, 2l, 2l) stack;
+    requires every sigma symplectic within 1e-7."""
+    S = _square(sigma, "scattering matrix", stack=True)
     D = _square(D_center, "D_center")
     center_frequencies(D)
-    if S.shape != D.shape:
+    if S.shape[-2:] != D.shape:
         raise ValueError("scattering matrix and centre diagonal have different dimensions")
-    if not is_symplectic(S, _SYMPLECTIC_PRECONDITION_TOL):
-        J = standard_symplectic_form(S.shape[0] // 2)
-        defect = max_abs(S.T @ J @ S - J)
-        raise ValueError(f"scattering matrix is not symplectic (defect {defect:.3e})")
-    return S.T @ D @ S - D
+    J = standard_symplectic_form(D.shape[0] // 2)
+    St = S.swapaxes(-1, -2)
+    defect = _slice_max_abs(St @ J @ S - J)
+    if (defect > _SYMPLECTIC_PRECONDITION_TOL).any():
+        raise ValueError(f"scattering matrix is not symplectic (defect {defect.max():.3e})")
+    return St @ D @ S - D
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,56 +82,82 @@ class EnsembleSummary:
     smallest_max_eigenvalue: float
 
 
-def random_symplectic(l: int, rng: np.random.Generator, max_factors: int = 5, max_norm: float = 2.0) -> np.ndarray:
+def _random_symplectics(l: int, rngs, max_factors: int, max_norm: float) -> np.ndarray:
+    """random_symplectic for each generator in turn, as a (k, 2l, 2l) stack.
+
+    Every generator makes its draws in full before the next one starts; one
+    stacked eigh then gives all spectral norms and one stacked exponential
+    all factors, which each sigma multiplies out in draw order.
+    """
+    d = 2 * l
+    generators, norms, counts = [], [], []
+    for rng in rngs:
+        count = 0
+        for _ in range(int(rng.integers(1, max_factors + 1))):
+            raw = rng.standard_normal((d, d))
+            B = 0.5 * (raw + raw.T)
+            if not B.any():
+                continue
+            generators.append(B)
+            norms.append(rng.uniform(0.1, max_norm))
+            count += 1
+        counts.append(count)
+    B = np.array(generators).reshape(-1, d, d)
+    w, _ = eigh(B)
+    B *= (np.array(norms) / np.maximum(np.abs(w[:, 0]), np.abs(w[:, -1])))[:, None, None]
+    factors = iter(matrix_exponential(-standard_symplectic_form(l) @ B))
+    sigmas = np.empty((len(counts), d, d))
+    for k, count in enumerate(counts):
+        sigma = np.eye(d)
+        for _ in range(count):
+            sigma = sigma @ next(factors)
+        sigmas[k] = sigma
+    return sigmas
+
+
+def random_symplectic(
+    l: int, rng: np.random.Generator, max_factors: int = _MAX_FACTORS, max_norm: float = 2.0
+) -> np.ndarray:
     """Product of up to max_factors exponentials exp(-J B) with random
     symmetric B scaled to a spectral norm drawn from (0.1, max_norm]."""
-    J = standard_symplectic_form(l)
-    sigma = np.eye(2 * l)
-    for _ in range(int(rng.integers(1, max_factors + 1))):
-        raw = rng.standard_normal((2 * l, 2 * l))
-        B = 0.5 * (raw + raw.T)
-        w, _ = eigh(B)
-        spectral = max(abs(w[0]), abs(w[-1]))
-        if spectral == 0.0:
-            continue
-        B *= rng.uniform(0.1, max_norm) / spectral
-        sigma = sigma @ matrix_exponential(-J @ B)
-    return sigma
+    return _random_symplectics(l, [rng], max_factors, max_norm)[0]
 
 
 def indefiniteness_ensemble(D_center, trials: int, seed: int, tol: float = 1e-9) -> EnsembleSummary:
     """Extreme Hessian eigenvalues over a seeded random symplectic ensemble.
 
     Each trial draws its generator from (seed, trial index), so the summary
-    is reproducible regardless of evaluation order.  Both definite counts
-    must come out zero: the reduced Hessian is never definite.
+    is reproducible regardless of evaluation order.  Trials run in chunks
+    whose stacked factors hold at most _MAX_CHUNK_ELEMENTS matrix entries.
+    An extreme eigenvalue beyond tol, which must be a finite positive
+    number, counts its trial as definite.  Both definite counts must come
+    out zero: the reduced Hessian is never definite.
     """
     D = _square(D_center, "D_center")
     omega = center_frequencies(D)
     trials = int(trials)
     if trials < 1:
         raise ValueError("need at least one trial")
+    tol = _positive_tol(tol, "ensemble tolerance")
+    chunk = max(1, _MAX_CHUNK_ELEMENTS // (_MAX_FACTORS * D.size))
     definite_pos = definite_neg = 0
     largest_min = -np.inf
     smallest_max = np.inf
-    for k in range(trials):
-        rng = np.random.default_rng((int(seed), k))
-        sigma = random_symplectic(omega.size, rng)
-        H = hessian_from_scattering(sigma, D)
-        w, _ = eigh(H)
-        lo, hi = float(w[-1]), float(w[0])
-        largest_min = max(largest_min, lo)
-        smallest_max = min(smallest_max, hi)
-        if lo > tol:
-            definite_pos += 1
-        if hi < -tol:
-            definite_neg += 1
+    for start in range(0, trials, chunk):
+        rngs = [np.random.default_rng((int(seed), k)) for k in range(start, min(start + chunk, trials))]
+        sigmas = _random_symplectics(omega.size, rngs, _MAX_FACTORS, 2.0)
+        w, _ = eigh(hessian_from_scattering(sigmas, D))
+        lo, hi = w[:, -1], w[:, 0]
+        largest_min = max(largest_min, float(np.max(lo)))
+        smallest_max = min(smallest_max, float(np.min(hi)))
+        definite_pos += int(np.count_nonzero(lo > tol))
+        definite_neg += int(np.count_nonzero(hi < -tol))
     return EnsembleSummary(
         l=omega.size,
         omega=omega,
         trials=trials,
         seed=int(seed),
-        tol=float(tol),
+        tol=tol,
         definite_positive=definite_pos,
         definite_negative=definite_neg,
         largest_min_eigenvalue=largest_min,
@@ -255,10 +288,9 @@ def check_reversibility(sigma, R, tol: float) -> ReversibilityReport:
     A = _validated_reversal(R)
     if S.shape != A.shape:
         raise ValueError("scattering matrix and reversal have different dimensions")
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    tol = _positive_tol(tol)
     residual = max_abs(S @ A @ S - A)
-    return ReversibilityReport(residual=residual, tol=float(tol), passed=bool(residual <= tol))
+    return ReversibilityReport(residual=residual, tol=tol, passed=bool(residual <= tol))
 
 
 def reversible_signature(sigma, R, D_center, tol: float, class_tol: float | None = None) -> SignatureReport:

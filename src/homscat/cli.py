@@ -12,7 +12,7 @@ import numpy as np
 
 from . import classify, flow, models
 from .majorize import majorizes, mirsky_matrix
-from .matkit import center_diagonal, eigh, inertia, max_abs
+from .matkit import _positive_tol, center_diagonal, eigh, inertia, max_abs
 
 _FAILURE_EXIT = 1
 _USAGE_EXIT = 2
@@ -242,10 +242,11 @@ def _cmd_demo_integrable(args) -> tuple[dict, bool]:
     omega = _float_list(args.omega) if args.omega else [float(k) for k in range(1, args.l + 1)]
     if len(omega) != args.l:
         raise CLIError(f"omega has {len(omega)} entries but --l is {args.l}")
+    tol = _positive_tol(args.tol, "--tol")
     spec = models.ModelSpec(l=args.l, n_hyp=1, omega=omega, eps=0.0)
     result = flow.scattering_matrix(models.scattering_problem(spec))
     deviation = max_abs(result.sigma - np.eye(2 * args.l))
-    ok = deviation <= args.tol
+    ok = deviation <= tol
     payload = {
         "command": "demo-integrable",
         "l": args.l,

@@ -20,6 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .matkit import (
+    _positive_tol,
     _square,
     center_frequencies,
     max_abs,
@@ -101,8 +102,7 @@ def fundamental_solution(fld: Callable, t0: float, t1: float, tol: float = DEFAU
         raise ValueError("integration endpoints must be finite")
     if t1 < t0:
         raise ValueError("t0 must not exceed t1")
-    if tol <= 0:
-        raise ValueError("integrator tolerance must be positive")
+    tol = _positive_tol(tol, "integrator tolerance")
     probe = np.asarray(fld(np.array([t0])), dtype=float)
     if probe.ndim != 3 or probe.shape[0] != 1:
         raise ValueError(f"field returned shape {probe.shape} for 1 time, expected (1, d, d)")
@@ -180,8 +180,7 @@ def scattering_matrix(
     the field differs from J D beyond the declared support and raises
     ScatteringConvergenceError.
     """
-    if tol <= 0:
-        raise ValueError("scattering tolerance must be positive")
+    tol = _positive_tol(tol, "scattering tolerance")
     D = problem.D_center
     d = problem.dim
     omega = center_frequencies(D)

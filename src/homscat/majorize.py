@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .matkit import (
+    _positive_tol,
     _require_symmetric,
     max_abs,
     standard_symplectic_form,
@@ -62,8 +63,7 @@ def majorizes(a, b, tol: float = _MAJORIZE_TOL) -> MajorizationWitness:
         raise ValueError("majorization needs two nonempty vectors")
     if av.size != bv.size:
         raise ValueError(f"length mismatch: {av.size} vs {bv.size}")
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    tol = _positive_tol(tol)
     a_sorted = np.sort(av)[::-1]
     b_sorted = np.sort(bv)[::-1]
     ca, cb = np.cumsum(a_sorted), np.cumsum(b_sorted)
@@ -76,7 +76,7 @@ def majorizes(a, b, tol: float = _MAJORIZE_TOL) -> MajorizationWitness:
         partial_sum_gaps=gaps,
         total_gap=total,
         holds=holds,
-        tol=float(tol),
+        tol=tol,
     )
 
 
@@ -243,6 +243,7 @@ def bracket_kernel_basis(block: CenterBlock) -> list[np.ndarray]:
 def in_bracket_range(block: CenterBlock, M, tol: float = 1e-8) -> bool:
     """True iff the diagonal of M cancels in conjugate pairs: M_ii + M_{l+i,l+i} = 0."""
     Ms = _check_block_input(block, M, "range candidate")
+    tol = _positive_tol(tol)
     dvec = np.diag(Ms)
     l = block.l
     return bool(np.all(np.abs(dvec[:l] + dvec[l:]) <= tol))

@@ -5,7 +5,8 @@ eigensolver is LAPACK's (through numpy.linalg.eigh) reordered to descending
 eigenvalues, the exponential is truncated scaling-and-squaring, and
 tolerances are expressed in the entrywise max-abs norm.  Inertia counts rest
 on the absolute-scale tolerance 1e-7 * max(1, |S|), far above the backward
-error of the eigensolver.
+error of the eigensolver.  The eigensolver and the exponential also take a
+(k, n, n) stack and treat each slice exactly as they treat that matrix alone.
 """
 
 from __future__ import annotations
@@ -28,13 +29,28 @@ def max_abs(M) -> float:
     return float(np.max(np.abs(A))) if A.size else 0.0
 
 
-def _square(M, name: str = "matrix") -> np.ndarray:
+def _square(M, name: str = "matrix", stack: bool = False) -> np.ndarray:
+    """M as a float array: one nonempty square matrix, or with stack=True also
+    a (k, n, n) stack of them, k >= 0."""
     A = np.asarray(M, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] == 0:
+    if A.ndim not in ((2, 3) if stack else (2,)) or A.shape[-1] != A.shape[-2] or A.shape[-1] == 0:
         raise ValueError(f"{name} must be square and nonempty, got shape {A.shape}")
-    if not np.all(np.isfinite(A)):
+    if not np.isfinite(A).all():
         raise ValueError(f"{name} contains non-finite entries")
     return A
+
+
+def _slice_max_abs(A: np.ndarray, floor: float = 0.0):
+    """max(floor, max_abs) of a matrix, or of each slice of a stack."""
+    return np.abs(A).max(axis=(-2, -1), initial=floor)
+
+
+def _positive_tol(tol, name: str = "tolerance") -> float:
+    """tol as a float, rejecting anything but a finite positive number (NaN included)."""
+    tol = float(tol)
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"{name} must be a finite positive number, got {tol}")
+    return tol
 
 
 def is_symmetric(M, tol: float = _SYMMETRY_TOL) -> bool:
@@ -42,12 +58,15 @@ def is_symmetric(M, tol: float = _SYMMETRY_TOL) -> bool:
     return max_abs(A - A.T) <= tol * max(1.0, max_abs(A))
 
 
-def _require_symmetric(M, name: str = "matrix", tol: float = _SYMMETRY_TOL) -> np.ndarray:
-    A = _square(M, name)
-    defect = max_abs(A - A.T)
-    if defect > tol * max(1.0, max_abs(A)):
-        raise ValueError(f"{name} is not symmetric (asymmetry {defect:.3e})")
-    return 0.5 * (A + A.T)
+def _require_symmetric(M, name: str = "matrix", tol: float = _SYMMETRY_TOL, stack: bool = False) -> np.ndarray:
+    """Symmetrized M; with stack=True each slice is checked against its own scale."""
+    A = _square(M, name, stack)
+    At = A.swapaxes(-1, -2)
+    defect = _slice_max_abs(A - At)
+    asymmetric = defect > tol * _slice_max_abs(A, 1.0)
+    if asymmetric.any():
+        raise ValueError(f"{name} is not symmetric (asymmetry {np.max(defect, where=asymmetric, initial=0.0):.3e})")
+    return 0.5 * (A + At)
 
 
 def standard_symplectic_form(n: int) -> np.ndarray:
@@ -95,32 +114,49 @@ def symplectic_rotation(theta) -> np.ndarray:
 
 
 def matrix_exponential(M) -> np.ndarray:
-    """exp(M) by scaling-and-squaring over a fixed-order truncated series.
+    """exp(M), or exp of each slice of a (k, n, n) stack, by scaling-and-squaring
+    over a fixed-order truncated series.
 
     The argument is halved until its max-row-sum norm is at most 0.5, the
     series is summed to order 12 by Horner's scheme, and the result is
-    squared back up.  Accuracy is far below 1e-8 for the matrix sizes used
-    in this package.
+    squared back up.  Each slice of a stack keeps its own number of
+    halvings, so it comes out bit for bit as it would alone.  Accuracy is
+    far below 1e-8 for the matrix sizes used in this package.
     """
-    A = _square(M)
-    norm = float(np.max(np.sum(np.abs(A), axis=1)))
-    squarings = 0 if norm <= 0.5 else int(np.ceil(np.log2(norm / 0.5)))
-    A = A / (2.0 ** squarings)
-    E = np.eye(A.shape[0])
+    A = _square(M, stack=True)
+    shape = A.shape
+    A = A.reshape((-1,) + shape[-2:])
+    norm = np.abs(A).sum(axis=-1).max(axis=-1)
+    squarings = np.ceil(np.log2(np.maximum(norm, 0.5) / 0.5)).astype(int)
+    # slices sorted by squaring count, most first: round r squares the
+    # leading slices whose count exceeds r
+    order = np.argsort(-squarings, kind="stable")
+    squarings = squarings[order]
+    A = A[order] / (2.0 ** squarings)[:, None, None]
+    I = np.eye(shape[-1])
+    E = I
     for k in range(_EXP_SERIES_ORDER, 0, -1):
-        E = np.eye(A.shape[0]) + (A @ E) / k
-    for _ in range(squarings):
-        E = E @ E
-    return E
+        E = I + (A @ E) / k
+    counts = squarings.tolist()
+    live = len(counts)
+    for r in range(counts[0] if counts else 0):
+        while counts[live - 1] <= r:
+            live -= 1
+        if live == len(counts):
+            E = E @ E  # no slice is done yet, so nothing to copy back into
+        else:
+            E[:live] = E[:live] @ E[:live]
+    return E[np.argsort(order)].reshape(shape)
 
 
 def eigh(S) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a symmetric matrix.
+    """Eigendecomposition of a symmetric matrix, or of each slice of a (k, n, n) stack.
 
-    Returns (eigenvalues sorted descending, orthonormal eigenvector columns).
+    Returns (eigenvalues sorted descending, orthonormal eigenvector columns),
+    stacked like the input.  Every slice must pass the symmetry check.
     """
-    w, V = np.linalg.eigh(_require_symmetric(S, "eigendecomposition input"))
-    return w[::-1], V[:, ::-1]
+    w, V = np.linalg.eigh(_require_symmetric(S, "eigendecomposition input", stack=True))
+    return w[..., ::-1], V[..., ::-1]
 
 
 def classification_tol(S) -> float:
@@ -159,10 +195,7 @@ class SignatureReport:
 def inertia(S, tol: float | None = None) -> SignatureReport:
     """Count eigenvalues of a symmetric matrix above tol, below -tol, and between."""
     A = _require_symmetric(S, "inertia input")
-    if tol is None:
-        tol = classification_tol(A)
-    if tol <= 0:
-        raise ValueError("inertia tolerance must be positive")
+    tol = _positive_tol(classification_tol(A) if tol is None else tol, "inertia tolerance")
     w, _ = eigh(A)
     n_pos = int(np.sum(w > tol))
     n_neg = int(np.sum(w < -tol))
@@ -171,7 +204,7 @@ def inertia(S, tol: float | None = None) -> SignatureReport:
         n_neg=n_neg,
         n_zero=int(w.size - n_pos - n_neg),
         eigenvalues=w,
-        tol=float(tol),
+        tol=tol,
     )
 
 

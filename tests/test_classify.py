@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import ensemble_oracle
+from homscat import classify
 from homscat.classify import (
     RealizationError,
     center_reversal,
@@ -56,6 +58,19 @@ class TestHessianFromScattering:
         D = center_diagonal([1.0])
         with pytest.raises(ValueError):
             hessian_from_scattering(2.0 * np.eye(2), D)
+
+    def test_stack_slices_match_single(self):
+        D = center_diagonal([1.0, 2.0])
+        rng = np.random.default_rng(17)
+        sigmas = np.stack([random_symplectic(2, rng) for _ in range(5)])
+        H = hessian_from_scattering(sigmas, D)
+        for k in range(5):
+            assert np.array_equal(H[k], hessian_from_scattering(sigmas[k], D))
+
+    def test_rejects_one_nonsymplectic_slice(self):
+        sigmas = np.stack([np.eye(2), 2.0 * np.eye(2), np.eye(2)])
+        with pytest.raises(ValueError, match=r"not symplectic \(defect 3\.000e\+00\)"):
+            hessian_from_scattering(sigmas, center_diagonal([1.0]))
 
     def test_output_symmetric(self):
         rng = np.random.default_rng(7)
@@ -117,6 +132,48 @@ class TestIndefinitenessEnsemble:
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):
             indefiniteness_ensemble(center_diagonal([1.0]), trials=0, seed=1)
+
+    @pytest.mark.parametrize("tol", [np.nan, -5.0, 0.0, np.inf])
+    def test_rejects_tolerance_that_is_not_finite_positive(self, tol):
+        # a NaN tolerance used to count nothing as definite, a negative one
+        # every trial
+        with pytest.raises(ValueError, match="finite positive"):
+            indefiniteness_ensemble(center_diagonal([1.0]), trials=3, seed=1, tol=tol)
+
+
+OMEGAS = {1: [1.0], 2: [1.0, 1.7], 3: [1.0, np.sqrt(2.0), np.pi], 5: [1.0, 1.3, 2.0, 2.2, 3.1],
+          8: list(np.linspace(1.0, 3.0, 8))}
+
+
+class TestEnsembleMatchesSequentialOracle:
+    @pytest.mark.parametrize("l", sorted(OMEGAS))
+    @pytest.mark.parametrize("seed", [0, 7, 12345])
+    def test_summary(self, l, seed):
+        D = center_diagonal(OMEGAS[l])
+        batched = indefiniteness_ensemble(D, trials=40, seed=seed)
+        assert to_json(batched) == to_json(ensemble_oracle.indefiniteness_ensemble(D, 40, seed))
+
+    @pytest.mark.parametrize("elements", [1, 1000])
+    def test_summary_across_chunks(self, monkeypatch, elements):
+        # l = 3 trials hold 5 * 36 entries, so 1000 entries make chunks of 5
+        # trials and 1 entry chunks of one trial
+        monkeypatch.setattr(classify, "_MAX_CHUNK_ELEMENTS", elements)
+        D = center_diagonal(OMEGAS[3])
+        batched = indefiniteness_ensemble(D, trials=23, seed=4)
+        assert to_json(batched) == to_json(ensemble_oracle.indefiniteness_ensemble(D, 23, 4))
+
+    @pytest.mark.parametrize("l", [1, 2, 4])
+    def test_random_symplectic_draws(self, l):
+        # same sigma and the same generator state afterwards, so that callers
+        # drawing after it see the same numbers
+        for seed in range(10):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert np.array_equal(random_symplectic(l, rng), ensemble_oracle.random_symplectic(l, ref))
+            assert rng.bit_generator.state == ref.bit_generator.state
+        rng, ref = np.random.default_rng(3), np.random.default_rng(3)
+        sigma = random_symplectic(l, rng, max_factors=3, max_norm=1.0)
+        assert np.array_equal(sigma, ensemble_oracle.random_symplectic(l, ref, max_factors=3, max_norm=1.0))
+        assert rng.bit_generator.state == ref.bit_generator.state
 
 
 class TestRealizeSignature:
@@ -218,6 +275,11 @@ class TestCheckReversibility:
         # the identity is symmetric, orthogonal, involutive, but commutes with J
         with pytest.raises(ValueError, match="not antisymplectic"):
             check_reversibility(np.eye(2), np.eye(2), 1e-8)
+
+    @pytest.mark.parametrize("tol", [np.nan, np.inf])
+    def test_rejects_tolerance_that_is_not_finite_positive(self, tol):
+        with pytest.raises(ValueError, match="finite positive"):
+            check_reversibility(np.eye(2), center_reversal(1), tol)
 
 
 class TestReversibleSignature:

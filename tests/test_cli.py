@@ -124,6 +124,12 @@ class TestDemoIntegrable:
         assert code == 0
         assert payload["omega"] == [1.0, 3.5]
 
+    def test_nan_tolerance_is_an_input_error(self, capsys):
+        # it used to exit 1, a failed identity check, although sigma = I
+        code, payload, err = run(capsys, ["demo-integrable", "--l", "1", "--tol", "nan"])
+        assert code == 2 and payload is None
+        assert json.loads(err)["kind"] == "input"
+
 
 class TestMajorizeCommand:
     def test_holds(self, capsys):
@@ -194,6 +200,16 @@ class TestIndefiniteCommand:
         assert code == 2
         assert "error" in json.loads(err)
 
+    @pytest.mark.parametrize("tol", ["nan", "-5"])
+    def test_bad_tolerance_is_an_input_error(self, capsys, tol):
+        # NaN used to pass without checking anything, -5 to fail every trial with exit 1
+        code, payload, err = run(
+            capsys, ["indefinite", "--l", "1", "--omega", "1", "--trials", "3", "--seed", "3", f"--tol={tol}"]
+        )
+        assert code == 2 and payload is None
+        message = json.loads(err)
+        assert message["kind"] == "input" and "finite positive" in message["error"]
+
 
 class TestScatterCommand:
     def test_integrable_spec(self, capsys, tmp_path):
@@ -214,6 +230,12 @@ class TestScatterCommand:
         sigma = np.array(payload["sigma"]["data"]).reshape(2, 2)
         expected = matrix_exponential(-0.05 * standard_symplectic_form(1) @ C)
         assert max_abs(sigma - expected) <= 1e-7
+
+    def test_nan_tolerance_is_an_input_error(self, capsys, tmp_path):
+        spec = ModelSpec(l=1, n_hyp=1, omega=[1.0], eps=0.0, T_support=2.0)
+        code, payload, err = run(capsys, ["scatter", "--spec", write_spec(tmp_path, spec), "--tol", "nan"])
+        assert code == 2 and payload is None
+        assert json.loads(err)["kind"] == "input"
 
     def test_malformed_json(self, capsys, tmp_path):
         path = tmp_path / "broken.json"

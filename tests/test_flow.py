@@ -91,6 +91,12 @@ class TestFundamentalSolution:
         with pytest.raises(ValueError):
             fundamental_solution(constant(np.eye(2)), 1.0, 0.0)
 
+    @pytest.mark.parametrize("tol", [np.nan, np.inf])
+    def test_rejects_tolerance_that_is_not_finite_positive(self, tol):
+        # a NaN budget never compares as met, so refinement ran to the memory cap
+        with pytest.raises(ValueError, match="finite positive"):
+            fundamental_solution(constant(standard_symplectic_form(1)), 0.0, 1.0, tol)
+
     def test_field_exceptions_propagate(self):
         # a field that fails on the batch contract is an error, not a cue to
         # re-run it one time at a time
@@ -201,6 +207,17 @@ class TestScatteringMatrix:
             scattering_matrix(problem, tol=1e-10)
         assert len(info.value.trace) >= 1
         assert all(residual > 1e-10 for _, residual in info.value.trace)
+
+    @pytest.mark.parametrize("tol", [np.nan, np.inf])
+    def test_rejects_tolerance_that_is_not_finite_positive(self, tol):
+        # support 1 for a field bumped out to |t| = 2: a NaN tolerance let the
+        # witness-slab residual of 0.11 pass
+        problem = scattering_problem(ModelSpec(l=1, n_hyp=1, omega=[1.0], eps=0.5, C=np.eye(2), T_support=2.0))
+        problem = ScatteringProblem(field=problem.field, support_halfwidth=1.0, D_center=problem.D_center)
+        with pytest.raises(ScatteringConvergenceError):
+            scattering_matrix(problem)
+        with pytest.raises(ValueError, match="finite positive"):
+            scattering_matrix(problem, tol=tol)
 
     def test_perturbation_inside_declared_support_is_not_truncated(self):
         # the field equals J D on |t| < 2.5 and is bumped on 2.5 < |t| < 3; a

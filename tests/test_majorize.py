@@ -67,6 +67,11 @@ class TestMajorizes:
         with pytest.raises(ValueError):
             majorizes([1, 2], [1, 2, 3])
 
+    @pytest.mark.parametrize("tol", [np.nan, np.inf])
+    def test_rejects_tolerance_that_is_not_finite_positive(self, tol):
+        with pytest.raises(ValueError, match="finite positive"):
+            majorizes([0.0, 0.0], [1.0, -1.0], tol)
+
     def test_total_sum_mismatch(self):
         assert not majorizes([1, 0], [2, 0]).holds
 
@@ -276,6 +281,12 @@ class TestKernelAndRange:
     def test_pattern_instance(self):
         block = CenterBlock(np.array([1.0, 2.0]))
         assert in_bracket_range(block, np.diag([1.0, 1.0, -1.0, -1.0]), 1e-12)
+
+    @pytest.mark.parametrize("tol", [np.nan, np.inf])
+    def test_range_rejects_tolerance_that_is_not_finite_positive(self, tol):
+        # a NaN tolerance reported the zero matrix as outside the range
+        with pytest.raises(ValueError, match="finite positive"):
+            in_bracket_range(CenterBlock(np.array([1.0, 2.0])), np.zeros((4, 4)), tol)
 
 
 DIFFERENTIAL_OMEGAS = [np.arange(1.0, l + 1.0) for l in range(1, 13)] + [

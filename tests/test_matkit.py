@@ -104,6 +104,29 @@ class TestMatrixExponential:
         M = rng.standard_normal((5, 5))
         assert max_abs(matrix_exponential(M) @ matrix_exponential(-M) - np.eye(5)) <= 1e-10
 
+    def test_stack_slices_match_single(self):
+        # max-row-sum norms 0.3 * 2**j need j squarings; shuffled so that the
+        # slices are not already in order of their squaring counts
+        rng = np.random.default_rng(12)
+        M = rng.standard_normal((8, 5, 5))
+        M /= np.max(np.sum(np.abs(M), axis=2), axis=1)[:, None, None]
+        M *= 0.3 * 2.0 ** np.arange(8)[:, None, None]
+        M = M[rng.permutation(8)]
+        norms = np.max(np.sum(np.abs(M), axis=2), axis=1)
+        squarings = np.ceil(np.log2(np.maximum(norms, 0.5) / 0.5))
+        assert sorted(squarings) == list(range(8))
+        E = matrix_exponential(M)
+        assert E.shape == M.shape
+        for k in range(8):
+            assert np.array_equal(E[k], matrix_exponential(M[k]))
+
+    def test_empty_stack(self):
+        assert matrix_exponential(np.zeros((0, 3, 3))).shape == (0, 3, 3)
+
+    def test_rejects_nonsquare_stack(self):
+        with pytest.raises(ValueError, match="square"):
+            matrix_exponential(np.zeros((2, 3, 4)))
+
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 3), st.integers(0, 10**6), st.floats(0.01, 1.0))
     def test_symplectic_for_hamiltonian_generators(self, n, seed, eps):
@@ -137,6 +160,29 @@ class TestEigh:
         with pytest.raises(ValueError):
             eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    def test_stack_slices_match_single(self):
+        rng = np.random.default_rng(13)
+        S = np.stack([random_symmetric(rng, 6, scale) for scale in (1e-3, 1.0, 50.0, 1.0)])
+        w, V = eigh(S)
+        assert w.shape == (4, 6) and V.shape == (4, 6, 6)
+        for k in range(4):
+            wk, Vk = eigh(S[k])
+            assert np.array_equal(w[k], wk) and np.array_equal(V[k], Vk)
+
+    def test_empty_stack(self):
+        w, V = eigh(np.zeros((0, 4, 4)))
+        assert w.shape == (0, 4) and V.shape == (0, 4, 4)
+
+    def test_rejects_one_asymmetric_slice(self):
+        # the check is per slice: 1e-6 asymmetry is within tolerance for the
+        # slice of scale 1e5 but not for the unit-scale one
+        S = np.stack([np.eye(3), 1e5 * np.eye(3), np.eye(3)])
+        S[1, 0, 1] += 1e-6
+        eigh(S)
+        S[2, 0, 1] += 1e-6
+        with pytest.raises(ValueError, match=r"not symmetric \(asymmetry 1\.000e-06\)"):
+            eigh(S)
+
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 12), st.integers(0, 10**6))
     def test_reconstruction(self, n, seed):
@@ -160,6 +206,11 @@ class TestInertia:
 
     def test_first_order_instance(self):
         assert inertia(np.array([[-2.0, 0.0], [0.0, 2.0]])).inertia == (1, 1, 0)
+
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0])
+    def test_rejects_tolerance_that_is_not_finite_positive(self, tol):
+        with pytest.raises(ValueError, match="finite positive"):
+            inertia(np.diag([1.0, -1.0]), tol)
 
     def test_default_tolerance_scales(self):
         assert classification_tol(np.eye(2)) == pytest.approx(1e-7)
