@@ -27,9 +27,7 @@ from .majorize import (
     CenterBlock,
     MajorizationError,
     MajorizationWitness,
-    bracket_kernel_basis,
     hessian_bracket,
-    hessian_bracket_adjoint,
     in_bracket_range,
     indefinite_spectrum,
     majorizes,
@@ -37,18 +35,14 @@ from .majorize import (
     solve_bracket,
 )
 from .matkit import (
-    NotPositiveDefiniteError,
     SignatureReport,
     center_diagonal,
     center_frequencies,
     classification_tol,
     eigh,
     inertia,
-    is_symmetric,
-    is_symplectic,
     matrix_exponential,
     max_abs,
-    spd_sqrt,
     standard_symplectic_form,
     symplectic_rotation,
 )
@@ -58,7 +52,6 @@ from .models import (
     bump,
     center_variational_field,
     homoclinic_orbit,
-    hyperbolic_variational_field,
     scattering_problem,
 )
 

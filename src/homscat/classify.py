@@ -33,7 +33,6 @@ from .matkit import (
     inertia,
     matrix_exponential,
     max_abs,
-    spd_sqrt,
     standard_symplectic_form,
 )
 
@@ -139,12 +138,15 @@ def indefiniteness_ensemble(D_center, trials: int, seed: int, tol: float = 1e-9)
     if trials < 1:
         raise ValueError("need at least one trial")
     tol = _positive_tol(tol, "ensemble tolerance")
+    seed = int(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     chunk = max(1, _MAX_CHUNK_ELEMENTS // (_MAX_FACTORS * D.size))
     definite_pos = definite_neg = 0
     largest_min = -np.inf
     smallest_max = np.inf
     for start in range(0, trials, chunk):
-        rngs = [np.random.default_rng((int(seed), k)) for k in range(start, min(start + chunk, trials))]
+        rngs = [np.random.default_rng((seed, k)) for k in range(start, min(start + chunk, trials))]
         sigmas = _random_symplectics(omega.size, rngs, _MAX_FACTORS, 2.0)
         w, _ = eigh(hessian_from_scattering(sigmas, D))
         lo, hi = w[:, -1], w[:, 0]
@@ -156,7 +158,7 @@ def indefiniteness_ensemble(D_center, trials: int, seed: int, tol: float = 1e-9)
         l=omega.size,
         omega=omega,
         trials=trials,
-        seed=int(seed),
+        seed=seed,
         tol=tol,
         definite_positive=definite_pos,
         definite_negative=definite_neg,
@@ -195,9 +197,7 @@ def realize_signature(l: int, m: int, omega, eps: float) -> RealizationReport:
     w = np.atleast_1d(np.asarray(omega, dtype=float))
     if w.size != l:
         raise ValueError(f"omega must have length l = {l}, got {w.size}")
-    eps = float(eps)
-    if not (eps > 0):
-        raise ValueError("eps must be positive")
+    eps = _positive_tol(eps, "eps")
     block = CenterBlock(w)
     balanced = np.concatenate([np.ones(l), -np.ones(l)])
     b = indefinite_spectrum(l, m)
@@ -315,9 +315,11 @@ def reversible_signature(sigma, R, D_center, tol: float, class_tol: float | None
     H = hessian_from_scattering(S, D)
     A = np.asarray(R, dtype=float) @ S
     M = 0.5 * (np.eye(A.shape[0]) + A.T @ A)
-    root = spd_sqrt(M)
-    w, V = eigh(root)
-    root_inv = (V / w) @ V.T
+    # every eigenvalue of M is at least 1/2, so one decomposition gives both roots
+    w, V = eigh(M)
+    sqrt_w = np.sqrt(w)
+    root = (V * sqrt_w) @ V.T
+    root_inv = (V / sqrt_w) @ V.T
     K = root @ A @ root_inv
     ortho_defect = max_abs(K.T @ K - np.eye(K.shape[0]))
     if ortho_defect > max(tol, 100.0 * report.residual):

@@ -95,7 +95,8 @@ def fundamental_solution(fld: Callable, t0: float, t1: float, tol: float = DEFAU
     times in, an (n, d, d) array out.  The step count is doubled until two
     successive refinements agree to within tol * max(1, t1 - t0) in max-abs
     norm; the finer result is returned.  A pass that would sample more than
-    2**22 field entries raises ArithmeticError instead.
+    2**22 field entries, or whose product overflows, raises ArithmeticError
+    instead.
     """
     t0, t1 = float(t0), float(t1)
     if not (np.isfinite(t0) and np.isfinite(t1)):
@@ -119,7 +120,10 @@ def fundamental_solution(fld: Callable, t0: float, t1: float, tol: float = DEFAU
                 f"step refinement exhausted without meeting the tolerance: n = {n} steps of a "
                 f"{d} x {d} field would exceed {_MAX_FIELD_ELEMENTS} field samples"
             )
-        current = _rk4_product(fld, t0, t1, n, d)
+        with np.errstate(over="ignore", invalid="ignore"):
+            current = _rk4_product(fld, t0, t1, n, d)
+        if not np.isfinite(current).all():
+            raise ArithmeticError(f"RK4 product overflowed with n = {n} steps over [{t0:g}, {t1:g}]")
         if previous is not None and max_abs(current - previous) <= budget:
             return current
         previous = current
@@ -146,9 +150,7 @@ class ScatteringProblem:
     def __post_init__(self):
         self.D_center = _square(self.D_center, "D_center")
         center_frequencies(self.D_center)
-        self.support_halfwidth = float(self.support_halfwidth)
-        if not (self.support_halfwidth > 0):
-            raise ValueError("support_halfwidth must be positive")
+        self.support_halfwidth = _positive_tol(self.support_halfwidth, "support_halfwidth")
         _field_values(self.field, np.zeros(1), self.dim)
 
     @property

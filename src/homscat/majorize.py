@@ -63,6 +63,10 @@ def majorizes(a, b, tol: float = _MAJORIZE_TOL) -> MajorizationWitness:
         raise ValueError("majorization needs two nonempty vectors")
     if av.size != bv.size:
         raise ValueError(f"length mismatch: {av.size} vs {bv.size}")
+    for name, v in (("a", av), ("b", bv)):
+        bad = np.flatnonzero(~np.isfinite(v))
+        if bad.size:
+            raise ValueError(f"majorization vector {name} has a non-finite entry {v[bad[0]]} at index {bad[0]}")
     tol = _positive_tol(tol)
     a_sorted = np.sort(av)[::-1]
     b_sorted = np.sort(bv)[::-1]
@@ -217,27 +221,6 @@ def hessian_bracket(block: CenterBlock, B) -> np.ndarray:
     Bs = _check_block_input(block, B, "bracket argument")
     X = Bs @ (block.J @ block.D)
     return X + X.T
-
-
-def hessian_bracket_adjoint(block: CenterBlock, M) -> np.ndarray:
-    """Adjoint of the bracket with respect to the trace inner product:
-    J @ D @ M - M @ D @ J."""
-    Ms = _check_block_input(block, M, "adjoint argument")
-    Y = (block.J @ block.D) @ Ms
-    return Y + Y.T
-
-
-def bracket_kernel_basis(block: CenterBlock) -> list[np.ndarray]:
-    """The l paired-diagonal indicator matrices diag(e_k, e_k) annihilated by
-    the adjoint bracket."""
-    l = block.l
-    basis = []
-    for k in range(l):
-        e = np.zeros(2 * l)
-        e[k] = 1.0
-        e[l + k] = 1.0
-        basis.append(np.diag(e))
-    return basis
 
 
 def in_bracket_range(block: CenterBlock, M, tol: float = 1e-8) -> bool:

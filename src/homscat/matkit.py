@@ -19,10 +19,6 @@ _EXP_SERIES_ORDER = 12
 _SYMMETRY_TOL = 1e-10
 
 
-class NotPositiveDefiniteError(ValueError):
-    """Symmetric square root requested for a matrix that is not SPD."""
-
-
 def max_abs(M) -> float:
     """Entrywise max-abs norm; the reference norm for tolerances throughout."""
     A = np.asarray(M, dtype=float)
@@ -53,11 +49,6 @@ def _positive_tol(tol, name: str = "tolerance") -> float:
     return tol
 
 
-def is_symmetric(M, tol: float = _SYMMETRY_TOL) -> bool:
-    A = _square(M)
-    return max_abs(A - A.T) <= tol * max(1.0, max_abs(A))
-
-
 def _require_symmetric(M, name: str = "matrix", tol: float = _SYMMETRY_TOL, stack: bool = False) -> np.ndarray:
     """Symmetrized M; with stack=True each slice is checked against its own scale."""
     A = _square(M, name, stack)
@@ -78,15 +69,6 @@ def standard_symplectic_form(n: int) -> np.ndarray:
     J[:n, n:] = np.eye(n)
     J[n:, :n] = -np.eye(n)
     return J
-
-
-def is_symplectic(M, tol: float) -> bool:
-    """True iff M^T J M reproduces J to within tol in max-abs norm."""
-    A = _square(M)
-    if A.shape[0] % 2:
-        raise ValueError("symplectic matrices have even dimension")
-    J = standard_symplectic_form(A.shape[0] // 2)
-    return max_abs(A.T @ J @ A - J) <= tol
 
 
 def symplectic_rotation(theta) -> np.ndarray:
@@ -206,19 +188,6 @@ def inertia(S, tol: float | None = None) -> SignatureReport:
         eigenvalues=w,
         tol=tol,
     )
-
-
-def spd_sqrt(S) -> np.ndarray:
-    """Unique symmetric square root of a symmetric positive definite matrix."""
-    A = _require_symmetric(S, "square root input")
-    w, V = eigh(A)
-    floor = classification_tol(A)
-    if w[-1] <= floor:
-        raise NotPositiveDefiniteError(
-            f"matrix is not positive definite: smallest eigenvalue {w[-1]:.3e} <= {floor:.3e}"
-        )
-    T = (V * np.sqrt(w)) @ V.T
-    return 0.5 * (T + T.T)
 
 
 def center_diagonal(omega) -> np.ndarray:

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import flow
 from .majorize import CenterBlock
-from .matkit import _square, center_diagonal, max_abs, standard_symplectic_form, symplectic_rotation
+from .matkit import _positive_tol, _square, center_diagonal, max_abs, standard_symplectic_form, symplectic_rotation
 
 _PROFILE_MASS_NODES = 8192
 _profile_mass_cache: dict[int, float] = {}
@@ -121,17 +121,11 @@ class ModelSpec:
         self.mu = np.atleast_1d(np.asarray(self.mu, dtype=float))
         if self.mu.shape != (2 * self.l,) or not np.all(np.isfinite(self.mu)):
             raise ValueError(f"mu must be a finite vector of length {2 * self.l}")
-        self.T_support = float(self.T_support)
-        if not (self.T_support > 0):
-            raise ValueError("T_support must be positive")
+        self.T_support = _positive_tol(self.T_support, "T_support")
         self.bump_order = int(self.bump_order)
         if self.bump_order < 1:
             raise ValueError("bump_order must be a positive integer")
         self.bump_scale = 1.0 / (self.T_support * _profile_mass(self.bump_order))
-
-    @property
-    def n_pairs(self) -> int:
-        return self.l + self.n_hyp
 
     @property
     def dim(self) -> int:
@@ -188,10 +182,6 @@ class HamiltonianSystem:
     @property
     def dim(self) -> int:
         return self.spec.dim
-
-    @property
-    def center_block_dim(self) -> int:
-        return 2 * self.spec.l
 
     def _split(self, u):
         u = np.asarray(u, dtype=float)
@@ -289,25 +279,6 @@ def center_variational_field(spec: ModelSpec, t):
             JC = J @ spec.C
             rot = symplectic_rotation(np.multiply.outer(tt[hot], spec.omega))
             out[hot] -= spec.eps * xi[hot, None, None] * (rot @ JC @ rot.swapaxes(1, 2))
-    return out[0] if np.ndim(t) == 0 else out
-
-
-def hyperbolic_variational_field(spec: ModelSpec, t):
-    """Hyperbolic-block coefficient along the homoclinic loop.
-
-    The leading pair is the linearised oscillator (xdot = y,
-    ydot = (1 - 2 x_1(t)) x); the remaining pairs are constant blocks with
-    rates alpha_i.
-    """
-    tt = np.atleast_1d(np.asarray(t, dtype=float))
-    h = spec.n_hyp
-    rates = np.concatenate([[1.0], spec.alpha])
-    out = np.zeros((tt.size, 2 * h, 2 * h))
-    i = np.arange(h)
-    out[:, i, h + i] = rates
-    out[:, h + i, i] = rates
-    g = 1.5 * _sech(0.5 * tt) ** 2
-    out[:, h, 0] = 1.0 - 2.0 * g
     return out[0] if np.ndim(t) == 0 else out
 
 

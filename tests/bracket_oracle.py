@@ -1,5 +1,6 @@
 """Matricized bracket operator: an independent oracle for the closed-form
-solver and for the kernel dimension.
+solver and for the kernel dimension, with the adjoint bracket and the
+kernel basis it is checked against.
 
 Symmetric matrices are flattened into coordinates in the orthonormal basis
 {E_ii} u {(E_ij + E_ji)/sqrt(2)}, so the trace inner product becomes the dot
@@ -8,7 +9,27 @@ product and the adjoint bracket matricizes to the transpose of the bracket.
 
 import numpy as np
 
-from homscat.majorize import hessian_bracket, hessian_bracket_adjoint
+from homscat.majorize import hessian_bracket
+
+
+def hessian_bracket_adjoint(block, M):
+    """Adjoint of the bracket with respect to the trace inner product:
+    J @ D @ M - M @ D @ J for symmetric M."""
+    Y = (block.J @ block.D) @ np.asarray(M, dtype=float)
+    return Y + Y.T
+
+
+def bracket_kernel_basis(block):
+    """The l paired-diagonal indicator matrices diag(e_k, e_k) annihilated by
+    the adjoint bracket."""
+    l = block.l
+    basis = []
+    for k in range(l):
+        e = np.zeros(2 * l)
+        e[k] = 1.0
+        e[l + k] = 1.0
+        basis.append(np.diag(e))
+    return basis
 
 
 def _sym_index_pairs(d):

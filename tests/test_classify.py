@@ -140,6 +140,10 @@ class TestIndefinitenessEnsemble:
         with pytest.raises(ValueError, match="finite positive"):
             indefiniteness_ensemble(center_diagonal([1.0]), trials=3, seed=1, tol=tol)
 
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+            indefiniteness_ensemble(center_diagonal([1.0]), trials=3, seed=-1)
+
 
 OMEGAS = {1: [1.0], 2: [1.0, 1.7], 3: [1.0, np.sqrt(2.0), np.pi], 5: [1.0, 1.3, 2.0, 2.2, 3.1],
           8: list(np.linspace(1.0, 3.0, 8))}
@@ -210,6 +214,11 @@ class TestRealizeSignature:
     def test_rejects_nonpositive_eps(self):
         with pytest.raises(ValueError):
             realize_signature(1, 1, [1.0], 0.0)
+
+    @pytest.mark.parametrize("eps", [np.inf, np.nan])
+    def test_rejects_eps_that_is_not_finite(self, eps):
+        with pytest.raises(ValueError, match="eps must be a finite positive number"):
+            realize_signature(1, 1, [1.0], eps)
 
     def test_large_eps_recovers_by_halving(self):
         report = realize_signature(2, 1, [1.0, 2.0], 4.0)

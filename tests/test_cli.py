@@ -8,10 +8,14 @@ from homscat.matkit import matrix_exponential, max_abs, standard_symplectic_form
 from homscat.models import ModelSpec
 
 
+def reject_constant(name):
+    raise ValueError(f"report holds {name}, which is not valid JSON")
+
+
 def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
-    payload = json.loads(captured.out) if captured.out.strip() else None
+    payload = json.loads(captured.out, parse_constant=reject_constant) if captured.out.strip() else None
     return code, payload, captured.err
 
 
@@ -143,6 +147,14 @@ class TestMajorizeCommand:
         assert code == 0
         assert payload["holds"] is False
 
+    @pytest.mark.parametrize("a", ["nan,1", "inf,1"])
+    def test_nonfinite_entry_is_an_input_error(self, capsys, a):
+        # it used to exit 0 and write the NaN or Infinity token, which is not JSON
+        code, payload, err = run(capsys, ["majorize", f"--a={a}", "--b=1,0"])
+        assert code == 2 and payload is None
+        message = json.loads(err)
+        assert message["kind"] == "input" and "vector a" in message["error"]
+
 
 class TestMirskyCommand:
     def test_construction(self, capsys):
@@ -150,6 +162,14 @@ class TestMirskyCommand:
         assert code == 0
         assert payload["diag_error"] <= 1e-10
         assert payload["eigenvalue_error"] <= 1e-8
+
+    def test_nonfinite_diagonal_is_named(self, capsys):
+        # it used to blame "partial sum 2 fails (gap nan)"
+        code, payload, err = run(capsys, ["mirsky", "--diag=nan,0", "--eigs=1,-1"])
+        assert code == 2 and payload is None
+        message = json.loads(err)
+        assert message["kind"] == "input" and "non-finite" in message["error"]
+        assert "partial sum" not in message["error"]
 
     def test_non_majorized_exits_2(self, capsys):
         code, payload, err = run(capsys, ["mirsky", "--diag", "2,0", "--eigs", "1,1"])
@@ -172,6 +192,13 @@ class TestRealizeCommand:
         assert code == 2
         message = json.loads(err)
         assert "error" in message and message["kind"] == "input"
+
+    def test_infinite_eps_names_eps(self, capsys):
+        # it used to warn and then report "matrix contains non-finite entries"
+        code, payload, err = run(capsys, ["realize", "--l", "1", "--m", "1", "--omega", "1", "--eps", "inf"])
+        assert code == 2 and payload is None
+        message = json.loads(err)
+        assert message["kind"] == "input" and message["error"].startswith("eps must be")
 
     def test_tiny_eps_is_a_numerical_failure(self, capsys):
         code, payload, err = run(capsys, ["realize", "--l", "2", "--m", "1", "--omega", "1,2", "--eps", "1e-8"])
@@ -199,6 +226,13 @@ class TestIndefiniteCommand:
         )
         assert code == 2
         assert "error" in json.loads(err)
+
+    def test_negative_seed_names_seed(self, capsys):
+        # numpy's own message, "expected non-negative integer", named no field
+        code, payload, err = run(capsys, ["indefinite", "--l", "1", "--omega", "1", "--trials", "3", "--seed=-1"])
+        assert code == 2 and payload is None
+        message = json.loads(err)
+        assert message["kind"] == "input" and "seed" in message["error"]
 
     @pytest.mark.parametrize("tol", ["nan", "-5"])
     def test_bad_tolerance_is_an_input_error(self, capsys, tol):
@@ -236,6 +270,25 @@ class TestScatterCommand:
         code, payload, err = run(capsys, ["scatter", "--spec", write_spec(tmp_path, spec), "--tol", "nan"])
         assert code == 2 and payload is None
         assert json.loads(err)["kind"] == "input"
+
+    def test_infinite_support_names_the_field(self, capsys, tmp_path):
+        # it used to fail with "integration endpoints must be finite"
+        doc = ModelSpec(l=1, n_hyp=1, omega=[1.0], eps=0.05, C=np.eye(2), T_support=2.0).to_json_dict()
+        doc["T_support"] = float("inf")
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(doc))
+        code, payload, err = run(capsys, ["scatter", "--spec", str(path)])
+        assert code == 2 and payload is None
+        message = json.loads(err)
+        assert message["kind"] == "input" and "T_support" in message["error"]
+
+    def test_overflow_is_a_numerical_failure(self, capsys, tmp_path):
+        # it used to refine up to n = 524288 steps and blame the refinement
+        spec = ModelSpec(l=1, n_hyp=1, omega=[1.0], eps=1e308, C=np.eye(2), T_support=2.0)
+        code, payload, err = run(capsys, ["scatter", "--spec", write_spec(tmp_path, spec)])
+        assert code == 3 and payload is None
+        message = json.loads(err)
+        assert message["kind"] == "numerical" and "overflow" in message["error"]
 
     def test_malformed_json(self, capsys, tmp_path):
         path = tmp_path / "broken.json"

@@ -129,6 +129,12 @@ class TestFundamentalSolution:
         with pytest.raises(ArithmeticError, match="n = 32768 steps of a 8 x 8 field"):
             fundamental_solution(jump, 2.0, 3.0)
 
+    def test_overflow_fails_at_once(self):
+        # an overflowing pass used to refine up to the memory cap (n = 524288
+        # for d = 2) and then blame the refinement
+        with pytest.raises(ArithmeticError, match="overflow.* n = 16 steps"):
+            fundamental_solution(constant(1e300 * standard_symplectic_form(1)), 0.0, 1.0)
+
     def test_rejects_nonfinite_field(self):
         def bad(t):
             A = np.tile(np.eye(2), (np.size(t), 1, 1))
@@ -207,6 +213,11 @@ class TestScatteringMatrix:
             scattering_matrix(problem, tol=1e-10)
         assert len(info.value.trace) >= 1
         assert all(residual > 1e-10 for _, residual in info.value.trace)
+
+    def test_rejects_infinite_support(self):
+        D = center_diagonal([1.0])
+        with pytest.raises(ValueError, match="support_halfwidth must be a finite positive number, got inf"):
+            ScatteringProblem(field=constant(standard_symplectic_form(1) @ D), support_halfwidth=np.inf, D_center=D)
 
     @pytest.mark.parametrize("tol", [np.nan, np.inf])
     def test_rejects_tolerance_that_is_not_finite_positive(self, tol):

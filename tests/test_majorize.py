@@ -7,16 +7,16 @@ from hypothesis.extra.numpy import arrays
 from bracket_oracle import (
     bracket_adjoint_matrix,
     bracket_adjoint_nullity,
+    bracket_kernel_basis,
     bracket_matrix,
+    hessian_bracket_adjoint,
     sym_coords,
     sym_from_coords,
 )
 from homscat.majorize import (
     CenterBlock,
     MajorizationError,
-    bracket_kernel_basis,
     hessian_bracket,
-    hessian_bracket_adjoint,
     in_bracket_range,
     indefinite_spectrum,
     majorizes,
@@ -71,6 +71,11 @@ class TestMajorizes:
     def test_rejects_tolerance_that_is_not_finite_positive(self, tol):
         with pytest.raises(ValueError, match="finite positive"):
             majorizes([0.0, 0.0], [1.0, -1.0], tol)
+
+    @pytest.mark.parametrize("a, b, name", [([np.nan, 1.0], [1.0, 0.0], "a"), ([1.0, 0.0], [np.inf, 1.0], "b")])
+    def test_rejects_nonfinite_entries(self, a, b, name):
+        with pytest.raises(ValueError, match=f"majorization vector {name} has a non-finite entry"):
+            majorizes(a, b)
 
     def test_total_sum_mismatch(self):
         assert not majorizes([1, 0], [2, 0]).holds

@@ -8,7 +8,6 @@ from homscat.models import (
     bump,
     center_variational_field,
     homoclinic_orbit,
-    hyperbolic_variational_field,
     scattering_problem,
 )
 
@@ -75,6 +74,10 @@ class TestModelSpec:
     def test_rejects_nonpositive_support(self):
         with pytest.raises(ValueError):
             ModelSpec(l=1, n_hyp=1, omega=[1.0], T_support=0.0)
+
+    def test_rejects_infinite_support(self):
+        with pytest.raises(ValueError, match="T_support must be a finite positive number, got inf"):
+            ModelSpec(l=1, n_hyp=1, omega=[1.0], T_support=np.inf)
 
     def test_json_roundtrip(self):
         rng = np.random.default_rng(0)
@@ -267,10 +270,17 @@ class TestCenterField:
             assert np.array_equal(batch[k], center_variational_field(spec, float(t)))
 
 
+def hyperbolic_block(spec, t):
+    """Hyperbolic block of the variational coefficient J hessian(H) along the loop."""
+    system = HamiltonianSystem(spec)
+    A = system.symplectic_form @ system.hessian(homoclinic_orbit(spec, t))
+    return A[2 * spec.l :, 2 * spec.l :]
+
+
 class TestHyperbolicField:
     def test_asymptotic_block(self):
         spec = two_center_spec()
-        A = hyperbolic_variational_field(spec, 40.0)
+        A = hyperbolic_block(spec, 40.0)
         lead = A[np.ix_([0, spec.n_hyp], [0, spec.n_hyp])]
         assert max_abs(lead - np.array([[0.0, 1.0], [1.0, 0.0]])) <= 1e-12
         # eigenvalues of [[0,1],[1,0]] are +-1
@@ -278,14 +288,14 @@ class TestHyperbolicField:
 
     def test_block_at_zero(self):
         spec = two_center_spec()
-        A = hyperbolic_variational_field(spec, 0.0)
+        A = hyperbolic_block(spec, 0.0)
         lead = A[np.ix_([0, spec.n_hyp], [0, spec.n_hyp])]
         assert max_abs(lead - np.array([[0.0, 1.0], [-2.0, 0.0]])) <= 1e-12
 
     def test_extra_pair_constant(self):
         spec = two_center_spec(alpha=[0.8])
         for t in (-5.0, 0.0, 2.0):
-            A = hyperbolic_variational_field(spec, t)
+            A = hyperbolic_block(spec, t)
             sub = A[np.ix_([1, 1 + spec.n_hyp], [1, 1 + spec.n_hyp])]
             assert np.array_equal(sub, np.array([[0.0, 0.8], [0.8, 0.0]]))
 
@@ -300,7 +310,7 @@ class TestHyperbolicField:
                 analytic_orbit_derivative(spec, t + dt)[[2 * spec.l, 2 * spec.l + h]]
                 - analytic_orbit_derivative(spec, t - dt)[[2 * spec.l, 2 * spec.l + h]]
             ) / (2.0 * dt)
-            A = hyperbolic_variational_field(spec, t)
+            A = hyperbolic_block(spec, t)
             lead = A[np.ix_([0, h], [0, h])]
             worst = max(worst, max_abs(vdot - lead @ v))
         assert worst <= 1e-8
