@@ -5,11 +5,11 @@ The scattering matrix of a centre-block problem is Psi(-T) Phi(T, -T) Psi(-T)
 for T past the perturbation's support, where Phi is the fundamental solution
 of the variational equation zdot = A(t) z and Psi(t) = exp(t J D) the free
 centre flow.  That product is the propagator W(T, -T) of the co-rotating
-frame w = Psi(-t) z, where wdot = Psi(t)^T (A(t) - J D) Psi(t) w has a
-coefficient that vanishes outside the support.  So W is integrated once over
-the declared support, and one unit slab beyond each end checks the
-declaration, so that a mis-specified problem is reported instead of silently
-truncated.
+frame w = Psi(-t) z, where wdot = Psi(t)^T (A(t) - J D) Psi(t) w; a problem
+states that coefficient and the support outside which it vanishes.  So W is
+integrated once over the declared support, and a Gronwall bound from field
+samples on one unit slab beyond each end checks the declaration, so that a
+mis-specified problem is reported instead of silently truncated.
 """
 
 from __future__ import annotations
@@ -36,15 +36,16 @@ _MAX_FIELD_ELEMENTS = 2 ** 22
 
 
 class ScatteringConvergenceError(RuntimeError):
-    """The field differs from J D beyond the declared support; `trace` holds
-    the (T_used, residual) of the witness slabs that showed it."""
+    """The field is nonzero beyond the declared support; `trace` holds the
+    (T_used, residual) of the unit slabs whose sampled norms showed it."""
 
-    def __init__(self, support_halfwidth: float, residual: float, tol: float):
+    def __init__(self, support_halfwidth: float, excess, residual: float, tol: float):
         T = support_halfwidth + 1.0
         self.trace = [(T, residual)]
         super().__init__(
-            f"the field differs from J D beyond the declared support halfwidth {support_halfwidth:g}: "
-            f"the unit slabs out to |t| = {T:g} move the scattering matrix by {residual:.3e} > {tol:.3e}"
+            f"the field is nonzero beyond the declared support halfwidth {support_halfwidth:g}: its sampled "
+            f"norm reaches {excess[0]:.3e} behind and {excess[1]:.3e} ahead on the unit slabs out to |t| = {T:g}, "
+            f"which may move the scattering matrix by {residual:.3e} > {tol:.3e}"
         )
 
 
@@ -134,12 +135,12 @@ def fundamental_solution(fld: Callable, t0: float, t1: float, tol: float = DEFAU
 class ScatteringProblem:
     """A centre-block variational problem with a compactly supported perturbation.
 
-    `field` maps a 1-D array of n times to the (n, 2l, 2l) array of
-    coefficient matrices at those times; exceptions it raises propagate.
-    Outside [-support_halfwidth, support_halfwidth] it must equal
-    J @ D_center.  The declaration is the caller's contract:
-    scattering_matrix integrates only over the declared support, and a
-    field that still differs from J D in the unit slabs beyond it raises
+    `field` maps a 1-D array of n times to the (n, 2l, 2l) array of the
+    co-rotating perturbation Psi(t)^T (A(t) - J D) Psi(t) at those times;
+    exceptions it raises propagate.  It must vanish outside
+    [-support_halfwidth, support_halfwidth].  The declaration is the caller's
+    contract: scattering_matrix integrates only over the declared support,
+    and a field nonzero in the unit slabs beyond it raises
     ScatteringConvergenceError.
     """
 
@@ -176,31 +177,24 @@ def scattering_matrix(
     """Psi(-T) Phi(T, -T) Psi(-T), solved in the co-rotating frame.
 
     With T_s = support_halfwidth, the co-rotating propagator W(T_s, -T_s)
-    is the scattering matrix.  The unit slabs [T_s, T_s + 1] and
-    [-T_s - 1, -T_s] are integrated as well; T_used = T_s + 1 and the
-    residual is how far they move the result.  A residual above tol means
-    the field differs from J D beyond the declared support and raises
+    is the scattering matrix.  With e- and e+ the largest Frobenius norms of
+    the field sampled at spacing 1/64 on [-T_s - 1, -T_s] and [T_s, T_s + 1],
+    the residual |sigma|_F expm1(e- + e+) bounds how far those slabs could
+    move sigma (Gronwall); T_used = T_s + 1.  A residual above tol means the
+    field is nonzero beyond the declared support and raises
     ScatteringConvergenceError.
     """
     tol = _positive_tol(tol, "scattering tolerance")
-    D = problem.D_center
-    d = problem.dim
-    omega = center_frequencies(D)
-    J = standard_symplectic_form(d // 2)
-    JD = J @ D
-
-    def corotating(ts):
-        R = symplectic_rotation(np.multiply.outer(ts, omega))
-        return R.swapaxes(1, 2) @ (_field_values(problem.field, ts, d) - JD) @ R
-
     T_s = problem.support_halfwidth
-    inner = fundamental_solution(corotating, -T_s, T_s, integrator_tol)
-    ahead = fundamental_solution(corotating, T_s, T_s + 1.0, integrator_tol)
-    behind = fundamental_solution(corotating, -T_s - 1.0, -T_s, integrator_tol)
-    sigma = ahead @ inner @ behind
-    residual = max_abs(sigma - inner)
+    sigma = fundamental_solution(problem.field, -T_s, T_s, integrator_tol)
+    s = np.linspace(0.0, 1.0, 65)
+    slabs = _field_values(problem.field, np.concatenate([-T_s - 1.0 + s, T_s + s]), problem.dim)
+    with np.errstate(over="ignore"):
+        excess = np.linalg.norm(slabs, axis=(1, 2)).reshape(2, 65).max(axis=1)
+        residual = float(np.linalg.norm(sigma) * np.expm1(excess.sum()))
     if residual > tol:
-        raise ScatteringConvergenceError(T_s, residual, tol)
+        raise ScatteringConvergenceError(T_s, excess, residual, tol)
+    J = standard_symplectic_form(problem.dim // 2)
     return ScatteringResult(
         sigma=sigma,
         T_used=T_s + 1.0,

@@ -264,8 +264,9 @@ def center_variational_field(spec: ModelSpec, t):
         A(t) = J D - eps xi(t) Psi(t) J C Psi(-t),   D = diag(omega, omega).
 
     In the co-rotating frame w = Psi(-t) z this is exactly
-    wdot = -eps xi(t) J C w, so the perturbation acts as if the free centre
-    motion were frozen.  Outside the bump support A(t) equals J D exactly.
+    wdot = -eps xi(t) J C w, the field that scattering_problem states, so the
+    perturbation acts as if the free centre motion were frozen.  Outside the
+    bump support A(t) equals J D exactly.
     """
     tt = np.atleast_1d(np.asarray(t, dtype=float))
     l = spec.l
@@ -283,11 +284,13 @@ def center_variational_field(spec: ModelSpec, t):
 
 
 def scattering_problem(spec: ModelSpec) -> flow.ScatteringProblem:
-    """Centre-block scattering problem of the (possibly perturbed) model."""
+    """Centre-block scattering problem of the (possibly perturbed) model, with
+    the co-rotating field -eps xi(t) J C."""
     if max_abs(spec.mu) != 0.0:
         raise ValueError("scattering requires mu = 0: the homoclinic loop persists only without splitting")
+    JC = standard_symplectic_form(spec.l) @ spec.C
     return flow.ScatteringProblem(
-        field=lambda t: center_variational_field(spec, t),
+        field=lambda t: (-spec.eps * bump(spec, t))[:, None, None] * JC,
         support_halfwidth=spec.T_support,
         D_center=center_diagonal(spec.omega),
     )

@@ -202,11 +202,9 @@ class TestScatteringMatrix:
     def test_convergence_failure_reports_trace(self):
         # declared support is wrong: the field keeps drifting past it
         D = center_diagonal([1.0])
-        J = standard_symplectic_form(1)
-        base = J @ D
 
         def drifting(t):
-            return base + 0.05 * np.exp(-0.01 * t * t)[:, None, None] * np.array([[1.0, 0.0], [0.0, -1.0]])
+            return 0.05 * np.exp(-0.01 * t * t)[:, None, None] * np.array([[1.0, 0.0], [0.0, -1.0]])
 
         problem = ScatteringProblem(field=drifting, support_halfwidth=0.5, D_center=D)
         with pytest.raises(ScatteringConvergenceError) as info:
@@ -217,12 +215,12 @@ class TestScatteringMatrix:
     def test_rejects_infinite_support(self):
         D = center_diagonal([1.0])
         with pytest.raises(ValueError, match="support_halfwidth must be a finite positive number, got inf"):
-            ScatteringProblem(field=constant(standard_symplectic_form(1) @ D), support_halfwidth=np.inf, D_center=D)
+            ScatteringProblem(field=constant(np.zeros((2, 2))), support_halfwidth=np.inf, D_center=D)
 
     @pytest.mark.parametrize("tol", [np.nan, np.inf])
     def test_rejects_tolerance_that_is_not_finite_positive(self, tol):
         # support 1 for a field bumped out to |t| = 2: a NaN tolerance let the
-        # witness-slab residual of 0.11 pass
+        # slab residual pass
         problem = scattering_problem(ModelSpec(l=1, n_hyp=1, omega=[1.0], eps=0.5, C=np.eye(2), T_support=2.0))
         problem = ScatteringProblem(field=problem.field, support_halfwidth=1.0, D_center=problem.D_center)
         with pytest.raises(ScatteringConvergenceError):
@@ -231,9 +229,9 @@ class TestScatteringMatrix:
             scattering_matrix(problem, tol=tol)
 
     def test_perturbation_inside_declared_support_is_not_truncated(self):
-        # the field equals J D on |t| < 2.5 and is bumped on 2.5 < |t| < 3; a
-        # stop rule that accepts two agreeing iterates before T reaches the
-        # declared support returns sigma = I
+        # the lab-frame field equals J D on |t| < 2.5 and is bumped on
+        # 2.5 < |t| < 3; a stop rule that accepts two agreeing iterates before
+        # T reaches the declared support returns sigma = I
         D = center_diagonal([1.0])
         base = standard_symplectic_form(1) @ D
         kick = np.array([[1.0, 0.0], [0.0, -1.0]])
@@ -244,13 +242,69 @@ class TestScatteringMatrix:
             g = np.where(inside, np.exp(-1.0 / np.where(inside, 1.0 - s * s, 1.0)), 0.0)
             return base + 3.0 * g[..., None, None] * kick
 
-        problem = ScatteringProblem(field=shell, support_halfwidth=3.5, D_center=D)
+        def corotating(t):
+            R = symplectic_rotation(np.multiply.outer(t, [1.0]))
+            return R.swapaxes(1, 2) @ (shell(t) - base) @ R
+
+        problem = ScatteringProblem(field=corotating, support_halfwidth=3.5, D_center=D)
         result = scattering_matrix(problem)
         T = 4.5
         Phi = plain_rk4(shell, -T, T, 9000, 2)
         reference = center_linear_flow(D, -T) @ Phi @ center_linear_flow(D, -T)
         assert max_abs(result.sigma - reference) <= 1e-7
         assert max_abs(result.sigma - np.eye(2)) > 0.5
+
+    def test_field_on_far_half_of_slab_names_its_excess(self):
+        # nonzero only on [2.5, 3] beyond the declared support 2: the slab
+        # samples see it even though the integration over [-2, 2] does not
+        kick = np.array([[1.0, 0.0], [0.0, -1.0]])
+
+        def far_half(t):
+            return np.where((np.asarray(t) >= 2.5)[:, None, None], 0.3 * kick, 0.0)
+
+        problem = ScatteringProblem(field=far_half, support_halfwidth=2.0, D_center=center_diagonal([1.0]))
+        with pytest.raises(ScatteringConvergenceError, match=f"{0.3 * np.sqrt(2.0):.3e} ahead") as info:
+            scattering_matrix(problem)
+        assert "0.000e+00 behind" in str(info.value)
+
+    def test_residual_bounds_what_the_slabs_do(self):
+        # a small perturbation on both unit slabs passes tol, and the residual
+        # is at least the change that integrating the slabs makes to sigma
+        spec = perturbed_spec(seed=23, l=2, eps=0.1, T_support=2.0)
+        inner = scattering_problem(spec).field
+        kick = perturbed_spec(seed=24, l=2).C
+        delta = 1e-10
+
+        def field(t):
+            s = np.abs(t) - 2.5
+            g = np.where(np.abs(s) < 0.5, np.cos(np.pi * s) ** 2, 0.0)
+            return inner(t) + delta * g[:, None, None] * kick
+
+        problem = ScatteringProblem(field=field, support_halfwidth=2.0, D_center=center_diagonal(spec.omega))
+        result = scattering_matrix(problem)
+        ahead = fundamental_solution(field, 2.0, 3.0)
+        behind = fundamental_solution(field, -3.0, -2.0)
+        effect = max_abs(ahead @ result.sigma @ behind - result.sigma)
+        assert 0.0 < effect <= result.residual <= 1e-8
+
+    @pytest.mark.parametrize("l", [1, 2, 3, 4])
+    def test_model_problems_have_zero_residual(self, l):
+        C = np.add.outer(np.arange(2.0 * l), np.arange(2.0 * l)) / l
+        spec = ModelSpec(l=l, n_hyp=1, omega=np.arange(1.0, l + 1.0), eps=0.1, C=C, T_support=5.0)
+        result = scattering_matrix(scattering_problem(spec))
+        assert result.residual == 0.0
+        assert result.T_used == 6.0
+
+    def test_one_solve_per_scattering_matrix(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[1:3])
+            return fundamental_solution(*args, **kwargs)
+
+        monkeypatch.setattr("homscat.flow.fundamental_solution", counted)
+        scattering_matrix(scattering_problem(perturbed_spec(seed=26, l=2)))
+        assert calls == [(-3.0, 3.0)]
 
 
 class TestStructurePreservation:
