@@ -191,7 +191,9 @@ def realize_signature(l: int, m: int, omega, eps: float) -> RealizationReport:
     If the achieved signature misses the target (the second-order terms are
     not yet dominated), eps is halved, up to 20 times.  A miss with the
     smallest first-order eigenvalue eps * min|b| at or below the zero
-    tolerance raises at once: halving eps only moves it further below.
+    tolerance raises at once: halving eps only moves it further below.  An
+    eps whose exponential or Hessian overflows the float range raises
+    ArithmeticError before any halving.
     """
     l, m = int(l), int(m)
     w = np.atleast_1d(np.asarray(omega, dtype=float))
@@ -205,9 +207,17 @@ def realize_signature(l: int, m: int, omega, eps: float) -> RealizationReport:
     B = solve_bracket(block, G)
     b_min = np.min(np.abs(b))
     target = (m, 2 * l - m, 0)
+    JB = block.J @ B
+    with np.errstate(over="ignore", invalid="ignore"):
+        sigma = matrix_exponential(-eps * JB)
+        overflow = not np.isfinite(sigma.T @ block.D @ sigma).all()
+    if overflow:
+        raise ArithmeticError(
+            f"eps = {eps:.3g} overflows the float range: the Hessian of exp(-eps J B), with "
+            f"max|J B| = {max_abs(JB):.3g}, exceeds it; the realization needs a smaller eps"
+        )
     eps_cur = eps
     for _ in range(_REALIZE_MAX_HALVINGS):
-        sigma = matrix_exponential(-eps_cur * (block.J @ B))
         H = hessian_from_scattering(sigma, block.D)
         achieved = inertia(H)
         if achieved.inertia == target:
@@ -231,6 +241,7 @@ def realize_signature(l: int, m: int, omega, eps: float) -> RealizationReport:
                 f"signature ({m}, {2 * l - m}) needs eps above {achieved.tol / b_min:.3g}"
             )
         eps_cur *= 0.5
+        sigma = matrix_exponential(-eps_cur * JB)
     raise RealizationError(
         f"signature ({m}, {2 * l - m}) not reached after {_REALIZE_MAX_HALVINGS} halvings of eps; "
         "the frequency choice is numerically degenerate"

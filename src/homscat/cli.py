@@ -12,7 +12,7 @@ import numpy as np
 
 from . import classify, flow, models
 from .majorize import majorizes, mirsky_matrix
-from .matkit import _positive_tol, center_diagonal, eigh, inertia, max_abs
+from .matkit import _integer, _positive_tol, center_diagonal, eigh, inertia, max_abs
 
 _FAILURE_EXIT = 1
 _USAGE_EXIT = 2
@@ -42,7 +42,7 @@ def _float_list(text: str) -> list[float]:
 def _mat_from_json(doc) -> np.ndarray:
     if not isinstance(doc, dict) or "dim" not in doc or "data" not in doc:
         raise CLIError("matrix document must be an object with 'dim' and 'data'")
-    dim = int(doc["dim"])
+    dim = _integer(doc["dim"], "matrix dim")
     data = np.asarray(doc["data"], dtype=float)
     if dim < 1 or data.shape != (dim * dim,):
         raise CLIError(f"matrix data length {data.size} does not match dim {dim}")

@@ -42,11 +42,23 @@ def _slice_max_abs(A: np.ndarray, floor: float = 0.0):
 
 
 def _positive_tol(tol, name: str = "tolerance") -> float:
-    """tol as a float, rejecting anything but a finite positive number (NaN included)."""
-    tol = float(tol)
-    if not 0.0 < tol < np.inf:
+    """tol as a float, rejecting anything but a finite positive number (NaN and None included)."""
+    try:
+        value = float(tol)
+    except (TypeError, ValueError):
+        value = np.nan
+    if not 0.0 < value < np.inf:
         raise ValueError(f"{name} must be a finite positive number, got {tol}")
-    return tol
+    return value
+
+
+def _integer(value, name: str) -> int:
+    """value as an int, rejecting None, booleans and numbers with a fractional part."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {value}")
 
 
 def _require_symmetric(M, name: str = "matrix", tol: float = _SYMMETRY_TOL, stack: bool = False) -> np.ndarray:

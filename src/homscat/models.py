@@ -25,13 +25,21 @@ the scattering matrix of the perturbed problem is exactly exp(-eps J C).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import flow
 from .majorize import CenterBlock
-from .matkit import _positive_tol, _square, center_diagonal, max_abs, standard_symplectic_form, symplectic_rotation
+from .matkit import (
+    _integer,
+    _positive_tol,
+    _square,
+    center_diagonal,
+    max_abs,
+    standard_symplectic_form,
+    symplectic_rotation,
+)
 
 _PROFILE_MASS_NODES = 8192
 _profile_mass_cache: dict[int, float] = {}
@@ -90,8 +98,8 @@ class ModelSpec:
     bump_scale: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.l = int(self.l)
-        self.n_hyp = int(self.n_hyp)
+        self.l = _integer(self.l, "l")
+        self.n_hyp = _integer(self.n_hyp, "n_hyp")
         if self.l < 1:
             raise ValueError("need at least one centre pair")
         if self.n_hyp < 1:
@@ -106,9 +114,13 @@ class ModelSpec:
         if np.any(a == 0.0):
             raise ValueError("hyperbolic rates must be nonzero")
         self.alpha = a
-        self.eps = float(self.eps)
+        eps = self.eps
+        try:
+            self.eps = float(eps)
+        except (TypeError, ValueError):
+            self.eps = np.nan
         if not np.isfinite(self.eps):
-            raise ValueError("eps must be finite")
+            raise ValueError(f"eps must be a finite number, got {eps}")
         if self.C is None:
             self.C = np.zeros((2 * self.l, 2 * self.l))
         self.C = _square(self.C, "C")
@@ -122,7 +134,7 @@ class ModelSpec:
         if self.mu.shape != (2 * self.l,) or not np.all(np.isfinite(self.mu)):
             raise ValueError(f"mu must be a finite vector of length {2 * self.l}")
         self.T_support = _positive_tol(self.T_support, "T_support")
-        self.bump_order = int(self.bump_order)
+        self.bump_order = _integer(self.bump_order, "bump_order")
         if self.bump_order < 1:
             raise ValueError("bump_order must be a positive integer")
         self.bump_scale = 1.0 / (self.T_support * _profile_mass(self.bump_order))
@@ -145,32 +157,28 @@ class ModelSpec:
         }
 
     @classmethod
-    def from_json_dict(cls, doc: dict) -> "ModelSpec":
-        try:
-            l = int(doc["l"])
-            n_hyp = int(doc["n_hyp"])
-            omega = doc["omega"]
-            alpha = doc.get("alpha", [])
-        except KeyError as missing:
-            raise ValueError(f"model document is missing field {missing}") from None
-        C = doc.get("C")
-        if C is not None:
-            C = np.asarray(C, dtype=float)
+    def from_json_dict(cls, doc) -> "ModelSpec":
+        """The spec of a to_json_dict document; absent optional fields take
+        their defaults, and unknown fields are rejected."""
+        if not isinstance(doc, dict):
+            raise ValueError(f"model document must be a JSON object, got {type(doc).__name__}")
+        known = [f.name for f in fields(cls) if f.init]
+        unknown = sorted(set(doc) - set(known))
+        if unknown:
+            raise ValueError(f"model document has unknown fields {unknown}; the fields are {known}")
+        for key in ("l", "n_hyp", "omega"):
+            if key not in doc:
+                raise ValueError(f"model document is missing field '{key}'")
+        kwargs = dict(doc)
+        if doc.get("C") is not None:
+            l = _integer(doc["l"], "l")
+            C = np.asarray(doc["C"], dtype=float)
             if C.ndim == 1:
                 if C.size != (2 * l) ** 2:
                     raise ValueError(f"C must hold {(2 * l) ** 2} row-major entries, got {C.size}")
                 C = C.reshape(2 * l, 2 * l)
-        return cls(
-            l=l,
-            n_hyp=n_hyp,
-            omega=omega,
-            alpha=alpha,
-            eps=float(doc.get("eps", 0.0)),
-            C=C,
-            mu=doc.get("mu"),
-            T_support=float(doc.get("T_support", 4.0)),
-            bump_order=int(doc.get("bump_order", 1)),
-        )
+            kwargs["C"] = C
+        return cls(**kwargs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -289,6 +297,12 @@ def scattering_problem(spec: ModelSpec) -> flow.ScatteringProblem:
     if max_abs(spec.mu) != 0.0:
         raise ValueError("scattering requires mu = 0: the homoclinic loop persists only without splitting")
     JC = standard_symplectic_form(spec.l) @ spec.C
+    # Python floats overflow to inf without a warning; the peak bounds every field entry
+    if not np.isfinite(abs(spec.eps) * bump(spec, 0.0) * max_abs(JC)):
+        raise ArithmeticError(
+            f"the perturbation eps xi(t) J C overflows the float range: eps = {spec.eps:g} "
+            f"with bump peak {bump(spec, 0.0):.3g} and max|C| = {max_abs(spec.C):g}"
+        )
     return flow.ScatteringProblem(
         field=lambda t: (-spec.eps * bump(spec, t))[:, None, None] * JC,
         support_halfwidth=spec.T_support,

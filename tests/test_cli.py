@@ -25,6 +25,22 @@ def write_spec(tmp_path, spec, name="spec.json"):
     return str(path)
 
 
+def write_doc(tmp_path, doc, name="doc.json"):
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def spec_doc(**changes):
+    doc = ModelSpec(l=1, n_hyp=1, omega=[1.0], eps=0.05, C=np.eye(2), T_support=2.0).to_json_dict()
+    return dict(doc, **changes)
+
+
+def input_error(code, payload, err, field):
+    message = json.loads(err)
+    return code == 2 and payload is None and message["kind"] == "input" and field in message["error"]
+
+
 def write_matrix(tmp_path, M, name="sigma.json"):
     path = tmp_path / name
     path.write_text(json.dumps({"dim": M.shape[0], "data": [float(x) for x in M.ravel()]}))
@@ -200,6 +216,22 @@ class TestRealizeCommand:
         message = json.loads(err)
         assert message["kind"] == "input" and message["error"].startswith("eps must be")
 
+    @pytest.mark.parametrize("eps", ["1e300", "1e3"])
+    def test_overflowing_eps_fails_at_once(self, capsys, monkeypatch, eps):
+        # 1e300 overflowed the exponential and 1e3 the Hessian, each with a
+        # RuntimeWarning, and then blamed "non-finite entries" as an input error
+        import homscat.classify
+
+        calls = []
+        expm = homscat.classify.matrix_exponential
+        monkeypatch.setattr(homscat.classify, "matrix_exponential", lambda M: calls.append(1) or expm(M))
+        code, payload, err = run(capsys, ["realize", "--l", "1", "--m", "1", "--omega", "1", "--eps", eps])
+        assert code == 3 and payload is None
+        message = json.loads(err)
+        assert message["kind"] == "numerical"
+        assert f"eps = {float(eps):.3g} overflows" in message["error"]
+        assert calls == [1]
+
     def test_tiny_eps_is_a_numerical_failure(self, capsys):
         code, payload, err = run(capsys, ["realize", "--l", "2", "--m", "1", "--omega", "1,2", "--eps", "1e-8"])
         assert code == 3
@@ -290,6 +322,44 @@ class TestScatterCommand:
         message = json.loads(err)
         assert message["kind"] == "numerical" and "overflow" in message["error"]
 
+    def test_overflowing_perturbation_names_eps(self, capsys, tmp_path):
+        # it used to warn inside the field and then blame "field produced
+        # non-finite values" as an input error
+        doc = spec_doc(eps=1e308, C=[10.0, 0.0, 0.0, 10.0])
+        code, payload, err = run(capsys, ["scatter", "--spec", write_doc(tmp_path, doc)])
+        assert code == 3 and payload is None
+        message = json.loads(err)
+        assert message["kind"] == "numerical"
+        assert "overflows" in message["error"] and "eps = 1e+308" in message["error"]
+
+    @pytest.mark.parametrize("field", ["l", "n_hyp", "eps", "T_support", "bump_order"])
+    def test_null_field_is_named(self, capsys, tmp_path, field):
+        # each crashed with a TypeError traceback and exit 1
+        code, payload, err = run(capsys, ["scatter", "--spec", write_doc(tmp_path, spec_doc(**{field: None}))])
+        assert input_error(code, payload, err, field)
+
+    @pytest.mark.parametrize("field, value", [("l", 1.7), ("n_hyp", 1.5), ("bump_order", 2.5), ("l", True)])
+    def test_non_integer_count_is_named(self, capsys, tmp_path, field, value):
+        # "l": 1.7 used to run silently as l = 1
+        code, payload, err = run(capsys, ["scatter", "--spec", write_doc(tmp_path, spec_doc(**{field: value}))])
+        assert input_error(code, payload, err, field)
+
+    def test_integral_float_count_is_accepted(self, capsys, tmp_path):
+        code, payload, _ = run(capsys, ["scatter", "--spec", write_doc(tmp_path, spec_doc(l=1.0, bump_order=2.0))])
+        assert code == 0 and payload["spec"]["l"] == 1 and payload["spec"]["bump_order"] == 2
+
+    @pytest.mark.parametrize("doc", [[1, 2], "spec", 3.0, None])
+    def test_document_that_is_not_an_object(self, capsys, tmp_path, doc):
+        code, payload, err = run(capsys, ["scatter", "--spec", write_doc(tmp_path, doc)])
+        assert input_error(code, payload, err, "JSON object")
+
+    def test_unknown_field_is_named(self, capsys, tmp_path):
+        # a misspelt T_support used to run with the default 4.0 and exit 0
+        doc = spec_doc(T_suport=9.0)
+        del doc["T_support"]
+        code, payload, err = run(capsys, ["scatter", "--spec", write_doc(tmp_path, doc)])
+        assert input_error(code, payload, err, "T_suport")
+
     def test_malformed_json(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -317,6 +387,13 @@ class TestClassifyCommand:
         sig = payload["signature"]
         assert sig["n_pos"] + sig["n_neg"] + sig["n_zero"] == 4
         assert payload["hessian"]["dim"] == 4
+
+    @pytest.mark.parametrize("dim", [None, 1.5, "2"])
+    def test_bad_dim_is_named(self, capsys, tmp_path, dim):
+        # a null dim crashed with a TypeError traceback and exit 1
+        path = write_doc(tmp_path, {"dim": dim, "data": [1.0, 0.0, 0.0, 1.0]})
+        code, payload, err = run(capsys, ["classify", "--sigma", path, "--omega", "1"])
+        assert input_error(code, payload, err, "dim must be an integer")
 
     def test_nonsymplectic_rejected(self, capsys, tmp_path):
         code, _, err = run(

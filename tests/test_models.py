@@ -107,6 +107,24 @@ class TestModelSpec:
         with pytest.raises(ValueError):
             ModelSpec.from_json_dict({"l": 1, "omega": [1.0]})
 
+    def test_from_json_rejects_unknown_fields(self):
+        doc = dict(two_center_spec().to_json_dict(), T_suport=9.0, colour="red")
+        with pytest.raises(ValueError, match=r"unknown fields \['T_suport', 'colour'\]"):
+            ModelSpec.from_json_dict(doc)
+
+    @pytest.mark.parametrize("field", ["l", "n_hyp", "bump_order"])
+    @pytest.mark.parametrize("value", [1.7, None, True, "1"])
+    def test_counts_must_be_integers(self, field, value):
+        kwargs = dict(l=1, n_hyp=1, omega=[1.0])
+        kwargs[field] = value
+        with pytest.raises(ValueError, match=f"{field} must be an integer, got {value}"):
+            ModelSpec(**kwargs)
+
+    @pytest.mark.parametrize("field", ["eps", "T_support"])
+    def test_null_parameter_is_named(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be a finite"):
+            ModelSpec(l=1, n_hyp=1, omega=[1.0], **{field: None})
+
 
 class TestIntegrableSystem:
     def test_equilibrium_at_origin(self):
