@@ -41,12 +41,19 @@ def _slice_max_abs(A: np.ndarray, floor: float = 0.0):
     return np.abs(A).max(axis=(-2, -1), initial=floor)
 
 
-def _positive_tol(tol, name: str = "tolerance") -> float:
-    """tol as a float, rejecting anything but a finite positive number (NaN and None included)."""
+def _as_float(value) -> float:
+    """value as a float; NaN for None, booleans and anything float() rejects."""
+    if isinstance(value, (bool, np.bool_)):
+        return np.nan
     try:
-        value = float(tol)
+        return float(value)
     except (TypeError, ValueError):
-        value = np.nan
+        return np.nan
+
+
+def _positive_tol(tol, name: str = "tolerance") -> float:
+    """tol as a float, rejecting anything but a finite positive number (NaN, None and booleans included)."""
+    value = _as_float(tol)
     if not 0.0 < value < np.inf:
         raise ValueError(f"{name} must be a finite positive number, got {tol}")
     return value

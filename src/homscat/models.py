@@ -32,6 +32,7 @@ import numpy as np
 from . import flow
 from .majorize import CenterBlock
 from .matkit import (
+    _as_float,
     _integer,
     _positive_tol,
     _square,
@@ -115,10 +116,7 @@ class ModelSpec:
             raise ValueError("hyperbolic rates must be nonzero")
         self.alpha = a
         eps = self.eps
-        try:
-            self.eps = float(eps)
-        except (TypeError, ValueError):
-            self.eps = np.nan
+        self.eps = _as_float(eps)
         if not np.isfinite(self.eps):
             raise ValueError(f"eps must be a finite number, got {eps}")
         if self.C is None:

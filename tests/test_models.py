@@ -121,9 +121,11 @@ class TestModelSpec:
             ModelSpec(**kwargs)
 
     @pytest.mark.parametrize("field", ["eps", "T_support"])
-    def test_null_parameter_is_named(self, field):
+    @pytest.mark.parametrize("value", [None, True])
+    def test_null_or_boolean_parameter_is_named(self, field, value):
+        # a JSON true used to run as 1.0
         with pytest.raises(ValueError, match=f"{field} must be a finite"):
-            ModelSpec(l=1, n_hyp=1, omega=[1.0], **{field: None})
+            ModelSpec(l=1, n_hyp=1, omega=[1.0], **{field: value})
 
 
 class TestIntegrableSystem:
