@@ -10,7 +10,6 @@ from .classify import (
     check_reversibility,
     hessian_from_scattering,
     indefiniteness_ensemble,
-    random_reversible_form,
     random_symplectic,
     realize_signature,
     reversible_signature,
@@ -19,7 +18,6 @@ from .flow import (
     ScatteringConvergenceError,
     ScatteringProblem,
     ScatteringResult,
-    center_linear_flow,
     fundamental_solution,
     scattering_matrix,
 )
@@ -50,7 +48,6 @@ from .models import (
     HamiltonianSystem,
     ModelSpec,
     bump,
-    center_variational_field,
     homoclinic_orbit,
     scattering_problem,
 )

@@ -25,7 +25,6 @@ from .matkit import (
     center_frequencies,
     max_abs,
     standard_symplectic_form,
-    symplectic_rotation,
 )
 
 DEFAULT_SIGMA_TOL = 1e-8
@@ -47,12 +46,6 @@ class ScatteringConvergenceError(RuntimeError):
             f"norm reaches {excess[0]:.3e} behind and {excess[1]:.3e} ahead on the unit slabs out to |t| = {T:g}, "
             f"which may move the scattering matrix by {residual:.3e} > {tol:.3e}"
         )
-
-
-def center_linear_flow(D_center, t: float) -> np.ndarray:
-    """Free centre flow Psi(t): the symplectic rotation by t * omega."""
-    w = center_frequencies(D_center)
-    return symplectic_rotation(float(t) * w)
 
 
 def _field_values(fld: Callable, ts: np.ndarray, d: int) -> np.ndarray:

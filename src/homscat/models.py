@@ -39,7 +39,6 @@ from .matkit import (
     center_diagonal,
     max_abs,
     standard_symplectic_form,
-    symplectic_rotation,
 )
 
 _PROFILE_MASS_NODES = 8192
@@ -83,8 +82,10 @@ class ModelSpec:
     omega: l distinct nonzero centre frequencies with distinct squares.
     alpha: rates of the extra hyperbolic pairs (the leading pair has rate 1).
     eps, C: strength and symmetric form of the localized perturbation.
-    mu: splitting parameter; the scattering pipelines require mu = 0.
     T_support: half-width of the bump support; bump_order sharpens its decay.
+
+    There is no splitting parameter: the model keeps its homoclinic loop,
+    so the splitting the paper calls mu is zero.
     """
 
     l: int
@@ -93,7 +94,6 @@ class ModelSpec:
     alpha: np.ndarray = ()
     eps: float = 0.0
     C: np.ndarray | None = None
-    mu: np.ndarray | None = None
     T_support: float = 4.0
     bump_order: int = 1
     bump_scale: float = field(init=False, repr=False)
@@ -126,11 +126,6 @@ class ModelSpec:
             raise ValueError(f"C must be {2 * self.l} x {2 * self.l}")
         if max_abs(self.C - self.C.T) > 1e-12 * max(1.0, max_abs(self.C)):
             raise ValueError("C must be symmetric")
-        if self.mu is None:
-            self.mu = np.zeros(2 * self.l)
-        self.mu = np.atleast_1d(np.asarray(self.mu, dtype=float))
-        if self.mu.shape != (2 * self.l,) or not np.all(np.isfinite(self.mu)):
-            raise ValueError(f"mu must be a finite vector of length {2 * self.l}")
         self.T_support = _positive_tol(self.T_support, "T_support")
         self.bump_order = _integer(self.bump_order, "bump_order")
         if self.bump_order < 1:
@@ -149,7 +144,6 @@ class ModelSpec:
             "alpha": [float(x) for x in self.alpha],
             "eps": self.eps,
             "C": [float(x) for x in self.C.ravel()],
-            "mu": [float(x) for x in self.mu],
             "T_support": self.T_support,
             "bump_order": self.bump_order,
         }
@@ -264,36 +258,9 @@ def bump(spec: ModelSpec, t):
     return float(out[0]) if np.ndim(t) == 0 else out
 
 
-def center_variational_field(spec: ModelSpec, t):
-    """Centre-block coefficient of the variational equation in the lab frame:
-
-        A(t) = J D - eps xi(t) Psi(t) J C Psi(-t),   D = diag(omega, omega).
-
-    In the co-rotating frame w = Psi(-t) z this is exactly
-    wdot = -eps xi(t) J C w, the field that scattering_problem states, so the
-    perturbation acts as if the free centre motion were frozen.  Outside the
-    bump support A(t) equals J D exactly.
-    """
-    tt = np.atleast_1d(np.asarray(t, dtype=float))
-    l = spec.l
-    J = standard_symplectic_form(l)
-    base = J @ center_diagonal(spec.omega)
-    out = np.tile(base, (tt.size, 1, 1))
-    if spec.eps != 0.0:
-        xi = np.atleast_1d(bump(spec, tt))
-        hot = xi != 0.0
-        if np.any(hot):
-            JC = J @ spec.C
-            rot = symplectic_rotation(np.multiply.outer(tt[hot], spec.omega))
-            out[hot] -= spec.eps * xi[hot, None, None] * (rot @ JC @ rot.swapaxes(1, 2))
-    return out[0] if np.ndim(t) == 0 else out
-
-
 def scattering_problem(spec: ModelSpec) -> flow.ScatteringProblem:
-    """Centre-block scattering problem of the (possibly perturbed) model, with
-    the co-rotating field -eps xi(t) J C."""
-    if max_abs(spec.mu) != 0.0:
-        raise ValueError("scattering requires mu = 0: the homoclinic loop persists only without splitting")
+    """Centre-block scattering problem of the (possibly perturbed) model along
+    its unsplit homoclinic loop, with the co-rotating field -eps xi(t) J C."""
     JC = standard_symplectic_form(spec.l) @ spec.C
     # Python floats overflow to inf without a warning; the peak bounds every field entry
     if not np.isfinite(abs(spec.eps) * bump(spec, 0.0) * max_abs(JC)):

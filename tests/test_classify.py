@@ -9,7 +9,6 @@ from homscat.classify import (
     check_reversibility,
     hessian_from_scattering,
     indefiniteness_ensemble,
-    random_reversible_form,
     random_symplectic,
     realize_signature,
     reversible_signature,
@@ -24,6 +23,7 @@ from homscat.matkit import (
     standard_symplectic_form,
     symplectic_rotation,
 )
+from reversible_forms import random_reversible_form
 
 
 def random_symmetric(rng, n, scale=1.0):

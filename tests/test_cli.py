@@ -62,7 +62,7 @@ MATRIX = {"dim": "int", "data": ["float"]}
 SIGNATURE = {"n_pos": "int", "n_neg": "int", "n_zero": "int", "eigenvalues": ["float"], "tol": "float"}
 SPEC = {
     "l": "int", "n_hyp": "int", "omega": ["float"], "alpha": [], "eps": "float", "C": ["float"],
-    "mu": ["float"], "T_support": "float", "bump_order": "int",
+    "T_support": "float", "bump_order": "int",
 }
 SCATTERING = {"sigma": MATRIX, "T_used": "float", "residual": "float", "symplectic_defect": "float"}
 

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from homscat.flow import (
     ScatteringConvergenceError,
     ScatteringProblem,
-    center_linear_flow,
     fundamental_solution,
     scattering_matrix,
 )
@@ -17,7 +16,8 @@ from homscat.matkit import (
     standard_symplectic_form,
     symplectic_rotation,
 )
-from homscat.models import ModelSpec, center_variational_field, scattering_problem
+from homscat.models import ModelSpec, scattering_problem
+from lab_frame_oracle import center_variational_field
 
 
 def plain_rk4(field, t0, t1, steps, dim):
@@ -146,24 +146,13 @@ class TestFundamentalSolution:
 
 
 class TestCenterLinearFlow:
-    def test_identity_at_zero(self):
-        D = center_diagonal([1.0, 2.0])
-        assert np.array_equal(center_linear_flow(D, 0.0), np.eye(4))
-
-    def test_quarter_turn(self):
-        D = center_diagonal([1.0])
-        assert max_abs(center_linear_flow(D, np.pi / 2) - np.array([[0.0, 1.0], [-1.0, 0.0]])) <= 1e-15
-
     @settings(max_examples=40, deadline=None)
     @given(st.floats(-20.0, 20.0), st.floats(-20.0, 20.0))
     def test_group_law(self, s, t):
-        D = center_diagonal([1.0, np.sqrt(2.0)])
-        lhs = center_linear_flow(D, s) @ center_linear_flow(D, t)
-        assert max_abs(lhs - center_linear_flow(D, s + t)) <= 1e-12
-
-    def test_matches_rotation(self):
-        D = center_diagonal([1.0, 2.0])
-        assert np.array_equal(center_linear_flow(D, 0.7), symplectic_rotation([0.7, 1.4]))
+        # the free centre flow Psi(t) is the symplectic rotation by t * omega
+        omega = np.array([1.0, np.sqrt(2.0)])
+        lhs = symplectic_rotation(s * omega) @ symplectic_rotation(t * omega)
+        assert max_abs(lhs - symplectic_rotation((s + t) * omega)) <= 1e-12
 
 
 class TestScatteringMatrix:
@@ -250,7 +239,7 @@ class TestScatteringMatrix:
         result = scattering_matrix(problem)
         T = 4.5
         Phi = plain_rk4(shell, -T, T, 9000, 2)
-        reference = center_linear_flow(D, -T) @ Phi @ center_linear_flow(D, -T)
+        reference = symplectic_rotation([-T]) @ Phi @ symplectic_rotation([-T])
         assert max_abs(result.sigma - reference) <= 1e-7
         assert max_abs(result.sigma - np.eye(2)) > 0.5
 
@@ -330,7 +319,7 @@ class TestStructurePreservation:
         T = spec.T_support + 1.0
         field = lambda t: center_variational_field(spec, float(t))
         Phi = plain_rk4(field, -T, T, 4096, 4)
-        ends = center_linear_flow(D, -T) @ Phi @ center_linear_flow(D, -T)
+        ends = symplectic_rotation(-T * spec.omega) @ Phi @ symplectic_rotation(-T * spec.omega)
         gram_difference = ends.T @ D @ ends - D
         assert max_abs(gram_difference - H) <= 1e-7
 

@@ -6,10 +6,10 @@ from homscat.models import (
     HamiltonianSystem,
     ModelSpec,
     bump,
-    center_variational_field,
     homoclinic_orbit,
     scattering_problem,
 )
+from lab_frame_oracle import center_variational_field
 
 
 def two_center_spec(**overrides):
@@ -92,7 +92,6 @@ class TestModelSpec:
             "bump_order",
             "eps",
             "l",
-            "mu",
             "n_hyp",
             "omega",
         ]
@@ -337,10 +336,11 @@ class TestHyperbolicField:
 
 
 class TestScatteringProblemBuilder:
-    def test_requires_zero_mu(self):
-        spec = two_center_spec(mu=[0.1, 0.0, 0.0, 0.0])
-        with pytest.raises(ValueError):
-            scattering_problem(spec)
+    def test_rejects_mu_field(self):
+        # the splitting parameter is gone: the loop persists, so mu = 0 always
+        doc = dict(two_center_spec().to_json_dict(), mu=[0.0, 0.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match=r"unknown fields \['mu'\]"):
+            ModelSpec.from_json_dict(doc)
 
     def test_builds_consistent_problem(self):
         spec = two_center_spec(eps=0.1, C=np.eye(4))
