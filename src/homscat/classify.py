@@ -24,6 +24,7 @@ from .majorize import (
     solve_bracket,
 )
 from .matkit import (
+    _CLASSIFICATION_FLOOR,
     SignatureReport,
     _positive_tol,
     _slice_max_abs,
@@ -45,7 +46,7 @@ _MAX_FACTORS = 5
 _MAX_CHUNK_ELEMENTS = 2 ** 14
 
 
-class RealizationError(RuntimeError):
+class RealizationError(ArithmeticError):
     """The target signature was not reached: the eps halvings ran out, or eps
     puts the first-order Hessian eigenvalues under the zero tolerance."""
 
@@ -190,8 +191,10 @@ def realize_signature(l: int, m: int, omega, eps: float) -> RealizationReport:
     diagonal -> bracket solve for the generator B -> sigma = exp(-eps J B).
     If the achieved signature misses the target (the second-order terms are
     not yet dominated), eps is halved, up to 20 times.  A miss with the
-    smallest first-order eigenvalue eps * min|b| at or below the zero
-    tolerance raises at once: halving eps only moves it further below.  An
+    smallest first-order eigenvalue eps * min|b| at or below 1e-7, the floor
+    of the zero tolerance, raises at once: halving eps only moves it further
+    below.  A tolerance above that floor grows with the second-order terms,
+    which halving shrinks faster, so it does not stop the halvings.  An
     eps whose exponential or Hessian overflows the float range raises
     ArithmeticError before any halving.
     """
@@ -234,7 +237,7 @@ def realize_signature(l: int, m: int, omega, eps: float) -> RealizationReport:
                 first_order_gap=gap,
                 gap_constant=gap / eps_cur,
             )
-        if eps_cur * b_min <= achieved.tol:
+        if eps_cur * b_min <= _CLASSIFICATION_FLOOR:
             raise RealizationError(
                 f"eps = {eps_cur:.3g} puts the smallest first-order Hessian eigenvalue "
                 f"eps * min|b| = {eps_cur * b_min:.3g} at or below the zero tolerance {achieved.tol:.3g}; "

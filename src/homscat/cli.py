@@ -12,7 +12,7 @@ import numpy as np
 
 from . import classify, flow, models
 from .majorize import majorizes, mirsky_matrix
-from .matkit import _integer, _positive_tol, center_diagonal, eigh, inertia, max_abs
+from .matkit import _float_array, _integer, _positive_tol, center_diagonal, eigh, inertia, max_abs
 
 _FAILURE_EXIT = 1
 _USAGE_EXIT = 2
@@ -43,7 +43,7 @@ def _mat_from_json(doc) -> np.ndarray:
     if not isinstance(doc, dict) or "dim" not in doc or "data" not in doc:
         raise CLIError("matrix document must be an object with 'dim' and 'data'")
     dim = _integer(doc["dim"], "matrix dim")
-    data = np.asarray(doc["data"], dtype=float)
+    data = _float_array(doc["data"], "matrix data")
     if dim < 1 or data.shape != (dim * dim,):
         raise CLIError(f"matrix data length {data.size} does not match dim {dim}")
     if not np.all(np.isfinite(data)):
@@ -284,7 +284,7 @@ def main(argv=None) -> int:
         payload, ok = _HANDLERS[args.command](args)
     except ValueError as exc:
         return _fail(exc, "input", _USAGE_EXIT)
-    except (ArithmeticError, flow.ScatteringConvergenceError, classify.RealizationError) as exc:
+    except ArithmeticError as exc:
         return _fail(exc, "numerical", _NUMERICAL_EXIT)
     _emit(payload, args.out)
     return 0 if ok else _FAILURE_EXIT

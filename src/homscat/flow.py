@@ -34,7 +34,7 @@ DEFAULT_INTEGRATOR_TOL = 1e-10
 _MAX_FIELD_ELEMENTS = 2 ** 22
 
 
-class ScatteringConvergenceError(RuntimeError):
+class ScatteringConvergenceError(ArithmeticError):
     """The field is nonzero beyond the declared support; `trace` holds the
     (T_used, residual) of the unit slabs whose sampled norms showed it."""
 

@@ -17,6 +17,7 @@ import numpy as np
 
 _EXP_SERIES_ORDER = 12
 _SYMMETRY_TOL = 1e-10
+_CLASSIFICATION_FLOOR = 1e-7
 
 
 def max_abs(M) -> float:
@@ -49,6 +50,23 @@ def _as_float(value) -> float:
         return float(value)
     except (TypeError, ValueError):
         return np.nan
+
+
+def _float_array(value, name: str) -> np.ndarray:
+    """A JSON number or nested list of numbers as a float array; a string,
+    boolean, null or object anywhere in it raises ValueError naming name."""
+    def check(item):
+        if isinstance(item, list):
+            for entry in item:
+                check(entry)
+        elif isinstance(item, bool) or not isinstance(item, (int, float)):
+            raise ValueError(f"{name} entries must be numbers, got {item!r}")
+
+    check(value)
+    try:
+        return np.asarray(value, dtype=float)
+    except ValueError:
+        raise ValueError(f"{name} must be a list of numbers or of equal-length rows of them") from None
 
 
 def _positive_tol(tol, name: str = "tolerance") -> float:
@@ -162,7 +180,7 @@ def eigh(S) -> tuple[np.ndarray, np.ndarray]:
 
 def classification_tol(S) -> float:
     """Scale-relative default tolerance separating zero from nonzero eigenvalues."""
-    return 1e-7 * max(1.0, max_abs(S))
+    return _CLASSIFICATION_FLOOR * max(1.0, max_abs(S))
 
 
 @dataclass(frozen=True, eq=False)

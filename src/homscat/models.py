@@ -33,6 +33,7 @@ from . import flow
 from .majorize import CenterBlock
 from .matkit import (
     _as_float,
+    _float_array,
     _integer,
     _positive_tol,
     _square,
@@ -151,7 +152,7 @@ class ModelSpec:
     @classmethod
     def from_json_dict(cls, doc) -> "ModelSpec":
         """The spec of a to_json_dict document; absent optional fields take
-        their defaults, and unknown fields are rejected."""
+        their defaults, and unknown fields and non-numeric entries are rejected."""
         if not isinstance(doc, dict):
             raise ValueError(f"model document must be a JSON object, got {type(doc).__name__}")
         known = [f.name for f in fields(cls) if f.init]
@@ -162,9 +163,12 @@ class ModelSpec:
             if key not in doc:
                 raise ValueError(f"model document is missing field '{key}'")
         kwargs = dict(doc)
+        for key in ("omega", "alpha"):
+            if key in doc:
+                kwargs[key] = _float_array(doc[key], key)
         if doc.get("C") is not None:
             l = _integer(doc["l"], "l")
-            C = np.asarray(doc["C"], dtype=float)
+            C = _float_array(doc["C"], "C")
             if C.ndim == 1:
                 if C.size != (2 * l) ** 2:
                     raise ValueError(f"C must hold {(2 * l) ** 2} row-major entries, got {C.size}")

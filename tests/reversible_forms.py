@@ -1,4 +1,4 @@
-"""Random generators of reversible scattering matrices for the reversible-case tests."""
+"""Random symmetric forms B whose exp(-eps J B) is reversible, for the reversible-case tests."""
 
 import numpy as np
 

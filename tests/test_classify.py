@@ -225,6 +225,13 @@ class TestRealizeSignature:
         assert report.achieved.inertia == (1, 3, 0)
         assert report.eps_used < 4.0
 
+    def test_very_large_eps_is_halved_not_blamed_on_the_tolerance(self):
+        # the zero tolerance 1e-7 * max(1, |H|) grows with the second-order
+        # Hessian, so eps = 100 used to raise at once, naming a tolerance of 9.16e+25
+        report = realize_signature(2, 1, [1.0, 2.0], 100.0)
+        assert report.achieved.inertia == (1, 3, 0)
+        assert report.eps_used == 1.5625
+
     @pytest.mark.parametrize("eps", [1e-8, 1e-7])
     def test_tiny_eps_names_the_zero_tolerance(self, eps):
         # H ~ eps G has eigenvalues near eps * min|b| = eps, at or below the

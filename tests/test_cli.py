@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from homscat.classify import RealizationError
 from homscat.cli import main
+from homscat.flow import ScatteringConvergenceError
 from homscat.matkit import matrix_exponential, max_abs, standard_symplectic_form
 from homscat.models import ModelSpec
 
@@ -344,6 +346,23 @@ class TestScatterCommand:
         code, payload, err = run(capsys, ["scatter", "--spec", write_doc(tmp_path, spec_doc(**{field: value}))])
         assert input_error(code, payload, err, field)
 
+    @pytest.mark.parametrize(
+        "changes, field",
+        [
+            ({"C": {"a": 1}}, "C"),
+            ({"C": [True, 0.0, 0.0, 1.0]}, "C"),
+            ({"omega": [True]}, "omega"),
+            ({"omega": "1"}, "omega"),
+            ({"n_hyp": 2, "alpha": ["x"]}, "alpha"),
+        ],
+        ids=["C-object", "C-true", "omega-true", "omega-string", "alpha-string"],
+    )
+    def test_non_numeric_entry_is_named(self, capsys, tmp_path, changes, field):
+        # an object crashed with a TypeError traceback and exit 1, true ran as
+        # 1.0, "1" as [1.0], and ["x"] got numpy's message naming no field
+        code, payload, err = run(capsys, ["scatter", "--spec", write_doc(tmp_path, spec_doc(**changes))])
+        assert input_error(code, payload, err, f"{field} entries must be numbers")
+
     def test_integral_float_count_is_accepted(self, capsys, tmp_path):
         code, payload, _ = run(capsys, ["scatter", "--spec", write_doc(tmp_path, spec_doc(l=1.0, bump_order=2.0))])
         assert code == 0 and payload["spec"]["l"] == 1 and payload["spec"]["bump_order"] == 2
@@ -394,6 +413,13 @@ class TestClassifyCommand:
         path = write_doc(tmp_path, {"dim": dim, "data": [1.0, 0.0, 0.0, 1.0]})
         code, payload, err = run(capsys, ["classify", "--sigma", path, "--omega", "1"])
         assert input_error(code, payload, err, "dim must be an integer")
+
+    @pytest.mark.parametrize("entry", [True, {"a": 1}], ids=["true", "object"])
+    def test_non_numeric_data_is_named(self, capsys, tmp_path, entry):
+        # true ran as 1.0, and an object crashed with a TypeError traceback and exit 1
+        path = write_doc(tmp_path, {"dim": 2, "data": [entry, 0.0, 0.0, 1.0]})
+        code, payload, err = run(capsys, ["classify", "--sigma", path, "--omega", "1"])
+        assert input_error(code, payload, err, "data entries must be numbers")
 
     def test_nonsymplectic_rejected(self, capsys, tmp_path):
         code, _, err = run(
@@ -457,6 +483,11 @@ class TestCliPlumbing:
         # compared as JSON text: 1 == 1.0 in Python, but not in the report
         assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
         assert skeleton(first) == expected
+
+    def test_numerical_failures_are_arithmetic_errors(self):
+        # main maps ValueError to exit 2 and ArithmeticError to exit 3 by base class alone
+        assert issubclass(RealizationError, ArithmeticError)
+        assert issubclass(ScatteringConvergenceError, ArithmeticError)
 
     def test_bad_number_list(self, capsys):
         code, _, err = run(capsys, ["majorize", "--a", "1,spam", "--b", "1,1"])
