@@ -43,12 +43,13 @@ def _slice_max_abs(A: np.ndarray, floor: float = 0.0):
 
 
 def _as_float(value) -> float:
-    """value as a float; NaN for None, booleans and anything float() rejects."""
+    """value as a float; NaN for None, booleans and anything float() rejects,
+    such as an integer beyond the float range."""
     if isinstance(value, (bool, np.bool_)):
         return np.nan
     try:
         return float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         return np.nan
 
 
@@ -65,6 +66,8 @@ def _float_array(value, name: str) -> np.ndarray:
     check(value)
     try:
         return np.asarray(value, dtype=float)
+    except OverflowError:
+        raise ValueError(f"{name} has an integer entry beyond the float range") from None
     except ValueError:
         raise ValueError(f"{name} must be a list of numbers or of equal-length rows of them") from None
 

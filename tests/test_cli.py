@@ -354,14 +354,17 @@ class TestScatterCommand:
             ({"omega": [True]}, "omega"),
             ({"omega": "1"}, "omega"),
             ({"n_hyp": 2, "alpha": ["x"]}, "alpha"),
+            ({"C": [10**400, 0, 0, 1]}, "C"),
+            ({"eps": 10**400}, "eps"),
         ],
-        ids=["C-object", "C-true", "omega-true", "omega-string", "alpha-string"],
+        ids=["C-object", "C-true", "omega-true", "omega-string", "alpha-string", "C-huge-int", "eps-huge-int"],
     )
-    def test_non_numeric_entry_is_named(self, capsys, tmp_path, changes, field):
+    def test_entry_that_is_not_a_float_is_named(self, capsys, tmp_path, changes, field):
         # an object crashed with a TypeError traceback and exit 1, true ran as
-        # 1.0, "1" as [1.0], and ["x"] got numpy's message naming no field
+        # 1.0, "1" as [1.0], ["x"] got numpy's message naming no field, and an
+        # integer beyond the float range exited 3 as a numerical failure
         code, payload, err = run(capsys, ["scatter", "--spec", write_doc(tmp_path, spec_doc(**changes))])
-        assert input_error(code, payload, err, f"{field} entries must be numbers")
+        assert input_error(code, payload, err, field)
 
     def test_integral_float_count_is_accepted(self, capsys, tmp_path):
         code, payload, _ = run(capsys, ["scatter", "--spec", write_doc(tmp_path, spec_doc(l=1.0, bump_order=2.0))])
