@@ -14,6 +14,7 @@ solve for a generator B.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -112,6 +113,11 @@ def mirsky_matrix(diag_entries, eigenvalues) -> np.ndarray:
     leaves the remaining unpinned block diagonal and preserves the spectrum
     exactly.  A final symmetric permutation restores the requested diagonal
     order.
+
+    The pivots are chosen in scalar arithmetic on a list of the diagonal:
+    a rotation in the plane (a, b) pins a and changes no other unpinned
+    diagonal entry than b's.  The rotations are elementwise numpy column and
+    row updates, without matmul, so the result does not depend on the BLAS.
     """
     d = np.atleast_1d(np.asarray(diag_entries, dtype=float))
     lam = np.atleast_1d(np.asarray(eigenvalues, dtype=float))
@@ -125,34 +131,44 @@ def mirsky_matrix(diag_entries, eigenvalues) -> np.ndarray:
         )
     n = d.size
     order = np.argsort(d, kind="stable")
-    targets = d[order]
+    targets = d[order].tolist()
     A = np.diag(np.sort(lam))
+    diag = A.diagonal().tolist()
     unpinned = list(range(n))
     pin_slot = np.empty(n, dtype=int)
     scale = max(1.0, max_abs(lam))
     snap = 1e-13 * scale
     for k, t in enumerate(targets):
-        vals = np.array([A[s, s] for s in unpinned])
-        below = vals <= t + snap
-        above = vals >= t - snap
-        a_idx = int(np.nonzero(below)[0][np.argmax(vals[below])]) if below.any() else int(np.argmin(np.abs(vals - t)))
-        b_idx = int(np.nonzero(above)[0][np.argmin(vals[above])]) if above.any() else int(np.argmin(np.abs(vals - t)))
-        a_slot, b_slot = unpinned[a_idx], unpinned[b_idx]
-        va, vb = A[a_slot, a_slot], A[b_slot, b_slot]
+        # a: the largest value at or below t, b: the smallest at or above it,
+        # the first in unpinned order on a tie, else the first nearest t
+        hi, lo = t + snap, t - snap
+        a_slot = b_slot = -1
+        for slot in unpinned:
+            v = diag[slot]
+            if v <= hi and (a_slot < 0 or v > diag[a_slot]):
+                a_slot = slot
+            if v >= lo and (b_slot < 0 or v < diag[b_slot]):
+                b_slot = slot
+        if a_slot < 0 or b_slot < 0:
+            nearest = min(unpinned, key=lambda slot: abs(diag[slot] - t))
+            a_slot = nearest if a_slot < 0 else a_slot
+            b_slot = nearest if b_slot < 0 else b_slot
+        va, vb = diag[a_slot], diag[b_slot]
         if a_slot == b_slot or vb - va <= snap:
             # target coincides with an available slot value, no rotation needed
             chosen = a_slot if abs(va - t) <= abs(vb - t) else b_slot
             pin_slot[k] = chosen
             unpinned.remove(chosen)
             continue
-        c = np.sqrt((vb - t) / (vb - va))
-        s = np.sqrt((t - va) / (vb - va))
+        c = math.sqrt((vb - t) / (vb - va))
+        s = math.sqrt((t - va) / (vb - va))
         cp, cq = A[:, a_slot].copy(), A[:, b_slot].copy()
         A[:, a_slot] = c * cp - s * cq
         A[:, b_slot] = s * cp + c * cq
         rp, rq = A[a_slot, :].copy(), A[b_slot, :].copy()
         A[a_slot, :] = c * rp - s * rq
         A[b_slot, :] = s * rp + c * rq
+        diag[b_slot] = float(A[b_slot, b_slot])
         pin_slot[k] = a_slot
         unpinned.remove(a_slot)
     rank_of = np.empty(n, dtype=int)
@@ -185,13 +201,13 @@ class CenterBlock:
             raise ValueError("all centre frequencies must be nonzero")
         sq = w * w
         gap = 1e-12 * max(1.0, float(sq.max()))
-        for i in range(w.size):
-            for j in range(i + 1, w.size):
-                if abs(sq[i] - sq[j]) <= gap:
-                    raise ValueError(
-                        f"squared frequencies must be pairwise distinct, got "
-                        f"omega[{i}]^2 ~ omega[{j}]^2 ~ {sq[i]:.6g}"
-                    )
+        # np.nonzero lists the pairs i < j in row-major order
+        i, j = np.nonzero(np.triu(np.abs(sq[:, None] - sq[None, :]) <= gap, 1))
+        if i.size:
+            raise ValueError(
+                f"squared frequencies must be pairwise distinct, got "
+                f"omega[{i[0]}]^2 ~ omega[{j[0]}]^2 ~ {sq[i[0]]:.6g}"
+            )
         object.__setattr__(self, "omega", w)
         object.__setattr__(self, "D", np.diag(np.concatenate([w, w])))
         object.__setattr__(self, "J", standard_symplectic_form(w.size))

@@ -324,6 +324,14 @@ class TestScatterCommand:
         message = json.loads(err)
         assert message["kind"] == "numerical" and "overflow" in message["error"]
 
+    def test_unresolved_bump_order_is_a_numerical_failure(self, capsys, tmp_path):
+        # it used to print two RuntimeWarnings, scatter 1.5e-4 away from exp(-eps J C) and exit 0
+        doc = spec_doc(eps=0.5, bump_order=10**6)
+        code, payload, err = run(capsys, ["scatter", "--spec", write_doc(tmp_path, doc)])
+        assert code == 3 and payload is None
+        message = json.loads(err)
+        assert message["kind"] == "numerical" and "bump_order = 1000000" in message["error"]
+
     def test_overflowing_perturbation_names_eps(self, capsys, tmp_path):
         # it used to warn inside the field and then blame "field produced
         # non-finite values" as an input error

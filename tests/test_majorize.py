@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import mirsky_oracle
 from bracket_oracle import (
     bracket_adjoint_matrix,
     bracket_adjoint_nullity,
@@ -165,6 +166,41 @@ class TestMirskyMatrix:
         assert max_abs(np.sort(w) - np.sort(lam)) <= 1e-8
 
 
+def schur_pair(rng, n, repeated):
+    """Diagonal and spectrum of a random symmetric matrix (Schur-Horn), with
+    a spectrum drawn from a few integers when repeated is set."""
+    lam = rng.integers(-3, 4, size=n).astype(float) if repeated else rng.standard_normal(n) * 2.0
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return np.diag((Q * lam) @ Q.T).copy(), lam
+
+
+class TestMirskyMatchesOracle:
+    def test_every_signature_on_the_balanced_diagonal(self):
+        for l in range(1, 13):
+            g = np.concatenate([np.ones(l), -np.ones(l)])
+            for m in range(1, 2 * l):
+                lam = indefinite_spectrum(l, m)
+                assert np.array_equal(mirsky_matrix(g, lam), mirsky_oracle.mirsky_matrix(g, lam)), (l, m)
+
+    def test_seeded_schur_pairs(self):
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            d, lam = schur_pair(rng, int(rng.integers(1, 25)), repeated=seed % 4 == 0)
+            assert np.array_equal(mirsky_matrix(d, lam), mirsky_oracle.mirsky_matrix(d, lam)), seed
+
+    def test_diagonal_equal_to_spectrum_needs_no_rotation(self):
+        d = np.array([3.0, -1.0, 2.0, -1.0, 0.5])
+        M = mirsky_matrix(d, d)
+        assert np.array_equal(M, mirsky_oracle.mirsky_matrix(d, d))
+        assert np.array_equal(M, np.diag(d))
+
+    def test_nearest_slot_fallback(self):
+        # majorized within 1e-10, but no unpinned slot lies within snap below
+        # the first target or above the second
+        d, lam = [1.0 + 1e-11, -1.0 - 1e-11], [1.0, -1.0]
+        assert np.array_equal(mirsky_matrix(d, lam), mirsky_oracle.mirsky_matrix(d, lam))
+
+
 class TestCenterBlock:
     def test_rejects_zero_frequency(self):
         with pytest.raises(ValueError):
@@ -173,6 +209,10 @@ class TestCenterBlock:
     def test_rejects_equal_squares(self):
         with pytest.raises(ValueError):
             CenterBlock(np.array([1.0, -1.0]))
+
+    def test_names_the_first_colliding_pair_in_row_major_order(self):
+        with pytest.raises(ValueError, match=r"got omega\[0\]\^2 ~ omega\[2\]\^2 ~ 1$"):
+            CenterBlock(np.array([1.0, 2.0, -1.0, -2.0]))
 
     def test_dimensions(self):
         block = CenterBlock(np.array([1.0, 2.0]))

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from homscat.matkit import max_abs, standard_symplectic_form, symplectic_rotation
+from homscat import flow
+from homscat.matkit import matrix_exponential, max_abs, standard_symplectic_form, symplectic_rotation
 from homscat.models import (
     HamiltonianSystem,
     ModelSpec,
@@ -238,6 +239,21 @@ class TestBump:
     def test_unimodal(self):
         spec = two_center_spec()
         assert bump(spec, 0.0) > bump(spec, spec.T_support / 2) > 0.0
+
+    @pytest.mark.parametrize("order", [1, 100, 10**4])
+    def test_scattering_law_holds_for_resolved_orders(self, order):
+        # from order 94 on, computing the mass divided by an underflowed
+        # (1 - s^2)^order, a RuntimeWarning
+        C = np.eye(2)
+        spec = ModelSpec(l=1, n_hyp=1, omega=[1.0], eps=0.5, C=C, T_support=2.0, bump_order=order)
+        result = flow.scattering_matrix(scattering_problem(spec))
+        expected = matrix_exponential(-0.5 * standard_symplectic_form(1) @ C)
+        assert max_abs(result.sigma - expected) <= 1e-10
+
+    def test_unresolved_order_is_a_numerical_failure(self):
+        # order 10**6 used to scatter 1.5e-4 away from exp(-eps J C) with residual 0.0
+        with pytest.raises(ArithmeticError, match="bump_order = 1000000"):
+            ModelSpec(l=1, n_hyp=1, omega=[1.0], eps=0.5, C=np.eye(2), T_support=2.0, bump_order=10**6)
 
 
 class TestCenterField:
