@@ -57,21 +57,31 @@ def _field_values(fld: Callable, ts: np.ndarray, d: int) -> np.ndarray:
     return values
 
 
-def _rk4_product(fld: Callable, t0: float, t1: float, n: int, d: int) -> np.ndarray:
+def _rk4_product(A: np.ndarray, h: float) -> np.ndarray:
     # classic RK4 on the matrix equation, written as one update matrix per step
-    # so the per-step factors can be built and multiplied in batch
-    h = (t1 - t0) / n
-    ts = t0 + (t1 - t0) * np.arange(2 * n + 1) / (2 * n)
-    A = _field_values(fld, ts, d)
-    A1 = A[0 : 2 * n : 2]
-    Am = A[1 : 2 * n : 2]
-    A4 = A[2 : 2 * n + 1 : 2]
-    eye = np.eye(d)
-    K1 = A1
-    K2 = Am + (0.5 * h) * (Am @ K1)
-    K3 = Am + (0.5 * h) * (Am @ K2)
-    K4 = A4 + h * (A4 @ K3)
-    U = eye + (h / 6.0) * (K1 + 2.0 * K2 + 2.0 * K3 + K4)
+    # so the per-step factors can be built and multiplied in batch; A holds the
+    # field at the 2n + 1 step ends and midpoints.  The stages are built in
+    # place, in the evaluation order of
+    #   U = I + (h/6) (K1 + 2 K2 + 2 K3 + K4),  K2 = Am + (h/2) Am K1, ...
+    # so U is bit for bit that expression's value.
+    A1, Am, A4 = A[0:-1:2], A[1::2], A[2::2]
+    K2 = Am @ A1
+    K2 *= 0.5 * h
+    K2 += Am
+    K3 = Am @ K2
+    K3 *= 0.5 * h
+    K3 += Am
+    K4 = A4 @ K3
+    K4 *= h
+    K4 += A4
+    U = K2
+    U *= 2.0
+    U += A1
+    K3 *= 2.0
+    U += K3
+    U += K4
+    U *= h / 6.0
+    U += np.eye(A.shape[1])
     P = U
     while P.shape[0] > 1:
         m = P.shape[0]
@@ -86,11 +96,16 @@ def fundamental_solution(fld: Callable, t0: float, t1: float, tol: float = DEFAU
     """Phi(t1, t0) for udot = field(t) u, by fixed-step RK4 with step doubling.
 
     `fld` follows the field contract of ScatteringProblem: a 1-D array of
-    times in, an (n, d, d) array out.  The step count is doubled until two
-    successive refinements agree to within tol * max(1, t1 - t0) in max-abs
-    norm; the finer result is returned.  A pass that would sample more than
-    2**22 field entries, or whose product overflows, raises ArithmeticError
-    instead.
+    times in, an (n, d, d) array out.  After one probe at t0, which fixes d,
+    the first pass samples its 2n + 1 step ends and midpoints; the step count
+    is a power of two, so each doubling keeps those samples and asks the
+    field only for the 2n new midpoints between them.  The step count is
+    doubled until two successive refinements agree to within
+    tol * max(1, t1 - t0) in max-abs norm; the finer result is returned.
+    The cap of 2**22 field entries, (2n + 1) d^2 for n steps, is checked
+    before each sampling: a span whose starting step count already exceeds
+    it raises ArithmeticError before the field is called, and so do a
+    refinement that reaches it and a product that overflows.
     """
     t0, t1 = float(t0), float(t1)
     if not (np.isfinite(t0) and np.isfinite(t1)):
@@ -98,24 +113,44 @@ def fundamental_solution(fld: Callable, t0: float, t1: float, tol: float = DEFAU
     if t1 < t0:
         raise ValueError("t0 must not exceed t1")
     tol = _positive_tol(tol, "integrator tolerance")
+    span = t1 - t0
+    n = 2.0 ** np.ceil(np.log2(max(16.0, 8.0 * span)))
+    if not 2 * n + 1 <= _MAX_FIELD_ELEMENTS:
+        raise ArithmeticError(
+            f"a span of {span:g} starts at n = {n:g} RK4 steps, whose 2n + 1 = {2 * n + 1:g} nodes are "
+            f"beyond the cap of {_MAX_FIELD_ELEMENTS} field entries"
+        )
+    n = int(n)
     probe = np.asarray(fld(np.array([t0])), dtype=float)
     if probe.ndim != 3 or probe.shape[0] != 1:
         raise ValueError(f"field returned shape {probe.shape} for 1 time, expected (1, d, d)")
     d = _square(probe[0], "field value").shape[0]
     if t1 == t0:
         return np.eye(d)
-    span = t1 - t0
-    n = int(2 ** np.ceil(np.log2(max(16.0, 8.0 * span))))
     budget = tol * max(1.0, span)
-    previous = None
+    A = previous = None
     while True:
         if (2 * n + 1) * d * d > _MAX_FIELD_ELEMENTS:
+            if previous is None:
+                raise ArithmeticError(
+                    f"a span of {span:g} starts at n = {n} RK4 steps, whose (2n + 1) d^2 = {(2 * n + 1) * d * d} "
+                    f"entries of the {d} x {d} field are beyond the cap of {_MAX_FIELD_ELEMENTS}"
+                )
             raise ArithmeticError(
                 f"step refinement exhausted without meeting the tolerance: n = {n} steps of a "
                 f"{d} x {d} field would exceed {_MAX_FIELD_ELEMENTS} field samples"
             )
+        ts = t0 + span * np.arange(2 * n + 1) / (2 * n)
+        if A is None:
+            A = _field_values(fld, ts, d)
+        else:
+            # the previous nodes are the even nodes of this grid, bit for bit
+            finer = np.empty((2 * n + 1, d, d))
+            finer[0::2] = A
+            finer[1::2] = _field_values(fld, ts[1::2], d)
+            A = finer
         with np.errstate(over="ignore", invalid="ignore"):
-            current = _rk4_product(fld, t0, t1, n, d)
+            current = _rk4_product(A, span / n)
         if not np.isfinite(current).all():
             raise ArithmeticError(f"RK4 product overflowed with n = {n} steps over [{t0:g}, {t1:g}]")
         if previous is not None and max_abs(current - previous) <= budget:

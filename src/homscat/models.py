@@ -145,6 +145,8 @@ class ModelSpec:
         self.bump_order = _integer(self.bump_order, "bump_order")
         if self.bump_order < 1:
             raise ValueError("bump_order must be a positive integer")
+        if np.isnan(_as_float(self.bump_order)):
+            raise ValueError("bump_order is an integer beyond the float range")
         self.bump_scale = 1.0 / (self.T_support * _profile_mass(self.bump_order))
 
     @property

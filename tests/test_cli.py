@@ -332,6 +332,23 @@ class TestScatterCommand:
         message = json.loads(err)
         assert message["kind"] == "numerical" and "bump_order = 1000000" in message["error"]
 
+    def test_bump_order_beyond_the_float_range_is_an_input_error(self, capsys, tmp_path):
+        # it exited 3 with "int too large to convert to float", naming no field
+        doc = spec_doc(bump_order=10**400)
+        code, payload, err = run(capsys, ["scatter", "--spec", write_doc(tmp_path, doc)])
+        assert input_error(code, payload, err, "bump_order")
+
+    @pytest.mark.parametrize("T_support", [1e308, 1e200])
+    def test_support_beyond_the_step_cap_is_a_numerical_failure(self, capsys, tmp_path, T_support):
+        # 1e308 exited 3 with "cannot convert float infinity to integer", and
+        # 1e200 blamed a step refinement that never ran
+        doc = spec_doc(T_support=T_support)
+        code, payload, err = run(capsys, ["scatter", "--spec", write_doc(tmp_path, doc)])
+        assert code == 3 and payload is None
+        message = json.loads(err)
+        assert message["kind"] == "numerical"
+        assert f"span of {2 * T_support:g}" in message["error"] and "refinement" not in message["error"]
+
     def test_overflowing_perturbation_names_eps(self, capsys, tmp_path):
         # it used to warn inside the field and then blame "field produced
         # non-finite values" as an input error

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,7 @@ from homscat.matkit import (
 )
 from homscat.models import ModelSpec, scattering_problem
 from lab_frame_oracle import center_variational_field
+import rk4_oracle
 
 
 def plain_rk4(field, t0, t1, steps, dim):
@@ -46,6 +49,16 @@ def entrywise(t, rows):
     t, into an (n, d, d) array for a 1-D t (or (d, d) for a scalar t)."""
     t = np.asarray(t, dtype=float)
     return np.stack([np.stack([np.broadcast_to(x, t.shape) for x in row], -1) for row in rows], -2)
+
+
+def recording(field, batches):
+    """field, appending a copy of every batch of times it is asked for to batches."""
+
+    def sampled(t):
+        batches.append(np.array(t, dtype=float))
+        return field(t)
+
+    return sampled
 
 
 def perturbed_spec(seed, l=2, eps=0.05, T_support=3.0):
@@ -129,6 +142,38 @@ class TestFundamentalSolution:
         with pytest.raises(ArithmeticError, match="n = 32768 steps of a 8 x 8 field"):
             fundamental_solution(jump, 2.0, 3.0)
 
+    @pytest.mark.parametrize("T", [1e308, 1e200])
+    def test_span_beyond_the_cap_fails_before_sampling(self, T):
+        # a span of inf crashed converting the step count to an int, and one of
+        # 2e200 blamed a step refinement that never ran
+        batches = []
+        with pytest.raises(ArithmeticError, match=re.escape(f"span of {2 * T:g} starts at n = ")) as info:
+            fundamental_solution(recording(constant(np.eye(2)), batches), -T, T)
+        assert batches == [] and "cap of 4194304" in str(info.value) and "refinement" not in str(info.value)
+
+    def test_first_pass_beyond_the_cap_is_not_blamed_on_refinement(self):
+        # 8 steps per unit time start at n = 262144, whose 524289 nodes of an
+        # 8 x 8 field are 33554496 entries
+        batches = []
+        match = r"span of 20000 starts at n = 262144 RK4 steps.* 33554496 entries of the 8 x 8 field are beyond the cap"
+        with pytest.raises(ArithmeticError, match=match) as info:
+            fundamental_solution(recording(constant(np.eye(8)), batches), 0.0, 2e4)
+        assert len(batches) == 1 and "refinement" not in str(info.value)
+
+    def test_each_node_is_sampled_once(self):
+        # after the probe at t0, each doubling samples only its new midpoints:
+        # 1 + (2 n + 1) samples in all for a final step count n, where
+        # resampling every grid took 1 + sum of (2 n + 1) over the passes
+        field = lambda t: entrywise(t, [[0.0, 1.0], [-np.cos(t), -0.1]])
+        batches = []
+        fundamental_solution(recording(field, batches), -1.0, 2.0)
+        probe, *passes = batches
+        n = 32 * 2 ** (len(passes) - 1)
+        nodes = np.concatenate(passes)
+        assert probe.tolist() == [-1.0] and len(passes) >= 3
+        assert nodes.size == 2 * n + 1
+        assert np.array_equal(np.sort(nodes), -1.0 + 3.0 * np.arange(2 * n + 1) / (2 * n))
+
     def test_overflow_fails_at_once(self):
         # an overflowing pass used to refine up to the memory cap (n = 524288
         # for d = 2) and then blame the refinement
@@ -143,6 +188,47 @@ class TestFundamentalSolution:
 
         with pytest.raises(ValueError):
             fundamental_solution(bad, 0.0, 1.0)
+
+
+class TestOracleAgreement:
+    """fundamental_solution against the fresh-temporary, resample-every-pass
+    construction in tests/rk4_oracle.py: the same sums in the same order on
+    the same samples, so equal bit for bit."""
+
+    @pytest.mark.parametrize("eps", [0.01, 0.05, 0.1])
+    @pytest.mark.parametrize("T", [3.0, 5.0])
+    @pytest.mark.parametrize("l", [1, 2, 3, 4])
+    def test_model_problems(self, l, T, eps):
+        rng = np.random.default_rng(1000 * l + int(10 * T) + int(100 * eps))
+        C = rng.standard_normal((2 * l, 2 * l))
+        spec = ModelSpec(l=l, n_hyp=1, omega=np.arange(1.0, l + 1.0), eps=eps, C=C + C.T, T_support=T)
+        field = scattering_problem(spec).field
+        assert np.array_equal(fundamental_solution(field, -T, T), rk4_oracle.fundamental_solution(field, -T, T))
+
+    def test_non_commuting_field(self):
+        spec = perturbed_spec(seed=50, l=3, eps=0.1)
+        field = lambda t: center_variational_field(spec, t)
+        T = spec.T_support + 1.0
+        assert np.array_equal(fundamental_solution(field, -T, T), rk4_oracle.fundamental_solution(field, -T, T))
+
+    def test_solve_of_several_passes(self):
+        field = lambda t: entrywise(t, [[0.0, 1.0], [-np.cos(t), -0.1]])
+        batches = []
+        expected = rk4_oracle.fundamental_solution(recording(field, batches), -1.0, 2.0)
+        assert len(batches) - 1 >= 3
+        assert np.array_equal(fundamental_solution(field, -1.0, 2.0), expected)
+
+    def test_refinement_cap_names_the_same_step_count(self):
+        B = np.random.default_rng(5).standard_normal((8, 8))
+
+        def jump(t):
+            return np.where(np.asarray(t)[:, None, None] >= 2.5, B, 0.0)
+
+        with pytest.raises(ArithmeticError) as expected:
+            rk4_oracle.fundamental_solution(jump, 2.0, 3.0)
+        with pytest.raises(ArithmeticError) as got:
+            fundamental_solution(jump, 2.0, 3.0)
+        assert "n = 32768 steps" in str(got.value) and str(got.value) == str(expected.value)
 
 
 class TestCenterLinearFlow:

@@ -120,6 +120,11 @@ class TestModelSpec:
         with pytest.raises(ValueError, match=f"{field} must be an integer, got {value}"):
             ModelSpec(**kwargs)
 
+    def test_bump_order_beyond_the_float_range_is_named(self):
+        # it failed inside the bump profile with an OverflowError naming no field
+        with pytest.raises(ValueError, match="bump_order is an integer beyond the float range"):
+            ModelSpec(l=1, n_hyp=1, omega=[1.0], bump_order=10**400)
+
     @pytest.mark.parametrize("field", ["eps", "T_support"])
     @pytest.mark.parametrize("value", [None, True])
     def test_null_or_boolean_parameter_is_named(self, field, value):
