@@ -18,10 +18,9 @@ import numpy as np
 
 from .majorize import (
     CenterBlock,
-    hessian_bracket,
+    _solve_bracket,
     indefinite_spectrum,
     mirsky_matrix,
-    solve_bracket,
 )
 from .matkit import (
     _CLASSIFICATION_FLOOR,
@@ -51,6 +50,12 @@ class RealizationError(ArithmeticError):
     puts the first-order Hessian eigenvalues under the zero tolerance."""
 
 
+def _require_symplectic(S: np.ndarray, J: np.ndarray) -> None:
+    defect = _slice_max_abs(S.swapaxes(-1, -2) @ J @ S - J)
+    if (defect > _SYMPLECTIC_PRECONDITION_TOL).any():
+        raise ValueError(f"scattering matrix is not symplectic (defect {defect.max():.3e})")
+
+
 def hessian_from_scattering(sigma, D_center) -> np.ndarray:
     """sigma^T D sigma - D, or that of each slice of a (k, 2l, 2l) stack;
     requires every sigma symplectic within 1e-7."""
@@ -59,12 +64,8 @@ def hessian_from_scattering(sigma, D_center) -> np.ndarray:
     center_frequencies(D)
     if S.shape[-2:] != D.shape:
         raise ValueError("scattering matrix and centre diagonal have different dimensions")
-    J = standard_symplectic_form(D.shape[0] // 2)
-    St = S.swapaxes(-1, -2)
-    defect = _slice_max_abs(St @ J @ S - J)
-    if (defect > _SYMPLECTIC_PRECONDITION_TOL).any():
-        raise ValueError(f"scattering matrix is not symplectic (defect {defect.max():.3e})")
-    return St @ D @ S - D
+    _require_symplectic(S, standard_symplectic_form(D.shape[0] // 2))
+    return S.swapaxes(-1, -2) @ D @ S - D
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,6 +198,13 @@ def realize_signature(l: int, m: int, omega, eps: float) -> RealizationReport:
     which halving shrinks faster, so it does not stop the halvings.  An
     eps whose exponential or Hessian overflows the float range raises
     ArithmeticError before any halving.
+
+    The inputs are checked once, here and in the public mirsky_matrix; the
+    exactly symmetric Mirsky target goes to the bracket kernel unchecked.
+    Each attempt forms sigma^T D sigma - D once, for both the overflow test
+    and the inertia, and checks that sigma is symplectic within 1e-7.  The
+    first-order gap is measured against the bracket of B that the solve
+    already formed for its residual bound.
     """
     l, m = int(l), int(m)
     w = np.atleast_1d(np.asarray(omega, dtype=float))
@@ -207,24 +215,24 @@ def realize_signature(l: int, m: int, omega, eps: float) -> RealizationReport:
     balanced = np.concatenate([np.ones(l), -np.ones(l)])
     b = indefinite_spectrum(l, m)
     G = mirsky_matrix(balanced, b)
-    B = solve_bracket(block, G)
+    B, bracket = _solve_bracket(block, G)
     b_min = np.min(np.abs(b))
     target = (m, 2 * l - m, 0)
-    JB = block.J @ B
-    with np.errstate(over="ignore", invalid="ignore"):
-        sigma = matrix_exponential(-eps * JB)
-        overflow = not np.isfinite(sigma.T @ block.D @ sigma).all()
-    if overflow:
-        raise ArithmeticError(
-            f"eps = {eps:.3g} overflows the float range: the Hessian of exp(-eps J B), with "
-            f"max|J B| = {max_abs(JB):.3g}, exceeds it; the realization needs a smaller eps"
-        )
+    D, JB = block.D, block.J @ B
     eps_cur = eps
     for _ in range(_REALIZE_MAX_HALVINGS):
-        H = hessian_from_scattering(sigma, block.D)
+        with np.errstate(over="ignore", invalid="ignore"):
+            sigma = matrix_exponential(-eps_cur * JB)
+            H = sigma.T @ D @ sigma - D
+        if not np.isfinite(H).all():
+            raise ArithmeticError(
+                f"eps = {eps_cur:.3g} overflows the float range: the Hessian of exp(-eps J B), with "
+                f"max|J B| = {max_abs(JB):.3g}, exceeds it; the realization needs a smaller eps"
+            )
+        _require_symplectic(sigma, block.J)
         achieved = inertia(H)
         if achieved.inertia == target:
-            gap = max_abs(H / eps_cur - hessian_bracket(block, B))
+            gap = max_abs(H / eps_cur - bracket)
             return RealizationReport(
                 l=l,
                 m=m,
@@ -244,7 +252,6 @@ def realize_signature(l: int, m: int, omega, eps: float) -> RealizationReport:
                 f"signature ({m}, {2 * l - m}) needs eps above {achieved.tol / b_min:.3g}"
             )
         eps_cur *= 0.5
-        sigma = matrix_exponential(-eps_cur * JB)
     raise RealizationError(
         f"signature ({m}, {2 * l - m}) not reached after {_REALIZE_MAX_HALVINGS} halvings of eps; "
         "the frequency choice is numerically degenerate"

@@ -71,9 +71,20 @@ def majorizes(a, b, tol: float = _MAJORIZE_TOL) -> MajorizationWitness:
     tol = _positive_tol(tol)
     a_sorted = np.sort(av)[::-1]
     b_sorted = np.sort(bv)[::-1]
-    ca, cb = np.cumsum(a_sorted), np.cumsum(b_sorted)
-    gaps = cb[:-1] - ca[:-1]
-    total = float(cb[-1] - ca[-1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        ca, cb = np.cumsum(a_sorted), np.cumsum(b_sorted)
+        diffs = cb - ca
+    # a partial sum that overflows stays non-finite in every later one and in diffs
+    if not np.isfinite(diffs).all():
+        for what, sums in (
+            ("vector a has partial sums", ca),
+            ("vector b has partial sums", cb),
+            ("vectors a and b have partial sums whose difference is", diffs),
+        ):
+            if not np.isfinite(sums).all():
+                raise ValueError(f"majorization {what} beyond the float range")
+    gaps = diffs[:-1]
+    total = float(diffs[-1])
     holds = bool(np.all(gaps >= -tol)) and abs(total) <= tol
     return MajorizationWitness(
         a_sorted=a_sorted,
@@ -162,12 +173,11 @@ def mirsky_matrix(diag_entries, eigenvalues) -> np.ndarray:
             continue
         c = math.sqrt((vb - t) / (vb - va))
         s = math.sqrt((t - va) / (vb - va))
-        cp, cq = A[:, a_slot].copy(), A[:, b_slot].copy()
-        A[:, a_slot] = c * cp - s * cq
-        A[:, b_slot] = s * cp + c * cq
-        rp, rq = A[a_slot, :].copy(), A[b_slot, :].copy()
-        A[a_slot, :] = c * rp - s * rq
-        A[b_slot, :] = s * rp + c * rq
+        # both new vectors are computed from views before either is stored
+        cp, cq = A[:, a_slot], A[:, b_slot]
+        A[:, a_slot], A[:, b_slot] = c * cp - s * cq, s * cp + c * cq
+        rp, rq = A[a_slot, :], A[b_slot, :]
+        A[a_slot, :], A[b_slot, :] = c * rp - s * rq, s * rp + c * rq
         diag[b_slot] = float(A[b_slot, b_slot])
         pin_slot[k] = a_slot
         unpinned.remove(a_slot)
@@ -182,11 +192,12 @@ def mirsky_matrix(diag_entries, eigenvalues) -> np.ndarray:
 class CenterBlock:
     """Paired diagonal quadratic form of the linearised centre dynamics.
 
-    omega holds l nonzero frequencies with pairwise distinct squares; the
-    block carries D = diag(omega, omega) together with the standard
-    symplectic form of matching size.  Distinct squares are exactly what
-    makes the bracket invertible off its paired-diagonal kernel: the 2x2
-    systems of solve_bracket have determinants +-(w_i^2 - w_j^2).
+    omega holds l nonzero frequencies with pairwise distinct squares, each
+    square within the float range; the block carries D = diag(omega, omega)
+    together with the standard symplectic form of matching size.  Distinct
+    squares are exactly what makes the bracket invertible off its
+    paired-diagonal kernel: the 2x2 systems of solve_bracket have
+    determinants +-(w_i^2 - w_j^2).
     """
 
     omega: np.ndarray
@@ -199,6 +210,10 @@ class CenterBlock:
             raise ValueError("omega must be a nonempty finite vector")
         if np.any(w == 0.0):
             raise ValueError("all centre frequencies must be nonzero")
+        top = float(np.max(np.abs(w)))
+        if top * top == np.inf:  # Python floats overflow without a warning
+            k = int(np.argmax(np.abs(w)))
+            raise ValueError(f"omega[{k}] = {w[k]:g} is too large: its square overflows the float range")
         sq = w * w
         gap = 1e-12 * max(1.0, float(sq.max()))
         # np.nonzero lists the pairs i < j in row-major order
@@ -228,24 +243,60 @@ def _check_block_input(block: CenterBlock, M, name: str) -> np.ndarray:
     return A
 
 
+def _bracket(block: CenterBlock, Bs: np.ndarray) -> np.ndarray:
+    X = Bs @ (block.J @ block.D)
+    return X + X.T
+
+
 def hessian_bracket(block: CenterBlock, B) -> np.ndarray:
     """B @ J @ D - D @ J @ B for symmetric B: the first-order Hessian of the
     splitting function under a perturbation generated by B.
 
     The result is symmetric and traceless for every symmetric B.
     """
-    Bs = _check_block_input(block, B, "bracket argument")
-    X = Bs @ (block.J @ block.D)
-    return X + X.T
+    return _bracket(block, _check_block_input(block, B, "bracket argument"))
+
+
+def _pairs_cancel(block: CenterBlock, Ms: np.ndarray, tol: float) -> bool:
+    dvec = np.diag(Ms)
+    l = block.l
+    return bool(np.all(np.abs(dvec[:l] + dvec[l:]) <= tol))
 
 
 def in_bracket_range(block: CenterBlock, M, tol: float = 1e-8) -> bool:
     """True iff the diagonal of M cancels in conjugate pairs: M_ii + M_{l+i,l+i} = 0."""
     Ms = _check_block_input(block, M, "range candidate")
-    tol = _positive_tol(tol)
-    dvec = np.diag(Ms)
-    l = block.l
-    return bool(np.all(np.abs(dvec[:l] + dvec[l:]) <= tol))
+    return _pairs_cancel(block, Ms, _positive_tol(tol))
+
+
+def _solve_bracket(block: CenterBlock, Gs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """solve_bracket on a checked, exactly symmetric target; returns B and
+    its bracket, whose distance to Gs is the certified residual."""
+    scale = max(1.0, max_abs(Gs))
+    if not _pairs_cancel(block, Gs, 1e-8 * scale):
+        raise ValueError(
+            "target is outside the bracket range: diagonal entries do not cancel in conjugate pairs"
+        )
+    l, w = block.l, block.omega
+    G11, G12, G22 = Gs[:l, :l], Gs[:l, l:], Gs[l:, l:]
+    wi, wj = w[:, None], w[None, :]
+    delta = wi * wi - wj * wj
+    np.fill_diagonal(delta, 1.0)  # the diagonal is overwritten below
+    B = np.empty((2 * l, 2 * l))
+    B[:l, :l] = (wi * G12.T - wj * G12) / delta
+    B[:l, l:] = (wj * G11 + wi * G22) / delta
+    B[l:, l:] = (wj * G12.T - wi * G12) / delta
+    P, Q, R = B[:l, :l], B[:l, l:], B[l:, l:]
+    k = np.arange(l)
+    Q[k, k] = G22[k, k] / (2.0 * w)
+    P[k, k] = G12[k, k] / (2.0 * w)
+    R[k, k] = -P[k, k]
+    B[l:, :l] = Q.T
+    bracket = _bracket(block, B)
+    residual = max_abs(bracket - Gs)
+    if residual > 1e-8 * scale:
+        raise ArithmeticError(f"bracket solve left residual {residual:.3e}")
+    return B, bracket
 
 
 def solve_bracket(block: CenterBlock, G) -> np.ndarray:
@@ -261,27 +312,12 @@ def solve_bracket(block: CenterBlock, G) -> np.ndarray:
     G12_ii = w_i (P_ii - R_ii) fixes only the difference; a common shift of
     P_ii and R_ii is the paired-diagonal kernel, and P_ii = -R_ii picks the
     representative orthogonal to it.
+
+    G is checked and symmetrized once, and the range test and the residual
+    bound run on that array.  B is filled block by block and is exactly
+    symmetric: P_ji and R_ji are the quotients P_ij and R_ij with numerator
+    and denominator both negated.  The bracket of B, formed once for the
+    residual bound, is what realize_signature measures its first-order gap
+    against.
     """
-    Gs = _check_block_input(block, G, "bracket target")
-    tol = 1e-8 * max(1.0, max_abs(Gs))
-    if not in_bracket_range(block, Gs, tol):
-        raise ValueError(
-            "target is outside the bracket range: diagonal entries do not cancel in conjugate pairs"
-        )
-    l, w = block.l, block.omega
-    G11, G12, G22 = Gs[:l, :l], Gs[:l, l:], Gs[l:, l:]
-    wi, wj = w[:, None], w[None, :]
-    delta = wi * wi - wj * wj
-    np.fill_diagonal(delta, 1.0)  # the diagonal is overwritten below
-    Q = (wj * G11 + wi * G22) / delta
-    P = (wi * G12.T - wj * G12) / delta
-    R = (wj * G12.T - wi * G12) / delta
-    k = np.arange(l)
-    Q[k, k] = G22[k, k] / (2.0 * w)
-    P[k, k] = G12[k, k] / (2.0 * w)
-    R[k, k] = -P[k, k]
-    B = np.block([[P, Q], [Q.T, R]])
-    residual = max_abs(hessian_bracket(block, B) - Gs)
-    if residual > 1e-8 * max(1.0, max_abs(Gs)):
-        raise ArithmeticError(f"bracket solve left residual {residual:.3e}")
-    return B
+    return _solve_bracket(block, _check_block_input(block, G, "bracket target"))[0]

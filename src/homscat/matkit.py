@@ -171,14 +171,19 @@ def matrix_exponential(M) -> np.ndarray:
     return E[np.argsort(order)].reshape(shape)
 
 
+def _descending_eigh(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """eigh of an already symmetrized float matrix or stack, without the checks."""
+    w, V = np.linalg.eigh(A)
+    return w[..., ::-1], V[..., ::-1]
+
+
 def eigh(S) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a symmetric matrix, or of each slice of a (k, n, n) stack.
 
     Returns (eigenvalues sorted descending, orthonormal eigenvector columns),
     stacked like the input.  Every slice must pass the symmetry check.
     """
-    w, V = np.linalg.eigh(_require_symmetric(S, "eigendecomposition input", stack=True))
-    return w[..., ::-1], V[..., ::-1]
+    return _descending_eigh(_require_symmetric(S, "eigendecomposition input", stack=True))
 
 
 def classification_tol(S) -> float:
@@ -215,10 +220,15 @@ class SignatureReport:
 
 
 def inertia(S, tol: float | None = None) -> SignatureReport:
-    """Count eigenvalues of a symmetric matrix above tol, below -tol, and between."""
+    """Count eigenvalues of a symmetric matrix above tol, below -tol, and between.
+
+    S is checked and symmetrized once; its eigenvalues come from the kernel
+    behind eigh, with no second symmetry check.  The default tol is
+    classification_tol of the symmetrized matrix.
+    """
     A = _require_symmetric(S, "inertia input")
     tol = _positive_tol(classification_tol(A) if tol is None else tol, "inertia tolerance")
-    w, _ = eigh(A)
+    w, _ = _descending_eigh(A)
     n_pos = int(np.sum(w > tol))
     n_neg = int(np.sum(w < -tol))
     return SignatureReport(

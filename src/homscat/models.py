@@ -282,11 +282,15 @@ def scattering_problem(spec: ModelSpec) -> flow.ScatteringProblem:
     """Centre-block scattering problem of the (possibly perturbed) model along
     its unsplit homoclinic loop, with the co-rotating field -eps xi(t) J C."""
     JC = standard_symplectic_form(spec.l) @ spec.C
-    # Python floats overflow to inf without a warning; the peak bounds every field entry
-    if not np.isfinite(abs(spec.eps) * bump(spec, 0.0) * max_abs(JC)):
+    # Python floats overflow to inf without a warning.  The peak bounds every
+    # field entry, so 2l peak^2 bounds every entry of the RK4 stage products
+    # of two field samples, which the integrator forms before scaling by h.
+    peak = abs(spec.eps) * bump(spec, 0.0) * max_abs(JC)
+    if not np.isfinite(JC.shape[0] * peak * peak):
         raise ArithmeticError(
-            f"the perturbation eps xi(t) J C overflows the float range: eps = {spec.eps:g} "
-            f"with bump peak {bump(spec, 0.0):.3g} and max|C| = {max_abs(spec.C):g}"
+            f"the perturbation eps xi(t) J C overflows the float range in the integrator's products "
+            f"of two field samples: eps = {spec.eps:g} and T_support = {spec.T_support:g} give "
+            f"bump peak {bump(spec, 0.0):.3g}, with max|C| = {max_abs(spec.C):g}"
         )
     return flow.ScatteringProblem(
         field=lambda t: (-spec.eps * bump(spec, t))[:, None, None] * JC,

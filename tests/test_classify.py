@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 import ensemble_oracle
+import realize_oracle
 from homscat import classify
 from homscat.classify import (
     RealizationError,
@@ -14,7 +17,7 @@ from homscat.classify import (
     reversible_signature,
 )
 from homscat.cli import to_json
-from homscat.majorize import CenterBlock, hessian_bracket, indefinite_spectrum
+from homscat.majorize import CenterBlock, hessian_bracket, indefinite_spectrum, solve_bracket
 from homscat.matkit import (
     center_diagonal,
     inertia,
@@ -239,6 +242,60 @@ class TestRealizeSignature:
         with pytest.raises(RealizationError, match="zero tolerance") as info:
             realize_signature(2, 1, [1.0, 2.0], eps)
         assert f"eps = {eps:.3g}" in str(info.value)
+
+
+def seeded_omega(l):
+    return 1.0 + 0.5 * np.arange(l) + np.random.default_rng((7, l)).uniform(0.0, 0.25, l)
+
+
+def oracle_error(exc_type, call, *args):
+    with pytest.raises(exc_type) as expected:
+        getattr(realize_oracle, call)(*args)
+    with pytest.raises(exc_type) as got:
+        getattr(classify, call)(*args)
+    return str(got.value), str(expected.value)
+
+
+class TestRealizeMatchesOracle:
+    """The realize path checks each input once and forms each quantity once;
+    tests/realize_oracle.py keeps the path that re-checked and recomputed."""
+
+    # eps = 1 halves eps in 112 of the 144 cases, up to 3 times
+    @pytest.mark.parametrize("eps", [1e-2, 1.0])
+    def test_every_signature_up_to_l12(self, eps):
+        halved = 0
+        for l in range(1, 13):
+            omega = seeded_omega(l)
+            for m in range(1, 2 * l):
+                report = realize_signature(l, m, omega, eps)
+                expected = realize_oracle.realize_signature(l, m, omega, eps)
+                assert json.dumps(to_json(report)) == json.dumps(to_json(expected)), (l, m)
+                halved += report.eps_used < eps
+        assert halved > 0 if eps == 1.0 else halved == 0
+
+    @pytest.mark.parametrize("l, eps", [(2, 1e-8), (2, 1e-7), (1, 1e300), (1, 1e3), (3, 1e300)])
+    def test_same_errors(self, l, eps):
+        exc_type = RealizationError if eps < 1.0 else ArithmeticError
+        got, expected = oracle_error(exc_type, "realize_signature", l, 1, seeded_omega(l), eps)
+        assert got == expected
+
+    def test_same_error_when_the_halvings_run_out(self, monkeypatch):
+        monkeypatch.setattr(classify, "_REALIZE_MAX_HALVINGS", 2)
+        monkeypatch.setattr(realize_oracle, "_REALIZE_MAX_HALVINGS", 2)
+        got, expected = oracle_error(RealizationError, "realize_signature", 2, 1, [1.0, 2.0], 100.0)
+        assert got == expected and "after 2 halvings" in got
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_public_kernels(self, seed):
+        rng = np.random.default_rng(seed)
+        l = 1 + seed
+        block = CenterBlock(seeded_omega(l))
+        G = hessian_bracket(block, random_symmetric(rng, 2 * l))
+        G += 1e-12 * random_symmetric(rng, 2 * l)
+        assert np.array_equal(solve_bracket(block, G), realize_oracle.solve_bracket(block, G))
+        S = G + 1e-12 * rng.standard_normal(G.shape)
+        assert to_json(inertia(S)) == to_json(realize_oracle.inertia(S))
+        assert to_json(inertia(S, 0.5)) == to_json(realize_oracle.inertia(S, 0.5))
 
 
 class TestRotationQuotient:

@@ -146,6 +146,11 @@ class TestDemoIntegrable:
         assert code == 0
         assert payload["omega"] == [1.0, 3.5]
 
+    def test_frequency_whose_square_overflows_is_named(self, capsys):
+        # it used to exit 0 after two RuntimeWarnings
+        code, payload, err = run(capsys, ["demo-integrable", "--l", "1", "--omega=1e300"])
+        assert input_error(code, payload, err, "omega[0] = 1e+300")
+
     def test_nan_tolerance_is_an_input_error(self, capsys):
         # it used to exit 1, a failed identity check, although sigma = I
         code, payload, err = run(capsys, ["demo-integrable", "--l", "1", "--tol", "nan"])
@@ -173,6 +178,11 @@ class TestMajorizeCommand:
         message = json.loads(err)
         assert message["kind"] == "input" and "vector a" in message["error"]
 
+    def test_overflowing_partial_sums_are_an_input_error(self, capsys):
+        # it used to exit 0 after two RuntimeWarnings and write "total_gap": NaN
+        code, payload, err = run(capsys, ["majorize", "--a=1e308,1e308", "--b=1e308,1e308"])
+        assert input_error(code, payload, err, "vector a has partial sums")
+
 
 class TestMirskyCommand:
     def test_construction(self, capsys):
@@ -188,6 +198,12 @@ class TestMirskyCommand:
         message = json.loads(err)
         assert message["kind"] == "input" and "non-finite" in message["error"]
         assert "partial sum" not in message["error"]
+
+    def test_overflowing_partial_sums_are_named(self, capsys):
+        # it exited 2 only after two RuntimeWarnings, blaming "gap nan"
+        code, payload, err = run(capsys, ["mirsky", "--diag=1e308,1e308", "--eigs=1e308,1e308"])
+        assert input_error(code, payload, err, "partial sums")
+        assert "nan" not in json.loads(err)["error"]
 
     def test_non_majorized_exits_2(self, capsys):
         code, payload, err = run(capsys, ["mirsky", "--diag", "2,0", "--eigs", "1,1"])
@@ -233,6 +249,11 @@ class TestRealizeCommand:
         assert message["kind"] == "numerical"
         assert f"eps = {float(eps):.3g} overflows" in message["error"]
         assert calls == [1]
+
+    def test_frequency_whose_square_overflows_is_named(self, capsys):
+        # it halved eps 17 times and then blamed the zero tolerance at eps = 7.63e-08
+        code, payload, err = run(capsys, ["realize", "--l", "1", "--m", "1", "--omega=1e300", "--eps", "0.01"])
+        assert input_error(code, payload, err, "omega[0] = 1e+300")
 
     def test_tiny_eps_is_a_numerical_failure(self, capsys):
         code, payload, err = run(capsys, ["realize", "--l", "2", "--m", "1", "--omega", "1,2", "--eps", "1e-8"])
@@ -348,6 +369,13 @@ class TestScatterCommand:
         message = json.loads(err)
         assert message["kind"] == "numerical"
         assert f"span of {2 * T_support:g}" in message["error"] and "refinement" not in message["error"]
+
+    def test_support_whose_squared_field_overflows_names_T_support(self, capsys, tmp_path):
+        # it blamed "RK4 product overflowed with n = 16 steps over [-1e-300, 1e-300]"
+        code, payload, err = run(capsys, ["scatter", "--spec", write_doc(tmp_path, spec_doc(T_support=1e-300))])
+        assert code == 3 and payload is None
+        message = json.loads(err)
+        assert message["kind"] == "numerical" and "T_support = 1e-300" in message["error"]
 
     def test_overflowing_perturbation_names_eps(self, capsys, tmp_path):
         # it used to warn inside the field and then blame "field produced

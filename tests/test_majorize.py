@@ -81,6 +81,19 @@ class TestMajorizes:
     def test_total_sum_mismatch(self):
         assert not majorizes([1, 0], [2, 0]).holds
 
+    @pytest.mark.parametrize(
+        "a, b, match",
+        [
+            ([1e308, 1e308], [1e308, 1e308], "vector a has partial sums"),
+            ([1.0, -1.0], [1e308, 1e308], "vector b has partial sums"),
+            ([-1.5e308, 0.0], [1.5e308, 0.0], "vectors a and b have partial sums"),
+        ],
+    )
+    def test_overflowing_partial_sums_are_named(self, a, b, match):
+        # they overflowed with a RuntimeWarning and the witness held NaN or inf
+        with pytest.raises(ValueError, match=f"{match} .*beyond the float range"):
+            majorizes(a, b)
+
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 10**6), st.integers(2, 10))
     def test_transfers_are_majorized(self, seed, n):
@@ -213,6 +226,11 @@ class TestCenterBlock:
     def test_names_the_first_colliding_pair_in_row_major_order(self):
         with pytest.raises(ValueError, match=r"got omega\[0\]\^2 ~ omega\[2\]\^2 ~ 1$"):
             CenterBlock(np.array([1.0, 2.0, -1.0, -2.0]))
+
+    def test_rejects_frequency_whose_square_overflows(self):
+        # w * w overflowed with a RuntimeWarning and the block was accepted
+        with pytest.raises(ValueError, match=r"omega\[1\] = 1e\+300 .* square"):
+            CenterBlock(np.array([1.0, 1e300]))
 
     def test_dimensions(self):
         block = CenterBlock(np.array([1.0, 2.0]))

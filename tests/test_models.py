@@ -363,6 +363,13 @@ class TestScatteringProblemBuilder:
         with pytest.raises(ValueError, match=r"unknown fields \['mu'\]"):
             ModelSpec.from_json_dict(doc)
 
+    def test_support_whose_squared_field_overflows_names_T_support(self):
+        # the bump scale 1/T_support, squared in the RK4 stage products, overflowed
+        # them, and the error blamed the RK4 product
+        spec = ModelSpec(l=1, n_hyp=1, omega=[1.0], eps=0.05, C=np.eye(2), T_support=1e-300)
+        with pytest.raises(ArithmeticError, match="T_support = 1e-300"):
+            scattering_problem(spec)
+
     def test_builds_consistent_problem(self):
         spec = two_center_spec(eps=0.1, C=np.eye(4))
         problem = scattering_problem(spec)
