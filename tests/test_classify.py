@@ -248,11 +248,11 @@ def seeded_omega(l):
     return 1.0 + 0.5 * np.arange(l) + np.random.default_rng((7, l)).uniform(0.0, 0.25, l)
 
 
-def oracle_error(exc_type, call, *args):
+def realize_errors(exc_type, *args):
     with pytest.raises(exc_type) as expected:
-        getattr(realize_oracle, call)(*args)
+        realize_oracle.realize_signature(*args)
     with pytest.raises(exc_type) as got:
-        getattr(classify, call)(*args)
+        realize_signature(*args)
     return str(got.value), str(expected.value)
 
 
@@ -276,13 +276,13 @@ class TestRealizeMatchesOracle:
     @pytest.mark.parametrize("l, eps", [(2, 1e-8), (2, 1e-7), (1, 1e300), (1, 1e3), (3, 1e300)])
     def test_same_errors(self, l, eps):
         exc_type = RealizationError if eps < 1.0 else ArithmeticError
-        got, expected = oracle_error(exc_type, "realize_signature", l, 1, seeded_omega(l), eps)
+        got, expected = realize_errors(exc_type, l, 1, seeded_omega(l), eps)
         assert got == expected
 
     def test_same_error_when_the_halvings_run_out(self, monkeypatch):
         monkeypatch.setattr(classify, "_REALIZE_MAX_HALVINGS", 2)
         monkeypatch.setattr(realize_oracle, "_REALIZE_MAX_HALVINGS", 2)
-        got, expected = oracle_error(RealizationError, "realize_signature", 2, 1, [1.0, 2.0], 100.0)
+        got, expected = realize_errors(RealizationError, 2, 1, [1.0, 2.0], 100.0)
         assert got == expected and "after 2 halvings" in got
 
     @pytest.mark.parametrize("seed", range(4))
