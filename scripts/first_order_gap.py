@@ -16,8 +16,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 import numpy as np
 
 from homscat.classify import hessian_from_scattering
-from homscat.majorize import CenterBlock, hessian_bracket
-from homscat.matkit import matrix_exponential, max_abs
+from homscat.majorize import hessian_bracket
+from homscat.matkit import CenterBlock, matrix_exponential, max_abs
 
 
 def main(argv=None):

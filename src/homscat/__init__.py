@@ -22,7 +22,6 @@ from .flow import (
     scattering_matrix,
 )
 from .majorize import (
-    CenterBlock,
     MajorizationError,
     MajorizationWitness,
     hessian_bracket,
@@ -33,9 +32,8 @@ from .majorize import (
     solve_bracket,
 )
 from .matkit import (
+    CenterBlock,
     SignatureReport,
-    center_diagonal,
-    center_frequencies,
     classification_tol,
     eigh,
     inertia,

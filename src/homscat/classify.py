@@ -17,18 +17,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .majorize import (
-    CenterBlock,
+    _require_bracket_hypothesis,
     _solve_bracket,
     indefinite_spectrum,
     mirsky_matrix,
 )
 from .matkit import (
     _CLASSIFICATION_FLOOR,
+    CenterBlock,
     SignatureReport,
     _positive_tol,
     _slice_max_abs,
     _square,
-    center_frequencies,
     eigh,
     inertia,
     matrix_exponential,
@@ -56,16 +56,27 @@ def _require_symplectic(S: np.ndarray, J: np.ndarray) -> None:
         raise ValueError(f"scattering matrix is not symplectic (defect {defect.max():.3e})")
 
 
+def _hessian(S: np.ndarray, D: np.ndarray, block: CenterBlock) -> np.ndarray:
+    _require_symplectic(S, block.J)
+    with np.errstate(over="ignore", invalid="ignore"):
+        H = S.swapaxes(-1, -2) @ D @ S - D
+    if not np.isfinite(H).all():
+        raise ArithmeticError(
+            f"the Hessian sigma^T D sigma - D overflows the float range: "
+            f"max|omega| = {max_abs(block.omega):.3g} and max|sigma| = {max_abs(S):.3g}"
+        )
+    return H
+
+
 def hessian_from_scattering(sigma, D_center) -> np.ndarray:
-    """sigma^T D sigma - D, or that of each slice of a (k, 2l, 2l) stack;
-    requires every sigma symplectic within 1e-7."""
+    """sigma^T D sigma - D with D = D_center as given, or that of each slice of a (k, 2l, 2l)
+    stack; requires every sigma symplectic within 1e-7, and raises ArithmeticError on overflow."""
     S = _square(sigma, "scattering matrix", stack=True)
     D = _square(D_center, "D_center")
-    center_frequencies(D)
+    block = CenterBlock.from_diagonal(D)
     if S.shape[-2:] != D.shape:
         raise ValueError("scattering matrix and centre diagonal have different dimensions")
-    _require_symplectic(S, standard_symplectic_form(D.shape[0] // 2))
-    return S.swapaxes(-1, -2) @ D @ S - D
+    return _hessian(S, D, block)
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,14 +94,14 @@ class EnsembleSummary:
     smallest_max_eigenvalue: float
 
 
-def _random_symplectics(l: int, rngs, max_factors: int, max_norm: float) -> np.ndarray:
+def _random_symplectics(block: CenterBlock, rngs, max_factors: int, max_norm: float) -> np.ndarray:
     """random_symplectic for each generator in turn, as a (k, 2l, 2l) stack.
 
     Every generator makes its draws in full before the next one starts; one
     stacked eigh then gives all spectral norms and one stacked exponential
     all factors, which each sigma multiplies out in draw order.
     """
-    d = 2 * l
+    d = block.dim
     generators, norms, counts = [], [], []
     for rng in rngs:
         count = 0
@@ -106,7 +117,7 @@ def _random_symplectics(l: int, rngs, max_factors: int, max_norm: float) -> np.n
     B = np.array(generators).reshape(-1, d, d)
     w, _ = eigh(B)
     B *= (np.array(norms) / np.maximum(np.abs(w[:, 0]), np.abs(w[:, -1])))[:, None, None]
-    factors = iter(matrix_exponential(-standard_symplectic_form(l) @ B))
+    factors = iter(matrix_exponential(-block.J @ B))
     sigmas = np.empty((len(counts), d, d))
     for k, count in enumerate(counts):
         sigma = np.eye(d)
@@ -121,7 +132,7 @@ def random_symplectic(
 ) -> np.ndarray:
     """Product of up to max_factors exponentials exp(-J B) with random
     symmetric B scaled to a spectral norm drawn from (0.1, max_norm]."""
-    return _random_symplectics(l, [rng], max_factors, max_norm)[0]
+    return _random_symplectics(CenterBlock(np.ones(int(l))), [rng], max_factors, max_norm)[0]
 
 
 def indefiniteness_ensemble(D_center, trials: int, seed: int, tol: float = 1e-9) -> EnsembleSummary:
@@ -135,7 +146,7 @@ def indefiniteness_ensemble(D_center, trials: int, seed: int, tol: float = 1e-9)
     out zero: the reduced Hessian is never definite.
     """
     D = _square(D_center, "D_center")
-    omega = center_frequencies(D)
+    block = CenterBlock.from_diagonal(D)
     trials = int(trials)
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -149,16 +160,16 @@ def indefiniteness_ensemble(D_center, trials: int, seed: int, tol: float = 1e-9)
     smallest_max = np.inf
     for start in range(0, trials, chunk):
         rngs = [np.random.default_rng((seed, k)) for k in range(start, min(start + chunk, trials))]
-        sigmas = _random_symplectics(omega.size, rngs, _MAX_FACTORS, 2.0)
-        w, _ = eigh(hessian_from_scattering(sigmas, D))
+        sigmas = _random_symplectics(block, rngs, _MAX_FACTORS, 2.0)
+        w, _ = eigh(_hessian(sigmas, D, block))
         lo, hi = w[:, -1], w[:, 0]
         largest_min = max(largest_min, float(np.max(lo)))
         smallest_max = min(smallest_max, float(np.min(hi)))
         definite_pos += int(np.count_nonzero(lo > tol))
         definite_neg += int(np.count_nonzero(hi < -tol))
     return EnsembleSummary(
-        l=omega.size,
-        omega=omega,
+        l=block.l,
+        omega=block.omega,
         trials=trials,
         seed=seed,
         tol=tol,
@@ -211,7 +222,7 @@ def realize_signature(l: int, m: int, omega, eps: float) -> RealizationReport:
     if w.size != l:
         raise ValueError(f"omega must have length l = {l}, got {w.size}")
     eps = _positive_tol(eps, "eps")
-    block = CenterBlock(w)
+    block = _require_bracket_hypothesis(CenterBlock(w))
     balanced = np.concatenate([np.ones(l), -np.ones(l)])
     b = indefinite_spectrum(l, m)
     G = mirsky_matrix(balanced, b)
@@ -319,8 +330,7 @@ def reversible_signature(sigma, R, D_center, tol: float, class_tol: float | None
             f"scattering matrix is not reversible: residual {report.residual:.3e} exceeds {tol:.3e}"
         )
     S = np.asarray(sigma, dtype=float)
-    D = _square(D_center, "D_center")
-    H = hessian_from_scattering(S, D)
+    H = hessian_from_scattering(S, D_center)
     A = np.asarray(R, dtype=float) @ S
     M = 0.5 * (np.eye(A.shape[0]) + A.T @ A)
     # every eigenvalue of M is at least 1/2, so one decomposition gives both roots

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import classify, flow, models
 from .majorize import majorizes, mirsky_matrix
-from .matkit import _float_array, _integer, _positive_tol, center_diagonal, eigh, inertia, max_abs
+from .matkit import CenterBlock, _float_array, _integer, _positive_tol, eigh, inertia, max_abs
 
 _FAILURE_EXIT = 1
 _USAGE_EXIT = 2
@@ -155,8 +155,7 @@ def _cmd_scatter(args) -> tuple[dict, bool]:
 def _cmd_classify(args) -> tuple[dict, bool]:
     sigma = _mat_from_json(_load_json(args.sigma))
     omega = _float_list(args.omega)
-    D = center_diagonal(omega)
-    H = classify.hessian_from_scattering(sigma, D)
+    H = classify.hessian_from_scattering(sigma, CenterBlock(omega).D)
     report = inertia(H, args.tol)
     payload = {
         "command": "classify",
@@ -178,7 +177,7 @@ def _cmd_indefinite(args) -> tuple[dict, bool]:
     omega = _float_list(args.omega)
     if len(omega) != args.l:
         raise CLIError(f"omega has {len(omega)} entries but --l is {args.l}")
-    summary = classify.indefiniteness_ensemble(center_diagonal(omega), args.trials, args.seed, args.tol)
+    summary = classify.indefiniteness_ensemble(CenterBlock(omega).D, args.trials, args.seed, args.tol)
     ok = summary.definite_positive == 0 and summary.definite_negative == 0
     return {"command": "indefinite", **vars(summary), "pass": ok}, ok
 
@@ -197,8 +196,7 @@ def _cmd_reversible(args) -> tuple[dict, bool]:
     if not rev.passed:
         payload["pass"] = False
         return payload, False
-    D = center_diagonal(spec.omega)
-    report = classify.reversible_signature(result.sigma, R, D, args.tol)
+    report = classify.reversible_signature(result.sigma, R, CenterBlock(spec.omega).D, args.tol)
     w = report.eigenvalues
     pairing_defect = np.max(np.abs(w + w[::-1]))
     expected = (spec.l, spec.l, 0)

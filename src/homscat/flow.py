@@ -20,11 +20,10 @@ from typing import Callable
 import numpy as np
 
 from .matkit import (
+    CenterBlock,
     _positive_tol,
     _square,
-    center_frequencies,
     max_abs,
-    standard_symplectic_form,
 )
 
 DEFAULT_SIGMA_TOL = 1e-8
@@ -178,13 +177,13 @@ class ScatteringProblem:
 
     def __post_init__(self):
         self.D_center = _square(self.D_center, "D_center")
-        center_frequencies(self.D_center)
+        self._center = CenterBlock.from_diagonal(self.D_center)
         self.support_halfwidth = _positive_tol(self.support_halfwidth, "support_halfwidth")
         _field_values(self.field, np.zeros(1), self.dim)
 
     @property
     def dim(self) -> int:
-        return self.D_center.shape[0]
+        return self._center.dim
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,13 +215,13 @@ def scattering_matrix(
     T_s = problem.support_halfwidth
     sigma = fundamental_solution(problem.field, -T_s, T_s, integrator_tol)
     s = np.linspace(0.0, 1.0, 65)
-    slabs = _field_values(problem.field, np.concatenate([-T_s - 1.0 + s, T_s + s]), problem.dim)
+    slabs = _field_values(problem.field, np.concatenate([-(T_s + s), T_s + s]), problem.dim)
     with np.errstate(over="ignore"):
         excess = np.linalg.norm(slabs, axis=(1, 2)).reshape(2, 65).max(axis=1)
         residual = float(np.linalg.norm(sigma) * np.expm1(excess.sum()))
     if residual > tol:
         raise ScatteringConvergenceError(T_s, excess, residual, tol)
-    J = standard_symplectic_form(problem.dim // 2)
+    J = problem._center.J
     return ScatteringResult(
         sigma=sigma,
         T_used=T_s + 1.0,

@@ -1,29 +1,29 @@
 """Majorization order, inverse eigenvalue construction, and the bracket
 operator generating first-order scattering Hessians.
 
-The bracket sends a symmetric B to B @ J @ D - D @ J @ B over a centre block
-D = diag(w_1..w_l, w_1..w_l).  Its kernel consists of the paired diagonals
-diag(a_1..a_l, a_1..a_l); its range is the set of symmetric matrices whose
-diagonal entries cancel in conjugate pairs.  Off the diagonal the bracket
-splits into 2x2 systems with determinants +-(w_i^2 - w_j^2), one per
-oscillator pair, so it is inverted in closed form (solve_bracket).
-Together with Mirsky's diagonal-versus-spectrum criterion this lets us
-build a symmetric target with any prescribed indefinite signature and
-solve for a generator B.
+The bracket sends a symmetric B to B @ J @ D - D @ J @ B over a centre
+block D = diag(w_1..w_l, w_1..w_l) (matkit.CenterBlock).  Its kernel
+consists of the paired diagonals diag(a_1..a_l, a_1..a_l); its range is the
+set of symmetric matrices whose diagonal entries cancel in conjugate pairs.
+Off the diagonal the bracket splits into 2x2 systems with determinants
++-(w_i^2 - w_j^2), one per oscillator pair, so it is inverted in closed form
+(solve_bracket) on blocks that pass _require_bracket_hypothesis.  Together
+with Mirsky's diagonal-versus-spectrum criterion this lets us build a
+symmetric target with any prescribed indefinite signature and solve for B.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .matkit import (
+    CenterBlock,
     _positive_tol,
     _require_symmetric,
     max_abs,
-    standard_symplectic_form,
 )
 
 _MAJORIZE_TOL = 1e-10
@@ -185,55 +185,29 @@ def mirsky_matrix(diag_entries, eigenvalues) -> np.ndarray:
     rank_of[order] = np.arange(n)
     placement = pin_slot[rank_of]
     out = A[np.ix_(placement, placement)]
-    return 0.5 * (out + out.T)
+    return 0.5 * out + 0.5 * out.T  # halved first: entries may be near the float limit
 
 
-@dataclass(frozen=True, eq=False)
-class CenterBlock:
-    """Paired diagonal quadratic form of the linearised centre dynamics.
-
-    omega holds l nonzero frequencies with pairwise distinct squares, each
-    square within the float range; the block carries D = diag(omega, omega)
-    together with the standard symplectic form of matching size.  Distinct
-    squares are exactly what makes the bracket invertible off its
-    paired-diagonal kernel: the 2x2 systems of solve_bracket have
-    determinants +-(w_i^2 - w_j^2).
-    """
-
-    omega: np.ndarray
-    D: np.ndarray = field(init=False, repr=False)
-    J: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        w = np.atleast_1d(np.asarray(self.omega, dtype=float))
-        if w.ndim != 1 or w.size == 0 or not np.all(np.isfinite(w)):
-            raise ValueError("omega must be a nonempty finite vector")
-        if np.any(w == 0.0):
-            raise ValueError("all centre frequencies must be nonzero")
-        top = float(np.max(np.abs(w)))
-        if top * top == np.inf:  # Python floats overflow without a warning
-            k = int(np.argmax(np.abs(w)))
-            raise ValueError(f"omega[{k}] = {w[k]:g} is too large: its square overflows the float range")
-        sq = w * w
-        gap = 1e-12 * max(1.0, float(sq.max()))
-        # np.nonzero lists the pairs i < j in row-major order
-        i, j = np.nonzero(np.triu(np.abs(sq[:, None] - sq[None, :]) <= gap, 1))
-        if i.size:
-            raise ValueError(
-                f"squared frequencies must be pairwise distinct, got "
-                f"omega[{i[0]}]^2 ~ omega[{j[0]}]^2 ~ {sq[i[0]]:.6g}"
-            )
-        object.__setattr__(self, "omega", w)
-        object.__setattr__(self, "D", np.diag(np.concatenate([w, w])))
-        object.__setattr__(self, "J", standard_symplectic_form(w.size))
-
-    @property
-    def l(self) -> int:
-        return self.omega.size
-
-    @property
-    def dim(self) -> int:
-        return 2 * self.omega.size
+def _require_bracket_hypothesis(block: CenterBlock) -> CenterBlock:
+    """block, if its frequencies are nonzero with squares in the float range
+    and pairwise distinct: what solve_bracket divides by, w_i and w_i^2 - w_j^2."""
+    w = block.omega
+    if np.any(w == 0.0):
+        raise ValueError("all centre frequencies must be nonzero")
+    top = float(np.max(np.abs(w)))
+    if top * top == np.inf:  # Python floats overflow without a warning
+        k = int(np.argmax(np.abs(w)))
+        raise ValueError(f"omega[{k}] = {w[k]:g} is too large: its square overflows the float range")
+    sq = w * w
+    gap = 1e-12 * max(1.0, float(sq.max()))
+    # np.nonzero lists the pairs i < j in row-major order
+    i, j = np.nonzero(np.triu(np.abs(sq[:, None] - sq[None, :]) <= gap, 1))
+    if i.size:
+        raise ValueError(
+            f"squared frequencies must be pairwise distinct, got "
+            f"omega[{i[0]}]^2 ~ omega[{j[0]}]^2 ~ {sq[i[0]]:.6g}"
+        )
+    return block
 
 
 def _check_block_input(block: CenterBlock, M, name: str) -> np.ndarray:
@@ -320,4 +294,4 @@ def solve_bracket(block: CenterBlock, G) -> np.ndarray:
     residual bound, is what realize_signature measures its first-order gap
     against.
     """
-    return _solve_bracket(block, _check_block_input(block, G, "bracket target"))[0]
+    return _solve_bracket(_require_bracket_hypothesis(block), _check_block_input(block, G, "bracket target"))[0]

@@ -7,11 +7,14 @@ tolerances are expressed in the entrywise max-abs norm.  Inertia counts rest
 on the absolute-scale tolerance 1e-7 * max(1, |S|), far above the backward
 error of the eigensolver.  The eigensolver and the exponential also take a
 (k, n, n) stack and treat each slice exactly as they treat that matrix alone.
+CenterBlock alone turns centre frequencies into D = diag(omega, omega) and J,
+or reads them back from a D array.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -97,7 +100,7 @@ def _require_symmetric(M, name: str = "matrix", tol: float = _SYMMETRY_TOL, stac
     asymmetric = defect > tol * _slice_max_abs(A, 1.0)
     if asymmetric.any():
         raise ValueError(f"{name} is not symmetric (asymmetry {np.max(defect, where=asymmetric, initial=0.0):.3e})")
-    return 0.5 * (A + At)
+    return 0.5 * A + 0.5 * At  # halved first: entries may be near the float limit
 
 
 def standard_symplectic_form(n: int) -> np.ndarray:
@@ -150,25 +153,17 @@ def matrix_exponential(M) -> np.ndarray:
     A = A.reshape((-1,) + shape[-2:])
     norm = np.abs(A).sum(axis=-1).max(axis=-1)
     squarings = np.ceil(np.log2(np.maximum(norm, 0.5) / 0.5)).astype(int)
-    # slices sorted by squaring count, most first: round r squares the
-    # leading slices whose count exceeds r
-    order = np.argsort(-squarings, kind="stable")
-    squarings = squarings[order]
-    A = A[order] / (2.0 ** squarings)[:, None, None]
+    A = A / (2.0 ** squarings)[:, None, None]
     I = np.eye(shape[-1])
     E = I
     for k in range(_EXP_SERIES_ORDER, 0, -1):
         E = I + (A @ E) / k
-    counts = squarings.tolist()
-    live = len(counts)
-    for r in range(counts[0] if counts else 0):
-        while counts[live - 1] <= r:
-            live -= 1
-        if live == len(counts):
-            E = E @ E  # no slice is done yet, so nothing to copy back into
-        else:
-            E[:live] = E[:live] @ E[:live]
-    return E[np.argsort(order)].reshape(shape)
+    # round r squares the slices whose count exceeds r
+    for r in range(squarings.max(initial=0)):
+        live = squarings > r
+        F = E[live]
+        E[live] = F @ F
+    return E.reshape(shape)
 
 
 def _descending_eigh(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -240,23 +235,47 @@ def inertia(S, tol: float | None = None) -> SignatureReport:
     )
 
 
-def center_diagonal(omega) -> np.ndarray:
-    """diag(omega, omega): the paired diagonal quadratic form of a centre block."""
-    w = np.atleast_1d(np.asarray(omega, dtype=float))
-    if w.ndim != 1 or w.size == 0 or not np.all(np.isfinite(w)):
-        raise ValueError("omega must be a nonempty finite vector")
-    return np.diag(np.concatenate([w, w]))
+@dataclass(frozen=True, eq=False)
+class CenterBlock:
+    """Centre frequencies omega, any nonempty finite vector, with D = diag(omega, omega) and
+    J built on first use; majorize checks the bracket's stricter hypothesis on omega."""
 
+    omega: np.ndarray
 
-def center_frequencies(D) -> np.ndarray:
-    """Recover omega from diag(omega, omega), validating the paired pattern."""
-    A = _square(D, "centre diagonal")
-    if A.shape[0] % 2:
-        raise ValueError("centre diagonal must have even dimension")
-    l = A.shape[0] // 2
-    if max_abs(A - np.diag(np.diag(A))) > 1e-12 * max(1.0, max_abs(A)):
-        raise ValueError("centre block must be diagonal")
-    w = np.diag(A)[:l].copy()
-    if max_abs(np.diag(A)[l:] - w) > 1e-12 * max(1.0, max_abs(A)):
-        raise ValueError("centre diagonal must repeat its frequencies in both blocks")
-    return w
+    def __post_init__(self):
+        w = np.atleast_1d(np.asarray(self.omega, dtype=float))
+        if w.ndim != 1 or w.size == 0 or not np.all(np.isfinite(w)):
+            raise ValueError("omega must be a nonempty finite vector")
+        object.__setattr__(self, "omega", w)
+
+    @cached_property
+    def D(self) -> np.ndarray:
+        return np.diag(np.concatenate([self.omega, self.omega]))
+
+    @cached_property
+    def J(self) -> np.ndarray:
+        return standard_symplectic_form(self.omega.size)
+
+    @classmethod
+    def from_diagonal(cls, D) -> "CenterBlock":
+        """The block whose D is the given diag(omega, omega), with its
+        pattern checked to a relative 1e-12."""
+        A = _square(D, "centre diagonal")
+        if A.shape[0] % 2:
+            raise ValueError("centre diagonal must have even dimension")
+        d = np.diag(A)
+        gap = 1e-12 * max(1.0, max_abs(A))
+        if max_abs(A - np.diag(d)) > gap:
+            raise ValueError("centre block must be diagonal")
+        w = d[: d.size // 2].copy()
+        if max_abs(d[w.size :] - w) > gap:
+            raise ValueError("centre diagonal must repeat its frequencies in both blocks")
+        return cls(w)
+
+    @property
+    def l(self) -> int:
+        return self.omega.size
+
+    @property
+    def dim(self) -> int:
+        return 2 * self.omega.size

@@ -30,14 +30,14 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import flow
-from .majorize import CenterBlock
+from .majorize import _require_bracket_hypothesis
 from .matkit import (
+    CenterBlock,
     _as_float,
     _float_array,
     _integer,
     _positive_tol,
     _square,
-    center_diagonal,
     max_abs,
     standard_symplectic_form,
 )
@@ -62,7 +62,7 @@ def _raw_profile(s, order: int):
     """exp(-1/(1 - s^2)^order) inside |s| < 1, zero outside."""
     s = np.asarray(s, dtype=float)
     out = np.zeros_like(s)
-    p = np.maximum(1.0 - s**2, 0.0) ** order
+    p = (1.0 - np.minimum(np.abs(s), 1.0) ** 2) ** order  # s**2 may overflow beyond |s| = 1
     live = p > _PROFILE_FLOOR
     out[live] = np.exp(-1.0 / p[live])
     return out
@@ -120,7 +120,7 @@ class ModelSpec:
             raise ValueError("need at least one centre pair")
         if self.n_hyp < 1:
             raise ValueError("need at least one hyperbolic pair")
-        w = CenterBlock(self.omega).omega
+        w = _require_bracket_hypothesis(CenterBlock(self.omega)).omega
         if w.shape != (self.l,):
             raise ValueError(f"omega must be a vector of length {self.l}")
         self.omega = w
@@ -281,7 +281,8 @@ def bump(spec: ModelSpec, t):
 def scattering_problem(spec: ModelSpec) -> flow.ScatteringProblem:
     """Centre-block scattering problem of the (possibly perturbed) model along
     its unsplit homoclinic loop, with the co-rotating field -eps xi(t) J C."""
-    JC = standard_symplectic_form(spec.l) @ spec.C
+    block = CenterBlock(spec.omega)
+    JC = block.J @ spec.C
     # Python floats overflow to inf without a warning.  The peak bounds every
     # field entry, so 2l peak^2 bounds every entry of the RK4 stage products
     # of two field samples, which the integrator forms before scaling by h.
@@ -295,5 +296,5 @@ def scattering_problem(spec: ModelSpec) -> flow.ScatteringProblem:
     return flow.ScatteringProblem(
         field=lambda t: (-spec.eps * bump(spec, t))[:, None, None] * JC,
         support_halfwidth=spec.T_support,
-        D_center=center_diagonal(spec.omega),
+        D_center=block.D,
     )

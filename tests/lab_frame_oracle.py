@@ -8,7 +8,7 @@ change the library makes implicitly.
 
 import numpy as np
 
-from homscat.matkit import center_diagonal, standard_symplectic_form, symplectic_rotation
+from homscat.matkit import standard_symplectic_form, symplectic_rotation
 from homscat.models import bump
 
 
@@ -25,7 +25,7 @@ def center_variational_field(spec, t):
     tt = np.atleast_1d(np.asarray(t, dtype=float))
     l = spec.l
     J = standard_symplectic_form(l)
-    base = J @ center_diagonal(spec.omega)
+    base = J @ np.diag(np.concatenate([spec.omega, spec.omega]))
     out = np.tile(base, (tt.size, 1, 1))
     if spec.eps != 0.0:
         xi = np.atleast_1d(bump(spec, tt))

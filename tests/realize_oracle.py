@@ -5,10 +5,15 @@ each derived quantity once.
 
 The functions below are the realize path as it stood before that change,
 verbatim apart from their imports: the Mirsky construction comes from
-mirsky_oracle, and the exponential, the centre block and the spectrum
-from homscat.  Both paths do the same arithmetic in the same order, so
+mirsky_oracle, and the exponential and the spectrum from homscat.  The
+centre block and the frequency reader are copies of the versions that
+path called, which checked the bracket's hypothesis in the block's
+constructor, so the oracle keeps their arithmetic and their order of
+rejections.  Both paths do the same arithmetic in the same order, so
 their reports must agree bit for bit, and their errors word for word.
 """
+
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -18,7 +23,7 @@ from homscat.classify import (
     RealizationError,
     RealizationReport,
 )
-from homscat.majorize import CenterBlock, indefinite_spectrum
+from homscat.majorize import indefinite_spectrum
 from homscat.matkit import (
     _CLASSIFICATION_FLOOR,
     SignatureReport,
@@ -26,13 +31,63 @@ from homscat.matkit import (
     _require_symmetric,
     _slice_max_abs,
     _square,
-    center_frequencies,
     classification_tol,
     matrix_exponential,
     max_abs,
     standard_symplectic_form,
 )
 from mirsky_oracle import mirsky_matrix
+
+
+@dataclass(frozen=True, eq=False)
+class CenterBlock:
+    omega: np.ndarray
+    D: np.ndarray = field(init=False, repr=False)
+    J: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        w = np.atleast_1d(np.asarray(self.omega, dtype=float))
+        if w.ndim != 1 or w.size == 0 or not np.all(np.isfinite(w)):
+            raise ValueError("omega must be a nonempty finite vector")
+        if np.any(w == 0.0):
+            raise ValueError("all centre frequencies must be nonzero")
+        top = float(np.max(np.abs(w)))
+        if top * top == np.inf:  # Python floats overflow without a warning
+            k = int(np.argmax(np.abs(w)))
+            raise ValueError(f"omega[{k}] = {w[k]:g} is too large: its square overflows the float range")
+        sq = w * w
+        gap = 1e-12 * max(1.0, float(sq.max()))
+        # np.nonzero lists the pairs i < j in row-major order
+        i, j = np.nonzero(np.triu(np.abs(sq[:, None] - sq[None, :]) <= gap, 1))
+        if i.size:
+            raise ValueError(
+                f"squared frequencies must be pairwise distinct, got "
+                f"omega[{i[0]}]^2 ~ omega[{j[0]}]^2 ~ {sq[i[0]]:.6g}"
+            )
+        object.__setattr__(self, "omega", w)
+        object.__setattr__(self, "D", np.diag(np.concatenate([w, w])))
+        object.__setattr__(self, "J", standard_symplectic_form(w.size))
+
+    @property
+    def l(self) -> int:
+        return self.omega.size
+
+    @property
+    def dim(self) -> int:
+        return 2 * self.omega.size
+
+
+def center_frequencies(D):
+    A = _square(D, "centre diagonal")
+    if A.shape[0] % 2:
+        raise ValueError("centre diagonal must have even dimension")
+    l = A.shape[0] // 2
+    if max_abs(A - np.diag(np.diag(A))) > 1e-12 * max(1.0, max_abs(A)):
+        raise ValueError("centre block must be diagonal")
+    w = np.diag(A)[:l].copy()
+    if max_abs(np.diag(A)[l:] - w) > 1e-12 * max(1.0, max_abs(A)):
+        raise ValueError("centre diagonal must repeat its frequencies in both blocks")
+    return w
 
 
 def eigh(S):

@@ -20,7 +20,6 @@ from homscat.classify import (
 )
 from homscat.flow import fundamental_solution, scattering_matrix
 from homscat.majorize import (
-    CenterBlock,
     hessian_bracket,
     in_bracket_range,
     indefinite_spectrum,
@@ -28,7 +27,7 @@ from homscat.majorize import (
     mirsky_matrix,
 )
 from homscat.matkit import (
-    center_diagonal,
+    CenterBlock,
     matrix_exponential,
     max_abs,
     standard_symplectic_form,
@@ -143,7 +142,7 @@ def test_criterion_04_never_definite():
     extremes = []
     for l in (1, 2, 3):
         summary = indefiniteness_ensemble(
-            center_diagonal(OMEGAS[l]), trials=1000, seed=400 + l, tol=1e-9
+            CenterBlock(OMEGAS[l]).D, trials=1000, seed=400 + l, tol=1e-9
         )
         total_definite += summary.definite_positive + summary.definite_negative
         extremes.append(summary.largest_min_eigenvalue)
@@ -231,7 +230,7 @@ def test_criterion_08_rotation_quotient_invariance():
     worst = 0.0
     for _ in range(100):
         l = int(rng.integers(1, 4))
-        D = center_diagonal(OMEGAS[l])
+        D = CenterBlock(OMEGAS[l]).D
         sigma = random_symplectic(l, rng, max_factors=3, max_norm=1.0)
         theta = rng.uniform(-np.pi, np.pi, size=l)
         H_plain = hessian_from_scattering(sigma, D)
@@ -248,7 +247,7 @@ def test_criterion_09_reversible_case():
     degenerate_total = 0
     for l in (1, 2, 3):
         R = center_reversal(l)
-        D = center_diagonal(OMEGAS[l])
+        D = CenterBlock(OMEGAS[l]).D
         J = standard_symplectic_form(l)
         accepted = 0
         draw = 0
@@ -288,7 +287,7 @@ def test_criterion_10_boundary_difference_identity():
         spec = ModelSpec(
             l=l, n_hyp=1, omega=OMEGAS[l], eps=0.05 * rng.uniform(0.5, 1.5), C=C, T_support=3.0
         )
-        D = center_diagonal(spec.omega)
+        D = CenterBlock(spec.omega).D
         result = scattering_matrix(scattering_problem(spec))
         H = result.sigma.T @ D @ result.sigma - D
         # independent route: co-rotate the ends of directly evolved basis solutions

@@ -17,9 +17,9 @@ from homscat.classify import (
     reversible_signature,
 )
 from homscat.cli import to_json
-from homscat.majorize import CenterBlock, hessian_bracket, indefinite_spectrum, solve_bracket
+from homscat.majorize import hessian_bracket, indefinite_spectrum, solve_bracket
 from homscat.matkit import (
-    center_diagonal,
+    CenterBlock,
     inertia,
     matrix_exponential,
     max_abs,
@@ -36,11 +36,11 @@ def random_symmetric(rng, n, scale=1.0):
 
 class TestHessianFromScattering:
     def test_identity_gives_zero(self):
-        D = center_diagonal([1.0, 2.0])
+        D = CenterBlock([1.0, 2.0]).D
         assert max_abs(hessian_from_scattering(np.eye(4), D)) == 0.0
 
     def test_rotations_give_zero(self):
-        D = center_diagonal([1.0, 2.0])
+        D = CenterBlock([1.0, 2.0]).D
         for theta in ([0.4, -1.2], [np.pi, 0.1]):
             H = hessian_from_scattering(symplectic_rotation(theta), D)
             assert max_abs(H) <= 1e-14
@@ -58,12 +58,12 @@ class TestHessianFromScattering:
         assert max(gaps) <= 3.0 * min(gaps)
 
     def test_rejects_nonsymplectic(self):
-        D = center_diagonal([1.0])
+        D = CenterBlock([1.0]).D
         with pytest.raises(ValueError):
             hessian_from_scattering(2.0 * np.eye(2), D)
 
     def test_stack_slices_match_single(self):
-        D = center_diagonal([1.0, 2.0])
+        D = CenterBlock([1.0, 2.0]).D
         rng = np.random.default_rng(17)
         sigmas = np.stack([random_symplectic(2, rng) for _ in range(5)])
         H = hessian_from_scattering(sigmas, D)
@@ -73,11 +73,16 @@ class TestHessianFromScattering:
     def test_rejects_one_nonsymplectic_slice(self):
         sigmas = np.stack([np.eye(2), 2.0 * np.eye(2), np.eye(2)])
         with pytest.raises(ValueError, match=r"not symplectic \(defect 3\.000e\+00\)"):
-            hessian_from_scattering(sigmas, center_diagonal([1.0]))
+            hessian_from_scattering(sigmas, CenterBlock([1.0]).D)
+
+    def test_hessian_beyond_the_float_range_names_omega_and_sigma(self):
+        # it warned twice in the matmul and returned an array of inf and NaN
+        with pytest.raises(ArithmeticError, match=r"max\|omega\| = 1e\+308 and max\|sigma\| = 2"):
+            hessian_from_scattering(np.diag([2.0, 0.5]), np.diag([1e308, 1e308]))
 
     def test_output_symmetric(self):
         rng = np.random.default_rng(7)
-        D = center_diagonal([1.0, 2.0])
+        D = CenterBlock([1.0, 2.0]).D
         sigma = random_symplectic(2, rng)
         H = hessian_from_scattering(sigma, D)
         assert max_abs(H - H.T) <= 1e-9 * max(1.0, max_abs(H))
@@ -113,7 +118,7 @@ class TestClassifyHessian:
 
 class TestIndefinitenessEnsemble:
     def test_never_definite_small(self):
-        summary = indefiniteness_ensemble(center_diagonal([1.0]), trials=200, seed=101)
+        summary = indefiniteness_ensemble(CenterBlock([1.0]).D, trials=200, seed=101)
         assert summary.definite_positive == 0
         assert summary.definite_negative == 0
         # indefiniteness is two-sided: extremes straddle zero
@@ -121,31 +126,31 @@ class TestIndefinitenessEnsemble:
         assert summary.smallest_max_eigenvalue >= -summary.tol
 
     def test_never_definite_l3(self):
-        D = center_diagonal([1.0, np.sqrt(2.0), np.pi / 2])
+        D = CenterBlock([1.0, np.sqrt(2.0), np.pi / 2]).D
         summary = indefiniteness_ensemble(D, trials=150, seed=77)
         assert summary.definite_positive == 0
         assert summary.definite_negative == 0
 
     def test_deterministic(self):
-        D = center_diagonal([1.0, 2.0])
+        D = CenterBlock([1.0, 2.0]).D
         a = indefiniteness_ensemble(D, trials=50, seed=5)
         b = indefiniteness_ensemble(D, trials=50, seed=5)
         assert to_json(a) == to_json(b)
 
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):
-            indefiniteness_ensemble(center_diagonal([1.0]), trials=0, seed=1)
+            indefiniteness_ensemble(CenterBlock([1.0]).D, trials=0, seed=1)
 
     @pytest.mark.parametrize("tol", [np.nan, -5.0, 0.0, np.inf])
     def test_rejects_tolerance_that_is_not_finite_positive(self, tol):
         # a NaN tolerance used to count nothing as definite, a negative one
         # every trial
         with pytest.raises(ValueError, match="finite positive"):
-            indefiniteness_ensemble(center_diagonal([1.0]), trials=3, seed=1, tol=tol)
+            indefiniteness_ensemble(CenterBlock([1.0]).D, trials=3, seed=1, tol=tol)
 
     def test_rejects_negative_seed(self):
         with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
-            indefiniteness_ensemble(center_diagonal([1.0]), trials=3, seed=-1)
+            indefiniteness_ensemble(CenterBlock([1.0]).D, trials=3, seed=-1)
 
 
 OMEGAS = {1: [1.0], 2: [1.0, 1.7], 3: [1.0, np.sqrt(2.0), np.pi], 5: [1.0, 1.3, 2.0, 2.2, 3.1],
@@ -156,7 +161,7 @@ class TestEnsembleMatchesSequentialOracle:
     @pytest.mark.parametrize("l", sorted(OMEGAS))
     @pytest.mark.parametrize("seed", [0, 7, 12345])
     def test_summary(self, l, seed):
-        D = center_diagonal(OMEGAS[l])
+        D = CenterBlock(OMEGAS[l]).D
         batched = indefiniteness_ensemble(D, trials=40, seed=seed)
         assert to_json(batched) == to_json(ensemble_oracle.indefiniteness_ensemble(D, 40, seed))
 
@@ -165,7 +170,7 @@ class TestEnsembleMatchesSequentialOracle:
         # l = 3 trials hold 5 * 36 entries, so 1000 entries make chunks of 5
         # trials and 1 entry chunks of one trial
         monkeypatch.setattr(classify, "_MAX_CHUNK_ELEMENTS", elements)
-        D = center_diagonal(OMEGAS[3])
+        D = CenterBlock(OMEGAS[3]).D
         batched = indefiniteness_ensemble(D, trials=23, seed=4)
         assert to_json(batched) == to_json(ensemble_oracle.indefiniteness_ensemble(D, 23, 4))
 
@@ -301,7 +306,7 @@ class TestRealizeMatchesOracle:
 class TestRotationQuotient:
     def test_hessian_invariant_under_rotations(self):
         rng = np.random.default_rng(19)
-        D = center_diagonal([1.0, 2.0])
+        D = CenterBlock([1.0, 2.0]).D
         for _ in range(20):
             sigma = random_symplectic(2, rng, max_factors=3, max_norm=1.0)
             theta = rng.uniform(-np.pi, np.pi, size=2)
@@ -357,7 +362,7 @@ class TestCheckReversibility:
 
 class TestReversibleSignature:
     def test_identity_sigma_degenerate(self):
-        D = center_diagonal([1.0, 2.0])
+        D = CenterBlock([1.0, 2.0]).D
         rep = reversible_signature(np.eye(4), center_reversal(2), D, 1e-8)
         assert rep.inertia == (0, 0, 4)
         assert rep.degenerate
@@ -367,7 +372,7 @@ class TestReversibleSignature:
             rng = np.random.default_rng(100 + l)
             B = random_reversible_form(l, rng)
             sigma = matrix_exponential(-1e-2 * standard_symplectic_form(l) @ B)
-            rep = reversible_signature(sigma, center_reversal(l), center_diagonal(omega), 1e-7)
+            rep = reversible_signature(sigma, center_reversal(l), CenterBlock(omega).D, 1e-7)
             assert rep.inertia == (l, l, 0)
 
     def test_eigenvalues_pair(self):
@@ -375,7 +380,7 @@ class TestReversibleSignature:
         rng = np.random.default_rng(55)
         B = random_reversible_form(l, rng)
         sigma = matrix_exponential(-5e-3 * standard_symplectic_form(l) @ B)
-        D = center_diagonal([1.0, 2.0, 3.0])
+        D = CenterBlock([1.0, 2.0, 3.0]).D
         rep = reversible_signature(sigma, center_reversal(l), D, 1e-7)
         w = rep.eigenvalues
         assert max_abs(w + w[::-1]) <= 1e-7
@@ -387,7 +392,7 @@ class TestReversibleSignature:
         B[0, l] = B[l, 0] = 1.0
         sigma = matrix_exponential(-0.3 * standard_symplectic_form(l) @ B)
         with pytest.raises(ValueError, match="not reversible"):
-            reversible_signature(sigma, center_reversal(l), center_diagonal([1.0, 2.0]), 1e-9)
+            reversible_signature(sigma, center_reversal(l), CenterBlock([1.0, 2.0]).D, 1e-9)
 
 
 class TestHelpers:

@@ -205,6 +205,13 @@ class TestMirskyCommand:
         assert input_error(code, payload, err, "partial sums")
         assert "nan" not in json.loads(err)["error"]
 
+    def test_entries_near_the_float_limit(self, capsys):
+        # the symmetrization 0.5 * (M + M^T) overflowed, and the command exited 2
+        # blaming "eigendecomposition input contains non-finite entries"
+        code, payload, _ = run(capsys, ["mirsky", "--diag=1e308,-1e308", "--eigs=1e308,-1e308"])
+        assert code == 0
+        assert payload["diag_error"] == 0.0 and payload["eigenvalue_error"] == 0.0
+
     def test_non_majorized_exits_2(self, capsys):
         code, payload, err = run(capsys, ["mirsky", "--diag", "2,0", "--eigs", "1,1"])
         assert code == 2
@@ -300,6 +307,17 @@ class TestIndefiniteCommand:
         assert message["kind"] == "input" and "finite positive" in message["error"]
 
 
+    def test_hessian_beyond_the_float_range_is_a_numerical_failure(self, capsys):
+        # it warned twice in the Hessian matmul and then blamed
+        # "eigendecomposition input contains non-finite entries" as an input error
+        code, payload, err = run(
+            capsys, ["indefinite", "--l", "1", "--omega=1e308", "--trials", "5", "--seed", "1"]
+        )
+        assert code == 3 and payload is None
+        message = json.loads(err)
+        assert message["kind"] == "numerical" and "max|omega| = 1e+308" in message["error"]
+
+
 class TestScatterCommand:
     def test_integrable_spec(self, capsys, tmp_path):
         spec = ModelSpec(l=1, n_hyp=1, omega=[1.0], eps=0.0, T_support=2.0)
@@ -376,6 +394,18 @@ class TestScatterCommand:
         assert code == 3 and payload is None
         message = json.loads(err)
         assert message["kind"] == "numerical" and "T_support = 1e-300" in message["error"]
+
+    @pytest.mark.parametrize("T_support, eps", [(3e-16, 0.05), (1e-300, 1e-200)])
+    def test_tiny_support_scatters_exactly(self, capsys, tmp_path, T_support, eps):
+        # 3e-16 put the inner end of the left slab inside the support and raised
+        # ScatteringConvergenceError with residual inf; 1e-300 overflowed squaring
+        # t / T_support on the slabs
+        C = np.array([[1.0, 0.5], [0.5, -1.0]])
+        doc = spec_doc(T_support=T_support, eps=eps, C=C.ravel().tolist())
+        code, payload, _ = run(capsys, ["scatter", "--spec", write_doc(tmp_path, doc)])
+        assert code == 0 and payload["residual"] == 0.0
+        sigma = np.array(payload["sigma"]["data"]).reshape(2, 2)
+        assert max_abs(sigma - matrix_exponential(-eps * standard_symplectic_form(1) @ C)) <= 1e-10
 
     def test_overflowing_perturbation_names_eps(self, capsys, tmp_path):
         # it used to warn inside the field and then blame "field produced
@@ -486,6 +516,23 @@ class TestClassifyCommand:
         assert "error" in json.loads(err)
 
 
+    def test_hessian_beyond_the_float_range_is_a_numerical_failure(self, capsys, tmp_path):
+        # it warned twice in the Hessian matmul and then blamed
+        # "inertia input contains non-finite entries" as an input error
+        sigma = write_matrix(tmp_path, np.diag([2.0, 0.5]))
+        code, payload, err = run(capsys, ["classify", "--sigma", sigma, "--omega=1e308"])
+        assert code == 3 and payload is None
+        message = json.loads(err)
+        assert message["kind"] == "numerical"
+        assert "max|omega| = 1e+308" in message["error"] and "max|sigma| = 2" in message["error"]
+
+    def test_large_frequency_with_a_finite_hessian(self, capsys, tmp_path):
+        sigma = write_matrix(tmp_path, np.diag([2.0, 0.5]))
+        code, payload, _ = run(capsys, ["classify", "--sigma", sigma, "--omega=1e200"])
+        assert code == 0
+        assert payload["signature"]["n_pos"] == 1 and payload["signature"]["n_neg"] == 1
+
+
 class TestReversibleCommand:
     def test_reversible_model(self, capsys, tmp_path):
         rng = np.random.default_rng(5)
@@ -549,3 +596,42 @@ class TestCliPlumbing:
         code, _, err = run(capsys, ["majorize", "--a", "1,spam", "--b", "1,1"])
         assert code == 2
         assert "error" in json.loads(err)
+
+
+# omega -> the message of the bracket hypothesis it violates
+INADMISSIBLE_FOR_THE_BRACKET = {
+    "1,1": "squared frequencies must be pairwise distinct, got omega[0]^2 ~ omega[1]^2 ~ 1",
+    "0,1": "all centre frequencies must be nonzero",
+    "1,-1": "squared frequencies must be pairwise distinct, got omega[0]^2 ~ omega[1]^2 ~ 1",
+}
+
+
+class TestCentreAcceptanceSets:
+    """The Hessian pipelines take any nonempty finite centre; the pipelines that
+    invert the bracket or build the model also need nonzero frequencies with
+    distinct squares."""
+
+    @pytest.mark.parametrize("omega", sorted(INADMISSIBLE_FOR_THE_BRACKET))
+    def test_classify_accepts(self, capsys, tmp_path, omega):
+        sigma = matrix_exponential(-0.01 * standard_symplectic_form(2) @ np.diag([1.0, -2.0, 0.5, 3.0]))
+        code, payload, _ = run(capsys, ["classify", "--sigma", write_matrix(tmp_path, sigma), f"--omega={omega}"])
+        assert code == 0 and payload["omega"] == [float(x) for x in omega.split(",")]
+
+    @pytest.mark.parametrize("omega", sorted(INADMISSIBLE_FOR_THE_BRACKET))
+    def test_indefinite_accepts(self, capsys, omega):
+        code, payload, _ = run(capsys, ["indefinite", "--l", "2", f"--omega={omega}", "--trials", "20", "--seed", "1"])
+        assert code == 0 and payload["pass"] is True
+
+    @pytest.mark.parametrize("omega", sorted(INADMISSIBLE_FOR_THE_BRACKET))
+    @pytest.mark.parametrize("command", ["realize", "demo-integrable", "scatter"])
+    def test_bracket_and_model_pipelines_reject(self, capsys, tmp_path, command, omega):
+        if command == "realize":
+            argv = ["realize", "--l", "2", "--m", "1", f"--omega={omega}", "--eps", "0.01"]
+        elif command == "demo-integrable":
+            argv = ["demo-integrable", "--l", "2", f"--omega={omega}"]
+        else:
+            doc = spec_doc(l=2, omega=[float(x) for x in omega.split(",")], C=np.eye(4).ravel().tolist())
+            argv = ["scatter", "--spec", write_doc(tmp_path, doc)]
+        code, payload, err = run(capsys, argv)
+        assert code == 2 and payload is None
+        assert json.loads(err) == {"error": INADMISSIBLE_FOR_THE_BRACKET[omega], "kind": "input"}

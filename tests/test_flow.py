@@ -12,7 +12,7 @@ from homscat.flow import (
     scattering_matrix,
 )
 from homscat.matkit import (
-    center_diagonal,
+    CenterBlock,
     matrix_exponential,
     max_abs,
     standard_symplectic_form,
@@ -274,9 +274,31 @@ class TestScatteringMatrix:
         R = np.diag([1.0, 1.0, -1.0, -1.0])
         assert max_abs(result.sigma @ R @ result.sigma - R) <= 1e-7
 
+    @pytest.mark.parametrize("T_support, eps", [(3e-16, 0.05), (1e-300, 1e-200)])
+    def test_tiny_support_scatters_exactly(self, T_support, eps):
+        # at 3e-16 the left slab's inner end, -T_s - 1 + 1, rounded into the
+        # support, and the residual came out inf
+        C = np.array([[1.0, 0.5], [0.5, -1.0]])
+        spec = ModelSpec(l=1, n_hyp=1, omega=[1.0], eps=eps, C=C, T_support=T_support)
+        result = scattering_matrix(scattering_problem(spec))
+        assert result.residual == 0.0
+        expected = matrix_exponential(-eps * standard_symplectic_form(1) @ C)
+        assert max_abs(result.sigma - expected) <= 1e-10
+
+    def test_slabs_end_exactly_at_the_support(self):
+        batches = []
+        problem = scattering_problem(perturbed_spec(seed=3, l=1, T_support=3e-16))
+        problem = ScatteringProblem(
+            field=recording(problem.field, batches), support_halfwidth=3e-16, D_center=problem.D_center
+        )
+        scattering_matrix(problem)
+        slabs = batches[-1]
+        assert slabs.size == 130
+        assert np.max(slabs[slabs < 0.0]) == -3e-16 and np.min(slabs[slabs > 0.0]) == 3e-16
+
     def test_convergence_failure_reports_trace(self):
         # declared support is wrong: the field keeps drifting past it
-        D = center_diagonal([1.0])
+        D = CenterBlock([1.0]).D
 
         def drifting(t):
             return 0.05 * np.exp(-0.01 * t * t)[:, None, None] * np.array([[1.0, 0.0], [0.0, -1.0]])
@@ -288,7 +310,7 @@ class TestScatteringMatrix:
         assert all(residual > 1e-10 for _, residual in info.value.trace)
 
     def test_rejects_infinite_support(self):
-        D = center_diagonal([1.0])
+        D = CenterBlock([1.0]).D
         with pytest.raises(ValueError, match="support_halfwidth must be a finite positive number, got inf"):
             ScatteringProblem(field=constant(np.zeros((2, 2))), support_halfwidth=np.inf, D_center=D)
 
@@ -307,7 +329,7 @@ class TestScatteringMatrix:
         # the lab-frame field equals J D on |t| < 2.5 and is bumped on
         # 2.5 < |t| < 3; a stop rule that accepts two agreeing iterates before
         # T reaches the declared support returns sigma = I
-        D = center_diagonal([1.0])
+        D = CenterBlock([1.0]).D
         base = standard_symplectic_form(1) @ D
         kick = np.array([[1.0, 0.0], [0.0, -1.0]])
 
@@ -337,7 +359,7 @@ class TestScatteringMatrix:
         def far_half(t):
             return np.where((np.asarray(t) >= 2.5)[:, None, None], 0.3 * kick, 0.0)
 
-        problem = ScatteringProblem(field=far_half, support_halfwidth=2.0, D_center=center_diagonal([1.0]))
+        problem = ScatteringProblem(field=far_half, support_halfwidth=2.0, D_center=CenterBlock([1.0]).D)
         with pytest.raises(ScatteringConvergenceError, match=f"{0.3 * np.sqrt(2.0):.3e} ahead") as info:
             scattering_matrix(problem)
         assert "0.000e+00 behind" in str(info.value)
@@ -355,7 +377,7 @@ class TestScatteringMatrix:
             g = np.where(np.abs(s) < 0.5, np.cos(np.pi * s) ** 2, 0.0)
             return inner(t) + delta * g[:, None, None] * kick
 
-        problem = ScatteringProblem(field=field, support_halfwidth=2.0, D_center=center_diagonal(spec.omega))
+        problem = ScatteringProblem(field=field, support_halfwidth=2.0, D_center=CenterBlock(spec.omega).D)
         result = scattering_matrix(problem)
         ahead = fundamental_solution(field, 2.0, 3.0)
         behind = fundamental_solution(field, -3.0, -2.0)
@@ -399,7 +421,7 @@ class TestStructurePreservation:
         # Gram boundary difference of co-rotated basis solutions reproduces
         # sigma^T D sigma - D entrywise
         spec = perturbed_spec(seed=41, l=2, eps=0.07)
-        D = center_diagonal(spec.omega)
+        D = CenterBlock(spec.omega).D
         result = scattering_matrix(scattering_problem(spec))
         H = result.sigma.T @ D @ result.sigma - D
         T = spec.T_support + 1.0

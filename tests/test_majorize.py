@@ -15,8 +15,8 @@ from bracket_oracle import (
     sym_from_coords,
 )
 from homscat.majorize import (
-    CenterBlock,
     MajorizationError,
+    _require_bracket_hypothesis,
     hessian_bracket,
     in_bracket_range,
     indefinite_spectrum,
@@ -24,7 +24,7 @@ from homscat.majorize import (
     mirsky_matrix,
     solve_bracket,
 )
-from homscat.matkit import max_abs
+from homscat.matkit import CenterBlock, max_abs
 
 
 def random_symmetric(rng, n, scale=1.0):
@@ -178,6 +178,11 @@ class TestMirskyMatrix:
         w = np.linalg.eigvalsh(M)
         assert max_abs(np.sort(w) - np.sort(lam)) <= 1e-8
 
+    def test_entries_near_the_float_limit(self):
+        # the final symmetrization 0.5 * (M + M^T) overflowed to inf
+        d = np.array([1e308, -1e308])
+        assert np.array_equal(mirsky_matrix(d, d), np.diag(d))
+
 
 def schur_pair(rng, n, repeated):
     """Diagonal and spectrum of a random symmetric matrix (Schur-Horn), with
@@ -216,21 +221,25 @@ class TestMirskyMatchesOracle:
 
 class TestCenterBlock:
     def test_rejects_zero_frequency(self):
-        with pytest.raises(ValueError):
-            CenterBlock(np.array([1.0, 0.0]))
+        with pytest.raises(ValueError, match="all centre frequencies must be nonzero"):
+            _require_bracket_hypothesis(CenterBlock(np.array([1.0, 0.0])))
 
     def test_rejects_equal_squares(self):
-        with pytest.raises(ValueError):
-            CenterBlock(np.array([1.0, -1.0]))
+        with pytest.raises(ValueError, match="squared frequencies must be pairwise distinct"):
+            _require_bracket_hypothesis(CenterBlock(np.array([1.0, -1.0])))
 
     def test_names_the_first_colliding_pair_in_row_major_order(self):
         with pytest.raises(ValueError, match=r"got omega\[0\]\^2 ~ omega\[2\]\^2 ~ 1$"):
-            CenterBlock(np.array([1.0, 2.0, -1.0, -2.0]))
+            _require_bracket_hypothesis(CenterBlock(np.array([1.0, 2.0, -1.0, -2.0])))
 
     def test_rejects_frequency_whose_square_overflows(self):
         # w * w overflowed with a RuntimeWarning and the block was accepted
         with pytest.raises(ValueError, match=r"omega\[1\] = 1e\+300 .* square"):
-            CenterBlock(np.array([1.0, 1e300]))
+            _require_bracket_hypothesis(CenterBlock(np.array([1.0, 1e300])))
+
+    def test_solve_bracket_requires_the_hypothesis(self):
+        with pytest.raises(ValueError, match="all centre frequencies must be nonzero"):
+            solve_bracket(CenterBlock(np.array([0.0])), np.zeros((2, 2)))
 
     def test_dimensions(self):
         block = CenterBlock(np.array([1.0, 2.0]))

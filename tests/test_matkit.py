@@ -5,8 +5,7 @@ from hypothesis import strategies as st
 
 from homscat.cli import to_json
 from homscat.matkit import (
-    center_diagonal,
-    center_frequencies,
+    CenterBlock,
     classification_tol,
     eigh,
     inertia,
@@ -216,6 +215,12 @@ class TestInertia:
         Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
         assert inertia(Q.T @ S @ Q, 1e-9).inertia == inertia(S, 1e-9).inertia
 
+    def test_entries_near_the_float_limit(self):
+        # the symmetrization 0.5 * (S + S^T) overflowed to inf
+        S = np.array([[1e308, 1e308], [1e308, -1e308]])
+        report = inertia(S)
+        assert report.inertia == (1, 1, 0) and np.isfinite(report.eigenvalues).all()
+
     def test_report_json(self):
         doc = to_json(inertia(np.diag([1.0, -1.0]), 1e-9))
         assert doc["n_pos"] == 1 and doc["n_neg"] == 1 and doc["n_zero"] == 0
@@ -225,16 +230,33 @@ class TestInertia:
 class TestCenterDiagonal:
     def test_build_and_recover(self):
         w = np.array([1.0, 2.5])
-        D = center_diagonal(w)
-        assert np.array_equal(D, np.diag([1.0, 2.5, 1.0, 2.5]))
-        assert np.array_equal(center_frequencies(D), w)
+        block = CenterBlock(w)
+        assert np.array_equal(block.D, np.diag([1.0, 2.5, 1.0, 2.5]))
+        assert np.array_equal(block.J, standard_symplectic_form(2))
+        recovered = CenterBlock.from_diagonal(block.D)
+        assert np.array_equal(recovered.omega, w) and np.array_equal(recovered.D, block.D)
 
     def test_rejects_unpaired(self):
-        with pytest.raises(ValueError):
-            center_frequencies(np.diag([1.0, 2.0, 1.0, 3.0]))
+        with pytest.raises(ValueError, match="must repeat its frequencies in both blocks"):
+            CenterBlock.from_diagonal(np.diag([1.0, 2.0, 1.0, 3.0]))
 
     def test_rejects_nondiagonal(self):
         D = np.diag([1.0, 1.0])
         D[0, 1] = 0.5
-        with pytest.raises(ValueError):
-            center_frequencies(D)
+        with pytest.raises(ValueError, match="centre block must be diagonal"):
+            CenterBlock.from_diagonal(D)
+
+    def test_rejects_odd_dimension(self):
+        with pytest.raises(ValueError, match="centre diagonal must have even dimension"):
+            CenterBlock.from_diagonal(np.eye(3))
+
+    @pytest.mark.parametrize("omega", [[], [1.0, np.nan], [np.inf], [[1.0, 2.0]]])
+    def test_rejects_what_no_centre_has(self, omega):
+        with pytest.raises(ValueError, match="omega must be a nonempty finite vector"):
+            CenterBlock(omega)
+
+    @pytest.mark.parametrize("omega", [[1.0, 1.0], [0.0, 1.0], [1.0, -1.0], [1e308]])
+    def test_accepts_any_finite_centre(self, omega):
+        # the bracket's hypothesis is checked in majorize, not here
+        block = CenterBlock(omega)
+        assert np.array_equal(CenterBlock.from_diagonal(block.D).omega, block.omega)

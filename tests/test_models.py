@@ -255,6 +255,12 @@ class TestBump:
         expected = matrix_exponential(-0.5 * standard_symplectic_form(1) @ C)
         assert max_abs(result.sigma - expected) <= 1e-10
 
+    def test_tiny_support_vanishes_beyond_it(self):
+        # squaring t / T_support overflowed for |t / T_support| > 1.3e154
+        spec = ModelSpec(l=1, n_hyp=1, omega=[1.0], eps=1e-200, C=np.eye(2), T_support=1e-300)
+        values = bump(spec, np.array([-1.0, -1e-300, 0.0, 1e-300, 1.0]))
+        assert values[2] > 0.0 and not values[[0, 1, 3, 4]].any()
+
     def test_unresolved_order_is_a_numerical_failure(self):
         # order 10**6 used to scatter 1.5e-4 away from exp(-eps J C) with residual 0.0
         with pytest.raises(ArithmeticError, match="bump_order = 1000000"):
