@@ -36,6 +36,7 @@ from .matkit import (
     SignatureReport,
     classification_tol,
     eigh,
+    eigvalsh,
     inertia,
     matrix_exponential,
     max_abs,

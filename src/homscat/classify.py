@@ -30,6 +30,7 @@ from .matkit import (
     _slice_max_abs,
     _square,
     eigh,
+    eigvalsh,
     inertia,
     matrix_exponential,
     max_abs,
@@ -51,8 +52,10 @@ class RealizationError(ArithmeticError):
 
 
 def _require_symplectic(S: np.ndarray, J: np.ndarray) -> None:
-    defect = _slice_max_abs(S.swapaxes(-1, -2) @ J @ S - J)
-    if (defect > _SYMPLECTIC_PRECONDITION_TOL).any():
+    with np.errstate(over="ignore", invalid="ignore"):
+        defect = _slice_max_abs(S.swapaxes(-1, -2) @ J @ S - J)
+    # a NaN defect fails this test too
+    if not (defect <= _SYMPLECTIC_PRECONDITION_TOL).all():
         raise ValueError(f"scattering matrix is not symplectic (defect {defect.max():.3e})")
 
 
@@ -97,33 +100,36 @@ class EnsembleSummary:
 def _random_symplectics(block: CenterBlock, rngs, max_factors: int, max_norm: float) -> np.ndarray:
     """random_symplectic for each generator in turn, as a (k, 2l, 2l) stack.
 
-    Every generator makes its draws in full before the next one starts; one
-    stacked eigh then gives all spectral norms and one stacked exponential
-    all factors, which each sigma multiplies out in draw order.
+    Every generator makes its draws in full before the next one starts.  The
+    raw draws are then symmetrized as one stack, one stacked eigvalsh gives
+    all spectral norms and one stacked exponential all factors, and the
+    sigmas are multiplied out one factor position at a time, each from I in
+    draw order.
     """
     d = block.dim
-    generators, norms, counts = [], [], []
+    raws, norms, counts = [], [], []
     for rng in rngs:
         count = 0
         for _ in range(int(rng.integers(1, max_factors + 1))):
             raw = rng.standard_normal((d, d))
-            B = 0.5 * (raw + raw.T)
-            if not B.any():
+            # B[0, 0] == raw[0, 0], so B can vanish only where raw[0, 0] does
+            if raw[0, 0] == 0.0 and not (0.5 * (raw + raw.T)).any():
                 continue
-            generators.append(B)
+            raws.append(raw)
             norms.append(rng.uniform(0.1, max_norm))
             count += 1
         counts.append(count)
-    B = np.array(generators).reshape(-1, d, d)
-    w, _ = eigh(B)
+    R = np.array(raws).reshape(-1, d, d)
+    B = 0.5 * (R + R.swapaxes(-1, -2))
+    w = eigvalsh(B)
     B *= (np.array(norms) / np.maximum(np.abs(w[:, 0]), np.abs(w[:, -1])))[:, None, None]
-    factors = iter(matrix_exponential(-block.J @ B))
-    sigmas = np.empty((len(counts), d, d))
-    for k, count in enumerate(counts):
-        sigma = np.eye(d)
-        for _ in range(count):
-            sigma = sigma @ next(factors)
-        sigmas[k] = sigma
+    factors = matrix_exponential(-block.J @ B)
+    counts = np.array(counts)
+    first = np.cumsum(counts) - counts
+    sigmas = np.tile(np.eye(d), (counts.size, 1, 1))
+    for position in range(counts.max(initial=0)):
+        live = counts > position
+        sigmas[live] = sigmas[live] @ factors[first[live] + position]
     return sigmas
 
 
@@ -132,7 +138,10 @@ def random_symplectic(
 ) -> np.ndarray:
     """Product of up to max_factors exponentials exp(-J B) with random
     symmetric B scaled to a spectral norm drawn from (0.1, max_norm]."""
-    return _random_symplectics(CenterBlock(np.ones(int(l))), [rng], max_factors, max_norm)[0]
+    l = int(l)
+    if l < 1:
+        raise ValueError(f"l must be at least 1, got {l}")
+    return _random_symplectics(CenterBlock(np.ones(l)), [rng], max_factors, max_norm)[0]
 
 
 def indefiniteness_ensemble(D_center, trials: int, seed: int, tol: float = 1e-9) -> EnsembleSummary:
@@ -161,7 +170,7 @@ def indefiniteness_ensemble(D_center, trials: int, seed: int, tol: float = 1e-9)
     for start in range(0, trials, chunk):
         rngs = [np.random.default_rng((seed, k)) for k in range(start, min(start + chunk, trials))]
         sigmas = _random_symplectics(block, rngs, _MAX_FACTORS, 2.0)
-        w, _ = eigh(_hessian(sigmas, D, block))
+        w = eigvalsh(_hessian(sigmas, D, block))
         lo, hi = w[:, -1], w[:, 0]
         largest_min = max(largest_min, float(np.max(lo)))
         smallest_max = min(smallest_max, float(np.min(hi)))

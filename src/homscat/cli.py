@@ -12,7 +12,7 @@ import numpy as np
 
 from . import classify, flow, models
 from .majorize import majorizes, mirsky_matrix
-from .matkit import CenterBlock, _float_array, _integer, _positive_tol, eigh, inertia, max_abs
+from .matkit import CenterBlock, _float_array, _integer, _positive_tol, eigvalsh, inertia, max_abs
 
 _FAILURE_EXIT = 1
 _USAGE_EXIT = 2
@@ -217,7 +217,7 @@ def _cmd_mirsky(args) -> tuple[dict, bool]:
     d = np.array(_float_list(args.diag))
     eigs = np.array(_float_list(args.eigs))
     M = mirsky_matrix(d, eigs)
-    w, _ = eigh(M)
+    w = eigvalsh(M)
     payload = {
         "command": "mirsky",
         "diag": d,

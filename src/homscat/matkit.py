@@ -1,12 +1,15 @@
 """Dense linear algebra for small real matrices with symplectic structure.
 
 Everything here targets matrices of at most a few dozen rows: the symmetric
-eigensolver is LAPACK's (through numpy.linalg.eigh) reordered to descending
-eigenvalues, the exponential is truncated scaling-and-squaring, and
-tolerances are expressed in the entrywise max-abs norm.  Inertia counts rest
-on the absolute-scale tolerance 1e-7 * max(1, |S|), far above the backward
-error of the eigensolver.  The eigensolver and the exponential also take a
-(k, n, n) stack and treat each slice exactly as they treat that matrix alone.
+eigensolvers are LAPACK's, reordered to descending eigenvalues.  eigvalsh
+(through numpy.linalg.eigvalsh) returns the eigenvalues alone and serves
+every caller that would discard the vectors; eigh (numpy.linalg.eigh) also
+returns the vectors, which only the reversible square root needs.  The
+exponential is truncated scaling-and-squaring, and tolerances are expressed
+in the entrywise max-abs norm.  Inertia counts rest on the absolute-scale
+tolerance 1e-7 * max(1, |S|), far above the backward error of the
+eigensolver.  The eigensolvers and the exponential also take a (k, n, n)
+stack and treat each slice exactly as they treat that matrix alone.
 CenterBlock alone turns centre frequencies into D = diag(omega, omega) and J,
 or reads them back from a D array.
 """
@@ -161,15 +164,12 @@ def matrix_exponential(M) -> np.ndarray:
     # round r squares the slices whose count exceeds r
     for r in range(squarings.max(initial=0)):
         live = squarings > r
-        F = E[live]
-        E[live] = F @ F
+        if live.all():
+            E = E @ E
+        else:
+            F = E[live]
+            E[live] = F @ F
     return E.reshape(shape)
-
-
-def _descending_eigh(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """eigh of an already symmetrized float matrix or stack, without the checks."""
-    w, V = np.linalg.eigh(A)
-    return w[..., ::-1], V[..., ::-1]
 
 
 def eigh(S) -> tuple[np.ndarray, np.ndarray]:
@@ -178,7 +178,19 @@ def eigh(S) -> tuple[np.ndarray, np.ndarray]:
     Returns (eigenvalues sorted descending, orthonormal eigenvector columns),
     stacked like the input.  Every slice must pass the symmetry check.
     """
-    return _descending_eigh(_require_symmetric(S, "eigendecomposition input", stack=True))
+    w, V = np.linalg.eigh(_require_symmetric(S, "eigendecomposition input", stack=True))
+    return w[..., ::-1], V[..., ::-1]
+
+
+def eigvalsh(S) -> np.ndarray:
+    """Eigenvalues of a symmetric matrix, or of each slice of a (k, n, n) stack,
+    sorted descending; the check of eigh without its eigenvectors.
+
+    A slice of a stack gets exactly the values it gets alone.  The values
+    come from a different LAPACK driver than eigh's and may differ from
+    them in the last bits.
+    """
+    return np.linalg.eigvalsh(_require_symmetric(S, "eigendecomposition input", stack=True))[..., ::-1]
 
 
 def classification_tol(S) -> float:
@@ -217,13 +229,13 @@ class SignatureReport:
 def inertia(S, tol: float | None = None) -> SignatureReport:
     """Count eigenvalues of a symmetric matrix above tol, below -tol, and between.
 
-    S is checked and symmetrized once; its eigenvalues come from the kernel
-    behind eigh, with no second symmetry check.  The default tol is
-    classification_tol of the symmetrized matrix.
+    S is checked and symmetrized once; its eigenvalues come from the LAPACK
+    driver behind eigvalsh, with no second symmetry check.  The default tol
+    is classification_tol of the symmetrized matrix.
     """
     A = _require_symmetric(S, "inertia input")
     tol = _positive_tol(classification_tol(A) if tol is None else tol, "inertia tolerance")
-    w, _ = _descending_eigh(A)
+    w = np.linalg.eigvalsh(A)[::-1]
     n_pos = int(np.sum(w > tol))
     n_neg = int(np.sum(w < -tol))
     return SignatureReport(

@@ -90,15 +90,14 @@ def center_frequencies(D):
     return w
 
 
-def eigh(S):
-    w, V = np.linalg.eigh(_require_symmetric(S, "eigendecomposition input", stack=True))
-    return w[..., ::-1], V[..., ::-1]
+def eigvalsh(S):
+    return np.linalg.eigvalsh(_require_symmetric(S, "eigendecomposition input", stack=True))[..., ::-1]
 
 
 def inertia(S, tol=None):
     A = _require_symmetric(S, "inertia input")
     tol = _positive_tol(classification_tol(A) if tol is None else tol, "inertia tolerance")
-    w, _ = eigh(A)
+    w = eigvalsh(A)
     n_pos = int(np.sum(w > tol))
     n_neg = int(np.sum(w < -tol))
     return SignatureReport(

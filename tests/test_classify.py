@@ -75,6 +75,16 @@ class TestHessianFromScattering:
         with pytest.raises(ValueError, match=r"not symplectic \(defect 3\.000e\+00\)"):
             hessian_from_scattering(sigmas, CenterBlock([1.0]).D)
 
+    def test_overflowing_defect_is_rejected_without_a_warning(self):
+        # forming the defect warned "overflow encountered in matmul"
+        with pytest.raises(ValueError, match=r"not symplectic \(defect inf\)"):
+            hessian_from_scattering(np.diag([1e200, 1e200]), CenterBlock([1.0]).D)
+
+    def test_nan_defect_is_rejected(self):
+        # the test "defect > tol" let a NaN defect pass as symplectic
+        with pytest.raises(ValueError, match=r"not symplectic \(defect nan\)"):
+            classify._require_symplectic(np.full((2, 2), np.nan), standard_symplectic_form(1))
+
     def test_hessian_beyond_the_float_range_names_omega_and_sigma(self):
         # it warned twice in the matmul and returned an array of inf and NaN
         with pytest.raises(ArithmeticError, match=r"max\|omega\| = 1e\+308 and max\|sigma\| = 2"):
@@ -186,6 +196,46 @@ class TestEnsembleMatchesSequentialOracle:
         sigma = random_symplectic(l, rng, max_factors=3, max_norm=1.0)
         assert np.array_equal(sigma, ensemble_oracle.random_symplectic(l, ref, max_factors=3, max_norm=1.0))
         assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("l", [1, 2, 4])
+    def test_zero_generator_is_skipped(self, l):
+        # the first generator's symmetric part is exactly zero, so both skip
+        # that factor and draw no norm for it; seeds 11 and 14 draw one factor,
+        # so sigma is I
+        skipped_only = 0
+        for seed in range(15):
+            rng, ref = ZeroFirstDraw(seed), ZeroFirstDraw(seed)
+            sigma = random_symplectic(l, rng)
+            assert np.array_equal(sigma, ensemble_oracle.random_symplectic(l, ref))
+            assert rng.rng.bit_generator.state == ref.rng.bit_generator.state
+            skipped_only += np.array_equal(sigma, np.eye(2 * l))
+        assert skipped_only == 2
+        # and as one stack, where those two sigmas have no factor at all
+        sigmas = classify._random_symplectics(CenterBlock(np.ones(l)), map(ZeroFirstDraw, range(15)), 5, 2.0)
+        for seed in range(15):
+            assert np.array_equal(sigmas[seed], ensemble_oracle.random_symplectic(l, ZeroFirstDraw(seed)))
+
+
+class ZeroFirstDraw:
+    """A generator whose first standard_normal draw is antisymmetric, with
+    raw[0, 0] = 0; every other draw comes from default_rng(seed)."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.first = True
+
+    def integers(self, low, high):
+        return self.rng.integers(low, high)
+
+    def uniform(self, low, high):
+        return self.rng.uniform(low, high)
+
+    def standard_normal(self, shape):
+        raw = self.rng.standard_normal(shape)
+        if self.first:
+            self.first = False
+            raw = raw - raw.T
+        return raw
 
 
 class TestRealizeSignature:
@@ -410,6 +460,11 @@ class TestHelpers:
             R = center_reversal(l)
             assert max_abs(R @ B @ R - B) == 0.0
             assert max_abs(B - B.T) == 0.0
+
+    def test_random_symplectic_names_l(self):
+        # it blamed omega, a parameter random_symplectic does not have
+        with pytest.raises(ValueError, match="l must be at least 1, got 0"):
+            random_symplectic(0, np.random.default_rng(0))
 
     def test_random_symplectic_is_symplectic(self):
         rng = np.random.default_rng(9)

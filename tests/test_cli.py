@@ -516,6 +516,13 @@ class TestClassifyCommand:
         assert "error" in json.loads(err)
 
 
+    def test_overflowing_symplectic_defect_is_an_input_error(self, capsys, tmp_path):
+        # "overflow encountered in matmul" warned before the rejection, so
+        # under -W error::RuntimeWarning the command exited 1 with a traceback
+        sigma = write_matrix(tmp_path, np.diag([1e200, 1e200]))
+        code, payload, err = run(capsys, ["classify", "--sigma", sigma, "--omega", "1"])
+        assert input_error(code, payload, err, "not symplectic (defect inf)")
+
     def test_hessian_beyond_the_float_range_is_a_numerical_failure(self, capsys, tmp_path):
         # it warned twice in the Hessian matmul and then blamed
         # "inertia input contains non-finite entries" as an input error

@@ -3,11 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ensemble_oracle
 from homscat.cli import to_json
 from homscat.matkit import (
     CenterBlock,
     classification_tol,
     eigh,
+    eigvalsh,
     inertia,
     matrix_exponential,
     max_abs,
@@ -111,6 +113,19 @@ class TestMatrixExponential:
         for k in range(8):
             assert np.array_equal(E[k], matrix_exponential(M[k]))
 
+    def test_single_matrix_matches_sequential_oracle(self):
+        # max-row-sum norm 3 needs three squarings, each over the whole (one-slice) stack
+        M = np.random.default_rng(4).standard_normal((6, 6))
+        M *= 3.0 / np.max(np.sum(np.abs(M), axis=1))
+        assert np.array_equal(matrix_exponential(M), ensemble_oracle._expm(M))
+
+    def test_stack_with_every_slice_squared(self):
+        rng = np.random.default_rng(6)
+        M = rng.standard_normal((5, 4, 4)) * 3.0
+        E = matrix_exponential(M)
+        for k in range(5):
+            assert np.array_equal(E[k], ensemble_oracle._expm(M[k]))
+
     def test_empty_stack(self):
         assert matrix_exponential(np.zeros((0, 3, 3))).shape == (0, 3, 3)
 
@@ -184,6 +199,48 @@ class TestEigh:
         assert max_abs(V.T @ V - np.eye(n)) <= 1e-10
         assert max_abs(S @ V - V @ np.diag(w)) <= 1e-8 * scale
         assert np.all(np.diff(w) <= 1e-14)
+
+
+class TestEigvalsh:
+    def test_diagonal_sorted(self):
+        assert np.array_equal(eigvalsh(np.diag([2.0, -3.0, 0.0])), np.array([2.0, 0.0, -3.0]))
+
+    @pytest.mark.parametrize("n", [4, 6, 10])
+    def test_stack_slices_match_single(self, n):
+        S = np.stack([random_symmetric(np.random.default_rng((n, k)), n) for k in range(200)])
+        w = eigvalsh(S)
+        assert w.shape == (200, n)
+        for k in range(200):
+            assert np.array_equal(w[k], eigvalsh(S[k]))
+
+    def test_empty_stack(self):
+        assert eigvalsh(np.zeros((0, 4, 4))).shape == (0, 4)
+
+    def test_rejects_one_asymmetric_slice_as_eigh_does(self):
+        S = np.stack([np.eye(3), 1e5 * np.eye(3), np.eye(3)])
+        S[1, 0, 1] += 1e-6
+        eigvalsh(S)
+        S[2, 0, 1] += 1e-6
+        with pytest.raises(ValueError) as ours:
+            eigvalsh(S)
+        with pytest.raises(ValueError) as ref:
+            eigh(S)
+        assert str(ours.value) == str(ref.value)
+        assert str(ref.value) == "eigendecomposition input is not symmetric (asymmetry 1.000e-06)"
+
+    @pytest.mark.parametrize("n", [6, 24])
+    def test_within_rounding_of_eigh(self, n):
+        rng = np.random.default_rng(n)
+        S = np.stack([random_symmetric(rng, n, scale) for scale in (1e-3, 1.0, 50.0, 1e4) for _ in range(10)])
+        scale = np.maximum(1.0, np.abs(S).max(axis=(1, 2)))
+        assert np.all(np.abs(eigvalsh(S) - eigh(S)[0]) <= 1e-13 * scale[:, None])
+
+    @pytest.mark.parametrize("n", [4, 6, 10])
+    def test_differs_from_eigh_by_at_most_8e_15(self, n):
+        # the bound that lets the sequential oracles switch from eigh to
+        # eigvalsh: the two LAPACK drivers agree to within 8e-15 here
+        S = np.stack([random_symmetric(np.random.default_rng((n, k)), n) for k in range(200)])
+        assert max_abs(eigvalsh(S) - eigh(S)[0]) <= 8e-15
 
 
 class TestInertia:
