@@ -164,11 +164,8 @@ def matrix_exponential(M) -> np.ndarray:
     # round r squares the slices whose count exceeds r
     for r in range(squarings.max(initial=0)):
         live = squarings > r
-        if live.all():
-            E = E @ E
-        else:
-            F = E[live]
-            E[live] = F @ F
+        F = E[live]
+        E[live] = F @ F
     return E.reshape(shape)
 
 

@@ -114,7 +114,7 @@ class TestMatrixExponential:
             assert np.array_equal(E[k], matrix_exponential(M[k]))
 
     def test_single_matrix_matches_sequential_oracle(self):
-        # max-row-sum norm 3 needs three squarings, each over the whole (one-slice) stack
+        # max-row-sum norm 3 needs three squarings
         M = np.random.default_rng(4).standard_normal((6, 6))
         M *= 3.0 / np.max(np.sum(np.abs(M), axis=1))
         assert np.array_equal(matrix_exponential(M), ensemble_oracle._expm(M))
@@ -234,13 +234,6 @@ class TestEigvalsh:
         S = np.stack([random_symmetric(rng, n, scale) for scale in (1e-3, 1.0, 50.0, 1e4) for _ in range(10)])
         scale = np.maximum(1.0, np.abs(S).max(axis=(1, 2)))
         assert np.all(np.abs(eigvalsh(S) - eigh(S)[0]) <= 1e-13 * scale[:, None])
-
-    @pytest.mark.parametrize("n", [4, 6, 10])
-    def test_differs_from_eigh_by_at_most_8e_15(self, n):
-        # the bound that lets the sequential oracles switch from eigh to
-        # eigvalsh: the two LAPACK drivers agree to within 8e-15 here
-        S = np.stack([random_symmetric(np.random.default_rng((n, k)), n) for k in range(200)])
-        assert max_abs(eigvalsh(S) - eigh(S)[0]) <= 8e-15
 
 
 class TestInertia:
