@@ -50,9 +50,6 @@ def main(argv=None):
                 f"{l:>3} {m:>3} {target:>10} {str(achieved):>12} "
                 f"{report.eps_used:>10.2e} {report.first_order_gap:>10.2e}"
             )
-            if achieved != (m, 2 * l - m, 0):
-                print("  ** signature mismatch **", file=sys.stderr)
-                return 1
     if args.out:
         Path(args.out).write_text(json.dumps({"seed": args.seed, "eps": args.eps, "rows": rows}, indent=2))
         print(f"wrote {args.out}")

@@ -321,7 +321,7 @@ def check_reversibility(sigma, R, tol: float) -> ReversibilityReport:
     return ReversibilityReport(residual=residual, tol=tol, passed=bool(residual <= tol))
 
 
-def reversible_signature(sigma, R, D_center, tol: float, class_tol: float | None = None) -> SignatureReport:
+def reversible_signature(sigma, R, D_center, tol: float) -> SignatureReport:
     """Inertia of the reduced Hessian in the reversible case.
 
     Verifies the mechanism forcing the (l, l) signature: in the basis given
@@ -355,4 +355,4 @@ def reversible_signature(sigma, R, D_center, tol: float, class_tol: float | None
     anti = max_abs(H_t @ K + K.T @ H_t)
     if anti > max(tol, 100.0 * report.residual) * max(1.0, max_abs(H_t)):
         raise ArithmeticError(f"transformed Hessian failed to anticommute (defect {anti:.3e})")
-    return inertia(H_t, class_tol)
+    return inertia(H_t)

@@ -19,35 +19,31 @@ _USAGE_EXIT = 2
 _NUMERICAL_EXIT = 3
 
 
-class CLIError(ValueError):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse would sys.exit(2) with a usage dump; route through the JSON error path instead
     def error(self, message):
-        raise CLIError(message)
+        raise ValueError(message)
 
 
 def _float_list(text: str) -> list[float]:
     try:
         values = [float(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError:
-        raise CLIError(f"could not parse '{text}' as a comma-separated list of numbers") from None
+        raise ValueError(f"could not parse '{text}' as a comma-separated list of numbers") from None
     if not values:
-        raise CLIError("empty number list")
+        raise ValueError("empty number list")
     return values
 
 
 def _mat_from_json(doc) -> np.ndarray:
     if not isinstance(doc, dict) or "dim" not in doc or "data" not in doc:
-        raise CLIError("matrix document must be an object with 'dim' and 'data'")
+        raise ValueError("matrix document must be an object with 'dim' and 'data'")
     dim = _integer(doc["dim"], "matrix dim")
     data = _float_array(doc["data"], "matrix data")
     if dim < 1 or data.shape != (dim * dim,):
-        raise CLIError(f"matrix data length {data.size} does not match dim {dim}")
+        raise ValueError(f"matrix data length {data.size} does not match dim {dim}")
     if not np.all(np.isfinite(data)):
-        raise CLIError("matrix contains non-finite entries")
+        raise ValueError("matrix contains non-finite entries")
     return data.reshape(dim, dim)
 
 
@@ -76,9 +72,9 @@ def _load_json(path: str) -> dict:
         with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle)
     except OSError as exc:
-        raise CLIError(f"cannot read {path}: {exc}") from None
+        raise ValueError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
-        raise CLIError(f"malformed JSON in {path}: {exc}") from None
+        raise ValueError(f"malformed JSON in {path}: {exc}") from None
 
 
 def _emit(payload: dict, out_path: str | None) -> None:
@@ -176,7 +172,7 @@ def _cmd_realize(args) -> tuple[dict, bool]:
 def _cmd_indefinite(args) -> tuple[dict, bool]:
     omega = _float_list(args.omega)
     if len(omega) != args.l:
-        raise CLIError(f"omega has {len(omega)} entries but --l is {args.l}")
+        raise ValueError(f"omega has {len(omega)} entries but --l is {args.l}")
     summary = classify.indefiniteness_ensemble(CenterBlock(omega).D, args.trials, args.seed, args.tol)
     ok = summary.definite_positive == 0 and summary.definite_negative == 0
     return {"command": "indefinite", **vars(summary), "pass": ok}, ok
@@ -196,7 +192,7 @@ def _cmd_reversible(args) -> tuple[dict, bool]:
     if not rev.passed:
         payload["pass"] = False
         return payload, False
-    report = classify.reversible_signature(result.sigma, R, CenterBlock(spec.omega).D, args.tol)
+    report = classify.reversible_signature(result.sigma, R, spec.center.D, args.tol)
     w = report.eigenvalues
     pairing_defect = np.max(np.abs(w + w[::-1]))
     expected = (spec.l, spec.l, 0)
@@ -236,10 +232,10 @@ def _cmd_majorize(args) -> tuple[dict, bool]:
 
 def _cmd_demo_integrable(args) -> tuple[dict, bool]:
     if args.l < 1:
-        raise CLIError("--l must be at least 1")
+        raise ValueError("--l must be at least 1")
     omega = _float_list(args.omega) if args.omega else [float(k) for k in range(1, args.l + 1)]
     if len(omega) != args.l:
-        raise CLIError(f"omega has {len(omega)} entries but --l is {args.l}")
+        raise ValueError(f"omega has {len(omega)} entries but --l is {args.l}")
     tol = _positive_tol(args.tol, "--tol")
     spec = models.ModelSpec(l=args.l, n_hyp=1, omega=omega, eps=0.0)
     result = flow.scattering_matrix(models.scattering_problem(spec))

@@ -6,10 +6,11 @@ for T past the perturbation's support, where Phi is the fundamental solution
 of the variational equation zdot = A(t) z and Psi(t) = exp(t J D) the free
 centre flow.  That product is the propagator W(T, -T) of the co-rotating
 frame w = Psi(-t) z, where wdot = Psi(t)^T (A(t) - J D) Psi(t) w; a problem
-states that coefficient and the support outside which it vanishes.  So W is
-integrated once over the declared support, and a Gronwall bound from field
-samples on one unit slab beyond each end checks the declaration, so that a
-mis-specified problem is reported instead of silently truncated.
+states that coefficient, the support outside which it vanishes and the
+CenterBlock of D and J.  So W is integrated once over the declared support,
+and a Gronwall bound from field samples on one unit slab beyond each end
+checks the declaration, so that a mis-specified problem is reported instead
+of silently truncated.
 """
 
 from __future__ import annotations
@@ -34,12 +35,12 @@ _MAX_FIELD_ELEMENTS = 2 ** 22
 
 
 class ScatteringConvergenceError(ArithmeticError):
-    """The field is nonzero beyond the declared support; `trace` holds the
-    (T_used, residual) of the unit slabs whose sampled norms showed it."""
+    """The field is nonzero beyond the declared support; `T_used` and
+    `residual` are those of the unit slabs whose sampled norms showed it."""
 
     def __init__(self, support_halfwidth: float, excess, residual: float, tol: float):
-        T = support_halfwidth + 1.0
-        self.trace = [(T, residual)]
+        T = self.T_used = support_halfwidth + 1.0
+        self.residual = residual
         super().__init__(
             f"the field is nonzero beyond the declared support halfwidth {support_halfwidth:g}: its sampled "
             f"norm reaches {excess[0]:.3e} behind and {excess[1]:.3e} ahead on the unit slabs out to |t| = {T:g}, "
@@ -59,8 +60,8 @@ def _field_values(fld: Callable, ts: np.ndarray, d: int) -> np.ndarray:
 def _rk4_product(A: np.ndarray, h: float) -> np.ndarray:
     # classic RK4 on the matrix equation, written as one update matrix per step
     # so the per-step factors can be built and multiplied in batch; A holds the
-    # field at the 2n + 1 step ends and midpoints.  The stages are built in
-    # place, in the evaluation order of
+    # field at the 2n + 1 step ends and midpoints, n a power of two.  The
+    # stages are built in place, in the evaluation order of
     #   U = I + (h/6) (K1 + 2 K2 + 2 K3 + K4),  K2 = Am + (h/2) Am K1, ...
     # so U is bit for bit that expression's value.
     A1, Am, A4 = A[0:-1:2], A[1::2], A[2::2]
@@ -83,11 +84,7 @@ def _rk4_product(A: np.ndarray, h: float) -> np.ndarray:
     U += np.eye(A.shape[1])
     P = U
     while P.shape[0] > 1:
-        m = P.shape[0]
-        if m % 2:
-            P = np.concatenate([P[1::2] @ P[0 : m - 1 : 2], P[m - 1 :]])
-        else:
-            P = P[1::2] @ P[0::2]
+        P = P[1::2] @ P[0::2]
     return P[0]
 
 
@@ -162,6 +159,7 @@ def fundamental_solution(fld: Callable, t0: float, t1: float, tol: float = DEFAU
 class ScatteringProblem:
     """A centre-block variational problem with a compactly supported perturbation.
 
+    `center` is the CenterBlock that gives D and J; D_center reads its D.
     `field` maps a 1-D array of n times to the (n, 2l, 2l) array of the
     co-rotating perturbation Psi(t)^T (A(t) - J D) Psi(t) at those times;
     exceptions it raises propagate.  It must vanish outside
@@ -173,17 +171,19 @@ class ScatteringProblem:
 
     field: Callable
     support_halfwidth: float
-    D_center: np.ndarray
+    center: CenterBlock
 
     def __post_init__(self):
-        self.D_center = _square(self.D_center, "D_center")
-        self._center = CenterBlock.from_diagonal(self.D_center)
         self.support_halfwidth = _positive_tol(self.support_halfwidth, "support_halfwidth")
         _field_values(self.field, np.zeros(1), self.dim)
 
     @property
+    def D_center(self) -> np.ndarray:
+        return self.center.D
+
+    @property
     def dim(self) -> int:
-        return self._center.dim
+        return self.center.dim
 
 
 @dataclass(frozen=True, eq=False)
@@ -221,7 +221,7 @@ def scattering_matrix(
         residual = float(np.linalg.norm(sigma) * np.expm1(excess.sum()))
     if residual > tol:
         raise ScatteringConvergenceError(T_s, excess, residual, tol)
-    J = problem._center.J
+    J = problem.center.J
     return ScatteringResult(
         sigma=sigma,
         T_used=T_s + 1.0,

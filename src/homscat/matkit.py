@@ -11,7 +11,8 @@ tolerance 1e-7 * max(1, |S|), far above the backward error of the
 eigensolver.  The eigensolvers and the exponential also take a (k, n, n)
 stack and treat each slice exactly as they treat that matrix alone.
 CenterBlock alone turns centre frequencies into D = diag(omega, omega) and J,
-or reads them back from a D array.
+or reads them back from a D array; only the public functions that take a D
+array do the latter, and the model pipelines pass the block object on.
 """
 
 from __future__ import annotations
@@ -49,9 +50,9 @@ def _slice_max_abs(A: np.ndarray, floor: float = 0.0):
 
 
 def _as_float(value) -> float:
-    """value as a float; NaN for None, booleans and anything float() rejects,
-    such as an integer beyond the float range."""
-    if isinstance(value, (bool, np.bool_)):
+    """value as a float; NaN for None, booleans, strings and anything float()
+    rejects, such as an integer beyond the float range."""
+    if isinstance(value, (bool, np.bool_, str, bytes)):
         return np.nan
     try:
         return float(value)
@@ -82,17 +83,20 @@ def _positive_tol(tol, name: str = "tolerance") -> float:
     """tol as a float, rejecting anything but a finite positive number (NaN, None and booleans included)."""
     value = _as_float(tol)
     if not 0.0 < value < np.inf:
-        raise ValueError(f"{name} must be a finite positive number, got {tol}")
+        raise ValueError(f"{name} must be a finite positive number, got {tol!r}")
     return value
 
 
 def _integer(value, name: str) -> int:
-    """value as an int, rejecting None, booleans and numbers with a fractional part."""
+    """value as an int, rejecting None, booleans, numbers with a fractional
+    part and integers beyond the float range."""
     if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        if np.isnan(_as_float(value)):
+            raise ValueError(f"{name} is an integer beyond the float range")
         return int(value)
     if isinstance(value, float) and value.is_integer():
         return int(value)
-    raise ValueError(f"{name} must be an integer, got {value}")
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _require_symmetric(M, name: str = "matrix", tol: float = _SYMMETRY_TOL, stack: bool = False) -> np.ndarray:

@@ -21,6 +21,8 @@ block through a smooth bump of unit mass supported strictly inside
 [-T_support, T_support].  In the frame co-rotating with the free centre
 flow the perturbed variational equation reads wdot = -eps xi(t) J C w, so
 the scattering matrix of the perturbed problem is exactly exp(-eps J C).
+A ModelSpec keeps the CenterBlock that validates omega, and its scattering
+problem carries that same block.
 """
 
 from __future__ import annotations
@@ -112,6 +114,7 @@ class ModelSpec:
     T_support: float = 4.0
     bump_order: int = 1
     bump_scale: float = field(init=False, repr=False)
+    center: CenterBlock = field(init=False, repr=False)
 
     def __post_init__(self):
         self.l = _integer(self.l, "l")
@@ -120,10 +123,10 @@ class ModelSpec:
             raise ValueError("need at least one centre pair")
         if self.n_hyp < 1:
             raise ValueError("need at least one hyperbolic pair")
-        w = _require_bracket_hypothesis(CenterBlock(self.omega)).omega
-        if w.shape != (self.l,):
+        self.center = _require_bracket_hypothesis(CenterBlock(self.omega))
+        if self.center.l != self.l:
             raise ValueError(f"omega must be a vector of length {self.l}")
-        self.omega = w
+        self.omega = self.center.omega
         a = np.atleast_1d(np.asarray(self.alpha, dtype=float)) if np.size(self.alpha) else np.zeros(0)
         if a.shape != (self.n_hyp - 1,) or not np.all(np.isfinite(a)):
             raise ValueError(f"alpha must be a finite vector of length {self.n_hyp - 1}")
@@ -133,7 +136,7 @@ class ModelSpec:
         eps = self.eps
         self.eps = _as_float(eps)
         if not np.isfinite(self.eps):
-            raise ValueError(f"eps must be a finite number, got {eps}")
+            raise ValueError(f"eps must be a finite number, got {eps!r}")
         if self.C is None:
             self.C = np.zeros((2 * self.l, 2 * self.l))
         self.C = _square(self.C, "C")
@@ -145,8 +148,6 @@ class ModelSpec:
         self.bump_order = _integer(self.bump_order, "bump_order")
         if self.bump_order < 1:
             raise ValueError("bump_order must be a positive integer")
-        if np.isnan(_as_float(self.bump_order)):
-            raise ValueError("bump_order is an integer beyond the float range")
         self.bump_scale = 1.0 / (self.T_support * _profile_mass(self.bump_order))
 
     @property
@@ -281,8 +282,7 @@ def bump(spec: ModelSpec, t):
 def scattering_problem(spec: ModelSpec) -> flow.ScatteringProblem:
     """Centre-block scattering problem of the (possibly perturbed) model along
     its unsplit homoclinic loop, with the co-rotating field -eps xi(t) J C."""
-    block = CenterBlock(spec.omega)
-    JC = block.J @ spec.C
+    JC = spec.center.J @ spec.C
     # Python floats overflow to inf without a warning.  The peak bounds every
     # field entry, so 2l peak^2 bounds every entry of the RK4 stage products
     # of two field samples, which the integrator forms before scaling by h.
@@ -296,5 +296,5 @@ def scattering_problem(spec: ModelSpec) -> flow.ScatteringProblem:
     return flow.ScatteringProblem(
         field=lambda t: (-spec.eps * bump(spec, t))[:, None, None] * JC,
         support_halfwidth=spec.T_support,
-        D_center=block.D,
+        center=spec.center,
     )

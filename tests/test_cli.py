@@ -2,11 +2,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from homscat.classify import RealizationError
 from homscat.cli import main
 from homscat.flow import ScatteringConvergenceError
-from homscat.matkit import matrix_exponential, max_abs, standard_symplectic_form
+from homscat.matkit import CenterBlock, matrix_exponential, max_abs, standard_symplectic_form
 from homscat.models import ModelSpec
 
 
@@ -67,6 +69,23 @@ SPEC = {
     "T_support": "float", "bump_order": "int",
 }
 SCATTERING = {"sigma": MATRIX, "T_used": "float", "residual": "float", "symplectic_defect": "float"}
+
+
+# a scalar of a model document that is not a number: strings (numeric ones
+# included), booleans, null, lists and integers beyond the float range; a
+# count also rejects a fractional number
+NOT_A_NUMBER = st.one_of(
+    st.text(max_size=6),
+    st.floats(allow_nan=False).map(repr),
+    st.booleans(),
+    st.none(),
+    st.lists(st.integers(-3, 3), max_size=2),
+    st.sampled_from([10**400, -(10**400)]),
+)
+NOT_A_COUNT = NOT_A_NUMBER | st.floats(-1e6, 1e6).filter(lambda x: not x.is_integer())
+SCALAR_FIELDS = {
+    "l": NOT_A_COUNT, "n_hyp": NOT_A_COUNT, "bump_order": NOT_A_COUNT, "eps": NOT_A_NUMBER, "T_support": NOT_A_NUMBER,
+}
 
 
 def reversible_spec():
@@ -131,6 +150,19 @@ REPORTS = {
             "max_deviation_from_identity": "float", "pass": "bool", **SCATTERING,
         },
     ),
+}
+
+
+# subcommand -> (CenterBlock constructions, from_diagonal parses) per run
+BLOCKS = {
+    "scatter": (1, 0),
+    "demo-integrable": (1, 0),
+    "reversible": (2, 1),
+    "classify": (2, 1),
+    "indefinite": (2, 1),
+    "realize": (1, 0),
+    "mirsky": (0, 0),
+    "majorize": (0, 0),
 }
 
 
@@ -439,19 +471,38 @@ class TestScatterCommand:
             ({"n_hyp": 2, "alpha": ["x"]}, "alpha"),
             ({"C": [10**400, 0, 0, 1]}, "C"),
             ({"eps": 10**400}, "eps"),
+            ({"eps": "0.05"}, "eps must be a finite number, got '0.05'"),
+            ({"T_support": "3"}, "T_support must be a finite positive number, got '3'"),
         ],
-        ids=["C-object", "C-true", "omega-true", "omega-string", "alpha-string", "C-huge-int", "eps-huge-int"],
+        ids=[
+            "C-object", "C-true", "omega-true", "omega-string", "alpha-string", "C-huge-int", "eps-huge-int",
+            "eps-string", "T_support-string",
+        ],
     )
     def test_entry_that_is_not_a_float_is_named(self, capsys, tmp_path, changes, field):
         # an object crashed with a TypeError traceback and exit 1, true ran as
         # 1.0, "1" as [1.0], ["x"] got numpy's message naming no field, and an
-        # integer beyond the float range exited 3 as a numerical failure
+        # integer beyond the float range exited 3 as a numerical failure; a
+        # string eps or T_support ran as a number, while "omega": ["1.0"] exited 2
         code, payload, err = run(capsys, ["scatter", "--spec", write_doc(tmp_path, spec_doc(**changes))])
         assert input_error(code, payload, err, field)
 
     def test_integral_float_count_is_accepted(self, capsys, tmp_path):
         code, payload, _ = run(capsys, ["scatter", "--spec", write_doc(tmp_path, spec_doc(l=1.0, bump_order=2.0))])
         assert code == 0 and payload["spec"]["l"] == 1 and payload["spec"]["bump_order"] == 2
+
+    @pytest.mark.parametrize("field", sorted(SCALAR_FIELDS))
+    @settings(
+        max_examples=20, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(data=st.data())
+    def test_scalar_that_is_not_a_number_is_named(self, capsys, tmp_path, field, data):
+        value = data.draw(SCALAR_FIELDS[field])
+        code, payload, err = run(capsys, ["scatter", "--spec", write_doc(tmp_path, spec_doc(**{field: value}))])
+        assert code == 2 and payload is None
+        assert err.endswith("\n") and err.count("\n") == 1
+        message = json.loads(err)
+        assert message["kind"] == "input" and message["error"].startswith(f"{field} ")
 
     @pytest.mark.parametrize("doc", [[1, 2], "spec", 3.0, None])
     def test_document_that_is_not_an_object(self, capsys, tmp_path, doc):
@@ -593,6 +644,29 @@ class TestCliPlumbing:
         # compared as JSON text: 1 == 1.0 in Python, but not in the report
         assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
         assert skeleton(first) == expected
+
+    @pytest.mark.parametrize("command", sorted(BLOCKS))
+    def test_each_pipeline_builds_its_centre_block_once(self, capsys, tmp_path, monkeypatch, command):
+        # CenterBlock constructions and from_diagonal parses per run: the model
+        # pipelines hand on the block of their ModelSpec, and the Hessian
+        # pipelines parse the D array that their public functions take once
+        argv = REPORTS[command][0](tmp_path)
+        built, parsed = [], []
+        post_init, from_diagonal = CenterBlock.__post_init__, CenterBlock.from_diagonal.__func__
+
+        def counted_post_init(self):
+            built.append(self)
+            post_init(self)
+
+        def counted_from_diagonal(cls, D):
+            parsed.append(D)
+            return from_diagonal(cls, D)
+
+        monkeypatch.setattr(CenterBlock, "__post_init__", counted_post_init)
+        monkeypatch.setattr(CenterBlock, "from_diagonal", classmethod(counted_from_diagonal))
+        code, _, _ = run(capsys, argv)
+        assert code == 0
+        assert (len(built), len(parsed)) == BLOCKS[command]
 
     def test_numerical_failures_are_arithmetic_errors(self):
         # main maps ValueError to exit 2 and ArithmeticError to exit 3 by base class alone

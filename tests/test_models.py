@@ -117,7 +117,7 @@ class TestModelSpec:
     def test_counts_must_be_integers(self, field, value):
         kwargs = dict(l=1, n_hyp=1, omega=[1.0])
         kwargs[field] = value
-        with pytest.raises(ValueError, match=f"{field} must be an integer, got {value}"):
+        with pytest.raises(ValueError, match=f"{field} must be an integer, got {value!r}"):
             ModelSpec(**kwargs)
 
     def test_bump_order_beyond_the_float_range_is_named(self):
