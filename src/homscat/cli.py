@@ -42,8 +42,6 @@ def _mat_from_json(doc) -> np.ndarray:
     data = _float_array(doc["data"], "matrix data")
     if dim < 1 or data.shape != (dim * dim,):
         raise ValueError(f"matrix data length {data.size} does not match dim {dim}")
-    if not np.all(np.isfinite(data)):
-        raise ValueError("matrix contains non-finite entries")
     return data.reshape(dim, dim)
 
 
@@ -81,8 +79,11 @@ def _emit(payload: dict, out_path: str | None) -> None:
     payload = dict(payload, timestamp=datetime.now(timezone.utc).isoformat())
     text = json.dumps(to_json(payload), indent=2, sort_keys=True) + "\n"
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write {out_path}: {exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -276,11 +277,11 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         payload, ok = _HANDLERS[args.command](args)
+        _emit(payload, args.out)
     except ValueError as exc:
         return _fail(exc, "input", _USAGE_EXIT)
     except ArithmeticError as exc:
         return _fail(exc, "numerical", _NUMERICAL_EXIT)
-    _emit(payload, args.out)
     return 0 if ok else _FAILURE_EXIT
 
 

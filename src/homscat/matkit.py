@@ -61,13 +61,15 @@ def _as_float(value) -> float:
 
 
 def _float_array(value, name: str) -> np.ndarray:
-    """A JSON number or nested list of numbers as a float array; a string,
-    boolean, null or object anywhere in it raises ValueError naming name."""
+    """A number or nested lists, tuples and arrays of numbers as a float array;
+    a string, boolean, None or object anywhere in it raises ValueError naming name."""
     def check(item):
-        if isinstance(item, list):
+        if isinstance(item, np.ndarray):
+            item = item.tolist()
+        if isinstance(item, (list, tuple)):
             for entry in item:
                 check(entry)
-        elif isinstance(item, bool) or not isinstance(item, (int, float)):
+        elif isinstance(item, bool) or not isinstance(item, (int, float, np.integer, np.floating)):
             raise ValueError(f"{name} entries must be numbers, got {item!r}")
 
     check(value)
@@ -99,12 +101,12 @@ def _integer(value, name: str) -> int:
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
-def _require_symmetric(M, name: str = "matrix", tol: float = _SYMMETRY_TOL, stack: bool = False) -> np.ndarray:
+def _require_symmetric(M, name: str = "matrix", stack: bool = False) -> np.ndarray:
     """Symmetrized M; with stack=True each slice is checked against its own scale."""
     A = _square(M, name, stack)
     At = A.swapaxes(-1, -2)
     defect = _slice_max_abs(A - At)
-    asymmetric = defect > tol * _slice_max_abs(A, 1.0)
+    asymmetric = defect > _SYMMETRY_TOL * _slice_max_abs(A, 1.0)
     if asymmetric.any():
         raise ValueError(f"{name} is not symmetric (asymmetry {np.max(defect, where=asymmetric, initial=0.0):.3e})")
     return 0.5 * A + 0.5 * At  # halved first: entries may be near the float limit
@@ -149,18 +151,22 @@ def matrix_exponential(M) -> np.ndarray:
     """exp(M), or exp of each slice of a (k, n, n) stack, by scaling-and-squaring
     over a fixed-order truncated series.
 
-    The argument is halved until its max-row-sum norm is at most 0.5, the
-    series is summed to order 12 by Horner's scheme, and the result is
-    squared back up.  Each slice of a stack keeps its own number of
-    halvings, so it comes out bit for bit as it would alone.  Accuracy is
-    far below 1e-8 for the matrix sizes used in this package.
+    The argument is halved the fewest times that bring its max-row-sum norm
+    to at most 0.5, read off the norm's binary exponent, the series is summed
+    to order 12 by Horner's scheme, and the result is squared back up.  Each
+    slice of a stack keeps its own number of halvings, so it comes out bit
+    for bit as it would alone.  Accuracy is far below 1e-8 for the matrix
+    sizes used in this package.  A slice whose norm or exponential is beyond
+    the float range comes out non-finite, never as a finite wrong matrix.
     """
     A = _square(M, stack=True)
     shape = A.shape
     A = A.reshape((-1,) + shape[-2:])
     norm = np.abs(A).sum(axis=-1).max(axis=-1)
-    squarings = np.ceil(np.log2(np.maximum(norm, 0.5) / 0.5)).astype(int)
-    A = A / (2.0 ** squarings)[:, None, None]
+    mantissa, exponent = np.frexp(np.maximum(norm, 0.5))  # norm = mantissa 2^exponent, 0.5 <= mantissa < 1
+    squarings = exponent + (mantissa > 0.5)
+    A = np.ldexp(A, -squarings[:, None, None])
+    A[np.isinf(norm)] = np.nan
     I = np.eye(shape[-1])
     E = I
     for k in range(_EXP_SERIES_ORDER, 0, -1):

@@ -39,7 +39,6 @@ from .matkit import (
     _float_array,
     _integer,
     _positive_tol,
-    _square,
     max_abs,
     standard_symplectic_form,
 )
@@ -92,17 +91,18 @@ def _profile_mass(order: int) -> float:
     return _profile_mass_cache[order]
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class ModelSpec:
     """Parameters of the model family and its centre-block perturbation.
 
     omega: l distinct nonzero centre frequencies with distinct squares.
     alpha: rates of the extra hyperbolic pairs (the leading pair has rate 1).
-    eps, C: strength and symmetric form of the localized perturbation.
+    eps, C: strength and symmetric form (2l x 2l, or its row-major entries) of the perturbation.
     T_support: half-width of the bump support; bump_order sharpens its decay.
 
-    There is no splitting parameter: the model keeps its homoclinic loop,
-    so the splitting the paper calls mu is zero.
+    The constructor parses every field, for Python callers and documents alike;
+    a checked spec is frozen.  There is no splitting parameter: the model keeps
+    its homoclinic loop, so the splitting the paper calls mu is zero.
     """
 
     l: int
@@ -113,42 +113,44 @@ class ModelSpec:
     C: np.ndarray | None = None
     T_support: float = 4.0
     bump_order: int = 1
-    bump_scale: float = field(init=False, repr=False)
     center: CenterBlock = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.l = _integer(self.l, "l")
-        self.n_hyp = _integer(self.n_hyp, "n_hyp")
-        if self.l < 1:
+        l = _integer(self.l, "l")
+        n_hyp = _integer(self.n_hyp, "n_hyp")
+        if l < 1:
             raise ValueError("need at least one centre pair")
-        if self.n_hyp < 1:
+        if n_hyp < 1:
             raise ValueError("need at least one hyperbolic pair")
-        self.center = _require_bracket_hypothesis(CenterBlock(self.omega))
-        if self.center.l != self.l:
-            raise ValueError(f"omega must be a vector of length {self.l}")
-        self.omega = self.center.omega
-        a = np.atleast_1d(np.asarray(self.alpha, dtype=float)) if np.size(self.alpha) else np.zeros(0)
-        if a.shape != (self.n_hyp - 1,) or not np.all(np.isfinite(a)):
-            raise ValueError(f"alpha must be a finite vector of length {self.n_hyp - 1}")
+        center = _require_bracket_hypothesis(CenterBlock(_float_array(self.omega, "omega")))
+        if center.l != l:
+            raise ValueError(f"omega must be a vector of length {l}")
+        a = np.atleast_1d(_float_array(self.alpha, "alpha"))
+        if a.shape != (n_hyp - 1,) or not np.all(np.isfinite(a)):
+            raise ValueError(f"alpha must be a finite vector of length {n_hyp - 1}")
         if np.any(a == 0.0):
             raise ValueError("hyperbolic rates must be nonzero")
-        self.alpha = a
-        eps = self.eps
-        self.eps = _as_float(eps)
-        if not np.isfinite(self.eps):
-            raise ValueError(f"eps must be a finite number, got {eps!r}")
-        if self.C is None:
-            self.C = np.zeros((2 * self.l, 2 * self.l))
-        self.C = _square(self.C, "C")
-        if self.C.shape != (2 * self.l, 2 * self.l):
-            raise ValueError(f"C must be {2 * self.l} x {2 * self.l}")
-        if max_abs(self.C - self.C.T) > 1e-12 * max(1.0, max_abs(self.C)):
+        eps = _as_float(self.eps)
+        if not np.isfinite(eps):
+            raise ValueError(f"eps must be a finite number, got {self.eps!r}")
+        C = np.zeros((2 * l, 2 * l)) if self.C is None else _float_array(self.C, "C")
+        if C.ndim == 1 and C.size == 4 * l * l:
+            C = C.reshape(2 * l, 2 * l)
+        if C.shape != (2 * l, 2 * l):
+            raise ValueError(f"C must be {2 * l} x {2 * l} or its {4 * l * l} row-major entries, got shape {C.shape}")
+        if not np.isfinite(C).all():
+            raise ValueError("C contains non-finite entries")
+        if max_abs(C - C.T) > 1e-12 * max(1.0, max_abs(C)):
             raise ValueError("C must be symmetric")
-        self.T_support = _positive_tol(self.T_support, "T_support")
-        self.bump_order = _integer(self.bump_order, "bump_order")
-        if self.bump_order < 1:
+        T_support = _positive_tol(self.T_support, "T_support")
+        bump_order = _integer(self.bump_order, "bump_order")
+        if bump_order < 1:
             raise ValueError("bump_order must be a positive integer")
-        self.bump_scale = 1.0 / (self.T_support * _profile_mass(self.bump_order))
+        _profile_mass(bump_order)  # raises if the bump is too narrow to integrate
+        parsed = dict(l=l, n_hyp=n_hyp, omega=center.omega, alpha=a, eps=eps, C=C, T_support=T_support,
+                      bump_order=bump_order, center=center)
+        for name, value in parsed.items():
+            object.__setattr__(self, name, value)  # frozen: each field is set once, here
 
     @property
     def dim(self) -> int:
@@ -169,7 +171,8 @@ class ModelSpec:
     @classmethod
     def from_json_dict(cls, doc) -> "ModelSpec":
         """The spec of a to_json_dict document; absent optional fields take
-        their defaults, and unknown fields and non-numeric entries are rejected."""
+        their defaults, unknown fields are rejected, and the constructor
+        parses the rest."""
         if not isinstance(doc, dict):
             raise ValueError(f"model document must be a JSON object, got {type(doc).__name__}")
         known = [f.name for f in fields(cls) if f.init]
@@ -179,19 +182,7 @@ class ModelSpec:
         for key in ("l", "n_hyp", "omega"):
             if key not in doc:
                 raise ValueError(f"model document is missing field '{key}'")
-        kwargs = dict(doc)
-        for key in ("omega", "alpha"):
-            if key in doc:
-                kwargs[key] = _float_array(doc[key], key)
-        if doc.get("C") is not None:
-            l = _integer(doc["l"], "l")
-            C = _float_array(doc["C"], "C")
-            if C.ndim == 1:
-                if C.size != (2 * l) ** 2:
-                    raise ValueError(f"C must hold {(2 * l) ** 2} row-major entries, got {C.size}")
-                C = C.reshape(2 * l, 2 * l)
-            kwargs["C"] = C
-        return cls(**kwargs)
+        return cls(**doc)
 
 
 @dataclass(frozen=True, eq=False)
@@ -275,7 +266,7 @@ def bump(spec: ModelSpec, t):
     """Smooth unit-mass bump supported strictly inside [-T_support, T_support]."""
     tt = np.atleast_1d(np.asarray(t, dtype=float))
     s = tt / spec.T_support
-    out = spec.bump_scale * _raw_profile(s, spec.bump_order)
+    out = (1.0 / (spec.T_support * _profile_mass(spec.bump_order))) * _raw_profile(s, spec.bump_order)
     return float(out[0]) if np.ndim(t) == 0 else out
 
 

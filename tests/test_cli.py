@@ -273,10 +273,11 @@ class TestRealizeCommand:
         message = json.loads(err)
         assert message["kind"] == "input" and message["error"].startswith("eps must be")
 
-    @pytest.mark.parametrize("eps", ["1e300", "1e3"])
+    @pytest.mark.parametrize("eps", ["1e308", "1e300", "1e3"])
     def test_overflowing_eps_fails_at_once(self, capsys, monkeypatch, eps):
         # 1e300 overflowed the exponential and 1e3 the Hessian, each with a
-        # RuntimeWarning, and then blamed "non-finite entries" as an input error
+        # RuntimeWarning, and then blamed "non-finite entries" as an input error;
+        # 1e308 got exp(-eps J B) = I, halved once and blamed eps = 5e+307
         import homscat.classify
 
         calls = []
@@ -631,6 +632,14 @@ class TestCliPlumbing:
         doc = json.loads(out.read_text())
         assert doc["holds"] is True
         assert "timestamp" in doc
+
+    @pytest.mark.parametrize("out", ["missing/report.json", "."], ids=["missing-directory", "directory"])
+    def test_out_that_cannot_be_written_is_named(self, capsys, tmp_path, out):
+        # it ended in an OSError traceback with exit 1, the code of a failed assertion
+        path = str(tmp_path / out)
+        code, payload, err = run(capsys, ["majorize", "--a", "1,0", "--b", "1,0", "--out", path])
+        assert input_error(code, payload, err, f"cannot write {path}")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("command", sorted(REPORTS))
     def test_deterministic_payload(self, capsys, tmp_path, command):

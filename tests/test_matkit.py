@@ -129,6 +129,27 @@ class TestMatrixExponential:
     def test_empty_stack(self):
         assert matrix_exponential(np.zeros((0, 3, 3))).shape == (0, 3, 3)
 
+    @pytest.mark.parametrize(
+        "M",
+        [
+            np.diag([6e307, 0.0]),
+            np.diag([-1e308, 1e308]),
+            np.array([[1e308, 1e308], [0.0, 0.0]]),
+            # a nilpotent block whose row sum overflows beside [[40]]: one
+            # halving would leave exp(40) to a truncated series, finite and wrong
+            np.diag([0.0, 0.0, 0.0, 40.0]) + np.pad([[0.0, 1e308, 1e308]], ((0, 3), (0, 1))),
+        ],
+        ids=["exponential-overflows", "norm-near-the-limit", "norm-overflows", "norm-overflows-beside-a-finite-block"],
+    )
+    def test_argument_beyond_the_float_range_is_not_finite(self, M):
+        # 1024 halvings divided by 2.0 ** 1024 = inf and the result was I; a
+        # norm overflowing to inf gave a garbage halving count
+        small = np.random.default_rng(7).standard_normal(M.shape)
+        with np.errstate(over="ignore", invalid="ignore"):
+            E = matrix_exponential(np.stack([M, small]))
+        assert not np.isfinite(E[0]).all()
+        assert np.array_equal(E[1], matrix_exponential(small))
+
     def test_rejects_nonsquare_stack(self):
         with pytest.raises(ValueError, match="square"):
             matrix_exponential(np.zeros((2, 3, 4)))

@@ -1,5 +1,10 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homscat import flow
 from homscat.matkit import matrix_exponential, max_abs, standard_symplectic_form, symplectic_rotation
@@ -53,7 +58,112 @@ def adaptive_simpson(f, a, b, tol, depth=30):
     return recurse(a, b, f0, f1, f2, simpson(a, b, f0, f1, f2), tol, depth)
 
 
+# one valid model document, and for each of its fields values that a Python
+# caller or a document may hold: numbers, the entries a document must not hold,
+# and for the array fields lists, tuples and numpy arrays of either
+BASE_DOC = dict(l=1, n_hyp=2, omega=[1.0], alpha=[0.6], eps=0.05, C=[1.0, 0.5, 0.5, -1.0], T_support=2.0, bump_order=1)
+NOT_A_NUMBER = st.one_of(
+    st.text(max_size=4),
+    st.floats(-3, 3).map(repr),
+    st.booleans(),
+    st.none(),
+    st.sampled_from([10**400, -(10**400)]),
+    st.dictionaries(st.text(max_size=2), st.integers(-3, 3), max_size=1),
+)
+NUMBER = st.integers(-3, 3) | st.floats(-3, 3) | st.sampled_from([0.6, np.inf])
+ENTRY = NUMBER | NOT_A_NUMBER | st.sampled_from([np.float64(1.5), np.int64(2)])
+JUNK_ARRAYS = st.sampled_from(
+    [np.array(["1"]), np.array([True]), np.array([1.0, None], dtype=object), np.zeros((1, 1))]
+)
+
+
+def array_values(entries):
+    """A list, a tuple or a numpy array of entries, a nested list, or one entry alone."""
+    return st.one_of(
+        entries,
+        st.lists(entries, max_size=3),
+        st.lists(entries, max_size=3).map(tuple),
+        st.lists(NUMBER, max_size=3).map(np.array),
+        st.lists(st.lists(entries, max_size=2), max_size=2),
+        JUNK_ARRAYS,
+    )
+
+
+def C_forms(C):
+    """A 2 x 2 C as its row-major entries, as rows, and as numpy arrays of either."""
+    return [C.ravel().tolist(), C.tolist(), tuple(map(tuple, C.tolist())), C, C.ravel()]
+
+
+SYMMETRIC_C = st.tuples(NUMBER, NUMBER, NUMBER).map(lambda abc: np.array([[abc[0], abc[1]], [abc[1], abc[2]]], float))
+FIELD_VALUES = {
+    "l": NUMBER | NOT_A_NUMBER | st.sampled_from([np.int64(1), 1.0, 2]),
+    "n_hyp": NUMBER | NOT_A_NUMBER | st.sampled_from([np.int64(2), 2.0]),
+    "omega": array_values(ENTRY),
+    "alpha": array_values(ENTRY),
+    "eps": NUMBER | NOT_A_NUMBER | st.sampled_from([np.float64(0.1), 1e308]),
+    "C": SYMMETRIC_C.flatmap(lambda C: st.sampled_from(C_forms(C))) | array_values(ENTRY),
+    "T_support": NUMBER | NOT_A_NUMBER | st.sampled_from([np.float64(3.0), 1e-300]),
+    "bump_order": st.integers(-1, 3) | NOT_A_NUMBER | st.floats(0.5, 3.5),
+}
+
+
+def parsed(build):
+    """The document of the spec build() returns, or the message of its ValueError."""
+    try:
+        return build().to_json_dict()
+    except ValueError as exc:
+        return str(exc)
+
+
 class TestModelSpec:
+    @pytest.mark.parametrize("field", sorted(FIELD_VALUES))
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_python_values_and_their_document_parse_alike(self, field, data):
+        # from_json_dict ran omega, alpha and C through its own parser, so
+        # omega=["1"], [True] or alpha="2" built a spec only from Python
+        doc = dict(BASE_DOC, **{field: data.draw(FIELD_VALUES[field])})
+        text = json.dumps(doc, default=lambda value: value.tolist())
+        outcome = parsed(lambda: ModelSpec(**doc))
+        assert parsed(lambda: ModelSpec.from_json_dict(doc)) == outcome
+        assert parsed(lambda: ModelSpec.from_json_dict(json.loads(text))) == outcome
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"omega": ["1"]}, "omega entries must be numbers, got '1'"),
+            ({"omega": [True]}, "omega entries must be numbers, got True"),
+            ({"n_hyp": 2, "alpha": "2"}, "alpha entries must be numbers, got '2'"),
+            ({"C": [["1", "0"], ["0", "1"]]}, "C entries must be numbers, got '1'"),
+        ],
+        ids=["omega-string", "omega-true", "alpha-string", "C-strings"],
+    )
+    def test_entry_that_is_not_a_number_is_named_on_both_paths(self, changes, message):
+        doc = dict(dict(l=1, n_hyp=1, omega=[1.0]), **changes)
+        for build in (lambda: ModelSpec(**doc), lambda: ModelSpec.from_json_dict(doc)):
+            with pytest.raises(ValueError) as raised:
+                build()
+            assert str(raised.value) == message
+
+    def test_flat_and_square_C_give_one_spec(self):
+        C = np.array([[1.0, 0.5], [0.5, -1.0]])
+        square = ModelSpec(l=1, n_hyp=1, omega=[1.0], C=C)
+        flat = ModelSpec(l=1, n_hyp=1, omega=[1.0], C=C.ravel().tolist())
+        assert np.array_equal(square.C, C) and np.array_equal(flat.C, C)
+        with pytest.raises(ValueError, match=r"C must be 2 x 2 or its 4 row-major entries, got shape \(3,\)"):
+            ModelSpec(l=1, n_hyp=1, omega=[1.0], C=[1.0, 0.0, 1.0])
+
+    def test_spec_cannot_change_after_it_is_checked(self):
+        # assigning T_support left the bump's scale at 1/2 and sigma came out
+        # 0.0499 away from exp(-eps J C), with no error
+        spec = ModelSpec(l=1, n_hyp=1, omega=[1.0], eps=0.5, C=np.eye(2), T_support=2.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spec.T_support = 4.0
+        for name in [f.name for f in dataclasses.fields(spec)]:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(spec, name, getattr(spec, name))
+        assert spec.T_support == 2.0 and bump(spec, 0.0) == bump(ModelSpec(**spec.to_json_dict()), 0.0)
+
     def test_rejects_duplicate_omega(self):
         with pytest.raises(ValueError):
             ModelSpec(l=2, n_hyp=1, omega=[1.0, 1.0])
