@@ -6,7 +6,8 @@ D = diag(omega, omega).  It is never definite; every indefinite signature
 (m, 2l - m) is reachable by choosing a spectrum that majorizes the balanced
 +-1 diagonal, building a symmetric target with that diagonal and spectrum,
 solving the bracket equation for a generator B, and taking
-sigma = exp(-eps J B) for small eps.  When an antisymplectic involution R
+sigma = exp(-eps J B) for small eps.  When the centre reversal
+R = diag(I, -I), the normal form of every reversor of the centre flow,
 reverses the dynamics, sigma R sigma = R forces the signature (l, l).
 """
 
@@ -34,11 +35,9 @@ from .matkit import (
     inertia,
     matrix_exponential,
     max_abs,
-    standard_symplectic_form,
 )
 
 _SYMPLECTIC_PRECONDITION_TOL = 1e-7
-_STRUCTURE_TOL = 1e-10
 _REALIZE_MAX_HALVINGS = 20
 _MAX_FACTORS = 5
 # bound on the matrix entries of one chunk of ensemble trials at _MAX_FACTORS
@@ -121,8 +120,8 @@ def _random_symplectics(block: CenterBlock, rngs, max_factors: int, max_norm: fl
         counts.append(count)
     R = np.array(raws).reshape(-1, d, d)
     B = 0.5 * (R + R.swapaxes(-1, -2))
-    w = eigvalsh(B)
-    B *= (np.array(norms) / np.maximum(np.abs(w[:, 0]), np.abs(w[:, -1])))[:, None, None]
+    # B is exactly symmetric, so LAPACK takes it without eigvalsh's symmetry check
+    B *= (np.array(norms) / np.abs(np.linalg.eigvalsh(B)).max(axis=-1))[:, None, None]
     factors = matrix_exponential(-block.J @ B)
     counts = np.array(counts)
     first = np.cumsum(counts) - counts
@@ -293,36 +292,26 @@ class ReversibilityReport:
     passed: bool
 
 
-def _validated_reversal(R) -> np.ndarray:
-    A = _square(R, "reversal")
-    if A.shape[0] % 2:
-        raise ValueError("reversal must act on an even-dimensional space")
-    scale = max(1.0, max_abs(A))
-    if max_abs(A - A.T) > _STRUCTURE_TOL * scale:
-        raise ValueError("reversal is not symmetric")
-    if max_abs(A.T @ A - np.eye(A.shape[0])) > _STRUCTURE_TOL * scale:
-        raise ValueError("reversal is not orthogonal")
-    if max_abs(A @ A - np.eye(A.shape[0])) > _STRUCTURE_TOL * scale:
-        raise ValueError("reversal is not an involution")
-    J = standard_symplectic_form(A.shape[0] // 2)
-    if max_abs(A @ J + J @ A) > _STRUCTURE_TOL * scale:
-        raise ValueError("reversal is not antisymplectic")
-    return A
-
-
-def check_reversibility(sigma, R, tol: float) -> ReversibilityReport:
-    """Residual of sigma R sigma = R for a validated antisymplectic involution R."""
+def check_reversibility(sigma, tol: float) -> ReversibilityReport:
+    """Residual of sigma R sigma = R for the centre reversal R = diag(I_l, -I_l),
+    with l read from sigma."""
     S = _square(sigma, "scattering matrix")
-    A = _validated_reversal(R)
-    if S.shape != A.shape:
-        raise ValueError("scattering matrix and reversal have different dimensions")
+    if S.shape[0] % 2:
+        raise ValueError(f"scattering matrix must have even dimension, got {S.shape[0]}")
     tol = _positive_tol(tol)
-    residual = max_abs(S @ A @ S - A)
+    R = center_reversal(S.shape[0] // 2)
+    residual = max_abs(S @ R @ S - R)
     return ReversibilityReport(residual=residual, tol=tol, passed=bool(residual <= tol))
 
 
-def reversible_signature(sigma, R, D_center, tol: float) -> SignatureReport:
-    """Inertia of the reduced Hessian in the reversible case.
+def reversible_signature(sigma, center: CenterBlock, tol: float) -> SignatureReport:
+    """Inertia of the reduced Hessian sigma^T D sigma - D, D = center.D, in the reversible case.
+
+    The reversal is the normal form R = diag(I, -I), and that loses nothing:
+    a reversor of the centre flow commutes with D, so for distinct
+    frequencies it is a reflection in each (q_i, p_i) plane, Psi R Psi^T
+    with Psi a centre rotation, and Psi^T sigma Psi is reversible under R
+    with a congruent Hessian.
 
     Verifies the mechanism forcing the (l, l) signature: in the basis given
     by the symmetric square root S of (I + (R sigma)^T R sigma)/2, the map
@@ -333,14 +322,16 @@ def reversible_signature(sigma, R, D_center, tol: float) -> SignatureReport:
     eigenvalues pair as +-lambda.  A degenerate Hessian is reported as
     such, never forced to (l, l).
     """
-    report = check_reversibility(sigma, R, tol)
+    report = check_reversibility(sigma, tol)
+    S = np.asarray(sigma, dtype=float)
+    if S.shape[0] != center.dim:
+        raise ValueError(f"scattering matrix has dimension {S.shape[0]} but the centre block {center.dim}")
     if not report.passed:
         raise ValueError(
             f"scattering matrix is not reversible: residual {report.residual:.3e} exceeds {tol:.3e}"
         )
-    S = np.asarray(sigma, dtype=float)
-    H = hessian_from_scattering(S, D_center)
-    A = np.asarray(R, dtype=float) @ S
+    H = _hessian(S, center.D, center)
+    A = center_reversal(center.l) @ S
     M = 0.5 * (np.eye(A.shape[0]) + A.T @ A)
     # every eigenvalue of M is at least 1/2, so one decomposition gives both roots
     w, V = eigh(M)

@@ -182,8 +182,7 @@ def _cmd_indefinite(args) -> tuple[dict, bool]:
 def _cmd_reversible(args) -> tuple[dict, bool]:
     spec = models.ModelSpec.from_json_dict(_load_json(args.spec))
     result = flow.scattering_matrix(models.scattering_problem(spec))
-    R = classify.center_reversal(spec.l)
-    rev = classify.check_reversibility(result.sigma, R, args.tol)
+    rev = classify.check_reversibility(result.sigma, args.tol)
     payload = {
         "command": "reversible",
         "spec": spec.to_json_dict(),
@@ -193,7 +192,7 @@ def _cmd_reversible(args) -> tuple[dict, bool]:
     if not rev.passed:
         payload["pass"] = False
         return payload, False
-    report = classify.reversible_signature(result.sigma, R, spec.center.D, args.tol)
+    report = classify.reversible_signature(result.sigma, spec.center, args.tol)
     w = report.eigenvalues
     pairing_defect = np.max(np.abs(w + w[::-1]))
     expected = (spec.l, spec.l, 0)
@@ -232,19 +231,15 @@ def _cmd_majorize(args) -> tuple[dict, bool]:
 
 
 def _cmd_demo_integrable(args) -> tuple[dict, bool]:
-    if args.l < 1:
-        raise ValueError("--l must be at least 1")
     omega = _float_list(args.omega) if args.omega else [float(k) for k in range(1, args.l + 1)]
-    if len(omega) != args.l:
-        raise ValueError(f"omega has {len(omega)} entries but --l is {args.l}")
     tol = _positive_tol(args.tol, "--tol")
     spec = models.ModelSpec(l=args.l, n_hyp=1, omega=omega, eps=0.0)
     result = flow.scattering_matrix(models.scattering_problem(spec))
-    deviation = max_abs(result.sigma - np.eye(2 * args.l))
+    deviation = max_abs(result.sigma - np.eye(2 * spec.l))
     ok = deviation <= tol
     payload = {
         "command": "demo-integrable",
-        "l": args.l,
+        "l": spec.l,
         "omega": omega,
         "tol": args.tol,
         "max_deviation_from_identity": deviation,

@@ -11,8 +11,9 @@ tolerance 1e-7 * max(1, |S|), far above the backward error of the
 eigensolver.  The eigensolvers and the exponential also take a (k, n, n)
 stack and treat each slice exactly as they treat that matrix alone.
 CenterBlock alone turns centre frequencies into D = diag(omega, omega) and J,
-or reads them back from a D array; only the public functions that take a D
-array do the latter, and the model pipelines pass the block object on.
+or reads them back from a D array; only the two public classify functions
+that take a D array do the latter, and the other pipelines pass the block
+object on.
 """
 
 from __future__ import annotations
@@ -65,6 +66,8 @@ def _float_array(value, name: str) -> np.ndarray:
     a string, boolean, None or object anywhere in it raises ValueError naming name."""
     def check(item):
         if isinstance(item, np.ndarray):
+            if item.dtype.kind in "iuf":  # integer and real arrays hold numbers only
+                return
             item = item.tolist()
         if isinstance(item, (list, tuple)):
             for entry in item:

@@ -10,7 +10,6 @@ import numpy as np
 
 from bracket_oracle import bracket_adjoint_nullity
 from homscat.classify import (
-    center_reversal,
     check_reversibility,
     hessian_from_scattering,
     indefiniteness_ensemble,
@@ -246,8 +245,7 @@ def test_criterion_09_reversible_case():
     bad_signatures = []
     degenerate_total = 0
     for l in (1, 2, 3):
-        R = center_reversal(l)
-        D = CenterBlock(OMEGAS[l]).D
+        block = CenterBlock(OMEGAS[l])
         J = standard_symplectic_form(l)
         accepted = 0
         draw = 0
@@ -257,10 +255,10 @@ def test_criterion_09_reversible_case():
             assert draw < 100, "too many degenerate draws"
             B = random_reversible_form(l, rng)
             sigma = matrix_exponential(-1e-2 * J @ B)
-            rev = check_reversibility(sigma, R, 1e-7)
+            rev = check_reversibility(sigma, 1e-7)
             worst_rev = max(worst_rev, rev.residual)
             assert rev.passed
-            rep = reversible_signature(sigma, R, D, 1e-7)
+            rep = reversible_signature(sigma, block, 1e-7)
             if rep.degenerate:
                 degenerate_total += 1
                 continue

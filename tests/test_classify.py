@@ -367,8 +367,7 @@ class TestRotationQuotient:
 
 class TestCheckReversibility:
     def test_identity_passes(self):
-        R = center_reversal(2)
-        rep = check_reversibility(np.eye(4), R, 1e-10)
+        rep = check_reversibility(np.eye(4), 1e-10)
         assert rep.passed and rep.residual == 0.0
 
     def test_commuting_generator_passes(self):
@@ -376,7 +375,7 @@ class TestCheckReversibility:
         l = 2
         B = random_reversible_form(l, rng)
         sigma = matrix_exponential(-0.05 * standard_symplectic_form(l) @ B)
-        rep = check_reversibility(sigma, center_reversal(l), 1e-9)
+        rep = check_reversibility(sigma, 1e-9)
         assert rep.passed
 
     def test_generic_generator_fails(self):
@@ -385,35 +384,23 @@ class TestCheckReversibility:
         B = random_symmetric(rng, 2 * l)
         B[0, l] = B[l, 0] = 1.0  # force coupling across the reversal eigenspaces
         sigma = matrix_exponential(-0.3 * standard_symplectic_form(l) @ B)
-        rep = check_reversibility(sigma, center_reversal(l), 1e-9)
+        rep = check_reversibility(sigma, 1e-9)
         assert not rep.passed
         assert rep.residual > 1e-4
 
-    def test_rejects_nonsymmetric_R(self):
-        R = symplectic_rotation([0.3])
-        with pytest.raises(ValueError, match="not symmetric"):
-            check_reversibility(np.eye(2), R, 1e-8)
-
-    def test_rejects_nonorthogonal_R(self):
-        R = np.diag([2.0, 0.5])
-        with pytest.raises(ValueError, match="not orthogonal"):
-            check_reversibility(np.eye(2), R, 1e-8)
-
-    def test_rejects_symplectic_R(self):
-        # the identity is symmetric, orthogonal, involutive, but commutes with J
-        with pytest.raises(ValueError, match="not antisymplectic"):
-            check_reversibility(np.eye(2), np.eye(2), 1e-8)
+    def test_rejects_odd_dimension(self):
+        with pytest.raises(ValueError, match="scattering matrix must have even dimension, got 3"):
+            check_reversibility(np.eye(3), 1e-8)
 
     @pytest.mark.parametrize("tol", [np.nan, np.inf])
     def test_rejects_tolerance_that_is_not_finite_positive(self, tol):
         with pytest.raises(ValueError, match="finite positive"):
-            check_reversibility(np.eye(2), center_reversal(1), tol)
+            check_reversibility(np.eye(2), tol)
 
 
 class TestReversibleSignature:
     def test_identity_sigma_degenerate(self):
-        D = CenterBlock([1.0, 2.0]).D
-        rep = reversible_signature(np.eye(4), center_reversal(2), D, 1e-8)
+        rep = reversible_signature(np.eye(4), CenterBlock([1.0, 2.0]), 1e-8)
         assert rep.inertia == (0, 0, 4)
         assert rep.degenerate
 
@@ -422,7 +409,7 @@ class TestReversibleSignature:
             rng = np.random.default_rng(100 + l)
             B = random_reversible_form(l, rng)
             sigma = matrix_exponential(-1e-2 * standard_symplectic_form(l) @ B)
-            rep = reversible_signature(sigma, center_reversal(l), CenterBlock(omega).D, 1e-7)
+            rep = reversible_signature(sigma, CenterBlock(omega), 1e-7)
             assert rep.inertia == (l, l, 0)
 
     def test_eigenvalues_pair(self):
@@ -430,8 +417,7 @@ class TestReversibleSignature:
         rng = np.random.default_rng(55)
         B = random_reversible_form(l, rng)
         sigma = matrix_exponential(-5e-3 * standard_symplectic_form(l) @ B)
-        D = CenterBlock([1.0, 2.0, 3.0]).D
-        rep = reversible_signature(sigma, center_reversal(l), D, 1e-7)
+        rep = reversible_signature(sigma, CenterBlock([1.0, 2.0, 3.0]), 1e-7)
         w = rep.eigenvalues
         assert max_abs(w + w[::-1]) <= 1e-7
 
@@ -442,7 +428,30 @@ class TestReversibleSignature:
         B[0, l] = B[l, 0] = 1.0
         sigma = matrix_exponential(-0.3 * standard_symplectic_form(l) @ B)
         with pytest.raises(ValueError, match="not reversible"):
-            reversible_signature(sigma, center_reversal(l), CenterBlock([1.0, 2.0]).D, 1e-9)
+            reversible_signature(sigma, CenterBlock([1.0, 2.0]), 1e-9)
+
+    def test_rejects_sigma_of_another_dimension(self):
+        with pytest.raises(ValueError, match="scattering matrix has dimension 2 but the centre block 4"):
+            reversible_signature(np.eye(2), CenterBlock([1.0, 2.0]), 1e-8)
+
+    @pytest.mark.parametrize("l", [1, 2, 3])
+    def test_rotated_reversor_reduces_to_the_centre_reversal(self, l):
+        # a reversor of the centre flow is R_theta = Psi R0 Psi^T with Psi a centre
+        # rotation; sigma reversible under R_theta is Psi sigma0 Psi^T with sigma0
+        # reversible under R0, and its Hessian is congruent to that of Psi^T sigma Psi
+        rng = np.random.default_rng(300 + l)
+        block = CenterBlock(np.arange(1.0, l + 1))
+        R0 = center_reversal(l)
+        Psi = symplectic_rotation(rng.uniform(-np.pi, np.pi, size=l) / 2)
+        R_theta = Psi @ R0 @ Psi.T
+        sigma0 = matrix_exponential(-1e-2 * standard_symplectic_form(l) @ random_reversible_form(l, rng))
+        sigma = Psi @ sigma0 @ Psi.T
+        assert max_abs(sigma @ R_theta @ sigma - R_theta) <= 1e-12
+        assert not check_reversibility(sigma, 1e-7).passed
+        reduced = Psi.T @ sigma @ Psi
+        assert check_reversibility(reduced, 1e-7).passed
+        rep = reversible_signature(reduced, block, 1e-7)
+        assert rep.inertia == inertia(hessian_from_scattering(sigma, block.D)).inertia == (l, l, 0)
 
 
 class TestHelpers:

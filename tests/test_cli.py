@@ -157,7 +157,7 @@ REPORTS = {
 BLOCKS = {
     "scatter": (1, 0),
     "demo-integrable": (1, 0),
-    "reversible": (2, 1),
+    "reversible": (1, 0),
     "classify": (2, 1),
     "indefinite": (2, 1),
     "realize": (1, 0),
@@ -182,6 +182,19 @@ class TestDemoIntegrable:
         # it used to exit 0 after two RuntimeWarnings
         code, payload, err = run(capsys, ["demo-integrable", "--l", "1", "--omega=1e300"])
         assert input_error(code, payload, err, "omega[0] = 1e+300")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--l", "0"], "need at least one centre pair"),
+            (["--l", "2", "--omega", "1"], "omega must be a vector of length 2"),
+        ],
+    )
+    def test_model_spec_names_a_bad_l_or_omega(self, capsys, argv, message):
+        # the handler checks neither itself: the spec it builds does, in its own words
+        code, payload, err = run(capsys, ["demo-integrable", *argv])
+        assert json.loads(err) == {"error": message, "kind": "input"}
+        assert code == 2 and payload is None
 
     def test_nan_tolerance_is_an_input_error(self, capsys):
         # it used to exit 1, a failed identity check, although sigma = I
