@@ -27,6 +27,7 @@ from .matkit import (
     _CLASSIFICATION_FLOOR,
     CenterBlock,
     SignatureReport,
+    _integer,
     _positive_tol,
     _slice_max_abs,
     _square,
@@ -137,7 +138,7 @@ def random_symplectic(
 ) -> np.ndarray:
     """Product of up to max_factors exponentials exp(-J B) with random
     symmetric B scaled to a spectral norm drawn from (0.1, max_norm]."""
-    l = int(l)
+    l = _integer(l, "l")
     if l < 1:
         raise ValueError(f"l must be at least 1, got {l}")
     return _random_symplectics(CenterBlock(np.ones(l)), [rng], max_factors, max_norm)[0]
@@ -155,11 +156,11 @@ def indefiniteness_ensemble(D_center, trials: int, seed: int, tol: float = 1e-9)
     """
     D = _square(D_center, "D_center")
     block = CenterBlock.from_diagonal(D)
-    trials = int(trials)
+    trials = _integer(trials, "trials")
     if trials < 1:
         raise ValueError("need at least one trial")
     tol = _positive_tol(tol, "ensemble tolerance")
-    seed = int(seed)
+    seed = _integer(seed, "seed")
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
     chunk = max(1, _MAX_CHUNK_ELEMENTS // (_MAX_FACTORS * D.size))
@@ -225,7 +226,7 @@ def realize_signature(l: int, m: int, omega, eps: float) -> RealizationReport:
     first-order gap is measured against the bracket of B that the solve
     already formed for its residual bound.
     """
-    l, m = int(l), int(m)
+    l, m = _integer(l, "l"), _integer(m, "m")
     w = np.atleast_1d(np.asarray(omega, dtype=float))
     if w.size != l:
         raise ValueError(f"omega must have length l = {l}, got {w.size}")
@@ -279,7 +280,7 @@ def realize_signature(l: int, m: int, omega, eps: float) -> RealizationReport:
 
 def center_reversal(l: int) -> np.ndarray:
     """The centre-block involution diag(I_l, -I_l): q -> q, p -> -p."""
-    l = int(l)
+    l = _integer(l, "l")
     if l < 1:
         raise ValueError("l must be at least 1")
     return np.diag(np.concatenate([np.ones(l), -np.ones(l)]))
@@ -294,13 +295,15 @@ class ReversibilityReport:
 
 def check_reversibility(sigma, tol: float) -> ReversibilityReport:
     """Residual of sigma R sigma = R for the centre reversal R = diag(I_l, -I_l),
-    with l read from sigma."""
+    with l read from sigma; a residual beyond the float range is inf and fails."""
     S = _square(sigma, "scattering matrix")
     if S.shape[0] % 2:
         raise ValueError(f"scattering matrix must have even dimension, got {S.shape[0]}")
     tol = _positive_tol(tol)
     R = center_reversal(S.shape[0] // 2)
-    residual = max_abs(S @ R @ S - R)
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = max_abs(S @ R @ S - R)
+    residual = np.inf if np.isnan(residual) else residual  # inf - inf where the product overflowed
     return ReversibilityReport(residual=residual, tol=tol, passed=bool(residual <= tol))
 
 

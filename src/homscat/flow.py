@@ -196,11 +196,7 @@ class ScatteringResult:
     symplectic_defect: float
 
 
-def scattering_matrix(
-    problem: ScatteringProblem,
-    tol: float = DEFAULT_SIGMA_TOL,
-    integrator_tol: float = DEFAULT_INTEGRATOR_TOL,
-) -> ScatteringResult:
+def scattering_matrix(problem: ScatteringProblem, tol: float = DEFAULT_SIGMA_TOL) -> ScatteringResult:
     """Psi(-T) Phi(T, -T) Psi(-T), solved in the co-rotating frame.
 
     With T_s = support_halfwidth, the co-rotating propagator W(T_s, -T_s)
@@ -213,7 +209,7 @@ def scattering_matrix(
     """
     tol = _positive_tol(tol, "scattering tolerance")
     T_s = problem.support_halfwidth
-    sigma = fundamental_solution(problem.field, -T_s, T_s, integrator_tol)
+    sigma = fundamental_solution(problem.field, -T_s, T_s)
     s = np.linspace(0.0, 1.0, 65)
     slabs = _field_values(problem.field, np.concatenate([-(T_s + s), T_s + s]), problem.dim)
     with np.errstate(over="ignore"):

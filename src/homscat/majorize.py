@@ -21,6 +21,7 @@ import numpy as np
 
 from .matkit import (
     CenterBlock,
+    _integer,
     _positive_tol,
     _require_symmetric,
     max_abs,
@@ -104,7 +105,7 @@ def indefinite_spectrum(l: int, m: int) -> np.ndarray:
     -(2l-1)/(2l-m); it realises the signature (m, 2l-m) through the Mirsky
     construction.
     """
-    l, m = int(l), int(m)
+    l, m = _integer(l, "l"), _integer(m, "m")
     if l < 1:
         raise ValueError("l must be at least 1")
     if not 1 <= m <= 2 * l - 1:

@@ -117,7 +117,7 @@ def _require_symmetric(M, name: str = "matrix", stack: bool = False) -> np.ndarr
 
 def standard_symplectic_form(n: int) -> np.ndarray:
     """The 2n x 2n block matrix [[0, I], [-I, 0]]."""
-    n = int(n)
+    n = _integer(n, "n")
     if n < 1:
         raise ValueError("the symplectic form needs at least one conjugate pair")
     J = np.zeros((2 * n, 2 * n))

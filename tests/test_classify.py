@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -397,6 +398,18 @@ class TestCheckReversibility:
         with pytest.raises(ValueError, match="finite positive"):
             check_reversibility(np.eye(2), tol)
 
+    @pytest.mark.parametrize(
+        "sigma", [np.diag([1e200, 1e-200]), np.full((2, 2), 1e200)], ids=["overflow", "inf-minus-inf"]
+    )
+    def test_residual_beyond_the_float_range_fails_without_a_warning(self, sigma):
+        # sigma R sigma overflowed with a RuntimeWarning, and inf - inf left a NaN residual
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = check_reversibility(sigma, 1e-7)
+            assert rep.residual == np.inf and not rep.passed
+            with pytest.raises(ValueError, match="not reversible: residual inf"):
+                reversible_signature(sigma, CenterBlock([1.0]), 1e-7)
+
 
 class TestReversibleSignature:
     def test_identity_sigma_degenerate(self):
@@ -452,6 +465,41 @@ class TestReversibleSignature:
         assert check_reversibility(reduced, 1e-7).passed
         rep = reversible_signature(reduced, block, 1e-7)
         assert rep.inertia == inertia(hessian_from_scattering(sigma, block.D)).inertia == (l, l, 0)
+
+
+ENSEMBLE_D = np.diag([1.0, 1.0])
+
+
+class TestCounts:
+    # int() truncated each of them: m = 1.5 realized m = 1, 2.9 trials ran 2, and True counted as 1
+    @pytest.mark.parametrize(
+        "call, name, value",
+        [
+            (lambda v: realize_signature(v, 1, [1.0], 0.01), "l", 1.5),
+            (lambda v: realize_signature(2, v, [1.0, 2.0], 0.01), "m", 1.5),
+            (lambda v: indefiniteness_ensemble(ENSEMBLE_D, v, 1), "trials", 2.9),
+            (lambda v: indefiniteness_ensemble(ENSEMBLE_D, v, 1), "trials", True),
+            (lambda v: indefiniteness_ensemble(ENSEMBLE_D, 2, v), "seed", 1.5),
+            (lambda v: indefinite_spectrum(v, 1), "l", True),
+            (lambda v: indefinite_spectrum(2, v), "m", 1.5),
+            (lambda v: random_symplectic(v, np.random.default_rng(0)), "l", 1.5),
+            (center_reversal, "l", "1"),
+            (standard_symplectic_form, "n", 1.5),
+        ],
+        ids=[
+            "realize-l", "realize-m", "ensemble-trials", "ensemble-trials-true", "ensemble-seed",
+            "spectrum-l-true", "spectrum-m", "random_symplectic-l", "center_reversal-l", "symplectic_form-n",
+        ],
+    )
+    def test_count_that_is_not_an_integer_is_named(self, call, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
+            call(value)
+
+    def test_integral_float_counts_are_accepted(self):
+        assert realize_signature(2.0, 1.0, [1.0, 2.0], 0.01).achieved.inertia == (1, 3, 0)
+        assert indefiniteness_ensemble(ENSEMBLE_D, 3.0, 1.0).trials == 3
+        assert np.array_equal(center_reversal(2.0), center_reversal(2))
+        assert np.array_equal(standard_symplectic_form(2.0), standard_symplectic_form(2))
 
 
 class TestHelpers:

@@ -65,8 +65,7 @@ def skeleton(value):
 MATRIX = {"dim": "int", "data": ["float"]}
 SIGNATURE = {"n_pos": "int", "n_neg": "int", "n_zero": "int", "eigenvalues": ["float"], "tol": "float"}
 SPEC = {
-    "l": "int", "n_hyp": "int", "omega": ["float"], "alpha": [], "eps": "float", "C": ["float"],
-    "T_support": "float", "bump_order": "int",
+    "l": "int", "n_hyp": "int", "omega": ["float"], "alpha": [], "eps": "float", "C": ["float"], "T_support": "float",
 }
 SCATTERING = {"sigma": MATRIX, "T_used": "float", "residual": "float", "symplectic_defect": "float"}
 
@@ -84,7 +83,7 @@ NOT_A_NUMBER = st.one_of(
 )
 NOT_A_COUNT = NOT_A_NUMBER | st.floats(-1e6, 1e6).filter(lambda x: not x.is_integer())
 SCALAR_FIELDS = {
-    "l": NOT_A_COUNT, "n_hyp": NOT_A_COUNT, "bump_order": NOT_A_COUNT, "eps": NOT_A_NUMBER, "T_support": NOT_A_NUMBER,
+    "l": NOT_A_COUNT, "n_hyp": NOT_A_COUNT, "eps": NOT_A_NUMBER, "T_support": NOT_A_NUMBER,
 }
 
 
@@ -409,19 +408,10 @@ class TestScatterCommand:
         message = json.loads(err)
         assert message["kind"] == "numerical" and "overflow" in message["error"]
 
-    def test_unresolved_bump_order_is_a_numerical_failure(self, capsys, tmp_path):
-        # it used to print two RuntimeWarnings, scatter 1.5e-4 away from exp(-eps J C) and exit 0
-        doc = spec_doc(eps=0.5, bump_order=10**6)
-        code, payload, err = run(capsys, ["scatter", "--spec", write_doc(tmp_path, doc)])
-        assert code == 3 and payload is None
-        message = json.loads(err)
-        assert message["kind"] == "numerical" and "bump_order = 1000000" in message["error"]
-
-    def test_bump_order_beyond_the_float_range_is_an_input_error(self, capsys, tmp_path):
-        # it exited 3 with "int too large to convert to float", naming no field
-        doc = spec_doc(bump_order=10**400)
-        code, payload, err = run(capsys, ["scatter", "--spec", write_doc(tmp_path, doc)])
-        assert input_error(code, payload, err, "bump_order")
+    def test_bump_order_is_an_unknown_field(self, capsys, tmp_path):
+        # the bump's sharpness was a field that changed no sigma
+        code, payload, err = run(capsys, ["scatter", "--spec", write_doc(tmp_path, spec_doc(bump_order=1))])
+        assert input_error(code, payload, err, "unknown fields ['bump_order']")
 
     @pytest.mark.parametrize("T_support", [1e308, 1e200])
     def test_support_beyond_the_step_cap_is_a_numerical_failure(self, capsys, tmp_path, T_support):
@@ -463,13 +453,13 @@ class TestScatterCommand:
         assert message["kind"] == "numerical"
         assert "overflows" in message["error"] and "eps = 1e+308" in message["error"]
 
-    @pytest.mark.parametrize("field", ["l", "n_hyp", "eps", "T_support", "bump_order"])
+    @pytest.mark.parametrize("field", ["l", "n_hyp", "eps", "T_support"])
     def test_null_field_is_named(self, capsys, tmp_path, field):
         # each crashed with a TypeError traceback and exit 1
         code, payload, err = run(capsys, ["scatter", "--spec", write_doc(tmp_path, spec_doc(**{field: None}))])
         assert input_error(code, payload, err, field)
 
-    @pytest.mark.parametrize("field, value", [("l", 1.7), ("n_hyp", 1.5), ("bump_order", 2.5), ("l", True)])
+    @pytest.mark.parametrize("field, value", [("l", 1.7), ("n_hyp", 1.5), ("l", True)])
     def test_non_integer_count_is_named(self, capsys, tmp_path, field, value):
         # "l": 1.7 used to run silently as l = 1
         code, payload, err = run(capsys, ["scatter", "--spec", write_doc(tmp_path, spec_doc(**{field: value}))])
@@ -502,8 +492,8 @@ class TestScatterCommand:
         assert input_error(code, payload, err, field)
 
     def test_integral_float_count_is_accepted(self, capsys, tmp_path):
-        code, payload, _ = run(capsys, ["scatter", "--spec", write_doc(tmp_path, spec_doc(l=1.0, bump_order=2.0))])
-        assert code == 0 and payload["spec"]["l"] == 1 and payload["spec"]["bump_order"] == 2
+        code, payload, _ = run(capsys, ["scatter", "--spec", write_doc(tmp_path, spec_doc(l=1.0, n_hyp=1.0))])
+        assert code == 0 and payload["spec"]["l"] == 1 and payload["spec"]["n_hyp"] == 1
 
     @pytest.mark.parametrize("field", sorted(SCALAR_FIELDS))
     @settings(
