@@ -27,6 +27,7 @@ from .matkit import (
     _CLASSIFICATION_FLOOR,
     CenterBlock,
     SignatureReport,
+    _as_float,
     _integer,
     _positive_tol,
     _slice_max_abs,
@@ -97,36 +98,31 @@ class EnsembleSummary:
     smallest_max_eigenvalue: float
 
 
-def _random_symplectics(block: CenterBlock, rngs, max_factors: int, max_norm: float) -> np.ndarray:
-    """random_symplectic for each generator in turn, as a (k, 2l, 2l) stack.
-
-    Every generator makes its draws in full before the next one starts.  The
-    raw draws are then symmetrized as one stack, one stacked eigvalsh gives
-    all spectral norms and one stacked exponential all factors, and the
-    sigmas are multiplied out one factor position at a time, each from I in
-    draw order.
+def _random_symplectics(block: CenterBlock, streams, k: int, max_factors: int, max_norm: float) -> np.ndarray:
+    """k random_symplectic draws as a (k, 2l, 2l) stack, from the generators of
+    the factor counts, the raw generators and their norms, each read in
+    trial order by one call.  A raw draw with a zero symmetric part is
+    skipped, with its norm.  One stacked eigvalsh gives all spectral norms
+    and one stacked exponential all factors, and the sigmas are multiplied
+    out one factor position at a time, each from I in draw order.
     """
     d = block.dim
-    raws, norms, counts = [], [], []
-    for rng in rngs:
-        count = 0
-        for _ in range(int(rng.integers(1, max_factors + 1))):
-            raw = rng.standard_normal((d, d))
-            # B[0, 0] == raw[0, 0], so B can vanish only where raw[0, 0] does
-            if raw[0, 0] == 0.0 and not (0.5 * (raw + raw.T)).any():
-                continue
-            raws.append(raw)
-            norms.append(rng.uniform(0.1, max_norm))
-            count += 1
-        counts.append(count)
-    R = np.array(raws).reshape(-1, d, d)
+    count_stream, raw_stream, norm_stream = streams
+    counts = count_stream.integers(1, max_factors + 1, size=k)
+    R = raw_stream.standard_normal((int(counts.sum()), d, d))
+    norms = norm_stream.uniform(0.1, max_norm, size=R.shape[0])
     B = 0.5 * (R + R.swapaxes(-1, -2))
+    # B[0, 0] == R[0, 0], so B can vanish only where R[0, 0] does
+    keep = R[:, 0, 0] != 0.0
+    if not keep.all():
+        keep |= B.any(axis=(1, 2))
+        counts = np.add.reduceat(keep, np.cumsum(counts) - counts, dtype=int)
+        B, norms = B[keep], norms[keep]
     # B is exactly symmetric, so LAPACK takes it without eigvalsh's symmetry check
-    B *= (np.array(norms) / np.abs(np.linalg.eigvalsh(B)).max(axis=-1))[:, None, None]
+    B *= (norms / np.abs(np.linalg.eigvalsh(B)).max(axis=-1))[:, None, None]
     factors = matrix_exponential(-block.J @ B)
-    counts = np.array(counts)
     first = np.cumsum(counts) - counts
-    sigmas = np.tile(np.eye(d), (counts.size, 1, 1))
+    sigmas = np.tile(np.eye(d), (k, 1, 1))
     for position in range(counts.max(initial=0)):
         live = counts > position
         sigmas[live] = sigmas[live] @ factors[first[live] + position]
@@ -136,21 +132,29 @@ def _random_symplectics(block: CenterBlock, rngs, max_factors: int, max_norm: fl
 def random_symplectic(
     l: int, rng: np.random.Generator, max_factors: int = _MAX_FACTORS, max_norm: float = 2.0
 ) -> np.ndarray:
-    """Product of up to max_factors exponentials exp(-J B) with random
-    symmetric B scaled to a spectral norm drawn from (0.1, max_norm]."""
+    """Product of 1 to max_factors (an integer, at least 1) exponentials exp(-J B)
+    with random symmetric B scaled to a spectral norm drawn from [0.1, max_norm),
+    max_norm finite and above 0.1; rng draws the count, the raw Bs, then the norms."""
     l = _integer(l, "l")
     if l < 1:
         raise ValueError(f"l must be at least 1, got {l}")
-    return _random_symplectics(CenterBlock(np.ones(l)), [rng], max_factors, max_norm)[0]
+    max_factors = _integer(max_factors, "max_factors")
+    if max_factors < 1:
+        raise ValueError(f"max_factors must be at least 1, got {max_factors}")
+    norm = _as_float(max_norm)
+    if not 0.1 < norm < np.inf:
+        raise ValueError(f"max_norm must be a finite number above 0.1, got {max_norm!r}")
+    return _random_symplectics(CenterBlock(np.ones(l)), (rng, rng, rng), 1, max_factors, norm)[0]
 
 
 def indefiniteness_ensemble(D_center, trials: int, seed: int, tol: float = 1e-9) -> EnsembleSummary:
     """Extreme Hessian eigenvalues over a seeded random symplectic ensemble.
 
-    Each trial draws its generator from (seed, trial index), so the summary
-    is reproducible regardless of evaluation order.  Trials run in chunks
-    whose stacked factors hold at most _MAX_CHUNK_ELEMENTS matrix entries.
-    An extreme eigenvalue beyond tol, which must be a finite positive
+    SeedSequence(seed) spawns the generators of the factor counts, the raw
+    generators and the norms, each read in trial order: the summary does
+    not depend on the chunking, and a run's first k trials are a k-trial
+    run.  Chunks of trials hold at most _MAX_CHUNK_ELEMENTS matrix entries
+    of stacked factors.  An extreme eigenvalue beyond tol, a finite positive
     number, counts its trial as definite.  Both definite counts must come
     out zero: the reduced Hessian is never definite.
     """
@@ -163,13 +167,13 @@ def indefiniteness_ensemble(D_center, trials: int, seed: int, tol: float = 1e-9)
     seed = _integer(seed, "seed")
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    streams = [np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(3)]
     chunk = max(1, _MAX_CHUNK_ELEMENTS // (_MAX_FACTORS * D.size))
     definite_pos = definite_neg = 0
     largest_min = -np.inf
     smallest_max = np.inf
     for start in range(0, trials, chunk):
-        rngs = [np.random.default_rng((seed, k)) for k in range(start, min(start + chunk, trials))]
-        sigmas = _random_symplectics(block, rngs, _MAX_FACTORS, 2.0)
+        sigmas = _random_symplectics(block, streams, min(chunk, trials - start), _MAX_FACTORS, 2.0)
         w = eigvalsh(_hessian(sigmas, D, block))
         lo, hi = w[:, -1], w[:, 0]
         largest_min = max(largest_min, float(np.max(lo)))

@@ -1,4 +1,5 @@
 import json
+import re
 import warnings
 
 import numpy as np
@@ -201,42 +202,67 @@ class TestEnsembleMatchesSequentialOracle:
     @pytest.mark.parametrize("l", [1, 2, 4])
     def test_zero_generator_is_skipped(self, l):
         # the first generator's symmetric part is exactly zero, so both skip
-        # that factor and draw no norm for it; seeds 11 and 14 draw one factor,
+        # that factor and discard its norm; seeds 11 and 14 draw one factor,
         # so sigma is I
         skipped_only = 0
         for seed in range(15):
-            rng, ref = ZeroFirstDraw(seed), ZeroFirstDraw(seed)
+            rng, ref = AntisymmetricDraws(seed, 2 * l, [0]), AntisymmetricDraws(seed, 2 * l, [0])
             sigma = random_symplectic(l, rng)
             assert np.array_equal(sigma, ensemble_oracle.random_symplectic(l, ref))
-            assert rng.rng.bit_generator.state == ref.rng.bit_generator.state
+            assert rng.bit_generator.state == ref.bit_generator.state
             skipped_only += np.array_equal(sigma, np.eye(2 * l))
         assert skipped_only == 2
-        # and as one stack, where those two sigmas have no factor at all
-        sigmas = classify._random_symplectics(CenterBlock(np.ones(l)), map(ZeroFirstDraw, range(15)), 5, 2.0)
-        for seed in range(15):
-            assert np.array_equal(sigmas[seed], ensemble_oracle.random_symplectic(l, ZeroFirstDraw(seed)))
+
+    @pytest.mark.parametrize("l", [1, 2, 4])
+    def test_zero_generators_are_skipped_in_a_stack(self, l):
+        # the first ten raw draws take all of trial 0 and more, so trial 0
+        # has no factor left, and each stream ends where the oracle's does
+        def streams():
+            return np.random.default_rng(100), AntisymmetricDraws(101, 2 * l, range(10)), np.random.default_rng(102)
+
+        batched = streams()
+        sigmas = classify._random_symplectics(CenterBlock(np.ones(l)), batched, 15, 5, 2.0)
+        sequential = streams()
+        for k in range(15):
+            assert np.array_equal(sigmas[k], ensemble_oracle._draw_sigma(l, sequential, 5, 2.0))
+        assert np.array_equal(sigmas[0], np.eye(2 * l))
+        for stream, ref in zip(batched, sequential):
+            assert stream.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("l", [1, 3, 8])
+    def test_first_trials_of_a_stack_are_a_shorter_stack(self, l):
+        block = CenterBlock(OMEGAS[l])
+        long = classify._random_symplectics(block, ensemble_oracle.ensemble_streams(5), 30, 5, 2.0)
+        for k in (1, 7, 29):
+            short = classify._random_symplectics(block, ensemble_oracle.ensemble_streams(5), k, 5, 2.0)
+            assert np.array_equal(long[:k], short)
 
 
-class ZeroFirstDraw:
-    """A generator whose first standard_normal draw is antisymmetric, with
-    raw[0, 0] = 0; every other draw comes from default_rng(seed)."""
+class AntisymmetricDraws:
+    """default_rng(seed), except that the raw generators with the given
+    indices in its standard normal stream, d x d draws each whether made in
+    one call or one at a time, are the antisymmetric r - c at entry (r, c)."""
 
-    def __init__(self, seed):
+    def __init__(self, seed, d, indices):
         self.rng = np.random.default_rng(seed)
-        self.first = True
+        self.bit_generator = self.rng.bit_generator
+        self.d, self.indices, self.drawn = d, list(indices), 0
 
-    def integers(self, low, high):
-        return self.rng.integers(low, high)
+    def integers(self, low, high, size=None):
+        return self.rng.integers(low, high, size=size)
 
-    def uniform(self, low, high):
-        return self.rng.uniform(low, high)
+    def uniform(self, low, high, size=None):
+        return self.rng.uniform(low, high, size=size)
 
-    def standard_normal(self, shape):
-        raw = self.rng.standard_normal(shape)
-        if self.first:
-            self.first = False
-            raw = raw - raw.T
-        return raw
+    def standard_normal(self, shape=None):
+        raw = np.array(self.rng.standard_normal(shape))
+        flat = raw.reshape(-1)
+        matrix, entry = np.divmod(self.drawn + np.arange(flat.size), self.d * self.d)
+        self.drawn += flat.size
+        row, col = np.divmod(entry, self.d)
+        zeroed = np.isin(matrix, self.indices)
+        flat[zeroed] = (row - col)[zeroed]
+        return raw if shape is not None else float(raw)
 
 
 class TestRealizeSignature:
@@ -522,6 +548,27 @@ class TestHelpers:
         # it blamed omega, a parameter random_symplectic does not have
         with pytest.raises(ValueError, match="l must be at least 1, got 0"):
             random_symplectic(0, np.random.default_rng(0))
+
+    @pytest.mark.parametrize(
+        "bound, message",
+        [
+            ({"max_factors": 2.5}, "max_factors must be an integer, got 2.5"),
+            ({"max_factors": True}, "max_factors must be an integer, got True"),
+            ({"max_factors": 0}, "max_factors must be at least 1, got 0"),
+            ({"max_norm": np.nan}, "max_norm must be a finite number above 0.1, got nan"),
+            ({"max_norm": np.inf}, "max_norm must be a finite number above 0.1, got inf"),
+            ({"max_norm": 0.05}, "max_norm must be a finite number above 0.1, got 0.05"),
+            ({"max_norm": 0.1}, "max_norm must be a finite number above 0.1, got 0.1"),
+            ({"max_norm": "2"}, "max_norm must be a finite number above 0.1, got '2'"),
+        ],
+        ids=["factors-fraction", "factors-true", "factors-zero", "norm-nan", "norm-inf", "norm-below",
+             "norm-at-floor", "norm-string"],
+    )
+    def test_random_symplectic_names_a_bad_bound(self, bound, message):
+        # max_factors = 2.5 drew up to 2 factors, and a NaN or 0.05 max_norm
+        # raised numpy's "high - low range exceeds valid bounds" or "high - low < 0"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            random_symplectic(2, np.random.default_rng(0), **bound)
 
     def test_random_symplectic_is_symplectic(self):
         rng = np.random.default_rng(9)
