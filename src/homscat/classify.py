@@ -60,27 +60,28 @@ def _require_symplectic(S: np.ndarray, J: np.ndarray) -> None:
         raise ValueError(f"scattering matrix is not symplectic (defect {defect.max():.3e})")
 
 
-def _hessian(S: np.ndarray, D: np.ndarray, block: CenterBlock) -> np.ndarray:
+def _hessian(S: np.ndarray, block: CenterBlock) -> np.ndarray:
     _require_symplectic(S, block.J)
     with np.errstate(over="ignore", invalid="ignore"):
-        H = S.swapaxes(-1, -2) @ D @ S - D
+        H = S.swapaxes(-1, -2) @ block.D @ S - block.D
     if not np.isfinite(H).all():
+        # the first overflowing slice: the same trial in every chunking of an ensemble
+        first = S[np.argmin(np.isfinite(H).all(axis=(-2, -1)))] if S.ndim == 3 else S
         raise ArithmeticError(
             f"the Hessian sigma^T D sigma - D overflows the float range: "
-            f"max|omega| = {max_abs(block.omega):.3g} and max|sigma| = {max_abs(S):.3g}"
+            f"max|omega| = {max_abs(block.omega):.3g} and max|sigma| = {max_abs(first):.3g}"
         )
     return H
 
 
 def hessian_from_scattering(sigma, D_center) -> np.ndarray:
-    """sigma^T D sigma - D with D = D_center as given, or that of each slice of a (k, 2l, 2l)
-    stack; requires every sigma symplectic within 1e-7, and raises ArithmeticError on overflow."""
+    """sigma^T D sigma - D with D the diag(omega, omega) of D_center, or that of each slice of a
+    (k, 2l, 2l) stack; requires every sigma symplectic within 1e-7, and raises ArithmeticError on overflow."""
     S = _square(sigma, "scattering matrix", stack=True)
-    D = _square(D_center, "D_center")
-    block = CenterBlock.from_diagonal(D)
-    if S.shape[-2:] != D.shape:
+    block = CenterBlock.from_diagonal(D_center)
+    if S.shape[-1] != block.dim:
         raise ValueError("scattering matrix and centre diagonal have different dimensions")
-    return _hessian(S, D, block)
+    return _hessian(S, block)
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,8 +159,7 @@ def indefiniteness_ensemble(D_center, trials: int, seed: int, tol: float = 1e-9)
     number, counts its trial as definite.  Both definite counts must come
     out zero: the reduced Hessian is never definite.
     """
-    D = _square(D_center, "D_center")
-    block = CenterBlock.from_diagonal(D)
+    block = CenterBlock.from_diagonal(D_center)
     trials = _integer(trials, "trials")
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -168,13 +168,13 @@ def indefiniteness_ensemble(D_center, trials: int, seed: int, tol: float = 1e-9)
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
     streams = [np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(3)]
-    chunk = max(1, _MAX_CHUNK_ELEMENTS // (_MAX_FACTORS * D.size))
+    chunk = max(1, _MAX_CHUNK_ELEMENTS // (_MAX_FACTORS * block.dim ** 2))
     definite_pos = definite_neg = 0
     largest_min = -np.inf
     smallest_max = np.inf
     for start in range(0, trials, chunk):
         sigmas = _random_symplectics(block, streams, min(chunk, trials - start), _MAX_FACTORS, 2.0)
-        w = eigvalsh(_hessian(sigmas, D, block))
+        w = eigvalsh(_hessian(sigmas, block))
         lo, hi = w[:, -1], w[:, 0]
         largest_min = max(largest_min, float(np.max(lo)))
         smallest_max = min(smallest_max, float(np.min(hi)))
@@ -231,11 +231,11 @@ def realize_signature(l: int, m: int, omega, eps: float) -> RealizationReport:
     already formed for its residual bound.
     """
     l, m = _integer(l, "l"), _integer(m, "m")
-    w = np.atleast_1d(np.asarray(omega, dtype=float))
-    if w.size != l:
-        raise ValueError(f"omega must have length l = {l}, got {w.size}")
+    block = CenterBlock(omega)
+    if block.l != l:
+        raise ValueError(f"omega must have length l = {l}, got {block.l}")
     eps = _positive_tol(eps, "eps")
-    block = _require_bracket_hypothesis(CenterBlock(w))
+    _require_bracket_hypothesis(block)
     balanced = np.concatenate([np.ones(l), -np.ones(l)])
     b = indefinite_spectrum(l, m)
     G = mirsky_matrix(balanced, b)
@@ -330,14 +330,14 @@ def reversible_signature(sigma, center: CenterBlock, tol: float) -> SignatureRep
     such, never forced to (l, l).
     """
     report = check_reversibility(sigma, tol)
-    S = np.asarray(sigma, dtype=float)
+    S = _square(sigma, "scattering matrix")
     if S.shape[0] != center.dim:
         raise ValueError(f"scattering matrix has dimension {S.shape[0]} but the centre block {center.dim}")
     if not report.passed:
         raise ValueError(
             f"scattering matrix is not reversible: residual {report.residual:.3e} exceeds {tol:.3e}"
         )
-    H = _hessian(S, center.D, center)
+    H = _hessian(S, center)
     A = center_reversal(center.l) @ S
     M = 0.5 * (np.eye(A.shape[0]) + A.T @ A)
     # every eigenvalue of M is at least 1/2, so one decomposition gives both roots

@@ -22,6 +22,8 @@ import numpy as np
 
 from .matkit import (
     CenterBlock,
+    _as_float,
+    _float_array,
     _positive_tol,
     _square,
     max_abs,
@@ -49,11 +51,9 @@ class ScatteringConvergenceError(ArithmeticError):
 
 
 def _field_values(fld: Callable, ts: np.ndarray, d: int) -> np.ndarray:
-    values = np.asarray(fld(ts), dtype=float)
+    values = _float_array(fld(ts), "field")
     if values.shape != (ts.size, d, d):
         raise ValueError(f"field returned shape {values.shape} for {ts.size} times, expected ({ts.size}, {d}, {d})")
-    if not np.all(np.isfinite(values)):
-        raise ValueError("field produced non-finite values")
     return values
 
 
@@ -103,9 +103,9 @@ def fundamental_solution(fld: Callable, t0: float, t1: float, tol: float = DEFAU
     it raises ArithmeticError before the field is called, and so do a
     refinement that reaches it and a product that overflows.
     """
-    t0, t1 = float(t0), float(t1)
+    t0, t1 = _as_float(t0), _as_float(t1)
     if not (np.isfinite(t0) and np.isfinite(t1)):
-        raise ValueError("integration endpoints must be finite")
+        raise ValueError("integration endpoints must be finite numbers")
     if t1 < t0:
         raise ValueError("t0 must not exceed t1")
     tol = _positive_tol(tol, "integrator tolerance")
@@ -117,7 +117,7 @@ def fundamental_solution(fld: Callable, t0: float, t1: float, tol: float = DEFAU
             f"beyond the cap of {_MAX_FIELD_ELEMENTS} field entries"
         )
     n = int(n)
-    probe = np.asarray(fld(np.array([t0])), dtype=float)
+    probe = _float_array(fld(np.array([t0])), "field")
     if probe.ndim != 3 or probe.shape[0] != 1:
         raise ValueError(f"field returned shape {probe.shape} for 1 time, expected (1, d, d)")
     d = _square(probe[0], "field value").shape[0]

@@ -21,6 +21,7 @@ import numpy as np
 
 from .matkit import (
     CenterBlock,
+    _float_array,
     _integer,
     _positive_tol,
     _require_symmetric,
@@ -59,16 +60,12 @@ class MajorizationWitness:
 
 def majorizes(a, b, tol: float = _MAJORIZE_TOL) -> MajorizationWitness:
     """Decide a <| b: sorted partial sums of a never exceed those of b, totals equal."""
-    av = np.atleast_1d(np.asarray(a, dtype=float))
-    bv = np.atleast_1d(np.asarray(b, dtype=float))
+    av = np.atleast_1d(_float_array(a, "majorization vector a"))
+    bv = np.atleast_1d(_float_array(b, "majorization vector b"))
     if av.ndim != 1 or bv.ndim != 1 or av.size == 0:
         raise ValueError("majorization needs two nonempty vectors")
     if av.size != bv.size:
         raise ValueError(f"length mismatch: {av.size} vs {bv.size}")
-    for name, v in (("a", av), ("b", bv)):
-        bad = np.flatnonzero(~np.isfinite(v))
-        if bad.size:
-            raise ValueError(f"majorization vector {name} has a non-finite entry {v[bad[0]]} at index {bad[0]}")
     tol = _positive_tol(tol)
     a_sorted = np.sort(av)[::-1]
     b_sorted = np.sort(bv)[::-1]
@@ -131,8 +128,8 @@ def mirsky_matrix(diag_entries, eigenvalues) -> np.ndarray:
     diagonal entry than b's.  The rotations are elementwise numpy column and
     row updates, without matmul, so the result does not depend on the BLAS.
     """
-    d = np.atleast_1d(np.asarray(diag_entries, dtype=float))
-    lam = np.atleast_1d(np.asarray(eigenvalues, dtype=float))
+    d = np.atleast_1d(_float_array(diag_entries, "Mirsky diagonal"))
+    lam = np.atleast_1d(_float_array(eigenvalues, "Mirsky spectrum"))
     witness = majorizes(d, lam, _MAJORIZE_TOL)
     if not witness.holds:
         k = witness.first_failure()

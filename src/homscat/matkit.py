@@ -10,10 +10,11 @@ in the entrywise max-abs norm.  Inertia counts rest on the absolute-scale
 tolerance 1e-7 * max(1, |S|), far above the backward error of the
 eigensolver.  The eigensolvers and the exponential also take a (k, n, n)
 stack and treat each slice exactly as they treat that matrix alone.
-CenterBlock alone turns centre frequencies into D = diag(omega, omega) and J,
-or reads them back from a D array; only the two public classify functions
-that take a D array do the latter, and the other pipelines pass the block
-object on.
+_float_array is the one parser of caller-supplied numbers, for every public
+entry point through _square, _require_symmetric and CenterBlock.  CenterBlock
+alone turns centre frequencies into D = diag(omega, omega) and J, or reads
+them back from a D array, which only the two classify functions that take
+one do; the other pipelines pass the block object on.
 """
 
 from __future__ import annotations
@@ -37,11 +38,9 @@ def max_abs(M) -> float:
 def _square(M, name: str = "matrix", stack: bool = False) -> np.ndarray:
     """M as a float array: one nonempty square matrix, or with stack=True also
     a (k, n, n) stack of them, k >= 0."""
-    A = np.asarray(M, dtype=float)
+    A = _float_array(M, name)
     if A.ndim not in ((2, 3) if stack else (2,)) or A.shape[-1] != A.shape[-2] or A.shape[-1] == 0:
         raise ValueError(f"{name} must be square and nonempty, got shape {A.shape}")
-    if not np.isfinite(A).all():
-        raise ValueError(f"{name} contains non-finite entries")
     return A
 
 
@@ -61,27 +60,33 @@ def _as_float(value) -> float:
         return np.nan
 
 
-def _float_array(value, name: str) -> np.ndarray:
-    """A number or nested lists, tuples and arrays of numbers as a float array;
-    a string, boolean, None or object anywhere in it raises ValueError naming name."""
-    def check(item):
-        if isinstance(item, np.ndarray):
-            if item.dtype.kind in "iuf":  # integer and real arrays hold numbers only
-                return
-            item = item.tolist()
-        if isinstance(item, (list, tuple)):
-            for entry in item:
-                check(entry)
-        elif isinstance(item, bool) or not isinstance(item, (int, float, np.integer, np.floating)):
-            raise ValueError(f"{name} entries must be numbers, got {item!r}")
+def _check_numbers(item, name: str) -> None:
+    if isinstance(item, np.ndarray):
+        if item.dtype.kind in "iuf":  # integer and real arrays hold numbers only
+            return
+        item = item.tolist()
+    if isinstance(item, (list, tuple)):
+        for entry in item:
+            _check_numbers(entry, name)
+    elif isinstance(item, bool) or not isinstance(item, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name} entries must be numbers, got {item!r}")
 
-    check(value)
+
+def _float_array(value, name: str) -> np.ndarray:
+    """A number or nested lists, tuples and arrays of numbers as a float array; a string, boolean,
+    None, complex value, NaN, inf or other object anywhere in it raises ValueError naming name."""
+    _check_numbers(value, name)
     try:
-        return np.asarray(value, dtype=float)
+        A = np.asarray(value, dtype=float)
     except OverflowError:
         raise ValueError(f"{name} has an integer entry beyond the float range") from None
     except ValueError:
         raise ValueError(f"{name} must be a list of numbers or of equal-length rows of them") from None
+    if not np.isfinite(A).all():
+        entries = np.atleast_1d(A)
+        index = tuple(np.argwhere(~np.isfinite(entries))[0])
+        raise ValueError(f"{name} has a non-finite entry {entries[index]} at index {', '.join(map(str, index))}")
+    return A
 
 
 def _positive_tol(tol, name: str = "tolerance") -> float:
@@ -134,11 +139,9 @@ def symplectic_rotation(theta) -> np.ndarray:
     A (k, n) array of angles gives the (k, 2n, 2n) stack of its rows'
     rotations.
     """
-    th = np.atleast_1d(np.asarray(theta, dtype=float))
+    th = np.atleast_1d(_float_array(theta, "theta"))
     if th.ndim > 2 or th.shape[-1] == 0:
         raise ValueError("theta must be a nonempty vector of angles or a (k, n) array of them")
-    if not np.all(np.isfinite(th)):
-        raise ValueError("theta contains non-finite entries")
     n = th.shape[-1]
     c, s = np.cos(th), np.sin(th)
     R = np.zeros(th.shape[:-1] + (2 * n, 2 * n))
@@ -265,8 +268,8 @@ class CenterBlock:
     omega: np.ndarray
 
     def __post_init__(self):
-        w = np.atleast_1d(np.asarray(self.omega, dtype=float))
-        if w.ndim != 1 or w.size == 0 or not np.all(np.isfinite(w)):
+        w = np.atleast_1d(_float_array(self.omega, "omega"))
+        if w.ndim != 1 or w.size == 0:
             raise ValueError("omega must be a nonempty finite vector")
         object.__setattr__(self, "omega", w)
 

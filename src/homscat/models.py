@@ -103,11 +103,11 @@ class ModelSpec:
             raise ValueError("need at least one centre pair")
         if n_hyp < 1:
             raise ValueError("need at least one hyperbolic pair")
-        center = _require_bracket_hypothesis(CenterBlock(_float_array(self.omega, "omega")))
+        center = _require_bracket_hypothesis(CenterBlock(self.omega))
         if center.l != l:
             raise ValueError(f"omega must be a vector of length {l}")
         a = np.atleast_1d(_float_array(self.alpha, "alpha"))
-        if a.shape != (n_hyp - 1,) or not np.all(np.isfinite(a)):
+        if a.shape != (n_hyp - 1,):
             raise ValueError(f"alpha must be a finite vector of length {n_hyp - 1}")
         if np.any(a == 0.0):
             raise ValueError("hyperbolic rates must be nonzero")
@@ -119,8 +119,6 @@ class ModelSpec:
             C = C.reshape(2 * l, 2 * l)
         if C.shape != (2 * l, 2 * l):
             raise ValueError(f"C must be {2 * l} x {2 * l} or its {4 * l * l} row-major entries, got shape {C.shape}")
-        if not np.isfinite(C).all():
-            raise ValueError("C contains non-finite entries")
         if max_abs(C - C.T) > 1e-12 * max(1.0, max_abs(C)):
             raise ValueError("C must be symmetric")
         T_support = _positive_tol(self.T_support, "T_support")
@@ -171,7 +169,7 @@ class HamiltonianSystem:
         return self.spec.dim
 
     def _split(self, u):
-        u = np.asarray(u, dtype=float)
+        u = _float_array(u, "state")
         if u.shape != (self.dim,):
             raise ValueError(f"state must have dimension {self.dim}, got {u.shape}")
         l, h = self.spec.l, self.spec.n_hyp

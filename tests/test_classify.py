@@ -186,6 +186,19 @@ class TestEnsembleMatchesSequentialOracle:
         batched = indefiniteness_ensemble(D, trials=23, seed=4)
         assert to_json(batched) == to_json(ensemble_oracle.indefiniteness_ensemble(D, 23, 4))
 
+    def test_overflow_message_across_chunks(self, monkeypatch):
+        # it named max|sigma| over the whole overflowing chunk: 2.34 at the
+        # default chunk size, 1.95 with chunks of one trial
+        def message():
+            with pytest.raises(ArithmeticError) as raised:
+                indefiniteness_ensemble(CenterBlock([1e308]).D, trials=5, seed=1)
+            return str(raised.value)
+
+        default = message()
+        monkeypatch.setattr(classify, "_MAX_CHUNK_ELEMENTS", 1)
+        assert message() == default
+        assert "max|sigma| = 1.95" in default
+
     @pytest.mark.parametrize("l", [1, 2, 4])
     def test_random_symplectic_draws(self, l):
         # same sigma and the same generator state afterwards, so that callers

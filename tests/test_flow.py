@@ -104,6 +104,12 @@ class TestFundamentalSolution:
         with pytest.raises(ValueError):
             fundamental_solution(constant(np.eye(2)), 1.0, 0.0)
 
+    @pytest.mark.parametrize("t0", [None, "0", True, np.nan])
+    def test_rejects_endpoint_that_is_not_a_finite_number(self, t0):
+        # float() raised TypeError on None and accepted "0" and True
+        with pytest.raises(ValueError, match="integration endpoints must be finite numbers"):
+            fundamental_solution(constant(np.eye(2)), t0, 1.0)
+
     @pytest.mark.parametrize("tol", [np.nan, np.inf])
     def test_rejects_tolerance_that_is_not_finite_positive(self, tol):
         # a NaN budget never compares as met, so refinement ran to the memory cap

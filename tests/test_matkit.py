@@ -321,10 +321,20 @@ class TestCenterDiagonal:
         with pytest.raises(ValueError, match="centre diagonal must have even dimension"):
             CenterBlock.from_diagonal(np.eye(3))
 
-    @pytest.mark.parametrize("omega", [[], [1.0, np.nan], [np.inf], [[1.0, 2.0]]])
-    def test_rejects_what_no_centre_has(self, omega):
-        with pytest.raises(ValueError, match="omega must be a nonempty finite vector"):
+    @pytest.mark.parametrize(
+        "omega, message",
+        [
+            ([], "omega must be a nonempty finite vector"),
+            ([1.0, np.nan], "omega has a non-finite entry nan at index 1"),
+            ([np.inf], "omega has a non-finite entry inf at index 0"),
+            ([[1.0, 2.0]], "omega must be a nonempty finite vector"),
+        ],
+        ids=["omega0", "omega1", "omega2", "omega3"],
+    )
+    def test_rejects_what_no_centre_has(self, omega, message):
+        with pytest.raises(ValueError) as raised:
             CenterBlock(omega)
+        assert str(raised.value) == message
 
     @pytest.mark.parametrize("omega", [[1.0, 1.0], [0.0, 1.0], [1.0, -1.0], [1e308]])
     def test_accepts_any_finite_centre(self, omega):
