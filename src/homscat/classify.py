@@ -80,7 +80,7 @@ def hessian_from_scattering(sigma, D_center) -> np.ndarray:
     S = _square(sigma, "scattering matrix", stack=True)
     block = CenterBlock.from_diagonal(D_center)
     if S.shape[-1] != block.dim:
-        raise ValueError("scattering matrix and centre diagonal have different dimensions")
+        raise ValueError(f"scattering matrix has dimension {S.shape[-1]} but the centre block {block.dim}")
     return _hessian(S, block)
 
 

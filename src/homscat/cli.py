@@ -39,8 +39,13 @@ def _mat_from_json(doc) -> np.ndarray:
     if not isinstance(doc, dict) or "dim" not in doc or "data" not in doc:
         raise ValueError("matrix document must be an object with 'dim' and 'data'")
     dim = _integer(doc["dim"], "matrix dim")
+    if dim < 1:
+        raise ValueError(f"matrix dim must be at least 1, got {dim}")
     data = _float_array(doc["data"], "matrix data")
-    if dim < 1 or data.shape != (dim * dim,):
+    if data.ndim != 1:
+        got = "a single number" if data.ndim == 0 else f"nested lists of shape {data.shape}"
+        raise ValueError(f"matrix data must be a flat list of dim^2 = {dim * dim} row-major entries, got {got}")
+    if data.size != dim * dim:
         raise ValueError(f"matrix data length {data.size} does not match dim {dim}")
     return data.reshape(dim, dim)
 

@@ -173,17 +173,9 @@ class ScatteringProblem:
     support_halfwidth: float
     center: CenterBlock
 
-    def __post_init__(self):
-        self.support_halfwidth = _positive_tol(self.support_halfwidth, "support_halfwidth")
-        _field_values(self.field, np.zeros(1), self.dim)
-
     @property
     def D_center(self) -> np.ndarray:
         return self.center.D
-
-    @property
-    def dim(self) -> int:
-        return self.center.dim
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,13 +197,14 @@ def scattering_matrix(problem: ScatteringProblem, tol: float = DEFAULT_SIGMA_TOL
     the residual |sigma|_F expm1(e- + e+) bounds how far those slabs could
     move sigma (Gronwall); T_used = T_s + 1.  A residual above tol means the
     field is nonzero beyond the declared support and raises
-    ScatteringConvergenceError.
+    ScatteringConvergenceError.  The slabs are sampled first, so a bad
+    support_halfwidth or field shape raises ValueError before any integration.
     """
     tol = _positive_tol(tol, "scattering tolerance")
-    T_s = problem.support_halfwidth
-    sigma = fundamental_solution(problem.field, -T_s, T_s)
+    T_s = _positive_tol(problem.support_halfwidth, "support_halfwidth")
     s = np.linspace(0.0, 1.0, 65)
-    slabs = _field_values(problem.field, np.concatenate([-(T_s + s), T_s + s]), problem.dim)
+    slabs = _field_values(problem.field, np.concatenate([-(T_s + s), T_s + s]), problem.center.dim)
+    sigma = fundamental_solution(problem.field, -T_s, T_s)
     with np.errstate(over="ignore"):
         excess = np.linalg.norm(slabs, axis=(1, 2)).reshape(2, 65).max(axis=1)
         residual = float(np.linalg.norm(sigma) * np.expm1(excess.sum()))

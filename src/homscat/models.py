@@ -66,11 +66,10 @@ def _raw_profile(s):
 
 @cache
 def _profile_mass() -> float:
-    """Integral of the raw profile over [-1, 1] by composite Simpson on 8192
-    intervals; the rule on half the nodes agrees with it to the last bit."""
+    """Integral of the raw profile over [-1, 1] by the trapezoid rule on 8192 intervals, (2 / n) sum(f)
+    as the profile is 0 at both ends; 1024 and 2048 intervals give the same bits."""
     n = 8192
-    f = _raw_profile(np.linspace(-1.0, 1.0, n + 1))
-    return float((2.0 / n / 3.0) * (f[0] + f[-1] + 4.0 * np.sum(f[1:-1:2]) + 2.0 * np.sum(f[2:-1:2])))
+    return float((2.0 / n) * np.sum(_raw_profile(np.linspace(-1.0, 1.0, n + 1))))
 
 
 @dataclass(frozen=True, eq=False)

@@ -64,6 +64,10 @@ class TestHessianFromScattering:
         with pytest.raises(ValueError):
             hessian_from_scattering(2.0 * np.eye(2), D)
 
+    def test_rejects_sigma_of_another_dimension_naming_both(self):
+        with pytest.raises(ValueError, match="scattering matrix has dimension 4 but the centre block 2"):
+            hessian_from_scattering(np.eye(4), CenterBlock([1.0]).D)
+
     def test_stack_slices_match_single(self):
         D = CenterBlock([1.0, 2.0]).D
         rng = np.random.default_rng(17)

@@ -562,6 +562,22 @@ class TestClassifyCommand:
         code, payload, err = run(capsys, ["classify", "--sigma", path, "--omega", "1"])
         assert input_error(code, payload, err, "data entries must be numbers")
 
+    @pytest.mark.parametrize(
+        "doc, cause",
+        [
+            ({"dim": 2, "data": [[1, 0], [0, 1]]}, "flat list of dim^2 = 4 row-major entries, got nested lists of shape (2, 2)"),
+            ({"dim": 2, "data": 1.0}, "flat list of dim^2 = 4 row-major entries, got a single number"),
+            ({"dim": 0, "data": []}, "matrix dim must be at least 1, got 0"),
+            ({"dim": -2, "data": [1.0, 0.0, 0.0, 1.0]}, "matrix dim must be at least 1, got -2"),
+        ],
+        ids=["nested", "scalar", "zero-dim", "negative-dim"],
+    )
+    def test_bad_matrix_document_names_its_cause(self, capsys, tmp_path, doc, cause):
+        # each was reported as "matrix data length ... does not match dim ..."
+        path = write_doc(tmp_path, doc)
+        code, payload, err = run(capsys, ["classify", "--sigma", path, "--omega", "1"])
+        assert input_error(code, payload, err, cause)
+
     def test_nonsymplectic_rejected(self, capsys, tmp_path):
         code, _, err = run(
             capsys,

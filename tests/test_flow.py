@@ -131,11 +131,7 @@ class TestFundamentalSolution:
         with pytest.raises(ValueError, match=r"shape \(2, 2\)"):
             fundamental_solution(lambda t: np.eye(2), 0.0, 1.0)
         with pytest.raises(ValueError, match=r"shape \(2, 2\)"):
-            ScatteringProblem(
-                field=lambda t: np.eye(2),
-                support_halfwidth=1.0,
-                center=CenterBlock([1.0]),
-            )
+            scattering_matrix(ScatteringProblem(field=lambda t: np.eye(2), support_halfwidth=1.0, center=CenterBlock([1.0])))
 
     def test_refinement_cap_bounds_memory(self):
         # a jump at a node keeps RK4 first order, so step doubling never meets
@@ -298,7 +294,7 @@ class TestScatteringMatrix:
             field=recording(problem.field, batches), support_halfwidth=3e-16, center=problem.center
         )
         scattering_matrix(problem)
-        slabs = batches[-1]
+        slabs = batches[0]
         assert slabs.size == 130
         assert np.max(slabs[slabs < 0.0]) == -3e-16 and np.min(slabs[slabs > 0.0]) == 3e-16
 
@@ -314,8 +310,39 @@ class TestScatteringMatrix:
         assert info.value.residual > 1e-10
 
     def test_rejects_infinite_support(self):
+        problem = ScatteringProblem(field=constant(np.zeros((2, 2))), support_halfwidth=np.inf, center=CenterBlock([1.0]))
         with pytest.raises(ValueError, match="support_halfwidth must be a finite positive number, got inf"):
-            ScatteringProblem(field=constant(np.zeros((2, 2))), support_halfwidth=np.inf, center=CenterBlock([1.0]))
+            scattering_matrix(problem)
+
+    @pytest.mark.parametrize("support", [np.inf, -1.0, "3"])
+    def test_rejects_support_assigned_after_construction(self, support):
+        # the problem was checked only when built: inf and -1.0 were blamed on
+        # the integration endpoints, and "3" raised TypeError from unary minus
+        problem = ScatteringProblem(field=constant(np.zeros((2, 2))), support_halfwidth=1.0, center=CenterBlock([1.0]))
+        problem.support_halfwidth = support
+        with pytest.raises(ValueError, match=re.escape(f"support_halfwidth must be a finite positive number, got {support!r}")):
+            scattering_matrix(problem)
+
+    def test_construction_calls_nothing(self):
+        def broken(t):
+            raise RuntimeError("field called")
+
+        problem = ScatteringProblem(field=broken, support_halfwidth=1.0, center=CenterBlock([1.0]))
+        with pytest.raises(RuntimeError, match="field called"):
+            scattering_matrix(problem)
+
+    @pytest.mark.parametrize("assigned_later", [False, True])
+    def test_rejects_wrong_dimension_field_before_integrating(self, assigned_later):
+        # assigned after construction, a 4 x 4 field on an l = 1 problem was
+        # integrated before the slabs checked its shape
+        batches = []
+        wide = recording(constant(np.zeros((4, 4))), batches)
+        first = constant(np.zeros((2, 2))) if assigned_later else wide
+        problem = ScatteringProblem(field=first, support_halfwidth=1.0, center=CenterBlock([1.0]))
+        problem.field = wide
+        with pytest.raises(ValueError, match=re.escape("field returned shape (130, 4, 4) for 130 times, expected (130, 2, 2)")):
+            scattering_matrix(problem)
+        assert [b.size for b in batches] == [130]
 
     @pytest.mark.parametrize("tol", [np.nan, np.inf, "1e-8"])
     def test_rejects_tolerance_that_is_not_finite_positive(self, tol):

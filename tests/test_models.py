@@ -11,6 +11,7 @@ from homscat.matkit import matrix_exponential, max_abs, standard_symplectic_form
 from homscat.models import (
     HamiltonianSystem,
     ModelSpec,
+    _profile_mass,
     bump,
     homoclinic_orbit,
     scattering_problem,
@@ -344,6 +345,10 @@ class TestBump:
         integral = adaptive_simpson(lambda t: bump(spec, t), -T, T, 1e-13)
         assert abs(integral - 1.0) <= 1e-10
 
+    def test_profile_mass_bits(self):
+        # every sigma scales with this constant, so its bits are pinned
+        assert _profile_mass().hex() == "0x1.c6a650a045c5cp-2"
+
     def test_unimodal(self):
         spec = two_center_spec()
         assert bump(spec, 0.0) > bump(spec, spec.T_support / 2) > 0.0
@@ -474,5 +479,5 @@ class TestScatteringProblemBuilder:
     def test_builds_consistent_problem(self):
         spec = two_center_spec(eps=0.1, C=np.eye(4))
         problem = scattering_problem(spec)
-        assert problem.dim == 4
+        assert problem.center.dim == 4
         assert problem.support_halfwidth == spec.T_support
