@@ -113,7 +113,8 @@ def _require_symmetric(M, name: str = "matrix", stack: bool = False) -> np.ndarr
     """Symmetrized M; with stack=True each slice is checked against its own scale."""
     A = _square(M, name, stack)
     At = A.swapaxes(-1, -2)
-    defect = _slice_max_abs(A - At)
+    with np.errstate(over="ignore"):  # an asymmetry beyond the float range is inf, and fails the check
+        defect = _slice_max_abs(A - At)
     asymmetric = defect > _SYMMETRY_TOL * _slice_max_abs(A, 1.0)
     if asymmetric.any():
         raise ValueError(f"{name} is not symmetric (asymmetry {np.max(defect, where=asymmetric, initial=0.0):.3e})")

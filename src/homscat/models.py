@@ -1,18 +1,17 @@
 """The integrable model family, its explicit homoclinic loop, and the
 localized perturbation of the centre-block variational equation.
 
-The model couples l centre oscillators with n_hyp hyperbolic pairs:
+The model couples l centre oscillators with one saddle, the hyperbolic pair
+(x, y):
 
-    H(q, p, x, y) = sum_i w_i/2 (q_i^2 + p_i^2)
-                    + y_1^2/2 - x_1^2/2 + x_1^3/3
-                    + sum_{i>=2} a_i/2 (y_i^2 - x_i^2)
+    H(q, p, x, y) = sum_i w_i/2 (q_i^2 + p_i^2) + y^2/2 - x^2/2 + x^3/3
 
-with the state ordered (q_1..q_l, p_1..p_l, x_1..x_h, y_1..y_h) and the
-symplectic form block-diagonal over the centre and hyperbolic factors.  The
-vector field convention is fixed globally as X_H = J grad H.  The leading
-hyperbolic pair carries the homoclinic loop
+with the state ordered (q_1..q_l, p_1..p_l, x, y), of dimension 2l + 2, and
+the symplectic form block-diagonal over the centre and the saddle.  The
+vector field convention is fixed globally as X_H = J grad H.  The saddle
+carries the homoclinic loop
 
-    x_1(t) = (3/2) sech^2(t/2),   y_1(t) = xdot_1(t),
+    x(t) = (3/2) sech^2(t/2),   y(t) = xdot(t),
 
 which solves xddot = x - x^2 and decays like e^{-|t|}.
 
@@ -76,8 +75,8 @@ def _profile_mass() -> float:
 class ModelSpec:
     """Parameters of the model family and its centre-block perturbation.
 
+    n_hyp: the number of hyperbolic pairs, which must be 1: the one saddle (x, y).
     omega: l distinct nonzero centre frequencies with distinct squares.
-    alpha: rates of the extra hyperbolic pairs (the leading pair has rate 1).
     eps, C: strength and symmetric form (2l x 2l, or its row-major entries) of the perturbation.
     T_support: half-width of the bump support.
 
@@ -89,7 +88,6 @@ class ModelSpec:
     l: int
     n_hyp: int
     omega: np.ndarray
-    alpha: np.ndarray = ()
     eps: float = 0.0
     C: np.ndarray | None = None
     T_support: float = 4.0
@@ -100,16 +98,11 @@ class ModelSpec:
         n_hyp = _integer(self.n_hyp, "n_hyp")
         if l < 1:
             raise ValueError("need at least one centre pair")
-        if n_hyp < 1:
-            raise ValueError("need at least one hyperbolic pair")
+        if n_hyp != 1:
+            raise ValueError(f"n_hyp must be 1, got {n_hyp}")
         center = _require_bracket_hypothesis(CenterBlock(self.omega))
         if center.l != l:
             raise ValueError(f"omega must be a vector of length {l}")
-        a = np.atleast_1d(_float_array(self.alpha, "alpha"))
-        if a.shape != (n_hyp - 1,):
-            raise ValueError(f"alpha must be a finite vector of length {n_hyp - 1}")
-        if np.any(a == 0.0):
-            raise ValueError("hyperbolic rates must be nonzero")
         eps = _as_float(self.eps)
         if not np.isfinite(eps):
             raise ValueError(f"eps must be a finite number, got {self.eps!r}")
@@ -118,23 +111,24 @@ class ModelSpec:
             C = C.reshape(2 * l, 2 * l)
         if C.shape != (2 * l, 2 * l):
             raise ValueError(f"C must be {2 * l} x {2 * l} or its {4 * l * l} row-major entries, got shape {C.shape}")
-        if max_abs(C - C.T) > 1e-12 * max(1.0, max_abs(C)):
+        with np.errstate(over="ignore"):  # an asymmetry beyond the float range is inf, and fails the check
+            asymmetry = max_abs(C - C.T)
+        if asymmetry > 1e-12 * max(1.0, max_abs(C)):
             raise ValueError("C must be symmetric")
         T_support = _positive_tol(self.T_support, "T_support")
-        parsed = dict(l=l, n_hyp=n_hyp, omega=center.omega, alpha=a, eps=eps, C=C, T_support=T_support, center=center)
+        parsed = dict(l=l, n_hyp=n_hyp, omega=center.omega, eps=eps, C=C, T_support=T_support, center=center)
         for name, value in parsed.items():
             object.__setattr__(self, name, value)  # frozen: each field is set once, here
 
     @property
     def dim(self) -> int:
-        return 2 * (self.l + self.n_hyp)
+        return 2 * self.l + 2
 
     def to_json_dict(self) -> dict:
         return {
             "l": self.l,
             "n_hyp": self.n_hyp,
             "omega": [float(x) for x in self.omega],
-            "alpha": [float(x) for x in self.alpha],
             "eps": self.eps,
             "C": [float(x) for x in self.C.ravel()],
             "T_support": self.T_support,
@@ -171,66 +165,55 @@ class HamiltonianSystem:
         u = _float_array(u, "state")
         if u.shape != (self.dim,):
             raise ValueError(f"state must have dimension {self.dim}, got {u.shape}")
-        l, h = self.spec.l, self.spec.n_hyp
-        return u[:l], u[l : 2 * l], u[2 * l : 2 * l + h], u[2 * l + h :]
+        l = self.spec.l
+        return u[:l], u[l : 2 * l], u[2 * l], u[2 * l + 1]
 
     def hamiltonian(self, u) -> float:
         q, p, x, y = self._split(u)
-        w, a = self.spec.omega, self.spec.alpha
-        hc = 0.5 * float(np.sum(w * (q * q + p * p)))
-        hs = 0.5 * y[0] ** 2 - 0.5 * x[0] ** 2 + x[0] ** 3 / 3.0
-        if a.size:
-            hs += 0.5 * float(np.sum(a * (y[1:] * y[1:] - x[1:] * x[1:])))
-        return hc + hs
+        w = self.spec.omega
+        return 0.5 * float(np.sum(w * (q * q + p * p))) + 0.5 * y**2 - 0.5 * x**2 + x**3 / 3.0
 
     def gradient(self, u) -> np.ndarray:
         q, p, x, y = self._split(u)
-        w, a = self.spec.omega, self.spec.alpha
-        dx = np.concatenate([[-x[0] + x[0] ** 2], -a * x[1:]])
-        dy = np.concatenate([[y[0]], a * y[1:]])
-        return np.concatenate([w * q, w * p, dx, dy])
+        w = self.spec.omega
+        return np.concatenate([w * q, w * p, [-x + x**2, y]])
 
     def hessian(self, u) -> np.ndarray:
         _, _, x, _ = self._split(u)
-        w, a = self.spec.omega, self.spec.alpha
-        dxx = np.concatenate([[-1.0 + 2.0 * x[0]], -a])
-        dyy = np.concatenate([[1.0], a])
-        return np.diag(np.concatenate([w, w, dxx, dyy]))
+        w = self.spec.omega
+        return np.diag(np.concatenate([w, w, [-1.0 + 2.0 * x, 1.0]]))
 
     def vector_field(self, u) -> np.ndarray:
         """X_H(u) = J grad H(u) with the block-diagonal symplectic form."""
         q, p, x, y = self._split(u)
-        w, a = self.spec.omega, self.spec.alpha
-        xdot = np.concatenate([[y[0]], a * y[1:]])
-        ydot = np.concatenate([[x[0] - x[0] ** 2], a * x[1:]])
-        return np.concatenate([w * p, -w * q, xdot, ydot])
+        w = self.spec.omega
+        return np.concatenate([w * p, -w * q, [y, x - x**2]])
 
     @property
     def symplectic_form(self) -> np.ndarray:
-        l, h = self.spec.l, self.spec.n_hyp
+        l = self.spec.l
         J = np.zeros((self.dim, self.dim))
         J[: 2 * l, : 2 * l] = standard_symplectic_form(l)
-        J[2 * l :, 2 * l :] = standard_symplectic_form(h)
+        J[2 * l :, 2 * l :] = standard_symplectic_form(1)
         return J
 
     @property
     def reversal(self) -> np.ndarray:
         """The involution (q, p, x, y) -> (q, -p, x, -y); antisymplectic,
         preserves H, and maps the homoclinic loop to its time reverse."""
-        l, h = self.spec.l, self.spec.n_hyp
-        signs = np.concatenate([np.ones(l), -np.ones(l), np.ones(h), -np.ones(h)])
-        return np.diag(signs)
+        l = self.spec.l
+        return np.diag(np.concatenate([np.ones(l), -np.ones(l), [1.0, -1.0]]))
 
 
 def homoclinic_orbit(spec: ModelSpec, t):
-    """State on the homoclinic loop: x_1 = (3/2) sech^2(t/2), y_1 = xdot_1,
-    all other coordinates zero.  Accepts a scalar or a vector of times."""
+    """State on the homoclinic loop: x = (3/2) sech^2(t/2), y = xdot, the
+    centre at rest.  Accepts a scalar or a vector of times."""
     tt = np.atleast_1d(np.asarray(t, dtype=float))
     u = 0.5 * tt
     g = 1.5 * _sech(u) ** 2
     out = np.zeros((tt.size, spec.dim))
     out[:, 2 * spec.l] = g
-    out[:, 2 * spec.l + spec.n_hyp] = -g * np.tanh(u)
+    out[:, 2 * spec.l + 1] = -g * np.tanh(u)
     return out[0] if np.ndim(t) == 0 else out
 
 

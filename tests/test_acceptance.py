@@ -315,7 +315,7 @@ def test_criterion_11_numerical_hygiene():
             t += 1.0
             worst_defect = max(worst_defect, max_abs(Phi.T @ J @ Phi - J))
     # homoclinic residual against the hand-differentiated loop
-    spec = ModelSpec(l=1, n_hyp=2, omega=[1.0], alpha=[0.6])
+    spec = ModelSpec(l=1, n_hyp=1, omega=[1.0])
     system = HamiltonianSystem(spec)
     worst_residual = 0.0
     for t in np.linspace(-20.0, 20.0, 400):
@@ -324,7 +324,7 @@ def test_criterion_11_numerical_hygiene():
         th = np.tanh(u)
         expected = np.zeros(spec.dim)
         expected[2 * spec.l] = -1.5 * sech**2 * th
-        expected[2 * spec.l + spec.n_hyp] = -0.75 * (sech**4 - 2.0 * sech**2 * th**2)
+        expected[2 * spec.l + 1] = -0.75 * (sech**4 - 2.0 * sech**2 * th**2)
         residual = expected - system.vector_field(homoclinic_orbit(spec, t))
         worst_residual = max(worst_residual, max_abs(residual))
     ok = worst_defect <= 1e-7 and worst_residual <= 1e-9

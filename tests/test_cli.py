@@ -65,7 +65,7 @@ def skeleton(value):
 MATRIX = {"dim": "int", "data": ["float"]}
 SIGNATURE = {"n_pos": "int", "n_neg": "int", "n_zero": "int", "eigenvalues": ["float"], "tol": "float"}
 SPEC = {
-    "l": "int", "n_hyp": "int", "omega": ["float"], "alpha": [], "eps": "float", "C": ["float"], "T_support": "float",
+    "l": "int", "n_hyp": "int", "omega": ["float"], "eps": "float", "C": ["float"], "T_support": "float",
 }
 SCATTERING = {"sigma": MATRIX, "T_used": "float", "residual": "float", "symplectic_defect": "float"}
 
@@ -409,9 +409,18 @@ class TestScatterCommand:
         assert message["kind"] == "numerical" and "overflow" in message["error"]
 
     def test_bump_order_is_an_unknown_field(self, capsys, tmp_path):
-        # the bump's sharpness was a field that changed no sigma
-        code, payload, err = run(capsys, ["scatter", "--spec", write_doc(tmp_path, spec_doc(bump_order=1))])
-        assert input_error(code, payload, err, "unknown fields ['bump_order']")
+        # fields that are gone: the bump's sharpness changed no sigma, and the
+        # model has one saddle, so there are no rates alpha of further pairs
+        for field, value in [("bump_order", 1), ("alpha", [])]:
+            code, payload, err = run(capsys, ["scatter", "--spec", write_doc(tmp_path, spec_doc(**{field: value}))])
+            assert input_error(code, payload, err, f"unknown fields ['{field}']")
+
+    def test_asymmetry_beyond_the_float_range_is_named(self, capsys, tmp_path):
+        # C - C.T overflowed: a traceback and exit 1 under -W error::RuntimeWarning,
+        # and otherwise a warning line on stderr before the JSON error
+        doc = spec_doc(C=[1.0, 1e308, -1e308, 1.0])
+        code, payload, err = run(capsys, ["scatter", "--spec", write_doc(tmp_path, doc)])
+        assert input_error(code, payload, err, "C must be symmetric") and err.count("\n") == 1
 
     @pytest.mark.parametrize("T_support", [1e308, 1e200])
     def test_support_beyond_the_step_cap_is_a_numerical_failure(self, capsys, tmp_path, T_support):
@@ -472,14 +481,13 @@ class TestScatterCommand:
             ({"C": [True, 0.0, 0.0, 1.0]}, "C"),
             ({"omega": [True]}, "omega"),
             ({"omega": "1"}, "omega"),
-            ({"n_hyp": 2, "alpha": ["x"]}, "alpha"),
             ({"C": [10**400, 0, 0, 1]}, "C"),
             ({"eps": 10**400}, "eps"),
             ({"eps": "0.05"}, "eps must be a finite number, got '0.05'"),
             ({"T_support": "3"}, "T_support must be a finite positive number, got '3'"),
         ],
         ids=[
-            "C-object", "C-true", "omega-true", "omega-string", "alpha-string", "C-huge-int", "eps-huge-int",
+            "C-object", "C-true", "omega-true", "omega-string", "C-huge-int", "eps-huge-int",
             "eps-string", "T_support-string",
         ],
     )

@@ -20,21 +20,26 @@ from lab_frame_oracle import center_variational_field
 
 
 def two_center_spec(**overrides):
-    base = dict(l=2, n_hyp=2, omega=[1.0, 2.0], alpha=[0.8], T_support=3.0)
+    base = dict(l=2, n_hyp=1, omega=[1.0, 2.0], T_support=3.0)
     base.update(overrides)
     return ModelSpec(**base)
 
 
+def one_saddle_specs():
+    """The model at l = 1, 2 and 3, with frequencies 1..l."""
+    return [ModelSpec(l=l, n_hyp=1, omega=np.arange(1.0, l + 1.0), T_support=3.0) for l in (1, 2, 3)]
+
+
 def analytic_orbit_derivative(spec, t):
     """Time derivative of the homoclinic loop, differentiated by hand:
-    xdot_1 = -(3/2) sech^2(t/2) tanh(t/2),
-    ydot_1 = -(3/4) (sech^4(t/2) - 2 sech^2(t/2) tanh^2(t/2))."""
+    xdot = -(3/2) sech^2(t/2) tanh(t/2),
+    ydot = -(3/4) (sech^4(t/2) - 2 sech^2(t/2) tanh^2(t/2))."""
     u = 0.5 * t
     sech = 1.0 / np.cosh(u)
     th = np.tanh(u)
     out = np.zeros(spec.dim)
     out[2 * spec.l] = -1.5 * sech**2 * th
-    out[2 * spec.l + spec.n_hyp] = -0.75 * (sech**4 - 2.0 * sech**2 * th**2)
+    out[2 * spec.l + 1] = -0.75 * (sech**4 - 2.0 * sech**2 * th**2)
     return out
 
 
@@ -62,7 +67,7 @@ def adaptive_simpson(f, a, b, tol, depth=30):
 # one valid model document, and for each of its fields values that a Python
 # caller or a document may hold: numbers, the entries a document must not hold,
 # and for the array fields lists, tuples and numpy arrays of either
-BASE_DOC = dict(l=1, n_hyp=2, omega=[1.0], alpha=[0.6], eps=0.05, C=[1.0, 0.5, 0.5, -1.0], T_support=2.0)
+BASE_DOC = dict(l=1, n_hyp=1, omega=[1.0], eps=0.05, C=[1.0, 0.5, 0.5, -1.0], T_support=2.0)
 NOT_A_NUMBER = st.one_of(
     st.text(max_size=4),
     st.floats(-3, 3).map(repr),
@@ -98,9 +103,8 @@ def C_forms(C):
 SYMMETRIC_C = st.tuples(NUMBER, NUMBER, NUMBER).map(lambda abc: np.array([[abc[0], abc[1]], [abc[1], abc[2]]], float))
 FIELD_VALUES = {
     "l": NUMBER | NOT_A_NUMBER | st.sampled_from([np.int64(1), 1.0, 2]),
-    "n_hyp": NUMBER | NOT_A_NUMBER | st.sampled_from([np.int64(2), 2.0]),
+    "n_hyp": NUMBER | NOT_A_NUMBER | st.sampled_from([np.int64(1), 1.0]),
     "omega": array_values(ENTRY),
-    "alpha": array_values(ENTRY),
     "eps": NUMBER | NOT_A_NUMBER | st.sampled_from([np.float64(0.1), 1e308]),
     "C": SYMMETRIC_C.flatmap(lambda C: st.sampled_from(C_forms(C))) | array_values(ENTRY),
     "T_support": NUMBER | NOT_A_NUMBER | st.sampled_from([np.float64(3.0), 1e-300]),
@@ -120,8 +124,8 @@ class TestModelSpec:
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(data=st.data())
     def test_python_values_and_their_document_parse_alike(self, field, data):
-        # from_json_dict ran omega, alpha and C through its own parser, so
-        # omega=["1"], [True] or alpha="2" built a spec only from Python
+        # from_json_dict ran omega and C through its own parser, so
+        # omega=["1"] or [True] built a spec only from Python
         doc = dict(BASE_DOC, **{field: data.draw(FIELD_VALUES[field])})
         text = json.dumps(doc, default=lambda value: value.tolist())
         outcome = parsed(lambda: ModelSpec(**doc))
@@ -133,10 +137,9 @@ class TestModelSpec:
         [
             ({"omega": ["1"]}, "omega entries must be numbers, got '1'"),
             ({"omega": [True]}, "omega entries must be numbers, got True"),
-            ({"n_hyp": 2, "alpha": "2"}, "alpha entries must be numbers, got '2'"),
             ({"C": [["1", "0"], ["0", "1"]]}, "C entries must be numbers, got '1'"),
         ],
-        ids=["omega-string", "omega-true", "alpha-string", "C-strings"],
+        ids=["omega-string", "omega-true", "C-strings"],
     )
     def test_entry_that_is_not_a_number_is_named_on_both_paths(self, changes, message):
         doc = dict(dict(l=1, n_hyp=1, omega=[1.0]), **changes)
@@ -173,14 +176,17 @@ class TestModelSpec:
             ModelSpec(l=2, n_hyp=1, omega=[1.0, -1.0])
 
     def test_rejects_asymmetric_C(self):
-        C = np.zeros((2, 2))
-        C[0, 1] = 1.0
-        with pytest.raises(ValueError):
-            ModelSpec(l=1, n_hyp=1, omega=[1.0], C=C)
+        # with entries +-1e308, C - C.T overflowed, so the check raised a
+        # RuntimeWarning instead of naming the asymmetry
+        for C in ([0.0, 1.0, 0.0, 0.0], [1.0, 1e308, -1e308, 1.0]):
+            with pytest.raises(ValueError, match="C must be symmetric"):
+                ModelSpec(l=1, n_hyp=1, omega=[1.0], C=C)
 
-    def test_rejects_wrong_alpha_length(self):
-        with pytest.raises(ValueError):
-            ModelSpec(l=1, n_hyp=2, omega=[1.0], alpha=[])
+    @pytest.mark.parametrize("n_hyp", [0, 2])
+    def test_n_hyp_must_be_1(self, n_hyp):
+        # the model has one saddle
+        with pytest.raises(ValueError, match=f"n_hyp must be 1, got {n_hyp}"):
+            ModelSpec(l=1, n_hyp=n_hyp, omega=[1.0])
 
     def test_rejects_nonpositive_support(self):
         with pytest.raises(ValueError):
@@ -196,15 +202,7 @@ class TestModelSpec:
         C = 0.5 * (C + C.T)
         spec = two_center_spec(eps=0.05, C=C)
         doc = spec.to_json_dict()
-        assert sorted(doc) == [
-            "C",
-            "T_support",
-            "alpha",
-            "eps",
-            "l",
-            "n_hyp",
-            "omega",
-        ]
+        assert sorted(doc) == ["C", "T_support", "eps", "l", "n_hyp", "omega"]
         # C is stored row-major
         assert doc["C"] == [float(x) for x in C.ravel()]
         back = ModelSpec.from_json_dict(doc)
@@ -230,10 +228,13 @@ class TestModelSpec:
             ModelSpec(**kwargs)
 
     def test_bump_order_is_an_unknown_field(self):
-        # the bump's sharpness was a field that changed no sigma
-        doc = dict(ModelSpec(l=1, n_hyp=1, omega=[1.0]).to_json_dict(), bump_order=1)
-        with pytest.raises(ValueError, match=r"unknown fields \['bump_order'\]"):
-            ModelSpec.from_json_dict(doc)
+        # fields that are gone: the bump's sharpness changed no sigma, the loop
+        # persists so the splitting mu is zero, and the model has one saddle, so
+        # there are no rates alpha of further hyperbolic pairs
+        for field, value in [("bump_order", 1), ("mu", [0.0, 0.0, 0.0, 0.0]), ("alpha", []), ("alpha", [0.6])]:
+            doc = dict(ModelSpec(l=1, n_hyp=1, omega=[1.0]).to_json_dict(), **{field: value})
+            with pytest.raises(ValueError, match=rf"unknown fields \['{field}'\]"):
+                ModelSpec.from_json_dict(doc)
 
     @pytest.mark.parametrize("field", ["eps", "T_support"])
     @pytest.mark.parametrize("value", [None, True])
@@ -245,45 +246,49 @@ class TestModelSpec:
 
 class TestIntegrableSystem:
     def test_equilibrium_at_origin(self):
-        system = HamiltonianSystem(two_center_spec())
-        zero = np.zeros(system.dim)
-        assert system.hamiltonian(zero) == 0.0
-        assert max_abs(system.gradient(zero)) == 0.0
+        for spec in one_saddle_specs():
+            system = HamiltonianSystem(spec)
+            zero = np.zeros(system.dim)
+            assert system.hamiltonian(zero) == 0.0
+            assert max_abs(system.gradient(zero)) == 0.0
 
     def test_hessian_center_block(self):
-        spec = two_center_spec()
-        system = HamiltonianSystem(spec)
-        H2 = system.hessian(np.zeros(system.dim))
-        assert np.array_equal(H2[:4, :4], np.diag([1.0, 2.0, 1.0, 2.0]))
-        assert np.array_equal(H2[4:, 4:], np.diag([-1.0, -0.8, 1.0, 0.8]))
+        for spec in one_saddle_specs():
+            system = HamiltonianSystem(spec)
+            H2 = system.hessian(np.zeros(system.dim))
+            l = spec.l
+            assert system.dim == 2 * l + 2
+            assert np.array_equal(H2[: 2 * l, : 2 * l], np.diag(np.tile(np.arange(1.0, l + 1.0), 2)))
+            assert np.array_equal(H2[2 * l :, 2 * l :], np.diag([-1.0, 1.0]))
+            assert not H2[: 2 * l, 2 * l :].any() and not H2[2 * l :, : 2 * l].any()
 
     def test_gradient_matches_finite_differences(self):
-        spec = two_center_spec()
-        system = HamiltonianSystem(spec)
         rng = np.random.default_rng(4)
         h = 1e-6
-        for _ in range(5):
-            u = rng.standard_normal(system.dim)
-            u /= max(1.0, np.linalg.norm(u))
-            grad_fd = np.zeros(system.dim)
-            for k in range(system.dim):
-                e = np.zeros(system.dim)
-                e[k] = h
-                grad_fd[k] = (system.hamiltonian(u + e) - system.hamiltonian(u - e)) / (2.0 * h)
-            assert max_abs(grad_fd - system.gradient(u)) <= 1e-6
+        for spec in one_saddle_specs():
+            system = HamiltonianSystem(spec)
+            for _ in range(5):
+                u = rng.standard_normal(system.dim)
+                u /= max(1.0, np.linalg.norm(u))
+                grad_fd = np.zeros(system.dim)
+                for k in range(system.dim):
+                    e = np.zeros(system.dim)
+                    e[k] = h
+                    grad_fd[k] = (system.hamiltonian(u + e) - system.hamiltonian(u - e)) / (2.0 * h)
+                assert max_abs(grad_fd - system.gradient(u)) <= 1e-6
 
     def test_energy_vanishes_on_homoclinic(self):
-        spec = two_center_spec()
-        system = HamiltonianSystem(spec)
-        for t in np.linspace(-30.0, 30.0, 121):
-            assert abs(system.hamiltonian(homoclinic_orbit(spec, t))) <= 1e-10
+        for spec in one_saddle_specs():
+            system = HamiltonianSystem(spec)
+            for t in np.linspace(-30.0, 30.0, 121):
+                assert abs(system.hamiltonian(homoclinic_orbit(spec, t))) <= 1e-10
 
     def test_vector_field_is_J_grad(self):
-        spec = two_center_spec()
-        system = HamiltonianSystem(spec)
         rng = np.random.default_rng(9)
-        u = rng.standard_normal(system.dim)
-        assert max_abs(system.vector_field(u) - system.symplectic_form @ system.gradient(u)) <= 1e-14
+        for spec in one_saddle_specs():
+            system = HamiltonianSystem(spec)
+            u = rng.standard_normal(system.dim)
+            assert max_abs(system.vector_field(u) - system.symplectic_form @ system.gradient(u)) <= 1e-14
 
 
 class TestHomoclinicOrbit:
@@ -291,7 +296,7 @@ class TestHomoclinicOrbit:
         spec = two_center_spec()
         state = homoclinic_orbit(spec, 0.0)
         assert state[2 * spec.l] == pytest.approx(1.5)
-        assert state[2 * spec.l + spec.n_hyp] == 0.0
+        assert state[2 * spec.l + 1] == 0.0
         assert max_abs(state[: 2 * spec.l]) == 0.0
 
     def test_decay_far_out(self):
@@ -315,19 +320,19 @@ class TestHomoclinicOrbit:
             assert max_abs(homoclinic_orbit(spec, -t)) <= 6.0 * np.exp(-t)
 
     def test_reversal_symmetry(self):
-        spec = two_center_spec()
-        system = HamiltonianSystem(spec)
-        R = system.reversal
         rng = np.random.default_rng(12)
-        for _ in range(5):
-            u = rng.standard_normal(system.dim)
-            assert system.hamiltonian(R @ u) == system.hamiltonian(u)
-        for t in (-3.0, -0.5, 0.7, 4.0):
-            assert max_abs(R @ homoclinic_orbit(spec, t) - homoclinic_orbit(spec, -t)) <= 1e-15
-        J = system.symplectic_form
-        assert max_abs(R @ J + J @ R) == 0.0
-        assert np.array_equal(R, R.T)
-        assert np.array_equal(R @ R, np.eye(system.dim))
+        for spec in one_saddle_specs():
+            system = HamiltonianSystem(spec)
+            R = system.reversal
+            for _ in range(5):
+                u = rng.standard_normal(system.dim)
+                assert system.hamiltonian(R @ u) == system.hamiltonian(u)
+            for t in (-3.0, -0.5, 0.7, 4.0):
+                assert max_abs(R @ homoclinic_orbit(spec, t) - homoclinic_orbit(spec, -t)) <= 1e-15
+            J = system.symplectic_form
+            assert max_abs(R @ J + J @ R) == 0.0
+            assert np.array_equal(R, R.T)
+            assert np.array_equal(R @ R, np.eye(system.dim))
 
 
 class TestBump:
@@ -417,7 +422,7 @@ class TestCenterField:
 
 
 def hyperbolic_block(spec, t):
-    """Hyperbolic block of the variational coefficient J hessian(H) along the loop."""
+    """Saddle block of the variational coefficient J hessian(H) along the loop."""
     system = HamiltonianSystem(spec)
     A = system.symplectic_form @ system.hessian(homoclinic_orbit(spec, t))
     return A[2 * spec.l :, 2 * spec.l :]
@@ -425,50 +430,29 @@ def hyperbolic_block(spec, t):
 
 class TestHyperbolicField:
     def test_asymptotic_block(self):
-        spec = two_center_spec()
-        A = hyperbolic_block(spec, 40.0)
-        lead = A[np.ix_([0, spec.n_hyp], [0, spec.n_hyp])]
-        assert max_abs(lead - np.array([[0.0, 1.0], [1.0, 0.0]])) <= 1e-12
+        A = hyperbolic_block(two_center_spec(), 40.0)
+        assert max_abs(A - np.array([[0.0, 1.0], [1.0, 0.0]])) <= 1e-12
         # eigenvalues of [[0,1],[1,0]] are +-1
-        assert sorted(np.linalg.eigvals(lead).real) == pytest.approx([-1.0, 1.0])
+        assert sorted(np.linalg.eigvals(A).real) == pytest.approx([-1.0, 1.0])
 
     def test_block_at_zero(self):
-        spec = two_center_spec()
-        A = hyperbolic_block(spec, 0.0)
-        lead = A[np.ix_([0, spec.n_hyp], [0, spec.n_hyp])]
-        assert max_abs(lead - np.array([[0.0, 1.0], [-2.0, 0.0]])) <= 1e-12
-
-    def test_extra_pair_constant(self):
-        spec = two_center_spec(alpha=[0.8])
-        for t in (-5.0, 0.0, 2.0):
-            A = hyperbolic_block(spec, t)
-            sub = A[np.ix_([1, 1 + spec.n_hyp], [1, 1 + spec.n_hyp])]
-            assert np.array_equal(sub, np.array([[0.0, 0.8], [0.8, 0.0]]))
+        A = hyperbolic_block(two_center_spec(), 0.0)
+        assert max_abs(A - np.array([[0.0, 1.0], [-2.0, 0.0]])) <= 1e-12
 
     def test_orbit_derivative_solves_leading_pair(self):
         spec = two_center_spec()
-        h = spec.n_hyp
+        saddle = [2 * spec.l, 2 * spec.l + 1]
         dt = 1e-5
         worst = 0.0
         for t in np.linspace(-20.0, 20.0, 101):
-            v = analytic_orbit_derivative(spec, t)[[2 * spec.l, 2 * spec.l + h]]
-            vdot = (
-                analytic_orbit_derivative(spec, t + dt)[[2 * spec.l, 2 * spec.l + h]]
-                - analytic_orbit_derivative(spec, t - dt)[[2 * spec.l, 2 * spec.l + h]]
-            ) / (2.0 * dt)
-            A = hyperbolic_block(spec, t)
-            lead = A[np.ix_([0, h], [0, h])]
-            worst = max(worst, max_abs(vdot - lead @ v))
+            v = analytic_orbit_derivative(spec, t)[saddle]
+            ahead, behind = analytic_orbit_derivative(spec, t + dt), analytic_orbit_derivative(spec, t - dt)
+            vdot = (ahead[saddle] - behind[saddle]) / (2.0 * dt)
+            worst = max(worst, max_abs(vdot - hyperbolic_block(spec, t) @ v))
         assert worst <= 1e-8
 
 
 class TestScatteringProblemBuilder:
-    def test_rejects_mu_field(self):
-        # the splitting parameter is gone: the loop persists, so mu = 0 always
-        doc = dict(two_center_spec().to_json_dict(), mu=[0.0, 0.0, 0.0, 0.0])
-        with pytest.raises(ValueError, match=r"unknown fields \['mu'\]"):
-            ModelSpec.from_json_dict(doc)
-
     def test_support_whose_squared_field_overflows_names_T_support(self):
         # the bump scale 1/T_support, squared in the RK4 stage products, overflowed
         # them, and the error blamed the RK4 product

@@ -27,7 +27,6 @@ BLOCK = CenterBlock([1.0, 2.0])
 PARAMETER_ARRAYS = {
     "CenterBlock": (CenterBlock, [1.0, 2.0], "omega"),
     "ModelSpec-omega": (lambda x: ModelSpec(l=2, n_hyp=1, omega=x), [1.0, 2.0], "omega"),
-    "ModelSpec-alpha": (lambda x: ModelSpec(l=1, n_hyp=2, omega=[1.0], alpha=x), [0.5], "alpha"),
     "ModelSpec-C": (lambda x: ModelSpec(l=1, n_hyp=1, omega=[1.0], C=x), [1.0, 0.0, 0.0, 1.0], "C"),
     "realize_signature": (lambda x: realize_signature(2, 1, x, 0.01), [1.0, 2.0], "omega"),
     "hessian_from_scattering-sigma": (
@@ -93,6 +92,27 @@ def test_an_entry_that_is_not_a_finite_number_is_named(entry_point, bad):
     message = raised_without_warning(call, with_first_entry(valid, entry))
     assert message.startswith(f"{name} ")
     assert cause in message
+
+
+# entry point -> an argument whose asymmetry is beyond the float range: a 2 x 2
+# matrix, or for the bracket functions of BLOCK the leading block of a 4 x 4 one
+ASYMMETRIC_2 = np.array([[1.0, 1e308], [-1e308, 1.0]])
+ASYMMETRIC_4 = np.block([[ASYMMETRIC_2, np.zeros((2, 2))], [np.zeros((2, 2)), np.eye(2)]])
+ASYMMETRIC = {
+    "inertia": ASYMMETRIC_2,
+    "eigvalsh": ASYMMETRIC_2,
+    "eigh": ASYMMETRIC_2,
+    "solve_bracket": ASYMMETRIC_4,
+    "hessian_bracket": ASYMMETRIC_4,
+    "in_bracket_range": ASYMMETRIC_4,
+}
+
+
+@pytest.mark.parametrize("entry_point", sorted(ASYMMETRIC))
+def test_asymmetry_beyond_the_float_range_is_named(entry_point):
+    # M - M.T overflowed, so the check raised a RuntimeWarning instead of naming the asymmetry
+    call, _, name = PARAMETER_ARRAYS[entry_point]
+    assert raised_without_warning(call, ASYMMETRIC[entry_point]) == f"{name} is not symmetric (asymmetry inf)"
 
 
 def test_complex_hermitian_inertia_is_rejected():
