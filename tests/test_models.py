@@ -228,10 +228,9 @@ class TestModelSpec:
             ModelSpec(**kwargs)
 
     def test_bump_order_is_an_unknown_field(self):
-        # fields that are gone: the bump's sharpness changed no sigma, the loop
-        # persists so the splitting mu is zero, and the model has one saddle, so
-        # there are no rates alpha of further hyperbolic pairs
-        for field, value in [("bump_order", 1), ("mu", [0.0, 0.0, 0.0, 0.0]), ("alpha", []), ("alpha", [0.6])]:
+        # fields that are gone: the bump's sharpness changed no sigma, and the model
+        # has one saddle, so there are no rates alpha of further hyperbolic pairs
+        for field, value in [("bump_order", 1), ("alpha", []), ("alpha", [0.6])]:
             doc = dict(ModelSpec(l=1, n_hyp=1, omega=[1.0]).to_json_dict(), **{field: value})
             with pytest.raises(ValueError, match=rf"unknown fields \['{field}'\]"):
                 ModelSpec.from_json_dict(doc)
@@ -453,6 +452,12 @@ class TestHyperbolicField:
 
 
 class TestScatteringProblemBuilder:
+    def test_rejects_mu_field(self):
+        # the splitting parameter is gone: the loop persists, so mu = 0 always
+        doc = dict(two_center_spec().to_json_dict(), mu=[0.0, 0.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match=r"unknown fields \['mu'\]"):
+            ModelSpec.from_json_dict(doc)
+
     def test_support_whose_squared_field_overflows_names_T_support(self):
         # the bump scale 1/T_support, squared in the RK4 stage products, overflowed
         # them, and the error blamed the RK4 product
