@@ -35,7 +35,6 @@ from .matkit import (
     CenterBlock,
     SignatureReport,
     classification_tol,
-    eigh,
     eigvalsh,
     inertia,
     matrix_exponential,

@@ -32,7 +32,6 @@ from .matkit import (
     _positive_tol,
     _slice_max_abs,
     _square,
-    eigh,
     eigvalsh,
     inertia,
     matrix_exponential,
@@ -320,14 +319,16 @@ def reversible_signature(sigma, center: CenterBlock, tol: float) -> SignatureRep
     with Psi a centre rotation, and Psi^T sigma Psi is reversible under R
     with a congruent Hessian.
 
-    Verifies the mechanism forcing the (l, l) signature: in the basis given
-    by the symmetric square root S of (I + (R sigma)^T R sigma)/2, the map
-    K = S (R sigma) S^{-1} is orthogonal and anticommutes with the
-    transformed Hessian, so its spectrum is symmetric about zero.  The
-    report is computed on the transformed Hessian: the counts agree with
-    the raw one (the transform is a congruence) and the reported
-    eigenvalues pair as +-lambda.  A degenerate Hessian is reported as
-    such, never forced to (l, l).
+    Verifies the mechanism forcing the (l, l) signature.  With A = R sigma
+    and the Cholesky factorization L L^T = (I + A^T A)/2, A^2 = I makes
+    K = L^T A L^{-T} orthogonal and anticommuting with H_t = L^{-1} H L^{-T},
+    so the spectrum of H_t is symmetric about zero.  The report is its
+    inertia: the counts of H (H_t is congruent to it), with eigenvalues that
+    pair as +-lambda.  H_t is formed as Y^T D Y - L^{-1} D L^{-T} with
+    Y = sigma L^{-T}, factors bounded by |Y| <= sqrt(2) and |L^{-1}|^2 <= 2,
+    so the |sigma|^2-sized terms of H, whose rounding would survive as an
+    asymmetry, never arise.  A degenerate Hessian is reported as such, never
+    forced to (l, l).
     """
     report = check_reversibility(sigma, tol)
     S = _square(sigma, "scattering matrix")
@@ -337,19 +338,22 @@ def reversible_signature(sigma, center: CenterBlock, tol: float) -> SignatureRep
         raise ValueError(
             f"scattering matrix is not reversible: residual {report.residual:.3e} exceeds {tol:.3e}"
         )
-    H = _hessian(S, center)
+    _require_symplectic(S, center.J)
     A = center_reversal(center.l) @ S
-    M = 0.5 * (np.eye(A.shape[0]) + A.T @ A)
-    # every eigenvalue of M is at least 1/2, so one decomposition gives both roots
-    w, V = eigh(M)
-    sqrt_w = np.sqrt(w)
-    root = (V * sqrt_w) @ V.T
-    root_inv = (V / sqrt_w) @ V.T
-    K = root @ A @ root_inv
-    ortho_defect = max_abs(K.T @ K - np.eye(K.shape[0]))
-    if ortho_defect > max(tol, 100.0 * report.residual):
+    I, D = np.eye(center.dim), center.D
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite factor fails the checks below
+        L = np.linalg.cholesky(0.5 * (I + A.T @ A))
+        L_inv = np.linalg.inv(L)
+        K = L.T @ A @ L_inv.T
+        ortho_defect = max_abs(K.T @ K - I)
+        Y = S @ L_inv.T
+        H_t = Y.T @ D @ Y - L_inv @ D @ L_inv.T
+    if not ortho_defect <= max(tol, 100.0 * report.residual):
         raise ArithmeticError(f"transformed reversal failed orthogonality (defect {ortho_defect:.3e})")
-    H_t = root_inv @ H @ root_inv
+    if not np.isfinite(H_t).all():
+        raise ArithmeticError(
+            f"the transformed Hessian overflows the float range: max|omega| = {max_abs(center.omega):.3g}"
+        )
     anti = max_abs(H_t @ K + K.T @ H_t)
     if anti > max(tol, 100.0 * report.residual) * max(1.0, max_abs(H_t)):
         raise ArithmeticError(f"transformed Hessian failed to anticommute (defect {anti:.3e})")

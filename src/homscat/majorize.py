@@ -226,7 +226,12 @@ def hessian_bracket(block: CenterBlock, B) -> np.ndarray:
 
     The result is symmetric and traceless for every symmetric B.
     """
-    return _bracket(block, _check_block_input(block, B, "bracket argument"))
+    Bs = _check_block_input(block, B, "bracket argument")
+    with np.errstate(over="ignore", invalid="ignore"):
+        bracket = _bracket(block, Bs)
+    if not np.isfinite(bracket).all():
+        raise ArithmeticError(f"the bracket of B is beyond the float range: max|B| = {max_abs(Bs):.3g}")
+    return bracket
 
 
 def _pairs_cancel(block: CenterBlock, Ms: np.ndarray, tol: float) -> bool:
@@ -241,6 +246,8 @@ def in_bracket_range(block: CenterBlock, M, tol: float = 1e-8) -> bool:
     return _pairs_cancel(block, Ms, _positive_tol(tol))
 
 
+# an entry of B or of its bracket beyond the float range leaves the residual inf or NaN
+@np.errstate(over="ignore", invalid="ignore")
 def _solve_bracket(block: CenterBlock, Gs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """solve_bracket on a checked, exactly symmetric target; returns B and
     its bracket, whose distance to Gs is the certified residual."""
@@ -266,8 +273,10 @@ def _solve_bracket(block: CenterBlock, Gs: np.ndarray) -> tuple[np.ndarray, np.n
     B[l:, :l] = Q.T
     bracket = _bracket(block, B)
     residual = max_abs(bracket - Gs)
-    if residual > 1e-8 * scale:
-        raise ArithmeticError(f"bracket solve left residual {residual:.3e}")
+    if not residual <= 1e-8 * scale:
+        if np.isfinite(residual):
+            raise ArithmeticError(f"bracket solve left residual {residual:.3e}")
+        raise ArithmeticError(f"bracket solve of a target with max|G| = {scale:.3g} is beyond the float range")
     return B, bracket
 
 

@@ -1,14 +1,12 @@
 """Dense linear algebra for small real matrices with symplectic structure.
 
-Everything here targets matrices of at most a few dozen rows: the symmetric
-eigensolvers are LAPACK's, reordered to descending eigenvalues.  eigvalsh
-(through numpy.linalg.eigvalsh) returns the eigenvalues alone and serves
-every caller that would discard the vectors; eigh (numpy.linalg.eigh) also
-returns the vectors, which only the reversible square root needs.  The
+Everything here targets matrices of at most a few dozen rows: the one
+symmetric eigensolver, eigvalsh, is LAPACK's through numpy.linalg.eigvalsh,
+reordered to descending eigenvalues; no pipeline needs eigenvectors.  The
 exponential is truncated scaling-and-squaring, and tolerances are expressed
 in the entrywise max-abs norm.  Inertia counts rest on the absolute-scale
 tolerance 1e-7 * max(1, |S|), far above the backward error of the
-eigensolver.  The eigensolvers and the exponential also take a (k, n, n)
+eigensolver.  The eigensolver and the exponential also take a (k, n, n)
 stack and treat each slice exactly as they treat that matrix alone.
 _float_array is the one parser of caller-supplied numbers, for every public
 entry point through _square, _require_symmetric and CenterBlock.  CenterBlock
@@ -109,13 +107,14 @@ def _integer(value, name: str) -> int:
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
-def _require_symmetric(M, name: str = "matrix", stack: bool = False) -> np.ndarray:
-    """Symmetrized M; with stack=True each slice is checked against its own scale."""
+def _require_symmetric(M, name: str = "matrix", stack: bool = False, tol: float = _SYMMETRY_TOL) -> np.ndarray:
+    """Symmetrized M, if its asymmetry is at most tol times max(1, max|M|);
+    with stack=True each slice is checked against its own scale."""
     A = _square(M, name, stack)
     At = A.swapaxes(-1, -2)
     with np.errstate(over="ignore"):  # an asymmetry beyond the float range is inf, and fails the check
         defect = _slice_max_abs(A - At)
-    asymmetric = defect > _SYMMETRY_TOL * _slice_max_abs(A, 1.0)
+    asymmetric = defect > tol * _slice_max_abs(A, 1.0)
     if asymmetric.any():
         raise ValueError(f"{name} is not symmetric (asymmetry {np.max(defect, where=asymmetric, initial=0.0):.3e})")
     return 0.5 * A + 0.5 * At  # halved first: entries may be near the float limit
@@ -186,24 +185,10 @@ def matrix_exponential(M) -> np.ndarray:
     return E.reshape(shape)
 
 
-def eigh(S) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a symmetric matrix, or of each slice of a (k, n, n) stack.
-
-    Returns (eigenvalues sorted descending, orthonormal eigenvector columns),
-    stacked like the input.  Every slice must pass the symmetry check.
-    """
-    w, V = np.linalg.eigh(_require_symmetric(S, "eigendecomposition input", stack=True))
-    return w[..., ::-1], V[..., ::-1]
-
-
 def eigvalsh(S) -> np.ndarray:
     """Eigenvalues of a symmetric matrix, or of each slice of a (k, n, n) stack,
-    sorted descending; the check of eigh without its eigenvectors.
-
-    A slice of a stack gets exactly the values it gets alone.  The values
-    come from a different LAPACK driver than eigh's and may differ from
-    them in the last bits.
-    """
+    sorted descending; every slice must pass the symmetry check, and a slice
+    of a stack gets exactly the values it gets alone."""
     return np.linalg.eigvalsh(_require_symmetric(S, "eigendecomposition input", stack=True))[..., ::-1]
 
 

@@ -39,6 +39,7 @@ from .matkit import (
     _float_array,
     _integer,
     _positive_tol,
+    _require_symmetric,
     max_abs,
     standard_symplectic_form,
 )
@@ -111,10 +112,7 @@ class ModelSpec:
             C = C.reshape(2 * l, 2 * l)
         if C.shape != (2 * l, 2 * l):
             raise ValueError(f"C must be {2 * l} x {2 * l} or its {4 * l * l} row-major entries, got shape {C.shape}")
-        with np.errstate(over="ignore"):  # an asymmetry beyond the float range is inf, and fails the check
-            asymmetry = max_abs(C - C.T)
-        if asymmetry > 1e-12 * max(1.0, max_abs(C)):
-            raise ValueError("C must be symmetric")
+        _require_symmetric(C, "C", tol=1e-12)  # C itself is kept, not its symmetrization
         T_support = _positive_tol(self.T_support, "T_support")
         parsed = dict(l=l, n_hyp=n_hyp, omega=center.omega, eps=eps, C=C, T_support=T_support, center=center)
         for name, value in parsed.items():

@@ -477,6 +477,34 @@ class TestReversibleSignature:
         w = rep.eigenvalues
         assert max_abs(w + w[::-1]) <= 1e-7
 
+    @pytest.mark.parametrize("l", [3, 4, 5, 6])
+    def test_strong_coupling(self, l):
+        # the raw Hessian's rounding, of the size of |sigma|^2 (up to about 1e5
+        # here), survived the square-root congruence as an asymmetry, and 17 of
+        # these 80 cases raised "inertia input is not symmetric"
+        block = CenterBlock(1.0 + 0.5 * np.arange(l))
+        for seed in range(20):
+            B = random_reversible_form(l, np.random.default_rng((l, seed)))
+            sigma = matrix_exponential(-8.0 * standard_symplectic_form(l) @ (B / max_abs(B)))
+            if not check_reversibility(sigma, 1e-7).passed:
+                with pytest.raises(ValueError, match="not reversible"):
+                    reversible_signature(sigma, block, 1e-7)
+                continue
+            rep = reversible_signature(sigma, block, 1e-7)
+            w = rep.eigenvalues
+            assert rep.inertia == (l, l, 0)
+            assert max_abs(w + w[::-1]) <= 1e-6 * max(1.0, max_abs(w))
+
+    def test_transformed_hessian_beyond_the_float_range(self):
+        # its factors are bounded, so omega = 1e308 classifies where the raw
+        # Hessian overflowed; 1.7e308 overflows, without a warning
+        sigma = np.array([[np.cosh(1.0), np.sinh(1.0)], [np.sinh(1.0), np.cosh(1.0)]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert reversible_signature(sigma, CenterBlock([1e308]), 1e-7).inertia == (1, 1, 0)
+            with pytest.raises(ArithmeticError, match=r"overflows the float range: max\|omega\| = 1\.7e\+308"):
+                reversible_signature(sigma, CenterBlock([1.7e308]), 1e-7)
+
     def test_rejects_nonreversible_sigma(self):
         rng = np.random.default_rng(66)
         l = 2

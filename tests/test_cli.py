@@ -420,7 +420,7 @@ class TestScatterCommand:
         # and otherwise a warning line on stderr before the JSON error
         doc = spec_doc(C=[1.0, 1e308, -1e308, 1.0])
         code, payload, err = run(capsys, ["scatter", "--spec", write_doc(tmp_path, doc)])
-        assert input_error(code, payload, err, "C must be symmetric") and err.count("\n") == 1
+        assert input_error(code, payload, err, "C is not symmetric (asymmetry inf)") and err.count("\n") == 1
 
     @pytest.mark.parametrize("T_support", [1e308, 1e200])
     def test_support_beyond_the_step_cap_is_a_numerical_failure(self, capsys, tmp_path, T_support):
@@ -632,6 +632,19 @@ class TestReversibleCommand:
         sig = payload["signature"]
         assert (sig["n_pos"], sig["n_neg"], sig["n_zero"]) == (2, 2, 0)
         assert payload["eigenvalue_pairing_defect"] <= 1e-7
+
+    def test_strongly_coupled_reversible_model(self, capsys, tmp_path):
+        # it exited 2, blaming the input with "inertia input is not symmetric
+        # (asymmetry 4.323e-10)" for the rounding of the raw Hessian
+        l = 3
+        r = np.random.default_rng(11).standard_normal((2 * l, 2 * l))
+        C = r + r.T
+        C[:l, l:] = C[l:, :l] = 0.0
+        spec = ModelSpec(l=l, n_hyp=1, omega=[1.0, 1.5, 2.0], eps=3.0, C=C, T_support=3.0)
+        code, payload, err = run(capsys, ["reversible", "--spec", write_spec(tmp_path, spec)])
+        assert code == 0 and err == ""
+        sig = payload["signature"]
+        assert (sig["n_pos"], sig["n_neg"], sig["n_zero"]) == (3, 3, 0)
 
     def test_nonreversible_model_fails(self, capsys, tmp_path):
         C = np.zeros((2, 2))

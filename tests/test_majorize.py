@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -267,6 +269,14 @@ class TestBracket:
         with pytest.raises(ValueError):
             hessian_bracket(block, np.eye(4))
 
+    def test_bracket_beyond_the_float_range_is_named(self):
+        # B @ J @ D overflowed with a RuntimeWarning, or without one returned inf
+        B = np.full((4, 4), 1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ArithmeticError, match="beyond the float range"):
+                hessian_bracket(CenterBlock([1.0, 2.0]), B)
+
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 4), st.integers(0, 10**6))
     def test_symmetric_traceless(self, l, seed):
@@ -401,6 +411,15 @@ class TestSolveBracket:
         block = CenterBlock(np.array([1.0, 2.0]))
         with pytest.raises(ValueError):
             solve_bracket(block, np.eye(4))
+
+    def test_solution_beyond_the_float_range_is_named(self):
+        # B held -inf, the residual was NaN, and NaN > tol let it through
+        G = np.zeros((4, 4))
+        G[0, 1] = G[1, 0] = 1e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ArithmeticError, match="beyond the float range"):
+                solve_bracket(CenterBlock([1.0, 2.0]), G)
 
     def test_solution_orthogonal_to_kernel(self):
         block = CenterBlock(np.array([1.0, 2.0]))

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -177,10 +178,18 @@ class TestModelSpec:
 
     def test_rejects_asymmetric_C(self):
         # with entries +-1e308, C - C.T overflowed, so the check raised a
-        # RuntimeWarning instead of naming the asymmetry
-        for C in ([0.0, 1.0, 0.0, 0.0], [1.0, 1e308, -1e308, 1.0]):
-            with pytest.raises(ValueError, match="C must be symmetric"):
+        # RuntimeWarning instead of naming the asymmetry; C's bound is 1e-12,
+        # and the 1e-10 of the other symmetric inputs would accept 1e-11
+        for C, asymmetry in [
+            ([0.0, 1.0, 0.0, 0.0], "1.000e+00"),
+            ([1.0, 1e308, -1e308, 1.0], "inf"),
+            ([1.0, 1e-11, 0.0, 1.0], "1.000e-11"),
+        ]:
+            with pytest.raises(ValueError, match=re.escape(f"C is not symmetric (asymmetry {asymmetry})")):
                 ModelSpec(l=1, n_hyp=1, omega=[1.0], C=C)
+
+    def test_C_within_its_symmetry_bound_is_kept_as_given(self):
+        assert ModelSpec(l=1, n_hyp=1, omega=[1.0], C=[1.0, 1e-13, 0.0, 1.0]).C.tolist() == [[1.0, 1e-13], [0.0, 1.0]]
 
     @pytest.mark.parametrize("n_hyp", [0, 2])
     def test_n_hyp_must_be_1(self, n_hyp):

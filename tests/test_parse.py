@@ -16,7 +16,7 @@ from homscat.classify import (
     reversible_signature,
 )
 from homscat.majorize import hessian_bracket, in_bracket_range, majorizes, mirsky_matrix, solve_bracket
-from homscat.matkit import CenterBlock, eigh, eigvalsh, inertia, matrix_exponential, symplectic_rotation
+from homscat.matkit import CenterBlock, eigvalsh, inertia, matrix_exponential, symplectic_rotation
 from homscat.models import ModelSpec
 
 I2 = [[1.0, 0.0], [0.0, 1.0]]
@@ -36,7 +36,6 @@ PARAMETER_ARRAYS = {
     "indefiniteness_ensemble": (lambda x: indefiniteness_ensemble(x, 1, 0), I2, "centre diagonal"),
     "inertia": (inertia, I2, "inertia input"),
     "eigvalsh": (eigvalsh, I2, "eigendecomposition input"),
-    "eigh": (eigh, I2, "eigendecomposition input"),
     "matrix_exponential": (matrix_exponential, I2, "matrix"),
     "majorizes-a": (lambda x: majorizes(x, [1.0, -1.0]), [0.0, 0.0], "majorization vector a"),
     "majorizes-b": (lambda x: majorizes([0.0, 0.0], x), [1.0, -1.0], "majorization vector b"),
@@ -101,7 +100,6 @@ ASYMMETRIC_4 = np.block([[ASYMMETRIC_2, np.zeros((2, 2))], [np.zeros((2, 2)), np
 ASYMMETRIC = {
     "inertia": ASYMMETRIC_2,
     "eigvalsh": ASYMMETRIC_2,
-    "eigh": ASYMMETRIC_2,
     "solve_bracket": ASYMMETRIC_4,
     "hessian_bracket": ASYMMETRIC_4,
     "in_bracket_range": ASYMMETRIC_4,
