@@ -7,7 +7,6 @@ from .classify import (
     RealizationReport,
     ReversibilityReport,
     center_reversal,
-    check_reversibility,
     hessian_from_scattering,
     indefiniteness_ensemble,
     random_symplectic,

@@ -39,6 +39,7 @@ from .matkit import (
 )
 
 _SYMPLECTIC_PRECONDITION_TOL = 1e-7
+_ENSEMBLE_TOL = 1e-9
 _REALIZE_MAX_HALVINGS = 20
 _MAX_FACTORS = 5
 # bound on the matrix entries of one chunk of ensemble trials at _MAX_FACTORS
@@ -147,7 +148,7 @@ def random_symplectic(
     return _random_symplectics(CenterBlock(np.ones(l)), (rng, rng, rng), 1, max_factors, norm)[0]
 
 
-def indefiniteness_ensemble(D_center, trials: int, seed: int, tol: float = 1e-9) -> EnsembleSummary:
+def indefiniteness_ensemble(D_center, trials: int, seed: int, tol: float = _ENSEMBLE_TOL) -> EnsembleSummary:
     """Extreme Hessian eigenvalues over a seeded random symplectic ensemble.
 
     SeedSequence(seed) spawns the generators of the factor counts, the raw
@@ -296,22 +297,12 @@ class ReversibilityReport:
     passed: bool
 
 
-def check_reversibility(sigma, tol: float) -> ReversibilityReport:
+def reversible_signature(sigma, center: CenterBlock, tol: float) -> tuple[ReversibilityReport, SignatureReport | None]:
     """Residual of sigma R sigma = R for the centre reversal R = diag(I_l, -I_l),
-    with l read from sigma; a residual beyond the float range is inf and fails."""
-    S = _square(sigma, "scattering matrix")
-    if S.shape[0] % 2:
-        raise ValueError(f"scattering matrix must have even dimension, got {S.shape[0]}")
-    tol = _positive_tol(tol)
-    R = center_reversal(S.shape[0] // 2)
-    with np.errstate(over="ignore", invalid="ignore"):
-        residual = max_abs(S @ R @ S - R)
-    residual = np.inf if np.isnan(residual) else residual  # inf - inf where the product overflowed
-    return ReversibilityReport(residual=residual, tol=tol, passed=bool(residual <= tol))
+    and in the reversible case the inertia of sigma^T D sigma - D, D = center.D.
 
-
-def reversible_signature(sigma, center: CenterBlock, tol: float) -> SignatureReport:
-    """Inertia of the reduced Hessian sigma^T D sigma - D, D = center.D, in the reversible case.
+    A residual beyond the float range is inf.  A residual above tol fails the
+    check, and the signature is None.
 
     The reversal is the normal form R = diag(I, -I), and that loses nothing:
     a reversor of the centre flow commutes with D, so for distinct
@@ -322,7 +313,7 @@ def reversible_signature(sigma, center: CenterBlock, tol: float) -> SignatureRep
     Verifies the mechanism forcing the (l, l) signature.  With A = R sigma
     and the Cholesky factorization L L^T = (I + A^T A)/2, A^2 = I makes
     K = L^T A L^{-T} orthogonal and anticommuting with H_t = L^{-1} H L^{-T},
-    so the spectrum of H_t is symmetric about zero.  The report is its
+    so the spectrum of H_t is symmetric about zero.  The signature is its
     inertia: the counts of H (H_t is congruent to it), with eigenvalues that
     pair as +-lambda.  H_t is formed as Y^T D Y - L^{-1} D L^{-T} with
     Y = sigma L^{-T}, factors bounded by |Y| <= sqrt(2) and |L^{-1}|^2 <= 2,
@@ -330,16 +321,19 @@ def reversible_signature(sigma, center: CenterBlock, tol: float) -> SignatureRep
     asymmetry, never arise.  A degenerate Hessian is reported as such, never
     forced to (l, l).
     """
-    report = check_reversibility(sigma, tol)
     S = _square(sigma, "scattering matrix")
     if S.shape[0] != center.dim:
         raise ValueError(f"scattering matrix has dimension {S.shape[0]} but the centre block {center.dim}")
+    tol = _positive_tol(tol)
+    R = center_reversal(center.l)
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = max_abs(S @ R @ S - R)
+    residual = np.inf if np.isnan(residual) else residual  # inf - inf where the product overflowed
+    report = ReversibilityReport(residual=residual, tol=tol, passed=bool(residual <= tol))
     if not report.passed:
-        raise ValueError(
-            f"scattering matrix is not reversible: residual {report.residual:.3e} exceeds {tol:.3e}"
-        )
+        return report, None
     _require_symplectic(S, center.J)
-    A = center_reversal(center.l) @ S
+    A = R @ S
     I, D = np.eye(center.dim), center.D
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite factor fails the checks below
         L = np.linalg.cholesky(0.5 * (I + A.T @ A))
@@ -348,13 +342,14 @@ def reversible_signature(sigma, center: CenterBlock, tol: float) -> SignatureRep
         ortho_defect = max_abs(K.T @ K - I)
         Y = S @ L_inv.T
         H_t = Y.T @ D @ Y - L_inv @ D @ L_inv.T
-    if not ortho_defect <= max(tol, 100.0 * report.residual):
+    bound = max(tol, 100.0 * residual)
+    if not ortho_defect <= bound:
         raise ArithmeticError(f"transformed reversal failed orthogonality (defect {ortho_defect:.3e})")
     if not np.isfinite(H_t).all():
         raise ArithmeticError(
             f"the transformed Hessian overflows the float range: max|omega| = {max_abs(center.omega):.3g}"
         )
     anti = max_abs(H_t @ K + K.T @ H_t)
-    if anti > max(tol, 100.0 * report.residual) * max(1.0, max_abs(H_t)):
+    if anti > bound * max(1.0, max_abs(H_t)):
         raise ArithmeticError(f"transformed Hessian failed to anticommute (defect {anti:.3e})")
-    return inertia(H_t)
+    return report, inertia(H_t)

@@ -11,7 +11,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import classify, flow, models
-from .majorize import majorizes, mirsky_matrix
+from .majorize import _MAJORIZE_TOL, majorizes, mirsky_matrix
 from .matkit import CenterBlock, _float_array, _integer, _positive_tol, eigvalsh, inertia, max_abs
 
 _FAILURE_EXIT = 1
@@ -120,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     indef.add_argument("--omega", required=True)
     indef.add_argument("--trials", type=int, required=True)
     indef.add_argument("--seed", type=int, required=True)
-    indef.add_argument("--tol", type=float, default=1e-9)
+    indef.add_argument("--tol", type=float, default=classify._ENSEMBLE_TOL)
     indef.add_argument("--out", default=None)
 
     rev = sub.add_parser("reversible", help="reversibility check and (l, l) signature")
@@ -136,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
     maj = sub.add_parser("majorize", help="majorization witness for two vectors")
     maj.add_argument("--a", required=True)
     maj.add_argument("--b", required=True)
-    maj.add_argument("--tol", type=float, default=1e-10)
+    maj.add_argument("--tol", type=float, default=_MAJORIZE_TOL)
     maj.add_argument("--out", default=None)
 
     demo = sub.add_parser("demo-integrable", help="eps = 0 model end to end; asserts sigma = I")
@@ -187,17 +187,16 @@ def _cmd_indefinite(args) -> tuple[dict, bool]:
 def _cmd_reversible(args) -> tuple[dict, bool]:
     spec = models.ModelSpec.from_json_dict(_load_json(args.spec))
     result = flow.scattering_matrix(models.scattering_problem(spec))
-    rev = classify.check_reversibility(result.sigma, args.tol)
+    rev, report = classify.reversible_signature(result.sigma, spec.center, args.tol)
     payload = {
         "command": "reversible",
         "spec": spec.to_json_dict(),
         "sigma": result.sigma,
         "reversibility": rev,
     }
-    if not rev.passed:
+    if report is None:
         payload["pass"] = False
         return payload, False
-    report = classify.reversible_signature(result.sigma, spec.center, args.tol)
     w = report.eigenvalues
     pairing_defect = np.max(np.abs(w + w[::-1]))
     expected = (spec.l, spec.l, 0)

@@ -10,7 +10,6 @@ import numpy as np
 
 from bracket_oracle import bracket_adjoint_nullity
 from homscat.classify import (
-    check_reversibility,
     hessian_from_scattering,
     indefiniteness_ensemble,
     random_symplectic,
@@ -255,10 +254,9 @@ def test_criterion_09_reversible_case():
             assert draw < 100, "too many degenerate draws"
             B = random_reversible_form(l, rng)
             sigma = matrix_exponential(-1e-2 * J @ B)
-            rev = check_reversibility(sigma, 1e-7)
+            rev, rep = reversible_signature(sigma, block, 1e-7)
             worst_rev = max(worst_rev, rev.residual)
             assert rev.passed
-            rep = reversible_signature(sigma, block, 1e-7)
             if rep.degenerate:
                 degenerate_total += 1
                 continue

@@ -11,7 +11,6 @@ from homscat import classify
 from homscat.classify import (
     RealizationError,
     center_reversal,
-    check_reversibility,
     hessian_from_scattering,
     indefiniteness_ensemble,
     random_symplectic,
@@ -410,8 +409,9 @@ class TestRotationQuotient:
 
 
 class TestCheckReversibility:
+    # the reversibility report, the first item reversible_signature returns
     def test_identity_passes(self):
-        rep = check_reversibility(np.eye(4), 1e-10)
+        rep = reversible_signature(np.eye(4), CenterBlock([1.0, 2.0]), 1e-10)[0]
         assert rep.passed and rep.residual == 0.0
 
     def test_commuting_generator_passes(self):
@@ -419,7 +419,7 @@ class TestCheckReversibility:
         l = 2
         B = random_reversible_form(l, rng)
         sigma = matrix_exponential(-0.05 * standard_symplectic_form(l) @ B)
-        rep = check_reversibility(sigma, 1e-9)
+        rep = reversible_signature(sigma, CenterBlock([1.0, 2.0]), 1e-9)[0]
         assert rep.passed
 
     def test_generic_generator_fails(self):
@@ -428,35 +428,38 @@ class TestCheckReversibility:
         B = random_symmetric(rng, 2 * l)
         B[0, l] = B[l, 0] = 1.0  # force coupling across the reversal eigenspaces
         sigma = matrix_exponential(-0.3 * standard_symplectic_form(l) @ B)
-        rep = check_reversibility(sigma, 1e-9)
+        rep = reversible_signature(sigma, CenterBlock([1.0, 2.0]), 1e-9)[0]
         assert not rep.passed
         assert rep.residual > 1e-4
 
     def test_rejects_odd_dimension(self):
-        with pytest.raises(ValueError, match="scattering matrix must have even dimension, got 3"):
-            check_reversibility(np.eye(3), 1e-8)
+        # it was "scattering matrix must have even dimension, got 3", from a
+        # check that read l from sigma before the centre block was consulted
+        with pytest.raises(ValueError, match="scattering matrix has dimension 3 but the centre block 2"):
+            reversible_signature(np.eye(3), CenterBlock([1.0]), 1e-8)
 
     @pytest.mark.parametrize("tol", [np.nan, np.inf])
     def test_rejects_tolerance_that_is_not_finite_positive(self, tol):
         with pytest.raises(ValueError, match="finite positive"):
-            check_reversibility(np.eye(2), tol)
+            reversible_signature(np.eye(2), CenterBlock([1.0]), tol)
 
     @pytest.mark.parametrize(
         "sigma", [np.diag([1e200, 1e-200]), np.full((2, 2), 1e200)], ids=["overflow", "inf-minus-inf"]
     )
     def test_residual_beyond_the_float_range_fails_without_a_warning(self, sigma):
-        # sigma R sigma overflowed with a RuntimeWarning, and inf - inf left a NaN residual
+        # sigma R sigma overflowed with a RuntimeWarning, and inf - inf left a NaN residual;
+        # then the failed check raised "not reversible" where the CLI reported it
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rep = check_reversibility(sigma, 1e-7)
-            assert rep.residual == np.inf and not rep.passed
-            with pytest.raises(ValueError, match="not reversible: residual inf"):
-                reversible_signature(sigma, CenterBlock([1.0]), 1e-7)
+            rep, signature = reversible_signature(sigma, CenterBlock([1.0]), 1e-7)
+        assert rep.residual == np.inf and not rep.passed
+        assert signature is None
 
 
 class TestReversibleSignature:
     def test_identity_sigma_degenerate(self):
-        rep = reversible_signature(np.eye(4), CenterBlock([1.0, 2.0]), 1e-8)
+        rev, rep = reversible_signature(np.eye(4), CenterBlock([1.0, 2.0]), 1e-8)
+        assert rev.passed
         assert rep.inertia == (0, 0, 4)
         assert rep.degenerate
 
@@ -465,7 +468,7 @@ class TestReversibleSignature:
             rng = np.random.default_rng(100 + l)
             B = random_reversible_form(l, rng)
             sigma = matrix_exponential(-1e-2 * standard_symplectic_form(l) @ B)
-            rep = reversible_signature(sigma, CenterBlock(omega), 1e-7)
+            _, rep = reversible_signature(sigma, CenterBlock(omega), 1e-7)
             assert rep.inertia == (l, l, 0)
 
     def test_eigenvalues_pair(self):
@@ -473,7 +476,7 @@ class TestReversibleSignature:
         rng = np.random.default_rng(55)
         B = random_reversible_form(l, rng)
         sigma = matrix_exponential(-5e-3 * standard_symplectic_form(l) @ B)
-        rep = reversible_signature(sigma, CenterBlock([1.0, 2.0, 3.0]), 1e-7)
+        _, rep = reversible_signature(sigma, CenterBlock([1.0, 2.0, 3.0]), 1e-7)
         w = rep.eigenvalues
         assert max_abs(w + w[::-1]) <= 1e-7
 
@@ -486,11 +489,10 @@ class TestReversibleSignature:
         for seed in range(20):
             B = random_reversible_form(l, np.random.default_rng((l, seed)))
             sigma = matrix_exponential(-8.0 * standard_symplectic_form(l) @ (B / max_abs(B)))
-            if not check_reversibility(sigma, 1e-7).passed:
-                with pytest.raises(ValueError, match="not reversible"):
-                    reversible_signature(sigma, block, 1e-7)
+            rev, rep = reversible_signature(sigma, block, 1e-7)
+            if not rev.passed:
+                assert rep is None
                 continue
-            rep = reversible_signature(sigma, block, 1e-7)
             w = rep.eigenvalues
             assert rep.inertia == (l, l, 0)
             assert max_abs(w + w[::-1]) <= 1e-6 * max(1.0, max_abs(w))
@@ -501,18 +503,21 @@ class TestReversibleSignature:
         sigma = np.array([[np.cosh(1.0), np.sinh(1.0)], [np.sinh(1.0), np.cosh(1.0)]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert reversible_signature(sigma, CenterBlock([1e308]), 1e-7).inertia == (1, 1, 0)
+            assert reversible_signature(sigma, CenterBlock([1e308]), 1e-7)[1].inertia == (1, 1, 0)
             with pytest.raises(ArithmeticError, match=r"overflows the float range: max\|omega\| = 1\.7e\+308"):
                 reversible_signature(sigma, CenterBlock([1.7e308]), 1e-7)
 
     def test_rejects_nonreversible_sigma(self):
+        # a failed check raised "not reversible" here, while the CLI reported it
+        # with exit 1; now both report it, with no signature to misuse
         rng = np.random.default_rng(66)
         l = 2
         B = random_symmetric(rng, 2 * l)
         B[0, l] = B[l, 0] = 1.0
         sigma = matrix_exponential(-0.3 * standard_symplectic_form(l) @ B)
-        with pytest.raises(ValueError, match="not reversible"):
-            reversible_signature(sigma, CenterBlock([1.0, 2.0]), 1e-9)
+        rev, rep = reversible_signature(sigma, CenterBlock([1.0, 2.0]), 1e-9)
+        assert not rev.passed and rev.residual > 1e-4 and rev.tol == 1e-9
+        assert rep is None
 
     def test_rejects_sigma_of_another_dimension(self):
         with pytest.raises(ValueError, match="scattering matrix has dimension 2 but the centre block 4"):
@@ -531,10 +536,10 @@ class TestReversibleSignature:
         sigma0 = matrix_exponential(-1e-2 * standard_symplectic_form(l) @ random_reversible_form(l, rng))
         sigma = Psi @ sigma0 @ Psi.T
         assert max_abs(sigma @ R_theta @ sigma - R_theta) <= 1e-12
-        assert not check_reversibility(sigma, 1e-7).passed
-        reduced = Psi.T @ sigma @ Psi
-        assert check_reversibility(reduced, 1e-7).passed
-        rep = reversible_signature(reduced, block, 1e-7)
+        rev, rep = reversible_signature(sigma, block, 1e-7)
+        assert not rev.passed and rep is None
+        rev, rep = reversible_signature(Psi.T @ sigma @ Psi, block, 1e-7)
+        assert rev.passed
         assert rep.inertia == inertia(hessian_from_scattering(sigma, block.D)).inertia == (l, l, 0)
 
 

@@ -1,3 +1,4 @@
+import inspect
 import json
 
 import numpy as np
@@ -5,10 +6,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from homscat.classify import RealizationError
-from homscat.cli import main
-from homscat.flow import ScatteringConvergenceError
-from homscat.matkit import CenterBlock, matrix_exponential, max_abs, standard_symplectic_form
+from homscat.classify import RealizationError, indefiniteness_ensemble
+from homscat.cli import build_parser, main
+from homscat.flow import ScatteringConvergenceError, scattering_matrix
+from homscat.majorize import majorizes
+from homscat.matkit import CenterBlock, inertia, matrix_exponential, max_abs, standard_symplectic_form
 from homscat.models import ModelSpec
 
 
@@ -314,6 +316,18 @@ class TestRealizeCommand:
         message = json.loads(err)
         assert message["kind"] == "numerical"
         assert "zero tolerance" in message["error"]
+
+    def test_halvings_run_out_on_near_equal_frequencies(self, capsys):
+        # reached before only with the halving limit patched down
+        code, payload, err = run(
+            capsys, ["realize", "--l", "3", "--m", "5", "--omega", "1,1.0000001,2", "--eps", "0.5"]
+        )
+        assert code == 3 and payload is None
+        assert json.loads(err) == {
+            "error": "signature (5, 1) not reached after 20 halvings of eps; "
+            "the frequency choice is numerically degenerate",
+            "kind": "numerical",
+        }
 
 
 class TestIndefiniteCommand:
@@ -716,6 +730,19 @@ class TestCliPlumbing:
         code, _, _ = run(capsys, argv)
         assert code == 0
         assert (len(built), len(parsed)) == BLOCKS[command]
+
+    @pytest.mark.parametrize(
+        "argv, function",
+        [
+            (["scatter", "--spec", "spec.json"], scattering_matrix),
+            (["classify", "--sigma", "sigma.json", "--omega", "1"], inertia),
+            (["indefinite", "--l", "1", "--omega", "1", "--trials", "1", "--seed", "0"], indefiniteness_ensemble),
+            (["majorize", "--a", "1", "--b", "1"], majorizes),
+        ],
+        ids=["scatter", "classify", "indefinite", "majorize"],
+    )
+    def test_tolerance_defaults_are_the_library_defaults(self, argv, function):
+        assert build_parser().parse_args(argv).tol == inspect.signature(function).parameters["tol"].default
 
     def test_numerical_failures_are_arithmetic_errors(self):
         # main maps ValueError to exit 2 and ArithmeticError to exit 3 by base class alone

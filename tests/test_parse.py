@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from homscat.classify import (
-    check_reversibility,
     hessian_from_scattering,
     indefiniteness_ensemble,
     realize_signature,
@@ -42,7 +41,6 @@ PARAMETER_ARRAYS = {
     "mirsky_matrix-diagonal": (lambda x: mirsky_matrix(x, [1.0, -1.0]), [0.0, 0.0], "Mirsky diagonal"),
     "mirsky_matrix-spectrum": (lambda x: mirsky_matrix([0.0, 0.0], x), [1.0, -1.0], "Mirsky spectrum"),
     "symplectic_rotation": (symplectic_rotation, [0.1, 0.2], "theta"),
-    "check_reversibility": (lambda x: check_reversibility(x, 1e-7), I2, "scattering matrix"),
     "reversible_signature": (
         lambda x: reversible_signature(x, CenterBlock([1.0]), 1e-7), I2, "scattering matrix"
     ),
