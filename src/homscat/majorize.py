@@ -10,6 +10,9 @@ Off the diagonal the bracket splits into 2x2 systems with determinants
 (solve_bracket) on blocks that pass _require_bracket_hypothesis.  Together
 with Mirsky's diagonal-versus-spectrum criterion this lets us build a
 symmetric target with any prescribed indefinite signature and solve for B.
+The Mirsky construction (mirsky_matrix) rotates Python floats on the few
+rows and columns each plane rotation can change, so at the sizes realize
+works at it makes no numpy call per rotation.
 """
 
 from __future__ import annotations
@@ -125,8 +128,12 @@ def mirsky_matrix(diag_entries, eigenvalues) -> np.ndarray:
 
     The pivots are chosen in scalar arithmetic on a list of the diagonal:
     a rotation in the plane (a, b) pins a and changes no other unpinned
-    diagonal entry than b's.  The rotations are elementwise numpy column and
-    row updates, without matmul, so the result does not depend on the BLAS.
+    diagonal entry than b's.  Since the unpinned block stays diagonal, the
+    rotation changes only the pinned rows and columns and those of a and b;
+    it runs on a list of Python-float rows over those live entries, with the
+    column pair updated before the row pair, and every other entry stays an
+    exact 0.0.  There is no matmul, so the result does not depend on the
+    BLAS.  The rows become one array for the final permutation.
     """
     d = np.atleast_1d(_float_array(diag_entries, "Mirsky diagonal"))
     lam = np.atleast_1d(_float_array(eigenvalues, "Mirsky spectrum"))
@@ -141,13 +148,13 @@ def mirsky_matrix(diag_entries, eigenvalues) -> np.ndarray:
     n = d.size
     order = np.argsort(d, kind="stable")
     targets = d[order].tolist()
-    A = np.diag(np.sort(lam))
-    diag = A.diagonal().tolist()
+    rows = np.diag(np.sort(lam)).tolist()
+    diag = [rows[slot][slot] for slot in range(n)]
     unpinned = list(range(n))
-    pin_slot = np.empty(n, dtype=int)
+    pinned = []  # the slot pinned to each target, in target order
     scale = max(1.0, max_abs(lam))
     snap = 1e-13 * scale
-    for k, t in enumerate(targets):
+    for t in targets:
         # a: the largest value at or below t, b: the smallest at or above it,
         # the first in unpinned order on a tie, else the first nearest t
         hi, lo = t + snap, t - snap
@@ -166,22 +173,33 @@ def mirsky_matrix(diag_entries, eigenvalues) -> np.ndarray:
         if a_slot == b_slot or vb - va <= snap:
             # target coincides with an available slot value, no rotation needed
             chosen = a_slot if abs(va - t) <= abs(vb - t) else b_slot
-            pin_slot[k] = chosen
+            pinned.append(chosen)
             unpinned.remove(chosen)
             continue
+        if vb - va == math.inf:
+            raise ArithmeticError(
+                f"the Mirsky rotation between the values {va:.3g} and {vb:.3g} is beyond the float range"
+            )
         c = math.sqrt((vb - t) / (vb - va))
         s = math.sqrt((t - va) / (vb - va))
-        # both new vectors are computed from views before either is stored
-        cp, cq = A[:, a_slot], A[:, b_slot]
-        A[:, a_slot], A[:, b_slot] = c * cp - s * cq, s * cp + c * cq
-        rp, rq = A[a_slot, :], A[b_slot, :]
-        A[a_slot, :], A[b_slot, :] = c * rp - s * rq, s * rp + c * rq
-        diag[b_slot] = float(A[b_slot, b_slot])
-        pin_slot[k] = a_slot
+        # only the pinned slots, a and b hold nonzero entries in columns a and
+        # b; each pair is read before either entry is stored
+        live = pinned + [a_slot, b_slot]
+        for i in live:
+            row = rows[i]
+            x, y = row[a_slot], row[b_slot]
+            row[a_slot], row[b_slot] = c * x - s * y, s * x + c * y
+        ra, rb = rows[a_slot], rows[b_slot]
+        for j in live:
+            x, y = ra[j], rb[j]
+            ra[j], rb[j] = c * x - s * y, s * x + c * y
+        diag[b_slot] = rb[b_slot]
+        pinned.append(a_slot)
         unpinned.remove(a_slot)
+    A = np.array(rows)
     rank_of = np.empty(n, dtype=int)
     rank_of[order] = np.arange(n)
-    placement = pin_slot[rank_of]
+    placement = np.array(pinned)[rank_of]
     out = A[np.ix_(placement, placement)]
     return 0.5 * out + 0.5 * out.T  # halved first: entries may be near the float limit
 
@@ -198,14 +216,15 @@ def _require_bracket_hypothesis(block: CenterBlock) -> CenterBlock:
         raise ValueError(f"omega[{k}] = {w[k]:g} is too large: its square overflows the float range")
     sq = w * w
     gap = 1e-12 * max(1.0, float(sq.max()))
+    # some pair is within gap iff some neighbour pair of the sorted squares is
+    if sq.size < 2 or np.diff(np.sort(sq)).min() > gap:
+        return block
     # np.nonzero lists the pairs i < j in row-major order
     i, j = np.nonzero(np.triu(np.abs(sq[:, None] - sq[None, :]) <= gap, 1))
-    if i.size:
-        raise ValueError(
-            f"squared frequencies must be pairwise distinct, got "
-            f"omega[{i[0]}]^2 ~ omega[{j[0]}]^2 ~ {sq[i[0]]:.6g}"
-        )
-    return block
+    raise ValueError(
+        f"squared frequencies must be pairwise distinct, got "
+        f"omega[{i[0]}]^2 ~ omega[{j[0]}]^2 ~ {sq[i[0]]:.6g}"
+    )
 
 
 def _check_block_input(block: CenterBlock, M, name: str) -> np.ndarray:

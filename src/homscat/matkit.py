@@ -30,7 +30,7 @@ _CLASSIFICATION_FLOOR = 1e-7
 def max_abs(M) -> float:
     """Entrywise max-abs norm; the reference norm for tolerances throughout."""
     A = np.asarray(M, dtype=float)
-    return float(np.max(np.abs(A))) if A.size else 0.0
+    return float(np.abs(A).max()) if A.size else 0.0
 
 
 def _square(M, name: str = "matrix", stack: bool = False) -> np.ndarray:
@@ -230,13 +230,13 @@ def inertia(S, tol: float | None = None) -> SignatureReport:
 
     S is checked and symmetrized once; its eigenvalues come from the LAPACK
     driver behind eigvalsh, with no second symmetry check.  The default tol
-    is classification_tol of the symmetrized matrix.
+    is classification_tol of the symmetrized matrix, which needs no parse.
     """
     A = _require_symmetric(S, "inertia input")
-    tol = _positive_tol(classification_tol(A) if tol is None else tol, "inertia tolerance")
+    tol = classification_tol(A) if tol is None else _positive_tol(tol, "inertia tolerance")
     w = np.linalg.eigvalsh(A)[::-1]
-    n_pos = int(np.sum(w > tol))
-    n_neg = int(np.sum(w < -tol))
+    n_pos = int(np.count_nonzero(w > tol))
+    n_neg = int(np.count_nonzero(w < -tol))
     return SignatureReport(
         n_pos=n_pos,
         n_neg=n_neg,

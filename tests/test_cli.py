@@ -258,6 +258,15 @@ class TestMirskyCommand:
         assert code == 0
         assert payload["diag_error"] == 0.0 and payload["eigenvalue_error"] == 0.0
 
+    def test_rotation_beyond_the_float_range_is_a_numerical_failure(self, capsys):
+        # it exited 0 with a mostly zero matrix and diag_error 6.7e307
+        p = 2.0**1020
+        diag, eigs = (",".join(repr(k * p) for k in ks) for ks in ((6, -2, 2, -6), (12, 1, -1, -12)))
+        code, payload, err = run(capsys, ["mirsky", f"--diag={diag}", f"--eigs={eigs}"])
+        assert code == 3 and payload is None
+        message = json.loads(err)
+        assert message["kind"] == "numerical" and "beyond the float range" in message["error"]
+
     def test_non_majorized_exits_2(self, capsys):
         code, payload, err = run(capsys, ["mirsky", "--diag", "2,0", "--eigs", "1,1"])
         assert code == 2
@@ -659,6 +668,18 @@ class TestReversibleCommand:
         assert code == 0 and err == ""
         sig = payload["signature"]
         assert (sig["n_pos"], sig["n_neg"], sig["n_zero"]) == (3, 3, 0)
+
+    def test_integrable_model_is_degenerate_and_passes(self, capsys, tmp_path):
+        # eps = 0 gives sigma = I and a zero Hessian: the (l, l) check does not
+        # apply, and exit 0 with degenerate true says so
+        spec = ModelSpec(l=2, n_hyp=1, omega=[1.0, 2.0], eps=0.0, T_support=2.0)
+        code, payload, err = run(capsys, ["reversible", "--spec", write_spec(tmp_path, spec)])
+        assert code == 0 and err == ""
+        assert payload["reversibility"]["passed"] is True
+        sig = payload["signature"]
+        assert (sig["n_pos"], sig["n_neg"], sig["n_zero"]) == (0, 0, 4)
+        assert payload["expected_signature"] == [2, 2, 0]
+        assert payload["degenerate"] is True and payload["pass"] is True
 
     def test_nonreversible_model_fails(self, capsys, tmp_path):
         C = np.zeros((2, 2))

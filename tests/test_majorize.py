@@ -185,6 +185,16 @@ class TestMirskyMatrix:
         d = np.array([1e308, -1e308])
         assert np.array_equal(mirsky_matrix(d, d), np.diag(d))
 
+    def test_rotation_beyond_the_float_range_is_named(self):
+        # the pivot values -4p and 12p are 2^1024 apart, beyond the float range:
+        # the rotation's cosine and sine came out 0, and so did most of the matrix
+        p = 2.0**1020
+        d, lam = [6 * p, -2 * p, 2 * p, -6 * p], [12 * p, p, -p, -12 * p]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ArithmeticError, match="Mirsky rotation .* beyond the float range"):
+                mirsky_matrix(d, lam)
+
 
 def schur_pair(rng, n, repeated):
     """Diagonal and spectrum of a random symmetric matrix (Schur-Horn), with
@@ -196,7 +206,7 @@ def schur_pair(rng, n, repeated):
 
 class TestMirskyMatchesOracle:
     def test_every_signature_on_the_balanced_diagonal(self):
-        for l in range(1, 13):
+        for l in [*range(1, 13), 20, 40]:
             g = np.concatenate([np.ones(l), -np.ones(l)])
             for m in range(1, 2 * l):
                 lam = indefinite_spectrum(l, m)
@@ -207,6 +217,26 @@ class TestMirskyMatchesOracle:
             rng = np.random.default_rng(seed)
             d, lam = schur_pair(rng, int(rng.integers(1, 25)), repeated=seed % 4 == 0)
             assert np.array_equal(mirsky_matrix(d, lam), mirsky_oracle.mirsky_matrix(d, lam)), seed
+        # up to the n = 80 that CI's realize sweep reaches; the integer tail is
+        # a diagonal block, so its targets meet slot values and pin with no rotation
+        for seed in range(40):
+            rng = np.random.default_rng([80, seed])
+            n = int(rng.integers(25, 81))
+            d, lam = schur_pair(rng, n // 2, repeated=seed % 2 == 0)
+            tail = rng.integers(-3, 4, size=n - n // 2).astype(float)
+            d, lam = np.concatenate([d, tail]), np.concatenate([lam, tail])
+            assert np.array_equal(mirsky_matrix(d, lam), mirsky_oracle.mirsky_matrix(d, lam)), seed
+
+    def test_spectrum_near_the_float_limit_with_rotations(self):
+        # Python floats overflow to inf without the warning numpy gives
+        p = 2.0**1020
+        d, lam = np.array([4 * p, -2 * p, 2 * p, -4 * p]), np.array([8 * p, p, -p, -8 * p])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            M = mirsky_matrix(d, lam)
+            expected = mirsky_oracle.mirsky_matrix(d, lam)
+        assert np.isfinite(M).all() and max_abs(M - np.diag(np.diag(M))) > p
+        assert np.array_equal(M, expected)
 
     def test_diagonal_equal_to_spectrum_needs_no_rotation(self):
         d = np.array([3.0, -1.0, 2.0, -1.0, 0.5])
@@ -233,6 +263,17 @@ class TestCenterBlock:
     def test_names_the_first_colliding_pair_in_row_major_order(self):
         with pytest.raises(ValueError, match=r"got omega\[0\]\^2 ~ omega\[2\]\^2 ~ 1$"):
             _require_bracket_hypothesis(CenterBlock(np.array([1.0, 2.0, -1.0, -2.0])))
+
+    @pytest.mark.parametrize(
+        "omega, match",
+        [
+            ([2.0, 1.0, -2.0, -1.0], r"got omega\[0\]\^2 ~ omega\[2\]\^2 ~ 4$"),
+            ([1.0, 3.0, 1.0000000000001, 3.0], r"got omega\[0\]\^2 ~ omega\[2\]\^2 ~ 1$"),
+        ],
+    )
+    def test_names_the_first_colliding_pair_of_several(self, omega, match):
+        with pytest.raises(ValueError, match=match):
+            _require_bracket_hypothesis(CenterBlock(np.array(omega)))
 
     def test_rejects_frequency_whose_square_overflows(self):
         # w * w overflowed with a RuntimeWarning and the block was accepted

@@ -199,6 +199,19 @@ class TestEigvalsh:
         assert np.all(np.abs(eigvalsh(S) - np.linalg.eigh(S)[0][:, ::-1]) <= 1e-13 * scale[:, None])
 
 
+class TestMaxAbs:
+    def test_value(self):
+        assert max_abs(np.array([[1.0, -3.5], [2.0, 0.0]])) == 3.5
+
+    def test_nan_comes_out_as_nan(self):
+        # the residual checks read `not residual <= tol`, which a NaN must fail
+        assert np.isnan(max_abs(np.array([1.0, np.nan, -2.0])))
+        assert np.isnan(max_abs(np.array([[np.inf, np.nan]])))
+
+    def test_empty_array_is_zero(self):
+        assert max_abs(np.zeros((0, 3))) == 0.0
+
+
 class TestInertia:
     def test_mixed_diagonal(self):
         assert inertia(np.diag([2.0, -3.0, 0.0]), 1e-9).inertia == (1, 1, 1)
@@ -233,6 +246,11 @@ class TestInertia:
         S = np.array([[1e308, 1e308], [1e308, -1e308]])
         report = inertia(S)
         assert report.inertia == (1, 1, 0) and np.isfinite(report.eigenvalues).all()
+
+    def test_default_tolerance_is_classification_tol_of_the_symmetrized_input(self):
+        S = np.array([[3.0, -250.0 + 1e-9], [-250.0, 0.5]])
+        assert inertia(S).tol == classification_tol(0.5 * S + 0.5 * S.T)
+        assert inertia(0.25 * np.eye(3)).tol == 1e-7
 
     def test_report_json(self):
         doc = to_json(inertia(np.diag([1.0, -1.0]), 1e-9))
