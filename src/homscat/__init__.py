@@ -9,7 +9,6 @@ from .classify import (
     center_reversal,
     hessian_from_scattering,
     indefiniteness_ensemble,
-    random_symplectic,
     realize_signature,
     reversible_signature,
 )
@@ -24,11 +23,9 @@ from .majorize import (
     MajorizationError,
     MajorizationWitness,
     hessian_bracket,
-    in_bracket_range,
     indefinite_spectrum,
     majorizes,
     mirsky_matrix,
-    solve_bracket,
 )
 from .matkit import (
     CenterBlock,

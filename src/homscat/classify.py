@@ -27,7 +27,6 @@ from .matkit import (
     _CLASSIFICATION_FLOOR,
     CenterBlock,
     SignatureReport,
-    _as_float,
     _integer,
     _positive_tol,
     _slice_max_abs,
@@ -42,6 +41,7 @@ _SYMPLECTIC_PRECONDITION_TOL = 1e-7
 _ENSEMBLE_TOL = 1e-9
 _REALIZE_MAX_HALVINGS = 20
 _MAX_FACTORS = 5
+_MAX_NORM = 2.0
 # bound on the matrix entries of one chunk of ensemble trials at _MAX_FACTORS
 # factors each: the stacked kernels hold a few arrays of that size, 128 KiB each
 _MAX_CHUNK_ELEMENTS = 2 ** 14
@@ -75,12 +75,12 @@ def _hessian(S: np.ndarray, block: CenterBlock) -> np.ndarray:
 
 
 def hessian_from_scattering(sigma, D_center) -> np.ndarray:
-    """sigma^T D sigma - D with D the diag(omega, omega) of D_center, or that of each slice of a
-    (k, 2l, 2l) stack; requires every sigma symplectic within 1e-7, and raises ArithmeticError on overflow."""
-    S = _square(sigma, "scattering matrix", stack=True)
+    """sigma^T D sigma - D with D the diag(omega, omega) of D_center; requires sigma
+    symplectic within 1e-7, and raises ArithmeticError on overflow."""
+    S = _square(sigma, "scattering matrix")
     block = CenterBlock.from_diagonal(D_center)
-    if S.shape[-1] != block.dim:
-        raise ValueError(f"scattering matrix has dimension {S.shape[-1]} but the centre block {block.dim}")
+    if S.shape[0] != block.dim:
+        raise ValueError(f"scattering matrix has dimension {S.shape[0]} but the centre block {block.dim}")
     return _hessian(S, block)
 
 
@@ -99,9 +99,11 @@ class EnsembleSummary:
     smallest_max_eigenvalue: float
 
 
-def _random_symplectics(block: CenterBlock, streams, k: int, max_factors: int, max_norm: float) -> np.ndarray:
-    """k random_symplectic draws as a (k, 2l, 2l) stack, from the generators of
-    the factor counts, the raw generators and their norms, each read in
+def _random_symplectics(block: CenterBlock, streams, k: int) -> np.ndarray:
+    """k random symplectic matrices as a (k, 2l, 2l) stack, each the product
+    of 1 to _MAX_FACTORS exponentials exp(-J B) with random symmetric B scaled
+    to a spectral norm drawn from [0.1, _MAX_NORM).  The generators of the
+    factor counts, the raw generators and their norms are each read in
     trial order by one call.  A raw draw with a zero symmetric part is
     skipped, with its norm.  One stacked eigvalsh gives all spectral norms
     and one stacked exponential all factors, and the sigmas are multiplied
@@ -109,9 +111,9 @@ def _random_symplectics(block: CenterBlock, streams, k: int, max_factors: int, m
     """
     d = block.dim
     count_stream, raw_stream, norm_stream = streams
-    counts = count_stream.integers(1, max_factors + 1, size=k)
+    counts = count_stream.integers(1, _MAX_FACTORS + 1, size=k)
     R = raw_stream.standard_normal((int(counts.sum()), d, d))
-    norms = norm_stream.uniform(0.1, max_norm, size=R.shape[0])
+    norms = norm_stream.uniform(0.1, _MAX_NORM, size=R.shape[0])
     B = 0.5 * (R + R.swapaxes(-1, -2))
     # B[0, 0] == R[0, 0], so B can vanish only where R[0, 0] does
     keep = R[:, 0, 0] != 0.0
@@ -128,24 +130,6 @@ def _random_symplectics(block: CenterBlock, streams, k: int, max_factors: int, m
         live = counts > position
         sigmas[live] = sigmas[live] @ factors[first[live] + position]
     return sigmas
-
-
-def random_symplectic(
-    l: int, rng: np.random.Generator, max_factors: int = _MAX_FACTORS, max_norm: float = 2.0
-) -> np.ndarray:
-    """Product of 1 to max_factors (an integer, at least 1) exponentials exp(-J B)
-    with random symmetric B scaled to a spectral norm drawn from [0.1, max_norm),
-    max_norm finite and above 0.1; rng draws the count, the raw Bs, then the norms."""
-    l = _integer(l, "l")
-    if l < 1:
-        raise ValueError(f"l must be at least 1, got {l}")
-    max_factors = _integer(max_factors, "max_factors")
-    if max_factors < 1:
-        raise ValueError(f"max_factors must be at least 1, got {max_factors}")
-    norm = _as_float(max_norm)
-    if not 0.1 < norm < np.inf:
-        raise ValueError(f"max_norm must be a finite number above 0.1, got {max_norm!r}")
-    return _random_symplectics(CenterBlock(np.ones(l)), (rng, rng, rng), 1, max_factors, norm)[0]
 
 
 def indefiniteness_ensemble(D_center, trials: int, seed: int, tol: float = _ENSEMBLE_TOL) -> EnsembleSummary:
@@ -173,7 +157,7 @@ def indefiniteness_ensemble(D_center, trials: int, seed: int, tol: float = _ENSE
     largest_min = -np.inf
     smallest_max = np.inf
     for start in range(0, trials, chunk):
-        sigmas = _random_symplectics(block, streams, min(chunk, trials - start), _MAX_FACTORS, 2.0)
+        sigmas = _random_symplectics(block, streams, min(chunk, trials - start))
         w = eigvalsh(_hessian(sigmas, block))
         lo, hi = w[:, -1], w[:, 0]
         largest_min = max(largest_min, float(np.max(lo)))

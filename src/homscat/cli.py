@@ -26,13 +26,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _float_list(text: str) -> list[float]:
+    tokens = text.split(",")
+    for k, tok in enumerate(tokens, 1):
+        if tok.strip() == "":
+            raise ValueError(f"could not parse '{text}' as a comma-separated list of numbers: entry {k} is empty")
     try:
-        values = [float(tok) for tok in text.split(",") if tok.strip() != ""]
+        return [float(tok) for tok in tokens]
     except ValueError:
         raise ValueError(f"could not parse '{text}' as a comma-separated list of numbers") from None
-    if not values:
-        raise ValueError("empty number list")
-    return values
 
 
 def _mat_from_json(doc) -> np.ndarray:
@@ -218,15 +219,20 @@ def _cmd_mirsky(args) -> tuple[dict, bool]:
     eigs = np.array(_float_list(args.eigs))
     M = mirsky_matrix(d, eigs)
     w = eigvalsh(M)
+    diag_error = max_abs(np.diag(M) - d)
+    eigenvalue_error = max_abs(np.sort(w) - np.sort(eigs))
+    scale = max(1.0, max_abs(eigs))
+    ok = diag_error <= 1e-10 * scale and eigenvalue_error <= 1e-8 * scale
     payload = {
         "command": "mirsky",
         "diag": d,
         "eigs": eigs,
         "matrix": M,
-        "diag_error": max_abs(np.diag(M) - d),
-        "eigenvalue_error": max_abs(np.sort(w) - np.sort(eigs)),
+        "diag_error": diag_error,
+        "eigenvalue_error": eigenvalue_error,
+        "pass": ok,
     }
-    return payload, True
+    return payload, ok
 
 
 def _cmd_majorize(args) -> tuple[dict, bool]:

@@ -88,7 +88,7 @@ def _rk4_product(A: np.ndarray, h: float) -> np.ndarray:
     return P[0]
 
 
-def fundamental_solution(fld: Callable, t0: float, t1: float, tol: float = DEFAULT_INTEGRATOR_TOL) -> np.ndarray:
+def fundamental_solution(fld: Callable, t0: float, t1: float) -> np.ndarray:
     """Phi(t1, t0) for udot = field(t) u, by fixed-step RK4 with step doubling.
 
     `fld` follows the field contract of ScatteringProblem: a 1-D array of
@@ -97,7 +97,8 @@ def fundamental_solution(fld: Callable, t0: float, t1: float, tol: float = DEFAU
     is a power of two, so each doubling keeps those samples and asks the
     field only for the 2n new midpoints between them.  The step count is
     doubled until two successive refinements agree to within
-    tol * max(1, t1 - t0) in max-abs norm; the finer result is returned.
+    DEFAULT_INTEGRATOR_TOL * max(1, t1 - t0), that is 1e-10 * max(1, t1 - t0),
+    in max-abs norm; the finer result is returned.
     The cap of 2**22 field entries, (2n + 1) d^2 for n steps, is checked
     before each sampling: a span whose starting step count already exceeds
     it raises ArithmeticError before the field is called, and so do a
@@ -108,7 +109,6 @@ def fundamental_solution(fld: Callable, t0: float, t1: float, tol: float = DEFAU
         raise ValueError("integration endpoints must be finite numbers")
     if t1 < t0:
         raise ValueError("t0 must not exceed t1")
-    tol = _positive_tol(tol, "integrator tolerance")
     span = t1 - t0
     n = 2.0 ** np.ceil(np.log2(max(16.0, 8.0 * span)))
     if not 2 * n + 1 <= _MAX_FIELD_ELEMENTS:
@@ -123,7 +123,7 @@ def fundamental_solution(fld: Callable, t0: float, t1: float, tol: float = DEFAU
     d = _square(probe[0], "field value").shape[0]
     if t1 == t0:
         return np.eye(d)
-    budget = tol * max(1.0, span)
+    budget = DEFAULT_INTEGRATOR_TOL * max(1.0, span)
     A = previous = None
     while True:
         if (2 * n + 1) * d * d > _MAX_FIELD_ELEMENTS:

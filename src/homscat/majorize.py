@@ -7,7 +7,8 @@ consists of the paired diagonals diag(a_1..a_l, a_1..a_l); its range is the
 set of symmetric matrices whose diagonal entries cancel in conjugate pairs.
 Off the diagonal the bracket splits into 2x2 systems with determinants
 +-(w_i^2 - w_j^2), one per oscillator pair, so it is inverted in closed form
-(solve_bracket) on blocks that pass _require_bracket_hypothesis.  Together
+(_solve_bracket, which realize_signature calls on its Mirsky target) on
+blocks that pass _require_bracket_hypothesis.  Together
 with Mirsky's diagonal-versus-spectrum criterion this lets us build a
 symmetric target with any prescribed indefinite signature and solve for B.
 The Mirsky construction (mirsky_matrix) rotates Python floats on the few
@@ -206,7 +207,7 @@ def mirsky_matrix(diag_entries, eigenvalues) -> np.ndarray:
 
 def _require_bracket_hypothesis(block: CenterBlock) -> CenterBlock:
     """block, if its frequencies are nonzero with squares in the float range
-    and pairwise distinct: what solve_bracket divides by, w_i and w_i^2 - w_j^2."""
+    and pairwise distinct: what _solve_bracket divides by, w_i and w_i^2 - w_j^2."""
     w = block.omega
     if np.any(w == 0.0):
         raise ValueError("all centre frequencies must be nonzero")
@@ -227,13 +228,6 @@ def _require_bracket_hypothesis(block: CenterBlock) -> CenterBlock:
     )
 
 
-def _check_block_input(block: CenterBlock, M, name: str) -> np.ndarray:
-    A = _require_symmetric(M, name)
-    if A.shape[0] != block.dim:
-        raise ValueError(f"{name} has dimension {A.shape[0]}, centre block expects {block.dim}")
-    return A
-
-
 def _bracket(block: CenterBlock, Bs: np.ndarray) -> np.ndarray:
     X = Bs @ (block.J @ block.D)
     return X + X.T
@@ -245,7 +239,9 @@ def hessian_bracket(block: CenterBlock, B) -> np.ndarray:
 
     The result is symmetric and traceless for every symmetric B.
     """
-    Bs = _check_block_input(block, B, "bracket argument")
+    Bs = _require_symmetric(B, "bracket argument")
+    if Bs.shape[0] != block.dim:
+        raise ValueError(f"bracket argument has dimension {Bs.shape[0]}, centre block expects {block.dim}")
     with np.errstate(over="ignore", invalid="ignore"):
         bracket = _bracket(block, Bs)
     if not np.isfinite(bracket).all():
@@ -253,29 +249,38 @@ def hessian_bracket(block: CenterBlock, B) -> np.ndarray:
     return bracket
 
 
-def _pairs_cancel(block: CenterBlock, Ms: np.ndarray, tol: float) -> bool:
-    dvec = np.diag(Ms)
-    l = block.l
-    return bool(np.all(np.abs(dvec[:l] + dvec[l:]) <= tol))
-
-
-def in_bracket_range(block: CenterBlock, M, tol: float = 1e-8) -> bool:
-    """True iff the diagonal of M cancels in conjugate pairs: M_ii + M_{l+i,l+i} = 0."""
-    Ms = _check_block_input(block, M, "range candidate")
-    return _pairs_cancel(block, Ms, _positive_tol(tol))
-
-
 # an entry of B or of its bracket beyond the float range leaves the residual inf or NaN
 @np.errstate(over="ignore", invalid="ignore")
 def _solve_bracket(block: CenterBlock, Gs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """solve_bracket on a checked, exactly symmetric target; returns B and
-    its bracket, whose distance to Gs is the certified residual."""
+    """Minimum-norm symmetric B with bracket(B) = Gs, in closed form, and
+    that bracket, whose distance to Gs is the certified residual.
+
+    Write B = [[P, Q], [Q^T, R]].  The bracket then splits into independent
+    2x2 systems, one per oscillator pair i != j: (Q_ij, Q_ji) from the
+    diagonal blocks G11_ij, G22_ij, and (P_ij, R_ij) from G12_ij, G12_ji.
+    Each has determinant +-(w_i^2 - w_j^2), so the distinct-squares
+    hypothesis on the centre block is exactly what makes them invertible.
+    On the diagonal, G11_ii = -2 w_i Q_ii and G22_ii = 2 w_i Q_ii are
+    consistent only when G_ii + G_{l+i,l+i} = 0, which is the range test;
+    G12_ii = w_i (P_ii - R_ii) fixes only the difference; a common shift of
+    P_ii and R_ii is the paired-diagonal kernel, and P_ii = -R_ii picks the
+    representative orthogonal to it.
+
+    The block must pass _require_bracket_hypothesis and Gs must be an
+    exactly symmetric 2l x 2l float array: it is not checked again here.
+    The range test and the residual bound, both 1e-8 * max(1, max|Gs|), run
+    on Gs.  B is filled block by block and is exactly symmetric: P_ji and
+    R_ji are the quotients P_ij and R_ij with numerator and denominator both
+    negated.  The bracket of B, formed once for the residual bound, is what
+    realize_signature measures its first-order gap against.
+    """
+    l, w = block.l, block.omega
     scale = max(1.0, max_abs(Gs))
-    if not _pairs_cancel(block, Gs, 1e-8 * scale):
+    dvec = np.diag(Gs)
+    if not np.all(np.abs(dvec[:l] + dvec[l:]) <= 1e-8 * scale):
         raise ValueError(
             "target is outside the bracket range: diagonal entries do not cancel in conjugate pairs"
         )
-    l, w = block.l, block.omega
     G11, G12, G22 = Gs[:l, :l], Gs[:l, l:], Gs[l:, l:]
     wi, wj = w[:, None], w[None, :]
     delta = wi * wi - wj * wj
@@ -298,26 +303,3 @@ def _solve_bracket(block: CenterBlock, Gs: np.ndarray) -> tuple[np.ndarray, np.n
         raise ArithmeticError(f"bracket solve of a target with max|G| = {scale:.3g} is beyond the float range")
     return B, bracket
 
-
-def solve_bracket(block: CenterBlock, G) -> np.ndarray:
-    """Minimum-norm symmetric B with bracket(B) = G, in closed form.
-
-    Write B = [[P, Q], [Q^T, R]].  The bracket then splits into independent
-    2x2 systems, one per oscillator pair i != j: (Q_ij, Q_ji) from the
-    diagonal blocks G11_ij, G22_ij, and (P_ij, R_ij) from G12_ij, G12_ji.
-    Each has determinant +-(w_i^2 - w_j^2), so the distinct-squares
-    hypothesis on the centre block is exactly what makes them invertible.
-    On the diagonal, G11_ii = -2 w_i Q_ii and G22_ii = 2 w_i Q_ii are
-    consistent only when G_ii + G_{l+i,l+i} = 0, which is the range test;
-    G12_ii = w_i (P_ii - R_ii) fixes only the difference; a common shift of
-    P_ii and R_ii is the paired-diagonal kernel, and P_ii = -R_ii picks the
-    representative orthogonal to it.
-
-    G is checked and symmetrized once, and the range test and the residual
-    bound run on that array.  B is filled block by block and is exactly
-    symmetric: P_ji and R_ji are the quotients P_ij and R_ij with numerator
-    and denominator both negated.  The bracket of B, formed once for the
-    residual bound, is what realize_signature measures its first-order gap
-    against.
-    """
-    return _solve_bracket(_require_bracket_hypothesis(block), _check_block_input(block, G, "bracket target"))[0]

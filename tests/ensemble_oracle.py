@@ -1,5 +1,8 @@
 """Sequential never-definite ensemble: the per-trial reference for the
-batched classify.indefiniteness_ensemble and classify.random_symplectic.
+batched classify.indefiniteness_ensemble and its sampler
+classify._random_symplectics.  random_symplectic here draws one sigma with a
+single generator as all three streams; the tests that need a random
+symplectic matrix, acceptance criterion 08 among them, take it from here.
 
 One trial at a time and one factor at a time, in plain numpy.  Every
 random value comes from its own scalar draw call on the same three

@@ -9,17 +9,16 @@ import time
 import numpy as np
 
 from bracket_oracle import bracket_adjoint_nullity
+from ensemble_oracle import random_symplectic
 from homscat.classify import (
     hessian_from_scattering,
     indefiniteness_ensemble,
-    random_symplectic,
     realize_signature,
     reversible_signature,
 )
 from homscat.flow import fundamental_solution, scattering_matrix
 from homscat.majorize import (
     hessian_bracket,
-    in_bracket_range,
     indefinite_spectrum,
     majorizes,
     mirsky_matrix,
@@ -38,6 +37,7 @@ from homscat.models import (
     scattering_problem,
 )
 from lab_frame_oracle import center_variational_field
+from realize_oracle import in_bracket_range
 from reversible_forms import random_reversible_form
 
 OMEGAS = {1: [1.0], 2: [1.0, 2.0], 3: [1.0, np.sqrt(2.0), np.pi]}

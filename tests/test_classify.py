@@ -1,5 +1,4 @@
 import json
-import re
 import warnings
 
 import numpy as np
@@ -13,12 +12,11 @@ from homscat.classify import (
     center_reversal,
     hessian_from_scattering,
     indefiniteness_ensemble,
-    random_symplectic,
     realize_signature,
     reversible_signature,
 )
 from homscat.cli import to_json
-from homscat.majorize import hessian_bracket, indefinite_spectrum, solve_bracket
+from homscat.majorize import _solve_bracket, hessian_bracket, indefinite_spectrum
 from homscat.matkit import (
     CenterBlock,
     inertia,
@@ -67,18 +65,19 @@ class TestHessianFromScattering:
         with pytest.raises(ValueError, match="scattering matrix has dimension 4 but the centre block 2"):
             hessian_from_scattering(np.eye(4), CenterBlock([1.0]).D)
 
+    # the ensemble forms the Hessians of a stack of sigmas with classify._hessian
     def test_stack_slices_match_single(self):
-        D = CenterBlock([1.0, 2.0]).D
-        rng = np.random.default_rng(17)
-        sigmas = np.stack([random_symplectic(2, rng) for _ in range(5)])
-        H = hessian_from_scattering(sigmas, D)
+        block = CenterBlock([1.0, 2.0])
+        sigmas = classify._random_symplectics(block, ensemble_oracle.ensemble_streams(17), 5)
+        H = classify._hessian(sigmas, block)
         for k in range(5):
-            assert np.array_equal(H[k], hessian_from_scattering(sigmas[k], D))
+            assert np.array_equal(H[k], classify._hessian(sigmas[k], block))
+            assert np.array_equal(H[k], hessian_from_scattering(sigmas[k], block.D))
 
     def test_rejects_one_nonsymplectic_slice(self):
         sigmas = np.stack([np.eye(2), 2.0 * np.eye(2), np.eye(2)])
         with pytest.raises(ValueError, match=r"not symplectic \(defect 3\.000e\+00\)"):
-            hessian_from_scattering(sigmas, CenterBlock([1.0]).D)
+            classify._hessian(sigmas, CenterBlock([1.0]))
 
     def test_overflowing_defect_is_rejected_without_a_warning(self):
         # forming the defect warned "overflow encountered in matmul"
@@ -98,7 +97,7 @@ class TestHessianFromScattering:
     def test_output_symmetric(self):
         rng = np.random.default_rng(7)
         D = CenterBlock([1.0, 2.0]).D
-        sigma = random_symplectic(2, rng)
+        sigma = ensemble_oracle.random_symplectic(2, rng)
         H = hessian_from_scattering(sigma, D)
         assert max_abs(H - H.T) <= 1e-9 * max(1.0, max_abs(H))
 
@@ -204,16 +203,13 @@ class TestEnsembleMatchesSequentialOracle:
 
     @pytest.mark.parametrize("l", [1, 2, 4])
     def test_random_symplectic_draws(self, l):
-        # same sigma and the same generator state afterwards, so that callers
-        # drawing after it see the same numbers
+        # one draw with one generator for all three streams: the same sigma and
+        # the same generator state afterwards, so the kernel reads the count,
+        # the raw generators and the norms in the oracle's order
         for seed in range(10):
             rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-            assert np.array_equal(random_symplectic(l, rng), ensemble_oracle.random_symplectic(l, ref))
+            assert np.array_equal(one_draw(l, rng), ensemble_oracle.random_symplectic(l, ref))
             assert rng.bit_generator.state == ref.bit_generator.state
-        rng, ref = np.random.default_rng(3), np.random.default_rng(3)
-        sigma = random_symplectic(l, rng, max_factors=3, max_norm=1.0)
-        assert np.array_equal(sigma, ensemble_oracle.random_symplectic(l, ref, max_factors=3, max_norm=1.0))
-        assert rng.bit_generator.state == ref.bit_generator.state
 
     @pytest.mark.parametrize("l", [1, 2, 4])
     def test_zero_generator_is_skipped(self, l):
@@ -223,7 +219,7 @@ class TestEnsembleMatchesSequentialOracle:
         skipped_only = 0
         for seed in range(15):
             rng, ref = AntisymmetricDraws(seed, 2 * l, [0]), AntisymmetricDraws(seed, 2 * l, [0])
-            sigma = random_symplectic(l, rng)
+            sigma = one_draw(l, rng)
             assert np.array_equal(sigma, ensemble_oracle.random_symplectic(l, ref))
             assert rng.bit_generator.state == ref.bit_generator.state
             skipped_only += np.array_equal(sigma, np.eye(2 * l))
@@ -237,7 +233,7 @@ class TestEnsembleMatchesSequentialOracle:
             return np.random.default_rng(100), AntisymmetricDraws(101, 2 * l, range(10)), np.random.default_rng(102)
 
         batched = streams()
-        sigmas = classify._random_symplectics(CenterBlock(np.ones(l)), batched, 15, 5, 2.0)
+        sigmas = classify._random_symplectics(CenterBlock(np.ones(l)), batched, 15)
         sequential = streams()
         for k in range(15):
             assert np.array_equal(sigmas[k], ensemble_oracle._draw_sigma(l, sequential, 5, 2.0))
@@ -248,10 +244,15 @@ class TestEnsembleMatchesSequentialOracle:
     @pytest.mark.parametrize("l", [1, 3, 8])
     def test_first_trials_of_a_stack_are_a_shorter_stack(self, l):
         block = CenterBlock(OMEGAS[l])
-        long = classify._random_symplectics(block, ensemble_oracle.ensemble_streams(5), 30, 5, 2.0)
+        long = classify._random_symplectics(block, ensemble_oracle.ensemble_streams(5), 30)
         for k in (1, 7, 29):
-            short = classify._random_symplectics(block, ensemble_oracle.ensemble_streams(5), k, 5, 2.0)
+            short = classify._random_symplectics(block, ensemble_oracle.ensemble_streams(5), k)
             assert np.array_equal(long[:k], short)
+
+
+def one_draw(l, rng):
+    """One sigma of the ensemble kernel, with rng as all three of its streams."""
+    return classify._random_symplectics(CenterBlock(np.ones(l)), (rng, rng, rng), 1)[0]
 
 
 class AntisymmetricDraws:
@@ -390,7 +391,7 @@ class TestRealizeMatchesOracle:
         block = CenterBlock(seeded_omega(l))
         G = hessian_bracket(block, random_symmetric(rng, 2 * l))
         G += 1e-12 * random_symmetric(rng, 2 * l)
-        assert np.array_equal(solve_bracket(block, G), realize_oracle.solve_bracket(block, G))
+        assert np.array_equal(_solve_bracket(block, G)[0], realize_oracle.solve_bracket(block, G))
         S = G + 1e-12 * rng.standard_normal(G.shape)
         assert to_json(inertia(S)) == to_json(realize_oracle.inertia(S))
         assert to_json(inertia(S, 0.5)) == to_json(realize_oracle.inertia(S, 0.5))
@@ -401,7 +402,7 @@ class TestRotationQuotient:
         rng = np.random.default_rng(19)
         D = CenterBlock([1.0, 2.0]).D
         for _ in range(20):
-            sigma = random_symplectic(2, rng, max_factors=3, max_norm=1.0)
+            sigma = ensemble_oracle.random_symplectic(2, rng, max_factors=3, max_norm=1.0)
             theta = rng.uniform(-np.pi, np.pi, size=2)
             H1 = hessian_from_scattering(sigma, D)
             H2 = hessian_from_scattering(symplectic_rotation(theta) @ sigma, D)
@@ -558,13 +559,12 @@ class TestCounts:
             (lambda v: indefiniteness_ensemble(ENSEMBLE_D, 2, v), "seed", 1.5),
             (lambda v: indefinite_spectrum(v, 1), "l", True),
             (lambda v: indefinite_spectrum(2, v), "m", 1.5),
-            (lambda v: random_symplectic(v, np.random.default_rng(0)), "l", 1.5),
             (center_reversal, "l", "1"),
             (standard_symplectic_form, "n", 1.5),
         ],
         ids=[
             "realize-l", "realize-m", "ensemble-trials", "ensemble-trials-true", "ensemble-seed",
-            "spectrum-l-true", "spectrum-m", "random_symplectic-l", "center_reversal-l", "symplectic_form-n",
+            "spectrum-l-true", "spectrum-m", "center_reversal-l", "symplectic_form-n",
         ],
     )
     def test_count_that_is_not_an_integer_is_named(self, call, name, value):
@@ -594,35 +594,7 @@ class TestHelpers:
             assert max_abs(R @ B @ R - B) == 0.0
             assert max_abs(B - B.T) == 0.0
 
-    def test_random_symplectic_names_l(self):
-        # it blamed omega, a parameter random_symplectic does not have
-        with pytest.raises(ValueError, match="l must be at least 1, got 0"):
-            random_symplectic(0, np.random.default_rng(0))
-
-    @pytest.mark.parametrize(
-        "bound, message",
-        [
-            ({"max_factors": 2.5}, "max_factors must be an integer, got 2.5"),
-            ({"max_factors": True}, "max_factors must be an integer, got True"),
-            ({"max_factors": 0}, "max_factors must be at least 1, got 0"),
-            ({"max_norm": np.nan}, "max_norm must be a finite number above 0.1, got nan"),
-            ({"max_norm": np.inf}, "max_norm must be a finite number above 0.1, got inf"),
-            ({"max_norm": 0.05}, "max_norm must be a finite number above 0.1, got 0.05"),
-            ({"max_norm": 0.1}, "max_norm must be a finite number above 0.1, got 0.1"),
-            ({"max_norm": "2"}, "max_norm must be a finite number above 0.1, got '2'"),
-        ],
-        ids=["factors-fraction", "factors-true", "factors-zero", "norm-nan", "norm-inf", "norm-below",
-             "norm-at-floor", "norm-string"],
-    )
-    def test_random_symplectic_names_a_bad_bound(self, bound, message):
-        # max_factors = 2.5 drew up to 2 factors, and a NaN or 0.05 max_norm
-        # raised numpy's "high - low range exceeds valid bounds" or "high - low < 0"
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            random_symplectic(2, np.random.default_rng(0), **bound)
-
     def test_random_symplectic_is_symplectic(self):
-        rng = np.random.default_rng(9)
         J = standard_symplectic_form(2)
-        for _ in range(10):
-            sigma = random_symplectic(2, rng)
+        for sigma in classify._random_symplectics(CenterBlock([1.0, 2.0]), ensemble_oracle.ensemble_streams(9), 10):
             assert max_abs(sigma.T @ J @ sigma - J) <= 1e-9 * max(1.0, max_abs(sigma) ** 2)

@@ -134,7 +134,7 @@ REPORTS = {
         lambda tmp: ["mirsky", "--diag", "1,-1", "--eigs", "2,-2"],
         {
             "command": "str", "diag": ["float"], "eigs": ["float"], "matrix": MATRIX,
-            "diag_error": "float", "eigenvalue_error": "float",
+            "diag_error": "float", "eigenvalue_error": "float", "pass": "bool",
         },
     ),
     "majorize": (
@@ -236,6 +236,18 @@ class TestMirskyCommand:
         assert code == 0
         assert payload["diag_error"] <= 1e-10
         assert payload["eigenvalue_error"] <= 1e-8
+        assert payload["pass"] is True
+
+    def test_construction_off_by_more_than_its_bounds_fails(self, capsys, monkeypatch):
+        # the report had no pass key and exited 0 whatever its errors
+        import homscat.cli
+
+        construct = homscat.cli.mirsky_matrix
+        monkeypatch.setattr(homscat.cli, "mirsky_matrix", lambda d, eigs: construct(d, eigs) + 1e-6 * np.eye(2))
+        code, payload, err = run(capsys, ["mirsky", "--diag", "1,-1", "--eigs", "2,-2"])
+        assert code == 1 and err == ""
+        assert payload["pass"] is False
+        assert payload["diag_error"] > 1e-10 and payload["eigenvalue_error"] > 1e-8
 
     def test_nonfinite_diagonal_is_named(self, capsys):
         # it used to blame "partial sum 2 fails (gap nan)"
@@ -715,6 +727,23 @@ class TestCliPlumbing:
         code, payload, err = run(capsys, ["majorize", "--a", "1,0", "--b", "1,0", "--out", path])
         assert input_error(code, payload, err, f"cannot write {path}")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv, text, position",
+        [
+            (["realize", "--l", "2", "--m", "1", "--omega", "1,,2", "--eps", "0.1"], "1,,2", 2),
+            (["mirsky", "--diag", "1,,2", "--eigs", "2,1"], "1,,2", 2),
+            (["majorize", "--a", ",1", "--b", "1"], ",1", 1),
+            (["indefinite", "--l", "1", "--omega", "1,", "--trials", "2", "--seed", "0"], "1,", 2),
+            (["demo-integrable", "--l", "2", "--omega", "1, ,2"], "1, ,2", 2),
+        ],
+        ids=["realize", "mirsky", "majorize-first", "indefinite-last", "demo-blank"],
+    )
+    def test_empty_list_entry_is_named(self, capsys, argv, text, position):
+        # the empty entries were dropped: --omega 1,,2 parsed as [1.0, 2.0]
+        code, payload, err = run(capsys, argv)
+        assert input_error(code, payload, err, f"could not parse '{text}'")
+        assert f"entry {position} is empty" in json.loads(err)["error"]
 
     @pytest.mark.parametrize("command", sorted(REPORTS))
     def test_deterministic_payload(self, capsys, tmp_path, command):

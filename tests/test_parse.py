@@ -14,7 +14,7 @@ from homscat.classify import (
     realize_signature,
     reversible_signature,
 )
-from homscat.majorize import hessian_bracket, in_bracket_range, majorizes, mirsky_matrix, solve_bracket
+from homscat.majorize import hessian_bracket, majorizes, mirsky_matrix
 from homscat.matkit import CenterBlock, eigvalsh, inertia, matrix_exponential, symplectic_rotation
 from homscat.models import ModelSpec
 
@@ -44,9 +44,7 @@ PARAMETER_ARRAYS = {
     "reversible_signature": (
         lambda x: reversible_signature(x, CenterBlock([1.0]), 1e-7), I2, "scattering matrix"
     ),
-    "solve_bracket": (lambda x: solve_bracket(BLOCK, x), ZERO4, "bracket target"),
     "hessian_bracket": (lambda x: hessian_bracket(BLOCK, x), ZERO4, "bracket argument"),
-    "in_bracket_range": (lambda x: in_bracket_range(BLOCK, x), ZERO4, "range candidate"),
 }
 
 # entry -> the cause the message states
@@ -92,15 +90,13 @@ def test_an_entry_that_is_not_a_finite_number_is_named(entry_point, bad):
 
 
 # entry point -> an argument whose asymmetry is beyond the float range: a 2 x 2
-# matrix, or for the bracket functions of BLOCK the leading block of a 4 x 4 one
+# matrix, or for the bracket of BLOCK the leading block of a 4 x 4 one
 ASYMMETRIC_2 = np.array([[1.0, 1e308], [-1e308, 1.0]])
 ASYMMETRIC_4 = np.block([[ASYMMETRIC_2, np.zeros((2, 2))], [np.zeros((2, 2)), np.eye(2)]])
 ASYMMETRIC = {
     "inertia": ASYMMETRIC_2,
     "eigvalsh": ASYMMETRIC_2,
-    "solve_bracket": ASYMMETRIC_4,
     "hessian_bracket": ASYMMETRIC_4,
-    "in_bracket_range": ASYMMETRIC_4,
 }
 
 
