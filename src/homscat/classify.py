@@ -204,8 +204,8 @@ def realize_signature(l: int, m: int, omega, eps: float) -> RealizationReport:
     of the zero tolerance, raises at once: halving eps only moves it further
     below.  A tolerance above that floor grows with the second-order terms,
     which halving shrinks faster, so it does not stop the halvings.  An
-    eps whose exponential or Hessian overflows the float range raises
-    ArithmeticError before any halving.
+    eps whose generator, exponential or Hessian overflows the float range
+    raises ArithmeticError before any halving.
 
     The inputs are checked once, here and in the public mirsky_matrix; the
     exactly symmetric Mirsky target goes to the bracket kernel unchecked.
@@ -227,6 +227,11 @@ def realize_signature(l: int, m: int, omega, eps: float) -> RealizationReport:
     b_min = np.min(np.abs(b))
     target = (m, 2 * l - m, 0)
     D, JB = block.D, block.J @ B
+    if eps * max_abs(JB) == np.inf:  # halving eps only shrinks the generator: one check covers every attempt
+        raise ArithmeticError(
+            f"eps = {eps:.3g} overflows the float range: the generator eps J B, with "
+            f"max|J B| = {max_abs(JB):.3g}, exceeds it; the realization needs a smaller eps"
+        )
     eps_cur = eps
     for _ in range(_REALIZE_MAX_HALVINGS):
         with np.errstate(over="ignore", invalid="ignore"):

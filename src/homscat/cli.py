@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import re
 import sys
 from datetime import datetime, timezone
 
@@ -25,15 +26,26 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
-def _float_list(text: str) -> list[float]:
-    tokens = text.split(",")
-    for k, tok in enumerate(tokens, 1):
-        if tok.strip() == "":
-            raise ValueError(f"could not parse '{text}' as a comma-separated list of numbers: entry {k} is empty")
-    try:
-        return [float(tok) for tok in tokens]
-    except ValueError:
-        raise ValueError(f"could not parse '{text}' as a comma-separated list of numbers") from None
+def _reader(grammar: str, convert, what: str, listed: bool = False):
+    # an argparse type: it decides what a number looks like, the library what it may be;
+    # Python's int and float alone would also read 1_0 and non-ASCII digits
+    pattern = re.compile(grammar, re.ASCII | re.IGNORECASE)
+
+    def number(text: str):
+        tokens = [token.strip() for token in (text.split(",") if listed else [text])]
+        for k, token in enumerate(tokens, 1):
+            if pattern.fullmatch(token) is None:
+                cause = f": entry {k} is {'not a number' if token else 'empty'}" if listed else ""
+                raise argparse.ArgumentTypeError(f"could not parse '{text}' as {what}{cause}")
+        return [convert(token) for token in tokens] if listed else convert(tokens[0])
+
+    return number
+
+
+_NUMBER = r"[+-]?(([0-9]+\.?[0-9]*|\.[0-9]+)(e[+-]?[0-9]+)?|nan|inf|infinity)"
+_count = _reader(r"[+-]?[0-9]+", int, "an integer")
+_number = _reader(_NUMBER, float, "a number")
+_number_list = _reader(_NUMBER, float, "a comma-separated list of numbers", listed=True)
 
 
 def _mat_from_json(doc) -> np.ndarray:
@@ -96,55 +108,49 @@ def _emit(payload: dict, out_path: str | None) -> None:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="homscat", description="scattering, signature, and realization pipelines")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    scatter = sub.add_parser("scatter", help="scattering matrix of a model spec")
+    scatter = sub.add_parser("scatter", help="scattering matrix of a model spec", parents=[out])
     scatter.add_argument("--spec", required=True, help="path to a ModelSpec JSON document")
-    scatter.add_argument("--tol", type=float, default=flow.DEFAULT_SIGMA_TOL)
-    scatter.add_argument("--out", default=None)
+    scatter.add_argument("--tol", type=_number, default=flow.DEFAULT_SIGMA_TOL)
 
-    cls = sub.add_parser("classify", help="Hessian and signature of a scattering matrix")
+    cls = sub.add_parser("classify", help="Hessian and signature of a scattering matrix", parents=[out])
     cls.add_argument("--sigma", required=True, help="path to a matrix JSON document")
-    cls.add_argument("--omega", required=True, help="comma-separated centre frequencies")
-    cls.add_argument("--tol", type=float, default=None, help="zero-eigenvalue tolerance")
-    cls.add_argument("--out", default=None)
+    cls.add_argument("--omega", type=_number_list, required=True, help="comma-separated centre frequencies")
+    cls.add_argument("--tol", type=_number, default=None, help="zero-eigenvalue tolerance")
 
-    realize = sub.add_parser("realize", help="realize the signature (m, 2l - m)")
-    realize.add_argument("--l", type=int, required=True)
-    realize.add_argument("--m", type=int, required=True)
-    realize.add_argument("--omega", required=True)
-    realize.add_argument("--eps", type=float, required=True)
-    realize.add_argument("--out", default=None)
+    realize = sub.add_parser("realize", help="realize the signature (m, 2l - m)", parents=[out])
+    realize.add_argument("--l", type=_count, required=True)
+    realize.add_argument("--m", type=_count, required=True)
+    realize.add_argument("--omega", type=_number_list, required=True)
+    realize.add_argument("--eps", type=_number, required=True)
 
-    indef = sub.add_parser("indefinite", help="never-definite check over a random ensemble")
-    indef.add_argument("--l", type=int, required=True)
-    indef.add_argument("--omega", required=True)
-    indef.add_argument("--trials", type=int, required=True)
-    indef.add_argument("--seed", type=int, required=True)
-    indef.add_argument("--tol", type=float, default=classify._ENSEMBLE_TOL)
-    indef.add_argument("--out", default=None)
+    indef = sub.add_parser("indefinite", help="never-definite check over a random ensemble", parents=[out])
+    indef.add_argument("--l", type=_count, required=True)
+    indef.add_argument("--omega", type=_number_list, required=True)
+    indef.add_argument("--trials", type=_count, required=True)
+    indef.add_argument("--seed", type=_count, required=True)
+    indef.add_argument("--tol", type=_number, default=classify._ENSEMBLE_TOL)
 
-    rev = sub.add_parser("reversible", help="reversibility check and (l, l) signature")
+    rev = sub.add_parser("reversible", help="reversibility check and (l, l) signature", parents=[out])
     rev.add_argument("--spec", required=True)
-    rev.add_argument("--tol", type=float, default=1e-7)
-    rev.add_argument("--out", default=None)
+    rev.add_argument("--tol", type=_number, default=1e-7)
 
-    mir = sub.add_parser("mirsky", help="symmetric matrix with prescribed diagonal and spectrum")
-    mir.add_argument("--diag", required=True)
-    mir.add_argument("--eigs", required=True)
-    mir.add_argument("--out", default=None)
+    mir = sub.add_parser("mirsky", help="symmetric matrix with prescribed diagonal and spectrum", parents=[out])
+    mir.add_argument("--diag", type=_number_list, required=True)
+    mir.add_argument("--eigs", type=_number_list, required=True)
 
-    maj = sub.add_parser("majorize", help="majorization witness for two vectors")
-    maj.add_argument("--a", required=True)
-    maj.add_argument("--b", required=True)
-    maj.add_argument("--tol", type=float, default=_MAJORIZE_TOL)
-    maj.add_argument("--out", default=None)
+    maj = sub.add_parser("majorize", help="majorization witness for two vectors", parents=[out])
+    maj.add_argument("--a", type=_number_list, required=True)
+    maj.add_argument("--b", type=_number_list, required=True)
+    maj.add_argument("--tol", type=_number, default=_MAJORIZE_TOL)
 
-    demo = sub.add_parser("demo-integrable", help="eps = 0 model end to end; asserts sigma = I")
-    demo.add_argument("--l", type=int, required=True)
-    demo.add_argument("--omega", default=None, help="defaults to 1, 2, ..., l")
-    demo.add_argument("--tol", type=float, default=1e-8)
-    demo.add_argument("--out", default=None)
+    demo = sub.add_parser("demo-integrable", help="eps = 0 model end to end; asserts sigma = I", parents=[out])
+    demo.add_argument("--l", type=_count, required=True)
+    demo.add_argument("--omega", type=_number_list, default=None, help="defaults to 1, 2, ..., l")
+    demo.add_argument("--tol", type=_number, default=1e-8)
 
     return parser
 
@@ -157,30 +163,26 @@ def _cmd_scatter(args) -> tuple[dict, bool]:
 
 def _cmd_classify(args) -> tuple[dict, bool]:
     sigma = _mat_from_json(_load_json(args.sigma))
-    omega = _float_list(args.omega)
-    H = classify.hessian_from_scattering(sigma, CenterBlock(omega).D)
+    H = classify.hessian_from_scattering(sigma, CenterBlock(args.omega).D)
     report = inertia(H, args.tol)
-    payload = {
+    return {
         "command": "classify",
-        "omega": omega,
+        "omega": args.omega,
         "hessian": H,
         "signature": report,
         "degenerate": report.degenerate,
-    }
-    return payload, True
+    }, True
 
 
 def _cmd_realize(args) -> tuple[dict, bool]:
-    omega = _float_list(args.omega)
-    report = classify.realize_signature(args.l, args.m, omega, args.eps)
-    return {"command": "realize", "omega": omega, **vars(report)}, True
+    report = classify.realize_signature(args.l, args.m, args.omega, args.eps)
+    return {"command": "realize", "omega": args.omega, **vars(report)}, True
 
 
 def _cmd_indefinite(args) -> tuple[dict, bool]:
-    omega = _float_list(args.omega)
-    if len(omega) != args.l:
-        raise ValueError(f"omega has {len(omega)} entries but --l is {args.l}")
-    summary = classify.indefiniteness_ensemble(CenterBlock(omega).D, args.trials, args.seed, args.tol)
+    if len(args.omega) != args.l:
+        raise ValueError(f"omega has {len(args.omega)} entries but --l is {args.l}")
+    summary = classify.indefiniteness_ensemble(CenterBlock(args.omega).D, args.trials, args.seed, args.tol)
     ok = summary.definite_positive == 0 and summary.definite_negative == 0
     return {"command": "indefinite", **vars(summary), "pass": ok}, ok
 
@@ -189,24 +191,17 @@ def _cmd_reversible(args) -> tuple[dict, bool]:
     spec = models.ModelSpec.from_json_dict(_load_json(args.spec))
     result = flow.scattering_matrix(models.scattering_problem(spec))
     rev, report = classify.reversible_signature(result.sigma, spec.center, args.tol)
-    payload = {
-        "command": "reversible",
-        "spec": spec.to_json_dict(),
-        "sigma": result.sigma,
-        "reversibility": rev,
-    }
+    payload = {"command": "reversible", "spec": spec.to_json_dict(), "sigma": result.sigma, "reversibility": rev}
     if report is None:
-        payload["pass"] = False
-        return payload, False
+        return {**payload, "pass": False}, False
     w = report.eigenvalues
-    pairing_defect = np.max(np.abs(w + w[::-1]))
     expected = (spec.l, spec.l, 0)
     ok = report.degenerate or report.inertia == expected
     payload.update(
         {
             "signature": report,
             "degenerate": report.degenerate,
-            "eigenvalue_pairing_defect": pairing_defect,
+            "eigenvalue_pairing_defect": np.max(np.abs(w + w[::-1])),
             "expected_signature": expected,
             "pass": ok,
         }
@@ -215,8 +210,7 @@ def _cmd_reversible(args) -> tuple[dict, bool]:
 
 
 def _cmd_mirsky(args) -> tuple[dict, bool]:
-    d = np.array(_float_list(args.diag))
-    eigs = np.array(_float_list(args.eigs))
+    d, eigs = np.array(args.diag), np.array(args.eigs)
     M = mirsky_matrix(d, eigs)
     w = eigvalsh(M)
     diag_error = max_abs(np.diag(M) - d)
@@ -236,12 +230,11 @@ def _cmd_mirsky(args) -> tuple[dict, bool]:
 
 
 def _cmd_majorize(args) -> tuple[dict, bool]:
-    witness = majorizes(_float_list(args.a), _float_list(args.b), args.tol)
-    return {"command": "majorize", **vars(witness)}, True
+    return {"command": "majorize", **vars(majorizes(args.a, args.b, args.tol))}, True
 
 
 def _cmd_demo_integrable(args) -> tuple[dict, bool]:
-    omega = _float_list(args.omega) if args.omega else [float(k) for k in range(1, args.l + 1)]
+    omega = [float(k) for k in range(1, args.l + 1)] if args.omega is None else args.omega
     tol = _positive_tol(args.tol, "--tol")
     spec = models.ModelSpec(l=args.l, n_hyp=1, omega=omega, eps=0.0)
     result = flow.scattering_matrix(models.scattering_problem(spec))

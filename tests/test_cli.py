@@ -325,6 +325,20 @@ class TestRealizeCommand:
         assert f"eps = {float(eps):.3g} overflows" in message["error"]
         assert calls == [1]
 
+    @pytest.mark.parametrize(
+        "l, m, omega, eps",
+        [(3, 5, "1,1.5,2.25", "1e308"), (6, 7, "1,1.5,2,2.5,3,3.5", "1e308"), (2, 1, "1,2", "1.7e308")],
+    )
+    def test_overflowing_generator_is_a_numerical_failure(self, capsys, l, m, omega, eps):
+        # eps J B itself overflowed, and the exponential blamed "matrix has a
+        # non-finite entry" as an input error
+        argv = ["realize", "--l", str(l), "--m", str(m), "--omega", omega, "--eps", eps]
+        code, payload, err = run(capsys, argv)
+        assert code == 3 and payload is None
+        message = json.loads(err)
+        assert message["kind"] == "numerical"
+        assert message["error"].startswith(f"eps = {float(eps):.3g} overflows the float range")
+
     def test_frequency_whose_square_overflows_is_named(self, capsys):
         # it halved eps 17 times and then blamed the zero tolerance at eps = 7.63e-08
         code, payload, err = run(capsys, ["realize", "--l", "1", "--m", "1", "--omega=1e300", "--eps", "0.01"])
@@ -736,11 +750,13 @@ class TestCliPlumbing:
             (["majorize", "--a", ",1", "--b", "1"], ",1", 1),
             (["indefinite", "--l", "1", "--omega", "1,", "--trials", "2", "--seed", "0"], "1,", 2),
             (["demo-integrable", "--l", "2", "--omega", "1, ,2"], "1, ,2", 2),
+            (["demo-integrable", "--l", "2", "--omega", ""], "", 1),
         ],
-        ids=["realize", "mirsky", "majorize-first", "indefinite-last", "demo-blank"],
+        ids=["realize", "mirsky", "majorize-first", "indefinite-last", "demo-blank", "demo-empty"],
     )
     def test_empty_list_entry_is_named(self, capsys, argv, text, position):
-        # the empty entries were dropped: --omega 1,,2 parsed as [1.0, 2.0]
+        # the empty entries were dropped: --omega 1,,2 parsed as [1.0, 2.0],
+        # and demo-integrable --omega "" fell back to 1, ..., l
         code, payload, err = run(capsys, argv)
         assert input_error(code, payload, err, f"could not parse '{text}'")
         assert f"entry {position} is empty" in json.loads(err)["error"]
@@ -803,6 +819,76 @@ class TestCliPlumbing:
         code, _, err = run(capsys, ["majorize", "--a", "1,spam", "--b", "1,1"])
         assert code == 2
         assert "error" in json.loads(err)
+
+
+# subcommand -> its numeric and list flags; the ones missing from the REPORTS
+# argv are added with the value that APPENDED gives
+NUMERIC_FLAGS = {
+    "scatter": ["--tol"],
+    "classify": ["--omega", "--tol"],
+    "realize": ["--l", "--m", "--omega", "--eps"],
+    "indefinite": ["--l", "--omega", "--trials", "--seed", "--tol"],
+    "reversible": ["--tol"],
+    "mirsky": ["--diag", "--eigs"],
+    "majorize": ["--a", "--b", "--tol"],
+    "demo-integrable": ["--l", "--omega", "--tol"],
+}
+APPENDED = {"--tol": "1e-7", "--omega": "1"}
+
+
+class TestNumberReader:
+    """Every numeric flag and list entry must be an ASCII decimal number (or
+    nan/inf/infinity), and a count an optional sign and ASCII digits; what the
+    value may be is checked by the library."""
+
+    @pytest.mark.parametrize("command, flag", [(c, f) for c, flags in NUMERIC_FLAGS.items() for f in flags])
+    def test_digit_group_underscore_is_refused(self, capsys, tmp_path, command, flag):
+        # int() and float() read 0_5 as 5, so a typo ran as another number with exit 0
+        argv = REPORTS[command][0](tmp_path)
+        if flag not in argv:
+            argv += [flag, APPENDED[flag]]
+        k = argv.index(flag) + 1
+        argv[k] = "0_" + argv[k]
+        code, payload, err = run(capsys, argv)
+        assert input_error(code, payload, err, f"argument {flag}: could not parse '{argv[k]}'")
+
+    @pytest.mark.parametrize("token", ["1_0", "\u0661", "\uff11", "0x10", "1e", ".", "e5", "", "infinit", "1.5.2"])
+    def test_number_outside_the_grammar_is_refused(self, capsys, token):
+        code, payload, err = run(capsys, ["realize", "--l", "1", "--m", "1", "--omega", "1", f"--eps={token}"])
+        assert input_error(code, payload, err, f"argument --eps: could not parse '{token}' as a number")
+
+    @pytest.mark.parametrize("token", ["1.0", "1e3", "1_0", "\u0661", "nan", "", "0x1"])
+    def test_count_outside_the_grammar_is_refused(self, capsys, token):
+        argv = ["indefinite", "--l", "1", "--omega", "1", "--trials", "5", f"--seed={token}"]
+        code, payload, err = run(capsys, argv)
+        assert input_error(code, payload, err, f"argument --seed: could not parse '{token}' as an integer")
+
+    def test_list_entry_outside_the_grammar_is_named(self, capsys):
+        code, payload, err = run(capsys, ["majorize", "--a", "1,1_0", "--b", "1,1"])
+        assert input_error(code, payload, err, "argument --a: could not parse '1,1_0' as a comma-separated list")
+        assert json.loads(err)["error"].endswith("entry 2 is not a number")
+
+    @pytest.mark.parametrize(
+        "argv, parsed",
+        [
+            (["majorize", "--a=-1,2", "--b", "1, 2"], {"a": [-1.0, 2.0], "b": [1.0, 2.0]}),
+            (["majorize", "--a=-0.0,+.5,1.,1E-3", "--b", "1"], {"a": [-0.0, 0.5, 1.0, 0.001]}),
+            (["reversible", "--spec", "spec.json", "--tol=nan"], {"tol": float("nan")}),
+            (["reversible", "--spec", "spec.json", "--tol", " -Infinity "], {"tol": float("-inf")}),
+            (["realize", "--l", "+5", "--m", "-1", "--omega", "1", "--eps", "1e308"], {"l": 5, "m": -1, "eps": 1e308}),
+            (["classify", "--sigma", "sigma.json", "--omega=nan,INF"], {"omega": [float("nan"), float("inf")]}),
+        ],
+    )
+    def test_token_shapes_that_bench_and_ci_send(self, argv, parsed):
+        # compared by repr, which tells -0.0 from 0.0 and 5 from 5.0, and matches nan
+        args = build_parser().parse_args(argv)
+        assert {dest: repr(getattr(args, dest)) for dest in parsed} == {dest: repr(v) for dest, v in parsed.items()}
+
+    @given(st.lists(st.floats(), min_size=1, max_size=6), st.integers(-(10**30), 10**30))
+    def test_repr_of_floats_and_str_of_ints_round_trip(self, values, count):
+        omega = "--omega=" + ",".join(map(repr, values))
+        args = build_parser().parse_args(["indefinite", "--l", str(count), omega, "--trials", "1", "--seed", "0"])
+        assert repr(args.omega) == repr(values) and repr(args.l) == repr(count)
 
 
 # omega -> the message of the bracket hypothesis it violates
