@@ -106,8 +106,11 @@ def _random_symplectics(block: CenterBlock, streams, k: int) -> np.ndarray:
     factor counts, the raw generators and their norms are each read in
     trial order by one call.  A raw draw with a zero symmetric part is
     skipped, with its norm.  One stacked eigvalsh gives all spectral norms
-    and one stacked exponential all factors, and the sigmas are multiplied
-    out one factor position at a time, each from I in draw order.
+    and one stacked exponential all factors.  Each trial's factors go in
+    draw order into a (k, longest count, 2l, 2l) stack padded with I, and
+    the sigmas are its first position times the later ones, one stacked
+    product per position: I @ F and F @ I are F for a finite factor, so
+    the padding changes no bit of a product.
     """
     d = block.dim
     count_stream, raw_stream, norm_stream = streams
@@ -124,24 +127,28 @@ def _random_symplectics(block: CenterBlock, streams, k: int) -> np.ndarray:
     # B is exactly symmetric, so LAPACK takes it without eigvalsh's symmetry check
     B *= (norms / np.abs(np.linalg.eigvalsh(B)).max(axis=-1))[:, None, None]
     factors = matrix_exponential(-block.J @ B)
-    first = np.cumsum(counts) - counts
-    sigmas = np.tile(np.eye(d), (k, 1, 1))
-    for position in range(counts.max(initial=0)):
-        live = counts > position
-        sigmas[live] = sigmas[live] @ factors[first[live] + position]
+    width = max(1, counts.max(initial=0))
+    stack = np.tile(np.eye(d), (k, width, 1, 1))
+    # the mask runs trial by trial, position by position: the draw order
+    stack[np.arange(width) < counts[:, None]] = factors
+    sigmas = stack[:, 0]
+    for position in range(1, width):
+        sigmas = sigmas @ stack[:, position]
     return sigmas
 
 
 def indefiniteness_ensemble(D_center, trials: int, seed: int, tol: float = _ENSEMBLE_TOL) -> EnsembleSummary:
     """Extreme Hessian eigenvalues over a seeded random symplectic ensemble.
 
-    SeedSequence(seed) spawns the generators of the factor counts, the raw
-    generators and the norms, each read in trial order: the summary does
-    not depend on the chunking, and a run's first k trials are a k-trial
-    run.  Chunks of trials hold at most _MAX_CHUNK_ELEMENTS matrix entries
-    of stacked factors.  An extreme eigenvalue beyond tol, a finite positive
-    number, counts its trial as definite.  Both definite counts must come
-    out zero: the reduced Hessian is never definite.
+    The generators of the factor counts, the raw generators and the norms
+    take SeedSequence(seed, spawn_key=(i,)) for i = 0, 1, 2, the children
+    that SeedSequence(seed).spawn(3) would make, and each is read in trial
+    order: the summary does not depend on the chunking, and a run's first k
+    trials are a k-trial run.  Chunks of trials hold at most
+    _MAX_CHUNK_ELEMENTS matrix entries of stacked factors.  An extreme
+    eigenvalue beyond tol, a finite positive number, counts its trial as
+    definite.  Both definite counts must come out zero: the reduced Hessian
+    is never definite.
     """
     block = CenterBlock.from_diagonal(D_center)
     trials = _integer(trials, "trials")
@@ -151,7 +158,7 @@ def indefiniteness_ensemble(D_center, trials: int, seed: int, tol: float = _ENSE
     seed = _integer(seed, "seed")
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
-    streams = [np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(3)]
+    streams = [np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,))) for i in range(3)]
     chunk = max(1, _MAX_CHUNK_ELEMENTS // (_MAX_FACTORS * block.dim ** 2))
     definite_pos = definite_neg = 0
     largest_min = -np.inf

@@ -42,8 +42,20 @@ def _reader(grammar: str, convert, what: str, listed: bool = False):
     return number
 
 
+def _int(token: str) -> int:
+    # int reads at most sys.get_int_max_str_digits() digits, leading zeros included, and
+    # that many significant digits (640 at the least) are far beyond the float range
+    sign = token[0] if token[0] in "+-" else ""
+    digits = token[len(sign) :].lstrip("0") or "0"
+    try:
+        return int(sign + digits)
+    except ValueError:
+        shown = f"'{digits[:10]}...{digits[-10:]}' ({len(digits)} digits)"
+        raise argparse.ArgumentTypeError(f"{shown} is an integer beyond the float range") from None
+
+
 _NUMBER = r"[+-]?(([0-9]+\.?[0-9]*|\.[0-9]+)(e[+-]?[0-9]+)?|nan|inf|infinity)"
-_count = _reader(r"[+-]?[0-9]+", int, "an integer")
+_count = _reader(r"[+-]?[0-9]+", _int, "an integer")
 _number = _reader(_NUMBER, float, "a number")
 _number_list = _reader(_NUMBER, float, "a comma-separated list of numbers", listed=True)
 

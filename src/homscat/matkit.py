@@ -174,9 +174,14 @@ def matrix_exponential(M) -> np.ndarray:
     A = np.ldexp(A, -squarings[:, None, None])
     A[np.isinf(norm)] = np.nan
     I = np.eye(shape[-1])
-    E = I
-    for k in range(_EXP_SERIES_ORDER, 0, -1):
-        E = I + (A @ E) / k
+    # Horner's E = I + (A @ E) / k from E = I, summed in place: A @ I is A and
+    # x + I is I + x, so every step rounds exactly as that expression does
+    E = A / _EXP_SERIES_ORDER
+    E += I
+    for k in range(_EXP_SERIES_ORDER - 1, 0, -1):
+        E = A @ E
+        E /= k
+        E += I
     # round r squares the slices whose count exceeds r
     for r in range(squarings.max(initial=0)):
         live = squarings > r

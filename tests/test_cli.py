@@ -863,6 +863,23 @@ class TestNumberReader:
         code, payload, err = run(capsys, argv)
         assert input_error(code, payload, err, f"argument --seed: could not parse '{token}' as an integer")
 
+    @pytest.mark.parametrize("digits", [400, 5000])
+    @pytest.mark.parametrize("flag", ["--l", "--trials", "--seed"])
+    def test_count_beyond_the_float_range_is_named_in_a_short_line(self, capsys, flag, digits):
+        # int reads 400 digits and the library names the parameter; it refuses more than
+        # 4300, and those exited 2 with "invalid number value" and every digit echoed
+        count = "1" * digits
+        argv = {
+            "--l": ["realize", "--l", count, "--m", "1", "--omega", "1", "--eps", "0.1"],
+            "--trials": ["indefinite", "--l", "1", "--omega", "1", "--trials", count, "--seed", "1"],
+            "--seed": ["indefinite", "--l", "1", "--omega", "1", "--trials", "5", f"--seed=-{count}"],
+        }[flag]
+        code, payload, err = run(capsys, argv)
+        cause = "is an integer beyond the float range"
+        named = f"{flag[2:]} {cause}" if digits == 400 else f"argument {flag}: '1111111111...1111111111' (5000 digits) {cause}"
+        assert input_error(code, payload, err, named)
+        assert len(err) < 200
+
     def test_list_entry_outside_the_grammar_is_named(self, capsys):
         code, payload, err = run(capsys, ["majorize", "--a", "1,1_0", "--b", "1,1"])
         assert input_error(code, payload, err, "argument --a: could not parse '1,1_0' as a comma-separated list")
@@ -876,6 +893,9 @@ class TestNumberReader:
             (["reversible", "--spec", "spec.json", "--tol=nan"], {"tol": float("nan")}),
             (["reversible", "--spec", "spec.json", "--tol", " -Infinity "], {"tol": float("-inf")}),
             (["realize", "--l", "+5", "--m", "-1", "--omega", "1", "--eps", "1e308"], {"l": 5, "m": -1, "eps": 1e308}),
+            # leading zeros count towards int's digit limit, but not towards the value
+            (["indefinite", "--l", "0" * 5000 + "2", "--omega", "1,2", "--trials", "-" + "0" * 5000, "--seed", "7"],
+             {"l": 2, "trials": 0}),
             (["classify", "--sigma", "sigma.json", "--omega=nan,INF"], {"omega": [float("nan"), float("inf")]}),
         ],
     )
