@@ -8,7 +8,9 @@ D = diag(omega, omega).  It is never definite; every indefinite signature
 solving the bracket equation for a generator B, and taking
 sigma = exp(-eps J B) for small eps.  When the centre reversal
 R = diag(I, -I), the normal form of every reversor of the centre flow,
-reverses the dynamics, sigma R sigma = R forces the signature (l, l).
+reverses the dynamics, sigma R sigma = R, the Hessian vanishes on the two
+fixed Lagrangians of R sigma, and its signature is (r, r, 2l - 2r) with r
+the rank of the cross block X = -2 P-^T D P+ between them.
 """
 
 from __future__ import annotations
@@ -306,16 +308,16 @@ def reversible_signature(sigma, center: CenterBlock, tol: float) -> tuple[Revers
     with Psi a centre rotation, and Psi^T sigma Psi is reversible under R
     with a congruent Hessian.
 
-    Verifies the mechanism forcing the (l, l) signature.  With A = R sigma
-    and the Cholesky factorization L L^T = (I + A^T A)/2, A^2 = I makes
-    K = L^T A L^{-T} orthogonal and anticommuting with H_t = L^{-1} H L^{-T},
-    so the spectrum of H_t is symmetric about zero.  The signature is its
-    inertia: the counts of H (H_t is congruent to it), with eigenvalues that
-    pair as +-lambda.  H_t is formed as Y^T D Y - L^{-1} D L^{-T} with
-    Y = sigma L^{-T}, factors bounded by |Y| <= sqrt(2) and |L^{-1}|^2 <= 2,
-    so the |sigma|^2-sized terms of H, whose rounding would survive as an
-    asymmetry, never arise.  A degenerate Hessian is reported as such, never
-    forced to (l, l).
+    The signature comes from an identity.  With A = R sigma, A^2 = I, and a
+    symplectic sigma (checked within 1e-7) makes the fixed spaces Fix(A) and
+    Fix(-A) Lagrangian, of dimension l each.  R commutes with D, so
+    sigma^T D sigma = A^T D A and H vanishes on both: in a basis [P+, P-] H is
+    [[0, X^T], [X, 0]] with X = -2 P-^T D P+, of inertia (r, r, 2l - 2r),
+    r = rank X.  One SVD of (I + A)/2 gives orthonormal P+ (its first l left
+    singular vectors) and P- (its last l right ones), and the signature is the
+    inertia of [[0, M^T], [M, 0]], M = P-^T D P+, whose eigenvalues are the
+    +- singular values of M and 2l - 2r zeros.  |M| <= max|omega|, so no
+    |sigma|^2-sized term arises.  Degenerate means r < l, with r = n_pos.
     """
     S = _square(sigma, "scattering matrix")
     if S.shape[0] != center.dim:
@@ -329,23 +331,14 @@ def reversible_signature(sigma, center: CenterBlock, tol: float) -> tuple[Revers
     if not report.passed:
         return report, None
     _require_symplectic(S, center.J)
-    A = R @ S
-    I, D = np.eye(center.dim), center.D
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite factor fails the checks below
-        L = np.linalg.cholesky(0.5 * (I + A.T @ A))
-        L_inv = np.linalg.inv(L)
-        K = L.T @ A @ L_inv.T
-        ortho_defect = max_abs(K.T @ K - I)
-        Y = S @ L_inv.T
-        H_t = Y.T @ D @ Y - L_inv @ D @ L_inv.T
-    bound = max(tol, 100.0 * residual)
-    if not ortho_defect <= bound:
-        raise ArithmeticError(f"transformed reversal failed orthogonality (defect {ortho_defect:.3e})")
-    if not np.isfinite(H_t).all():
+    l = center.l
+    U, _, Vt = np.linalg.svd(0.5 * (np.eye(center.dim) + R @ S))
+    with np.errstate(over="ignore", invalid="ignore"):
+        M = Vt[l:] @ center.D @ U[:, :l]
+    if not np.isfinite(M).all():
         raise ArithmeticError(
-            f"the transformed Hessian overflows the float range: max|omega| = {max_abs(center.omega):.3g}"
+            f"the cross block P-^T D P+ overflows the float range: max|omega| = {max_abs(center.omega):.3g}"
         )
-    anti = max_abs(H_t @ K + K.T @ H_t)
-    if anti > bound * max(1.0, max_abs(H_t)):
-        raise ArithmeticError(f"transformed Hessian failed to anticommute (defect {anti:.3e})")
-    return report, inertia(H_t)
+    cross = np.zeros((center.dim, center.dim))
+    cross[l:, :l], cross[:l, l:] = M, M.T
+    return report, inertia(cross)

@@ -42,6 +42,11 @@ def _reader(grammar: str, convert, what: str, listed: bool = False):
     return number
 
 
+def _shown(digits: str) -> str:
+    # a long count is named by its first and last ten digits, never echoed whole
+    return digits if len(digits) <= 20 else f"'{digits[:10]}...{digits[-10:]}' ({len(digits)} digits)"
+
+
 def _int(token: str) -> int:
     # int reads at most sys.get_int_max_str_digits() digits, leading zeros included, and
     # that many significant digits (640 at the least) are far beyond the float range
@@ -50,8 +55,7 @@ def _int(token: str) -> int:
     try:
         return int(sign + digits)
     except ValueError:
-        shown = f"'{digits[:10]}...{digits[-10:]}' ({len(digits)} digits)"
-        raise argparse.ArgumentTypeError(f"{shown} is an integer beyond the float range") from None
+        raise argparse.ArgumentTypeError(f"{_shown(digits)} is an integer beyond the float range") from None
 
 
 _NUMBER = r"[+-]?(([0-9]+\.?[0-9]*|\.[0-9]+)(e[+-]?[0-9]+)?|nan|inf|infinity)"
@@ -193,7 +197,7 @@ def _cmd_realize(args) -> tuple[dict, bool]:
 
 def _cmd_indefinite(args) -> tuple[dict, bool]:
     if len(args.omega) != args.l:
-        raise ValueError(f"omega has {len(args.omega)} entries but --l is {args.l}")
+        raise ValueError(f"omega has {len(args.omega)} entries but --l is {_shown(str(args.l))}")
     summary = classify.indefiniteness_ensemble(CenterBlock(args.omega).D, args.trials, args.seed, args.tol)
     ok = summary.definite_positive == 0 and summary.definite_negative == 0
     return {"command": "indefinite", **vars(summary), "pass": ok}, ok

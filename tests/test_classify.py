@@ -1,4 +1,5 @@
 import json
+import sys
 import warnings
 
 import numpy as np
@@ -466,12 +467,37 @@ class TestReversibleSignature:
         assert rep.degenerate
 
     def test_balanced_signature(self):
-        for l, omega in ((1, [1.0]), (2, [1.0, 2.0])):
-            rng = np.random.default_rng(100 + l)
-            B = random_reversible_form(l, rng)
-            sigma = matrix_exponential(-1e-2 * standard_symplectic_form(l) @ B)
-            _, rep = reversible_signature(sigma, CenterBlock(omega), 1e-7)
-            assert rep.inertia == (l, l, 0)
+        # zeroing k pairs of B (rows and columns i and l + i) makes sigma the identity
+        # on those planes, so the cross block has rank r = l - k: (r, r, 2l - 2r)
+        for l, omega in ((1, [1.0]), (2, [1.0, 2.0]), (3, [1.0, 1.5, 2.0])):
+            block = CenterBlock(omega)
+            for k in range(l + 1):
+                B = random_reversible_form(l, np.random.default_rng(100 + l))
+                pairs = [*range(k), *range(l, l + k)]
+                B[pairs, :] = B[:, pairs] = 0.0
+                for eps in (1e-2, 1.0):
+                    sigma = matrix_exponential(-eps * standard_symplectic_form(l) @ B)
+                    _, rep = reversible_signature(sigma, block, 1e-7)
+                    assert rep.inertia == (l - k, l - k, 2 * k)
+                    assert rep.inertia == inertia(hessian_from_scattering(sigma, block.D)).inertia
+
+    @pytest.mark.parametrize("l", [1, 2, 3, 4, 5, 6])
+    def test_hessian_vanishes_on_both_fixed_spaces(self, l):
+        # A = R sigma is an involution, and sigma^T D sigma = A^T D A; the bases are the
+        # +-1 eigenvectors of eig(A), not the SVD that reversible_signature takes
+        block = CenterBlock(1.0 + 0.5 * np.arange(l))
+        R = center_reversal(l)
+        for eps in (1e-3, 0.1, 1.0, 3.0, 8.0):
+            for seed in range(5):
+                B = random_reversible_form(l, np.random.default_rng((l, seed)))
+                sigma = matrix_exponential(-eps * standard_symplectic_form(l) @ (B / max_abs(B)))
+                H = sigma.T @ block.D @ sigma - block.D
+                w, V = np.linalg.eig(R @ sigma)
+                for sign in (1.0, -1.0):
+                    P = V[:, np.abs(w - sign) < 0.5]
+                    assert P.shape[1] == l
+                    # eig may return complex vectors; H vanishes on the complexified space too
+                    assert np.abs(P.conj().T @ H @ P).max() <= 1e-12 * max_abs(sigma) ** 2 * max_abs(block.omega)
 
     def test_eigenvalues_pair(self):
         l = 3
@@ -500,14 +526,17 @@ class TestReversibleSignature:
             assert max_abs(w + w[::-1]) <= 1e-6 * max(1.0, max_abs(w))
 
     def test_transformed_hessian_beyond_the_float_range(self):
-        # its factors are bounded, so omega = 1e308 classifies where the raw
-        # Hessian overflowed; 1.7e308 overflows, without a warning
+        # the raw Hessian overflows at omega = 1e308; the cross block P-^T D P+ is
+        # bounded by max|omega|, so every omega in the float range classifies, without
+        # a warning, with eigenvalues +-omega tanh(1)
         sigma = np.array([[np.cosh(1.0), np.sinh(1.0)], [np.sinh(1.0), np.cosh(1.0)]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert reversible_signature(sigma, CenterBlock([1e308]), 1e-7)[1].inertia == (1, 1, 0)
-            with pytest.raises(ArithmeticError, match=r"overflows the float range: max\|omega\| = 1\.7e\+308"):
-                reversible_signature(sigma, CenterBlock([1.7e308]), 1e-7)
+            for omega in (1e308, 1.7e308, sys.float_info.max):
+                rep = reversible_signature(sigma, CenterBlock([omega]), 1e-7)[1]
+                assert rep.inertia == (1, 1, 0)
+                expected = omega * np.tanh(1.0) * np.array([1.0, -1.0])
+                assert np.all(np.abs(rep.eigenvalues / expected - 1.0) <= 1e-12)
 
     def test_rejects_nonreversible_sigma(self):
         # a failed check raised "not reversible" here, while the CLI reported it

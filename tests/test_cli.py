@@ -880,6 +880,13 @@ class TestNumberReader:
         assert input_error(code, payload, err, named)
         assert len(err) < 200
 
+    def test_count_that_misses_omega_is_shortened(self, capsys):
+        # int reads these 4000 digits, and the length check echoed all of them in 4062 bytes
+        argv = ["indefinite", "--l", "1" * 4000, "--omega", "1", "--trials", "2", "--seed", "1"]
+        code, payload, err = run(capsys, argv)
+        assert input_error(code, payload, err, "omega has 1 entries but --l is '1111111111...1111111111' (4000 digits)")
+        assert len(err.encode()) <= 1024
+
     def test_list_entry_outside_the_grammar_is_named(self, capsys):
         code, payload, err = run(capsys, ["majorize", "--a", "1,1_0", "--b", "1,1"])
         assert input_error(code, payload, err, "argument --a: could not parse '1,1_0' as a comma-separated list")
