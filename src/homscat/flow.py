@@ -24,16 +24,17 @@ from .matkit import (
     CenterBlock,
     _as_float,
     _float_array,
+    _integer,
     _positive_tol,
-    _square,
     max_abs,
 )
 
 DEFAULT_SIGMA_TOL = 1e-8
 DEFAULT_INTEGRATOR_TOL = 1e-10
 # bound on the (2n + 1) d^2 field entries of one RK4 pass, which holds a few
-# arrays of that size: 32 MiB each at the bound
+# arrays of that size: 32 MiB each at the bound; a first pass has at least 16 steps
 _MAX_FIELD_ELEMENTS = 2 ** 22
+_MIN_STEPS = 16
 
 
 class ScatteringConvergenceError(ArithmeticError):
@@ -90,62 +91,58 @@ def _rk4_product(A: np.ndarray, h: float) -> np.ndarray:
     return P[0]
 
 
-def fundamental_solution(fld: Callable, t0: float, t1: float) -> np.ndarray:
+def _pass_steps(span: float, d: int, n: int | None = None) -> int:
+    """The step count of the pass after one of n steps, or of the first when n is None, within the cap."""
+    with np.errstate(over="ignore"):  # 2.0 ** 1024 is inf, and Python floats overflow without a warning
+        steps = float(2.0 ** np.ceil(np.log2(max(_MIN_STEPS, 8.0 * span)))) if n is None else 2 * n
+    if (2 * steps + 1) * d * d <= _MAX_FIELD_ELEMENTS:
+        return int(steps)
+    raise ArithmeticError(
+        f"a span of {span:g} starts at n = {steps:.17g} RK4 steps, whose (2n + 1) d^2 = "
+        f"{(2 * steps + 1) * d * d:.17g} entries of the {d} x {d} field are beyond the cap of {_MAX_FIELD_ELEMENTS}"
+        if n is None
+        else f"step refinement exhausted without meeting the tolerance: n = {steps} steps of a "
+        f"{d} x {d} field would exceed {_MAX_FIELD_ELEMENTS} field samples"
+    )
+
+
+def fundamental_solution(fld: Callable, t0: float, t1: float, d: int) -> np.ndarray:
     """Phi(t1, t0) for udot = field(t) u, by fixed-step RK4 with step doubling.
 
     `fld` follows the field contract of ScatteringProblem: a 1-D array of
-    times in, an (n, d, d) array out.  After one probe at t0, which fixes d,
-    the first pass samples its 2n + 1 step ends and midpoints; the step count
-    is a power of two, so each doubling keeps those samples and asks the
-    field only for the 2n new midpoints between them.  The step count is
-    doubled until two successive refinements agree to within
-    DEFAULT_INTEGRATOR_TOL * max(1, t1 - t0), that is 1e-10 * max(1, t1 - t0),
-    in max-abs norm; the finer result is returned.
-    The cap of 2**22 field entries, (2n + 1) d^2 for n steps, is checked
-    before each sampling: a span whose starting step count already exceeds
-    it raises ArithmeticError before the field is called, and so do a
-    refinement that reaches it and a product that overflows.
+    times in, an (n, d, d) array out, for the positive integer d the caller
+    states.  The first pass samples its 2n + 1 step ends and midpoints; the
+    step count is a power of two, so each doubling samples only the 2n new
+    midpoints.  It doubles until two passes agree within
+    DEFAULT_INTEGRATOR_TOL * max(1, t1 - t0) in max-abs norm and returns the
+    finer; t1 == t0 gives the identity.  The cap of 2**22 field entries,
+    (2n + 1) d^2 for n steps, is checked before each sampling, the first
+    included, so no field call precedes it: a span whose starting step count
+    exceeds it raises ArithmeticError, and so do a refinement that reaches it
+    and a product that overflows.
     """
+    d = _integer(d, "d")
+    if d < 1:
+        raise ValueError(f"d must be a positive integer, got {d}")
     t0, t1 = _as_float(t0), _as_float(t1)
     if not (np.isfinite(t0) and np.isfinite(t1)):
         raise ValueError("integration endpoints must be finite numbers")
     if t1 < t0:
         raise ValueError("t0 must not exceed t1")
-    span = t1 - t0
-    n = 2.0 ** np.ceil(np.log2(max(16.0, 8.0 * span)))
-    if not 2 * n + 1 <= _MAX_FIELD_ELEMENTS:
-        raise ArithmeticError(
-            f"a span of {span:g} starts at n = {n:g} RK4 steps, whose 2n + 1 = {2 * n + 1:g} nodes are "
-            f"beyond the cap of {_MAX_FIELD_ELEMENTS} field entries"
-        )
-    n = int(n)
-    probe = _float_array(fld(np.array([t0])), "field")
-    if probe.ndim != 3 or probe.shape[0] != 1:
-        raise ValueError(f"field returned shape {probe.shape} for 1 time, expected (1, d, d)")
-    d = _square(probe[0], "field value").shape[0]
     if t1 == t0:
         return np.eye(d)
+    span = t1 - t0
     budget = DEFAULT_INTEGRATOR_TOL * max(1.0, span)
-    A = previous = None
+    A = previous = n = None
     while True:
-        if (2 * n + 1) * d * d > _MAX_FIELD_ELEMENTS:
-            if previous is None:
-                raise ArithmeticError(
-                    f"a span of {span:g} starts at n = {n} RK4 steps, whose (2n + 1) d^2 = {(2 * n + 1) * d * d} "
-                    f"entries of the {d} x {d} field are beyond the cap of {_MAX_FIELD_ELEMENTS}"
-                )
-            raise ArithmeticError(
-                f"step refinement exhausted without meeting the tolerance: n = {n} steps of a "
-                f"{d} x {d} field would exceed {_MAX_FIELD_ELEMENTS} field samples"
-            )
+        n = _pass_steps(span, d, n)
         ts = t0 + span * np.arange(2 * n + 1) / (2 * n)
         if A is None:
             A = _field_values(fld, ts, d)
         else:
             # the previous nodes are the even nodes of this grid, bit for bit
             finer = np.empty((2 * n + 1, d, d))
-            finer[0::2] = A
-            finer[1::2] = _field_values(fld, ts[1::2], d)
+            finer[0::2], finer[1::2] = A, _field_values(fld, ts[1::2], d)
             A = finer
         with np.errstate(over="ignore", invalid="ignore"):
             current = _rk4_product(A, span / n)
@@ -154,7 +151,6 @@ def fundamental_solution(fld: Callable, t0: float, t1: float) -> np.ndarray:
         if previous is not None and max_abs(current - previous) <= budget:
             return current
         previous = current
-        n *= 2
 
 
 @dataclass(eq=False)
@@ -199,14 +195,17 @@ def scattering_matrix(problem: ScatteringProblem, tol: float = DEFAULT_SIGMA_TOL
     the residual |sigma|_F expm1(e- + e+) bounds how far those slabs could
     move sigma (Gronwall); T_used = T_s + 1.  A residual above tol means the
     field is nonzero beyond the declared support and raises
-    ScatteringConvergenceError.  The slabs are sampled first, so a bad
-    support_halfwidth or field shape raises ValueError before any integration.
+    ScatteringConvergenceError.  A support too long for the integrator's cap
+    raises ArithmeticError before any field call, and a field of the wrong
+    shape ValueError before any integration.
     """
     tol = _positive_tol(tol, "scattering tolerance")
     T_s = _positive_tol(problem.support_halfwidth, "support_halfwidth")
+    d = problem.center.dim
+    _pass_steps(T_s + T_s, d)  # the span T_s - (-T_s) of the solve below
     s = np.linspace(0.0, 1.0, 65)
-    slabs = _field_values(problem.field, np.concatenate([-(T_s + s), T_s + s]), problem.center.dim)
-    sigma = fundamental_solution(problem.field, -T_s, T_s)
+    slabs = _field_values(problem.field, np.concatenate([-(T_s + s), T_s + s]), d)
+    sigma = fundamental_solution(problem.field, -T_s, T_s, d)
     with np.errstate(over="ignore"):
         excess = np.linalg.norm(slabs, axis=(1, 2)).reshape(2, 65).max(axis=1)
         residual = float(np.linalg.norm(sigma) * np.expm1(excess.sum()))

@@ -26,6 +26,7 @@ problem carries that same block.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 from functools import cache
 
@@ -46,6 +47,9 @@ from .matkit import (
 
 # exp(-x) is 0.0 in double precision for x >= 746
 _PROFILE_FLOOR = 1.0 / 746.0
+# the most centre pairs a solve can hold: it stops at its second pass at the
+# earliest, whose 2 * 32 + 1 samples of the 2l x 2l field must fit the cap
+_MAX_L = math.isqrt(flow._MAX_FIELD_ELEMENTS // (4 * flow._MIN_STEPS + 1)) // 2
 
 
 def _sech(u):
@@ -72,10 +76,25 @@ def _profile_mass() -> float:
     return float((2.0 / n) * np.sum(_raw_profile(np.linspace(-1.0, 1.0, n + 1))))
 
 
+def _pair_count(l) -> int:
+    """l as an int, if it is at least 1 and at most _MAX_L."""
+    l = _integer(l, "l")
+    if l < 1:
+        raise ValueError("need at least one centre pair")
+    if l > _MAX_L:
+        raise ValueError(
+            f"l = {l} is beyond {_MAX_L}, the most centre pairs the integrator can hold: a solve stops at "
+            f"its second pass at the earliest, which samples the 2l x 2l field at {4 * flow._MIN_STEPS + 1} "
+            f"times, and the cap is {flow._MAX_FIELD_ELEMENTS} field entries"
+        )
+    return l
+
+
 @dataclass(frozen=True, eq=False)
 class ModelSpec:
     """Parameters of the model family and its centre-block perturbation.
 
+    l: the number of centre pairs, from 1 to _MAX_L, the most the integrator can hold.
     n_hyp: the number of hyperbolic pairs, which must be 1: the one saddle (x, y).
     omega: l distinct nonzero centre frequencies with distinct squares.
     eps, C: strength and symmetric form (2l x 2l, or its row-major entries) of the perturbation.
@@ -95,10 +114,8 @@ class ModelSpec:
     center: CenterBlock = field(init=False, repr=False)
 
     def __post_init__(self):
-        l = _integer(self.l, "l")
+        l = _pair_count(self.l)
         n_hyp = _integer(self.n_hyp, "n_hyp")
-        if l < 1:
-            raise ValueError("need at least one centre pair")
         if n_hyp != 1:
             raise ValueError(f"n_hyp must be 1, got {n_hyp}")
         center = _require_bracket_hypothesis(CenterBlock(self.omega))

@@ -309,7 +309,7 @@ def test_criterion_11_numerical_hygiene():
         Phi = np.eye(2 * l)
         t = -T_edge
         while t < T_edge - 1e-9:
-            Phi = fundamental_solution(field, t, t + 1.0) @ Phi
+            Phi = fundamental_solution(field, t, t + 1.0, 2 * l) @ Phi
             t += 1.0
             worst_defect = max(worst_defect, max_abs(Phi.T @ J @ Phi - J))
     # homoclinic residual against the hand-differentiated loop

@@ -1,11 +1,17 @@
 import inspect
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import homscat
 from homscat.classify import RealizationError, indefiniteness_ensemble
 from homscat.cli import build_parser, main
 from homscat.flow import ScatteringConvergenceError, scattering_matrix
@@ -40,6 +46,22 @@ def write_doc(tmp_path, doc, name="doc.json"):
 def spec_doc(**changes):
     doc = ModelSpec(l=1, n_hyp=1, omega=[1.0], eps=0.05, C=np.eye(2), T_support=2.0).to_json_dict()
     return dict(doc, **changes)
+
+
+def run_limited(argv, address_space=1_500_000 * 1024):
+    """Exit code and stderr of python -m homscat argv in a child process whose
+    address space is limited as by ulimit -v 1500000, so that a command that
+    allocates gigabytes ends there, not in this process."""
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+
+    src = str(Path(homscat.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    child = subprocess.run(
+        [sys.executable, "-m", "homscat", *argv], preexec_fn=limit, env=env, capture_output=True, text=True, timeout=120
+    )
+    return child.returncode, child.stderr
 
 
 def input_error(code, payload, err, field):
@@ -126,8 +148,7 @@ REPORTS = {
         {
             "command": "str", "spec": SPEC, "sigma": MATRIX,
             "reversibility": {"residual": "float", "tol": "float", "passed": "bool"},
-            "signature": SIGNATURE, "degenerate": "bool", "eigenvalue_pairing_defect": "float",
-            "expected_signature": ["int"], "pass": "bool",
+            "signature": SIGNATURE, "degenerate": "bool", "pass": "bool",
         },
     ),
     "mirsky": (
@@ -192,10 +213,23 @@ class TestDemoIntegrable:
         ],
     )
     def test_model_spec_names_a_bad_l_or_omega(self, capsys, argv, message):
-        # the handler checks neither itself: the spec it builds does, in its own words
+        # the handler checks l by the spec's own rule, and the spec checks omega, in the spec's words
         code, payload, err = run(capsys, ["demo-integrable", *argv])
         assert json.loads(err) == {"error": message, "kind": "input"}
         assert code == 2 and payload is None
+
+    @pytest.mark.parametrize("l", [128, 179])
+    def test_l_beyond_what_the_integrator_holds_is_an_input_error(self, capsys, l):
+        # both exited 3 at the integrator's cap; at any T_support a solve of
+        # l >= 128 fails there, as its second pass holds 65 (2l)^2 > 2**22 entries
+        code, payload, err = run(capsys, ["demo-integrable", "--l", str(l)])
+        assert input_error(code, payload, err, f"l = {l} is beyond 127")
+
+    @pytest.mark.parametrize("l", ["100000000", "1" + "0" * 300])
+    def test_large_l_fails_before_the_default_omega_is_built(self, l):
+        # a list of 10**8 default frequencies ended in MemoryError, exit 1, under this limit
+        code, err = run_limited(["demo-integrable", "--l", l, "--out", os.devnull])
+        assert code == 2 and json.loads(err)["kind"] == "input" and "is beyond 127" in err
 
     def test_nan_tolerance_is_an_input_error(self, capsys):
         # it used to exit 1, a failed identity check, although sigma = I
@@ -431,6 +465,14 @@ class TestScatterCommand:
         sigma = np.array(payload["sigma"]["data"]).reshape(2, 2)
         expected = matrix_exponential(-0.05 * standard_symplectic_form(1) @ C)
         assert max_abs(sigma - expected) <= 1e-7
+
+    def test_document_with_a_large_l_fails_before_its_default_C(self, tmp_path):
+        # the default C of (2l)^2 zeros, 298 GiB at l = 100000, ended in
+        # MemoryError, exit 1, under this limit
+        l = 100000
+        doc = write_doc(tmp_path, {"l": l, "n_hyp": 1, "omega": list(range(1, l + 1)), "eps": 0.0})
+        code, err = run_limited(["scatter", "--spec", doc, "--out", os.devnull])
+        assert code == 2 and json.loads(err)["kind"] == "input" and "l = 100000 is beyond 127" in err
 
     def test_nan_tolerance_is_an_input_error(self, capsys, tmp_path):
         spec = ModelSpec(l=1, n_hyp=1, omega=[1.0], eps=0.0, T_support=2.0)
@@ -680,7 +722,7 @@ class TestReversibleCommand:
         assert payload["reversibility"]["passed"] is True
         sig = payload["signature"]
         assert (sig["n_pos"], sig["n_neg"], sig["n_zero"]) == (2, 2, 0)
-        assert payload["eigenvalue_pairing_defect"] <= 1e-7
+        assert payload["degenerate"] is False and payload["pass"] is True
 
     def test_strongly_coupled_reversible_model(self, capsys, tmp_path):
         # it exited 2, blaming the input with "inertia input is not symmetric
@@ -696,15 +738,14 @@ class TestReversibleCommand:
         assert (sig["n_pos"], sig["n_neg"], sig["n_zero"]) == (3, 3, 0)
 
     def test_integrable_model_is_degenerate_and_passes(self, capsys, tmp_path):
-        # eps = 0 gives sigma = I and a zero Hessian: the (l, l) check does not
-        # apply, and exit 0 with degenerate true says so
+        # eps = 0 gives sigma = I and a zero Hessian, r = 0: pass is the
+        # reversibility check alone, and degenerate true says r < l
         spec = ModelSpec(l=2, n_hyp=1, omega=[1.0, 2.0], eps=0.0, T_support=2.0)
         code, payload, err = run(capsys, ["reversible", "--spec", write_spec(tmp_path, spec)])
         assert code == 0 and err == ""
         assert payload["reversibility"]["passed"] is True
         sig = payload["signature"]
         assert (sig["n_pos"], sig["n_neg"], sig["n_zero"]) == (0, 0, 4)
-        assert payload["expected_signature"] == [2, 2, 0]
         assert payload["degenerate"] is True and payload["pass"] is True
 
     def test_nonreversible_model_fails(self, capsys, tmp_path):

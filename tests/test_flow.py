@@ -71,44 +71,48 @@ def perturbed_spec(seed, l=2, eps=0.05, T_support=3.0):
 
 class TestFundamentalSolution:
     def test_zero_field(self):
-        Phi = fundamental_solution(constant(np.zeros((3, 3))), 0.0, 2.0)
+        Phi = fundamental_solution(constant(np.zeros((3, 3))), 0.0, 2.0, 3)
         assert max_abs(Phi - np.eye(3)) <= 1e-12
 
     def test_constant_rotation(self):
         J = standard_symplectic_form(1)
-        Phi = fundamental_solution(constant(J), 0.0, np.pi / 2)
+        Phi = fundamental_solution(constant(J), 0.0, np.pi / 2, 2)
         assert max_abs(Phi - np.array([[0.0, 1.0], [-1.0, 0.0]])) <= 1e-9
 
     def test_constant_field_matches_exponential(self):
         rng = np.random.default_rng(2)
         A = rng.standard_normal((4, 4))
-        Phi = fundamental_solution(constant(A), 0.0, 1.0)
+        Phi = fundamental_solution(constant(A), 0.0, 1.0, 4)
         assert max_abs(Phi - matrix_exponential(A)) <= 1e-8
 
     def test_agrees_with_plain_loop(self):
         field = lambda t: entrywise(t, [[0.0, 1.0], [-np.cos(t), -0.1]])
-        Phi = fundamental_solution(field, -1.0, 2.0)
+        Phi = fundamental_solution(field, -1.0, 2.0, 2)
         ref = plain_rk4(field, -1.0, 2.0, 6000, 2)
         assert max_abs(Phi - ref) <= 1e-9
 
     def test_group_property(self):
         field = lambda t: entrywise(t, [[0.0, 1.0 + 0.3 * np.sin(t)], [-1.0, 0.0]])
-        full = fundamental_solution(field, 0.0, 2.0)
-        composed = fundamental_solution(field, 1.0, 2.0) @ fundamental_solution(field, 0.0, 1.0)
+        full = fundamental_solution(field, 0.0, 2.0, 2)
+        composed = fundamental_solution(field, 1.0, 2.0, 2) @ fundamental_solution(field, 0.0, 1.0, 2)
         assert max_abs(full - composed) <= 1e-8
 
     def test_empty_interval(self):
-        assert np.array_equal(fundamental_solution(constant(np.eye(2)), 1.0, 1.0), np.eye(2))
+        # the identity of the caller's d, with no field call
+        def broken(t):
+            raise RuntimeError("field called")
+
+        assert np.array_equal(fundamental_solution(broken, 1.0, 1.0, 3), np.eye(3))
 
     def test_rejects_reversed_interval(self):
         with pytest.raises(ValueError):
-            fundamental_solution(constant(np.eye(2)), 1.0, 0.0)
+            fundamental_solution(constant(np.eye(2)), 1.0, 0.0, 2)
 
     @pytest.mark.parametrize("t0", [None, "0", True, np.nan])
     def test_rejects_endpoint_that_is_not_a_finite_number(self, t0):
         # float() raised TypeError on None and accepted "0" and True
         with pytest.raises(ValueError, match="integration endpoints must be finite numbers"):
-            fundamental_solution(constant(np.eye(2)), t0, 1.0)
+            fundamental_solution(constant(np.eye(2)), t0, 1.0, 2)
 
     def test_field_exceptions_propagate(self):
         # a field that fails on the batch contract is an error, not a cue to
@@ -119,11 +123,11 @@ class TestFundamentalSolution:
             return np.eye(2)
 
         with pytest.raises(TypeError, match="scalar times only"):
-            fundamental_solution(scalar_only, 0.0, 1.0)
+            fundamental_solution(scalar_only, 0.0, 1.0, 2)
 
     def test_rejects_unbatched_shape(self):
         with pytest.raises(ValueError, match=r"shape \(2, 2\)"):
-            fundamental_solution(lambda t: np.eye(2), 0.0, 1.0)
+            fundamental_solution(lambda t: np.eye(2), 0.0, 1.0, 2)
         with pytest.raises(ValueError, match=r"shape \(2, 2\)"):
             scattering_matrix(ScatteringProblem(field=lambda t: np.eye(2), support_halfwidth=1.0, center=CenterBlock([1.0])))
 
@@ -136,7 +140,7 @@ class TestFundamentalSolution:
             return np.where(np.asarray(t)[:, None, None] >= 2.5, B, 0.0)
 
         with pytest.raises(ArithmeticError, match="n = 32768 steps of a 8 x 8 field"):
-            fundamental_solution(jump, 2.0, 3.0)
+            fundamental_solution(jump, 2.0, 3.0, 8)
 
     @pytest.mark.parametrize("T", [1e308, 1e200])
     def test_span_beyond_the_cap_fails_before_sampling(self, T):
@@ -144,29 +148,41 @@ class TestFundamentalSolution:
         # 2e200 blamed a step refinement that never ran
         batches = []
         with pytest.raises(ArithmeticError, match=re.escape(f"span of {2 * T:g} starts at n = ")) as info:
-            fundamental_solution(recording(constant(np.eye(2)), batches), -T, T)
+            fundamental_solution(recording(constant(np.eye(2)), batches), -T, T, 2)
         assert batches == [] and "cap of 4194304" in str(info.value) and "refinement" not in str(info.value)
 
     def test_first_pass_beyond_the_cap_is_not_blamed_on_refinement(self):
         # 8 steps per unit time start at n = 262144, whose 524289 nodes of an
-        # 8 x 8 field are 33554496 entries
+        # 8 x 8 field are 33554496 entries; the field is not called, where a
+        # probe at t0 used to sample it once to learn d
         batches = []
         match = r"span of 20000 starts at n = 262144 RK4 steps.* 33554496 entries of the 8 x 8 field are beyond the cap"
         with pytest.raises(ArithmeticError, match=match) as info:
-            fundamental_solution(recording(constant(np.eye(8)), batches), 0.0, 2e4)
-        assert len(batches) == 1 and "refinement" not in str(info.value)
+            fundamental_solution(recording(constant(np.eye(8)), batches), 0.0, 2e4, 8)
+        assert batches == [] and "refinement" not in str(info.value)
+
+    @pytest.mark.parametrize("span, steps", [(1e307, "8.9884656743115795e+307"), (2e307, "inf")])
+    def test_span_whose_step_count_overflows_warns_nothing(self, span, steps):
+        # 2.0 ** 1024, and 2n + 1 at n = 2.0 ** 1023, raised "overflow
+        # encountered", an error under -W error, before the cap refused the span
+        with pytest.raises(ArithmeticError, match=re.escape(f"span of {span:g} starts at n = {steps} RK4 steps")):
+            fundamental_solution(constant(np.eye(2)), 0.0, span, 2)
+
+    @pytest.mark.parametrize("d", [0, -1, 1.5, True, None])
+    def test_rejects_dimension_that_is_not_a_positive_integer(self, d):
+        with pytest.raises(ValueError, match=r"^d must be"):
+            fundamental_solution(constant(np.eye(2)), 0.0, 1.0, d)
 
     def test_each_node_is_sampled_once(self):
-        # after the probe at t0, each doubling samples only its new midpoints:
-        # 1 + (2 n + 1) samples in all for a final step count n, where
-        # resampling every grid took 1 + sum of (2 n + 1) over the passes
+        # each doubling samples only its new midpoints: 2 n + 1 samples in all
+        # for a final step count n, where resampling every grid took the sum
+        # of (2 n + 1) over the passes, and a probe at t0 one more
         field = lambda t: entrywise(t, [[0.0, 1.0], [-np.cos(t), -0.1]])
         batches = []
-        fundamental_solution(recording(field, batches), -1.0, 2.0)
-        probe, *passes = batches
-        n = 32 * 2 ** (len(passes) - 1)
-        nodes = np.concatenate(passes)
-        assert probe.tolist() == [-1.0] and len(passes) >= 3
+        fundamental_solution(recording(field, batches), -1.0, 2.0, 2)
+        n = 32 * 2 ** (len(batches) - 1)
+        nodes = np.concatenate(batches)
+        assert batches[0].size == 2 * 32 + 1 and len(batches) >= 3
         assert nodes.size == 2 * n + 1
         assert np.array_equal(np.sort(nodes), -1.0 + 3.0 * np.arange(2 * n + 1) / (2 * n))
 
@@ -174,7 +190,7 @@ class TestFundamentalSolution:
         # an overflowing pass used to refine up to the memory cap (n = 524288
         # for d = 2) and then blame the refinement
         with pytest.raises(ArithmeticError, match="overflow.* n = 16 steps"):
-            fundamental_solution(constant(1e300 * standard_symplectic_form(1)), 0.0, 1.0)
+            fundamental_solution(constant(1e300 * standard_symplectic_form(1)), 0.0, 1.0, 2)
 
     def test_rejects_nonfinite_field(self):
         def bad(t):
@@ -183,7 +199,7 @@ class TestFundamentalSolution:
             return A
 
         with pytest.raises(ValueError):
-            fundamental_solution(bad, 0.0, 1.0)
+            fundamental_solution(bad, 0.0, 1.0, 2)
 
 
 class TestOracleAgreement:
@@ -199,20 +215,20 @@ class TestOracleAgreement:
         C = rng.standard_normal((2 * l, 2 * l))
         spec = ModelSpec(l=l, n_hyp=1, omega=np.arange(1.0, l + 1.0), eps=eps, C=C + C.T, T_support=T)
         field = scattering_problem(spec).field
-        assert np.array_equal(fundamental_solution(field, -T, T), rk4_oracle.fundamental_solution(field, -T, T))
+        assert np.array_equal(fundamental_solution(field, -T, T, 2 * l), rk4_oracle.fundamental_solution(field, -T, T))
 
     def test_non_commuting_field(self):
         spec = perturbed_spec(seed=50, l=3, eps=0.1)
         field = lambda t: center_variational_field(spec, t)
         T = spec.T_support + 1.0
-        assert np.array_equal(fundamental_solution(field, -T, T), rk4_oracle.fundamental_solution(field, -T, T))
+        assert np.array_equal(fundamental_solution(field, -T, T, 6), rk4_oracle.fundamental_solution(field, -T, T))
 
     def test_solve_of_several_passes(self):
         field = lambda t: entrywise(t, [[0.0, 1.0], [-np.cos(t), -0.1]])
         batches = []
         expected = rk4_oracle.fundamental_solution(recording(field, batches), -1.0, 2.0)
-        assert len(batches) - 1 >= 3
-        assert np.array_equal(fundamental_solution(field, -1.0, 2.0), expected)
+        assert batches[0].size == 1 and len(batches) - 1 >= 3  # the oracle's probe at t0, then its passes
+        assert np.array_equal(fundamental_solution(field, -1.0, 2.0, 2), expected)
 
     def test_refinement_cap_names_the_same_step_count(self):
         B = np.random.default_rng(5).standard_normal((8, 8))
@@ -223,7 +239,7 @@ class TestOracleAgreement:
         with pytest.raises(ArithmeticError) as expected:
             rk4_oracle.fundamental_solution(jump, 2.0, 3.0)
         with pytest.raises(ArithmeticError) as got:
-            fundamental_solution(jump, 2.0, 3.0)
+            fundamental_solution(jump, 2.0, 3.0, 8)
         assert "n = 32768 steps" in str(got.value) and str(got.value) == str(expected.value)
 
 
@@ -317,6 +333,23 @@ class TestScatteringMatrix:
         with pytest.raises(ValueError, match=re.escape(f"support_halfwidth must be a finite positive number, got {support!r}")):
             scattering_matrix(problem)
 
+    def test_centre_beyond_the_cap_fails_before_any_field_call(self):
+        # a first pass of 33 nodes of a 2000 x 2000 field is beyond the cap;
+        # the 130 slab samples of that field, 3.87 GiB, were taken first
+        def broken(t):
+            raise RuntimeError("field called")
+
+        problem = ScatteringProblem(field=broken, support_halfwidth=1.0, center=CenterBlock(np.arange(1.0, 1001.0)))
+        with pytest.raises(ArithmeticError, match=r"starts at n = 16 RK4 steps, .* of the 2000 x 2000 field are beyond the cap"):
+            scattering_matrix(problem)
+
+    def test_scatter_op_calls_the_field_per_pass_only(self):
+        # the slabs, then the first pass and each doubling: no probe at t0
+        batches = []
+        problem = scattering_problem(perturbed_spec(seed=26, l=3))
+        scattering_matrix(ScatteringProblem(field=recording(problem.field, batches), support_halfwidth=3.0, center=problem.center))
+        assert [b.size for b in batches] == [130, 129, 128, 256]
+
     def test_construction_calls_nothing(self):
         def broken(t):
             raise RuntimeError("field called")
@@ -403,8 +436,8 @@ class TestScatteringMatrix:
 
         problem = ScatteringProblem(field=field, support_halfwidth=2.0, center=spec.center)
         result = scattering_matrix(problem)
-        ahead = fundamental_solution(field, 2.0, 3.0)
-        behind = fundamental_solution(field, -3.0, -2.0)
+        ahead = fundamental_solution(field, 2.0, 3.0, 4)
+        behind = fundamental_solution(field, -3.0, -2.0, 4)
         effect = max_abs(ahead @ result.sigma @ behind - result.sigma)
         assert 0.0 < effect <= result.residual <= 1e-8
 
@@ -437,7 +470,7 @@ class TestStructurePreservation:
         Phi = np.eye(4)
         t = -T
         while t < T - 1e-9:
-            Phi = fundamental_solution(field, t, t + 1.0) @ Phi
+            Phi = fundamental_solution(field, t, t + 1.0, 4) @ Phi
             t += 1.0
             assert max_abs(Phi.T @ J @ Phi - J) <= 1e-7
 

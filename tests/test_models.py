@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homscat import flow
+from homscat import flow, models
 from homscat.matkit import matrix_exponential, max_abs, standard_symplectic_form, symplectic_rotation
 from homscat.models import (
     HamiltonianSystem,
@@ -235,6 +235,19 @@ class TestModelSpec:
         kwargs[field] = value
         with pytest.raises(ValueError, match=f"{field} must be an integer, got {value!r}"):
             ModelSpec(**kwargs)
+
+    def test_l_is_at_most_what_the_integrator_holds(self):
+        # a solve stops at its second pass at the earliest, n = 32 steps and 65
+        # samples: 65 * 254^2 = 4193540 entries fit the cap of 2**22 = 4194304,
+        # and 65 * 256^2 = 4259840 do not
+        assert models._MAX_L == 127
+        assert flow._pass_steps(1.0, 254, 16) == 32
+        with pytest.raises(ArithmeticError, match="n = 32 steps of a 256 x 256 field"):
+            flow._pass_steps(1.0, 256, 16)
+        assert ModelSpec(l=127, n_hyp=1, omega=np.arange(1.0, 128.0)).C.shape == (254, 254)
+        # the omega of a spec beyond the bound is not read, and no C is built
+        with pytest.raises(ValueError, match=re.escape("l = 100000 is beyond 127, the most centre pairs the integrator can hold")):
+            ModelSpec(l=100000, n_hyp=1, omega=[1.0])
 
     def test_bump_order_is_an_unknown_field(self):
         # fields that are gone: the bump's sharpness changed no sigma, and the model
