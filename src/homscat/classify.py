@@ -11,6 +11,16 @@ R = diag(I, -I), the normal form of every reversor of the centre flow,
 reverses the dynamics, sigma R sigma = R, the Hessian vanishes on the two
 fixed Lagrangians of R sigma, and its signature is (r, r, 2l - 2r) with r
 the rank of the cross block X = -2 P-^T D P+ between them.
+
+For omega of one sign, two traces show that the Hessian H is never
+definite.  Let omega > 0 (else take -D and -H) and
+T = D^(1/2) sigma D^(-1/2).  det T = 1, so by AM-GM |T|_F^2 >= 2l, with
+equality only for orthogonal T, that is H = 0, and
+tr(D^-1 H) = |T|_F^2 - 2l: a nonzero H is not negative semidefinite.  For
+sigma^-1 = -J sigma^T J, whose Hessian is -sigma^-T H sigma^-1, the same
+gives -tr(sigma^-1 D^-1 sigma^-T H) = |D^(-1/2) sigma D^(1/2)|_F^2 - 2l > 0:
+nor is H positive semidefinite, and at l = 1 its signature is (1, 1).  The
+ensemble checks the claim by census for every omega.
 """
 
 from __future__ import annotations
@@ -41,6 +51,7 @@ from .matkit import (
 
 _SYMPLECTIC_PRECONDITION_TOL = 1e-7
 _ENSEMBLE_TOL = 1e-9
+_REVERSIBILITY_TOL = 1e-7
 _REALIZE_MAX_HALVINGS = 20
 _MAX_FACTORS = 5
 _MAX_NORM = 2.0
@@ -139,7 +150,7 @@ def _random_symplectics(block: CenterBlock, streams, k: int) -> np.ndarray:
     return sigmas
 
 
-def indefiniteness_ensemble(D_center, trials: int, seed: int, tol: float = _ENSEMBLE_TOL) -> EnsembleSummary:
+def indefiniteness_ensemble(D_center, trials: int, seed: int) -> EnsembleSummary:
     """Extreme Hessian eigenvalues over a seeded random symplectic ensemble.
 
     The generators of the factor counts, the raw generators and the norms
@@ -148,15 +159,14 @@ def indefiniteness_ensemble(D_center, trials: int, seed: int, tol: float = _ENSE
     order: the summary does not depend on the chunking, and a run's first k
     trials are a k-trial run.  Chunks of trials hold at most
     _MAX_CHUNK_ELEMENTS matrix entries of stacked factors.  An extreme
-    eigenvalue beyond tol, a finite positive number, counts its trial as
-    definite.  Both definite counts must come out zero: the reduced Hessian
-    is never definite.
+    eigenvalue beyond _ENSEMBLE_TOL counts its trial as definite.  Both
+    definite counts must come out zero: the reduced Hessian is never
+    definite.
     """
     block = CenterBlock.from_diagonal(D_center)
     trials = _integer(trials, "trials")
     if trials < 1:
         raise ValueError("need at least one trial")
-    tol = _positive_tol(tol, "ensemble tolerance")
     seed = _integer(seed, "seed")
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
@@ -171,14 +181,14 @@ def indefiniteness_ensemble(D_center, trials: int, seed: int, tol: float = _ENSE
         lo, hi = w[:, -1], w[:, 0]
         largest_min = max(largest_min, float(np.max(lo)))
         smallest_max = min(smallest_max, float(np.min(hi)))
-        definite_pos += int(np.count_nonzero(lo > tol))
-        definite_neg += int(np.count_nonzero(hi < -tol))
+        definite_pos += int(np.count_nonzero(lo > _ENSEMBLE_TOL))
+        definite_neg += int(np.count_nonzero(hi < -_ENSEMBLE_TOL))
     return EnsembleSummary(
         l=block.l,
         omega=block.omega,
         trials=trials,
         seed=seed,
-        tol=tol,
+        tol=_ENSEMBLE_TOL,
         definite_positive=definite_pos,
         definite_negative=definite_neg,
         largest_min_eigenvalue=largest_min,
@@ -295,12 +305,12 @@ class ReversibilityReport:
     passed: bool
 
 
-def reversible_signature(sigma, center: CenterBlock, tol: float) -> tuple[ReversibilityReport, SignatureReport | None]:
+def reversible_signature(sigma, center: CenterBlock) -> tuple[ReversibilityReport, SignatureReport | None]:
     """Residual of sigma R sigma = R for the centre reversal R = diag(I_l, -I_l),
     and in the reversible case the inertia of sigma^T D sigma - D, D = center.D.
 
-    A residual beyond the float range is inf.  A residual above tol fails the
-    check, and the signature is None.
+    A residual beyond the float range is inf.  A residual above
+    _REVERSIBILITY_TOL fails the check, and the signature is None.
 
     The reversal is the normal form R = diag(I, -I), and that loses nothing:
     a reversor of the centre flow commutes with D, so for distinct
@@ -322,12 +332,11 @@ def reversible_signature(sigma, center: CenterBlock, tol: float) -> tuple[Revers
     S = _square(sigma, "scattering matrix")
     if S.shape[0] != center.dim:
         raise ValueError(f"scattering matrix has dimension {S.shape[0]} but the centre block {center.dim}")
-    tol = _positive_tol(tol)
     R = center_reversal(center.l)
     with np.errstate(over="ignore", invalid="ignore"):
         residual = max_abs(S @ R @ S - R)
     residual = np.inf if np.isnan(residual) else residual  # inf - inf where the product overflowed
-    report = ReversibilityReport(residual=residual, tol=tol, passed=bool(residual <= tol))
+    report = ReversibilityReport(residual=residual, tol=_REVERSIBILITY_TOL, passed=bool(residual <= _REVERSIBILITY_TOL))
     if not report.passed:
         return report, None
     _require_symplectic(S, center.J)

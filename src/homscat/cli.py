@@ -12,8 +12,8 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import classify, flow, models
-from .majorize import _MAJORIZE_TOL, majorizes, mirsky_matrix
-from .matkit import CenterBlock, _float_array, _integer, _positive_tol, eigvalsh, inertia, max_abs
+from .majorize import majorizes, mirsky_matrix
+from .matkit import CenterBlock, _float_array, _integer, eigvalsh, inertia, max_abs
 
 _FAILURE_EXIT = 1
 _USAGE_EXIT = 2
@@ -130,12 +130,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     scatter = sub.add_parser("scatter", help="scattering matrix of a model spec", parents=[out])
     scatter.add_argument("--spec", required=True, help="path to a ModelSpec JSON document")
-    scatter.add_argument("--tol", type=_number, default=flow.DEFAULT_SIGMA_TOL)
 
     cls = sub.add_parser("classify", help="Hessian and signature of a scattering matrix", parents=[out])
     cls.add_argument("--sigma", required=True, help="path to a matrix JSON document")
     cls.add_argument("--omega", type=_number_list, required=True, help="comma-separated centre frequencies")
-    cls.add_argument("--tol", type=_number, default=None, help="zero-eigenvalue tolerance")
 
     realize = sub.add_parser("realize", help="realize the signature (m, 2l - m)", parents=[out])
     realize.add_argument("--l", type=_count, required=True)
@@ -148,11 +146,9 @@ def build_parser() -> argparse.ArgumentParser:
     indef.add_argument("--omega", type=_number_list, required=True)
     indef.add_argument("--trials", type=_count, required=True)
     indef.add_argument("--seed", type=_count, required=True)
-    indef.add_argument("--tol", type=_number, default=classify._ENSEMBLE_TOL)
 
     rev = sub.add_parser("reversible", help="reversibility check and (l, l) signature", parents=[out])
     rev.add_argument("--spec", required=True)
-    rev.add_argument("--tol", type=_number, default=1e-7)
 
     mir = sub.add_parser("mirsky", help="symmetric matrix with prescribed diagonal and spectrum", parents=[out])
     mir.add_argument("--diag", type=_number_list, required=True)
@@ -161,26 +157,24 @@ def build_parser() -> argparse.ArgumentParser:
     maj = sub.add_parser("majorize", help="majorization witness for two vectors", parents=[out])
     maj.add_argument("--a", type=_number_list, required=True)
     maj.add_argument("--b", type=_number_list, required=True)
-    maj.add_argument("--tol", type=_number, default=_MAJORIZE_TOL)
 
     demo = sub.add_parser("demo-integrable", help="eps = 0 model end to end; asserts sigma = I", parents=[out])
     demo.add_argument("--l", type=_count, required=True)
     demo.add_argument("--omega", type=_number_list, default=None, help="defaults to 1, 2, ..., l")
-    demo.add_argument("--tol", type=_number, default=1e-8)
 
     return parser
 
 
 def _cmd_scatter(args) -> tuple[dict, bool]:
     spec = models.ModelSpec.from_json_dict(_load_json(args.spec))
-    result = flow.scattering_matrix(models.scattering_problem(spec), tol=args.tol)
-    return {"command": "scatter", "spec": spec.to_json_dict(), "tol": args.tol, **vars(result)}, True
+    result = flow.scattering_matrix(models.scattering_problem(spec))
+    return {"command": "scatter", "spec": spec.to_json_dict(), "tol": flow.DEFAULT_SIGMA_TOL, **vars(result)}, True
 
 
 def _cmd_classify(args) -> tuple[dict, bool]:
     sigma = _mat_from_json(_load_json(args.sigma))
     H = classify.hessian_from_scattering(sigma, CenterBlock(args.omega).D)
-    report = inertia(H, args.tol)
+    report = inertia(H)
     return {
         "command": "classify",
         "omega": args.omega,
@@ -198,7 +192,7 @@ def _cmd_realize(args) -> tuple[dict, bool]:
 def _cmd_indefinite(args) -> tuple[dict, bool]:
     if len(args.omega) != args.l:
         raise ValueError(f"omega has {len(args.omega)} entries but --l is {_shown(str(args.l))}")
-    summary = classify.indefiniteness_ensemble(CenterBlock(args.omega).D, args.trials, args.seed, args.tol)
+    summary = classify.indefiniteness_ensemble(CenterBlock(args.omega).D, args.trials, args.seed)
     ok = summary.definite_positive == 0 and summary.definite_negative == 0
     return {"command": "indefinite", **vars(summary), "pass": ok}, ok
 
@@ -206,7 +200,7 @@ def _cmd_indefinite(args) -> tuple[dict, bool]:
 def _cmd_reversible(args) -> tuple[dict, bool]:
     spec = models.ModelSpec.from_json_dict(_load_json(args.spec))
     result = flow.scattering_matrix(models.scattering_problem(spec))
-    rev, report = classify.reversible_signature(result.sigma, spec.center, args.tol)
+    rev, report = classify.reversible_signature(result.sigma, spec.center)
     payload = {"command": "reversible", "spec": spec.to_json_dict(), "sigma": result.sigma, "reversibility": rev}
     if report is not None:
         payload.update(signature=report, degenerate=report.degenerate)
@@ -234,22 +228,21 @@ def _cmd_mirsky(args) -> tuple[dict, bool]:
 
 
 def _cmd_majorize(args) -> tuple[dict, bool]:
-    return {"command": "majorize", **vars(majorizes(args.a, args.b, args.tol))}, True
+    return {"command": "majorize", **vars(majorizes(args.a, args.b))}, True
 
 
 def _cmd_demo_integrable(args) -> tuple[dict, bool]:
     l = models._pair_count(args.l)  # before the default omega, whose length it is
     omega = [float(k) for k in range(1, l + 1)] if args.omega is None else args.omega
-    tol = _positive_tol(args.tol, "--tol")
     spec = models.ModelSpec(l=l, n_hyp=1, omega=omega, eps=0.0)
     result = flow.scattering_matrix(models.scattering_problem(spec))
     deviation = max_abs(result.sigma - np.eye(2 * spec.l))
-    ok = deviation <= tol
+    ok = deviation <= flow.DEFAULT_SIGMA_TOL
     payload = {
         "command": "demo-integrable",
         "l": spec.l,
         "omega": omega,
-        "tol": args.tol,
+        "tol": flow.DEFAULT_SIGMA_TOL,
         "max_deviation_from_identity": deviation,
         "pass": ok,
         **vars(result),

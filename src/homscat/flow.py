@@ -41,13 +41,13 @@ class ScatteringConvergenceError(ArithmeticError):
     """The field is nonzero beyond the declared support; `T_used` and
     `residual` are those of the unit slabs whose sampled norms showed it."""
 
-    def __init__(self, support_halfwidth: float, excess, residual: float, tol: float):
+    def __init__(self, support_halfwidth: float, excess, residual: float):
         T = self.T_used = support_halfwidth + 1.0
         self.residual = residual
         super().__init__(
             f"the field is nonzero beyond the declared support halfwidth {support_halfwidth:g}: its sampled "
             f"norm reaches {excess[0]:.3e} behind and {excess[1]:.3e} ahead on the unit slabs out to |t| = {T:g}, "
-            f"which may move the scattering matrix by {residual:.3e} > {tol:.3e}"
+            f"which may move the scattering matrix by {residual:.3e} > {DEFAULT_SIGMA_TOL:.3e}"
         )
 
 
@@ -95,11 +95,14 @@ def _pass_steps(span: float, d: int, n: int | None = None) -> int:
     """The step count of the pass after one of n steps, or of the first when n is None, within the cap."""
     with np.errstate(over="ignore"):  # 2.0 ** 1024 is inf, and Python floats overflow without a warning
         steps = float(2.0 ** np.ceil(np.log2(max(_MIN_STEPS, 8.0 * span)))) if n is None else 2 * n
-    if (2 * steps + 1) * d * d <= _MAX_FIELD_ELEMENTS:
+    # every solve compares the first pass with its double, so both must fit; the first beyond the cap is named
+    last = 2 * steps if n is None and (2 * steps + 1) * d * d <= _MAX_FIELD_ELEMENTS else steps
+    if (2 * last + 1) * d * d <= _MAX_FIELD_ELEMENTS:
         return int(steps)
+    compared = "" if last == steps else f" and is compared with n = {last:.17g}"
     raise ArithmeticError(
-        f"a span of {span:g} starts at n = {steps:.17g} RK4 steps, whose (2n + 1) d^2 = "
-        f"{(2 * steps + 1) * d * d:.17g} entries of the {d} x {d} field are beyond the cap of {_MAX_FIELD_ELEMENTS}"
+        f"a span of {span:g} starts at n = {steps:.17g} RK4 steps{compared}, whose (2n + 1) d^2 = "
+        f"{(2 * last + 1) * d * d:.17g} entries of the {d} x {d} field are beyond the cap of {_MAX_FIELD_ELEMENTS}"
         if n is None
         else f"step refinement exhausted without meeting the tolerance: n = {steps} steps of a "
         f"{d} x {d} field would exceed {_MAX_FIELD_ELEMENTS} field samples"
@@ -117,8 +120,8 @@ def fundamental_solution(fld: Callable, t0: float, t1: float, d: int) -> np.ndar
     DEFAULT_INTEGRATOR_TOL * max(1, t1 - t0) in max-abs norm and returns the
     finer; t1 == t0 gives the identity.  The cap of 2**22 field entries,
     (2n + 1) d^2 for n steps, is checked before each sampling, the first
-    included, so no field call precedes it: a span whose starting step count
-    exceeds it raises ArithmeticError, and so do a refinement that reaches it
+    pass together with its double, so no field call precedes it: a span
+    beyond it raises ArithmeticError, and so do a refinement that reaches it
     and a product that overflows.
     """
     d = _integer(d, "d")
@@ -186,20 +189,19 @@ class ScatteringResult:
     symplectic_defect: float
 
 
-def scattering_matrix(problem: ScatteringProblem, tol: float = DEFAULT_SIGMA_TOL) -> ScatteringResult:
+def scattering_matrix(problem: ScatteringProblem) -> ScatteringResult:
     """Psi(-T) Phi(T, -T) Psi(-T), solved in the co-rotating frame.
 
     With T_s = support_halfwidth, the co-rotating propagator W(T_s, -T_s)
     is the scattering matrix.  With e- and e+ the largest Frobenius norms of
     the field sampled at spacing 1/64 on [-T_s - 1, -T_s] and [T_s, T_s + 1],
     the residual |sigma|_F expm1(e- + e+) bounds how far those slabs could
-    move sigma (Gronwall); T_used = T_s + 1.  A residual above tol means the
-    field is nonzero beyond the declared support and raises
-    ScatteringConvergenceError.  A support too long for the integrator's cap
-    raises ArithmeticError before any field call, and a field of the wrong
-    shape ValueError before any integration.
+    move sigma (Gronwall); T_used = T_s + 1.  A residual above
+    DEFAULT_SIGMA_TOL means the field is nonzero beyond the declared support
+    and raises ScatteringConvergenceError.  A support too long for the
+    integrator's cap raises ArithmeticError before any field call, and a
+    field of the wrong shape ValueError before any integration.
     """
-    tol = _positive_tol(tol, "scattering tolerance")
     T_s = _positive_tol(problem.support_halfwidth, "support_halfwidth")
     d = problem.center.dim
     _pass_steps(T_s + T_s, d)  # the span T_s - (-T_s) of the solve below
@@ -209,8 +211,8 @@ def scattering_matrix(problem: ScatteringProblem, tol: float = DEFAULT_SIGMA_TOL
     with np.errstate(over="ignore"):
         excess = np.linalg.norm(slabs, axis=(1, 2)).reshape(2, 65).max(axis=1)
         residual = float(np.linalg.norm(sigma) * np.expm1(excess.sum()))
-    if residual > tol:
-        raise ScatteringConvergenceError(T_s, excess, residual, tol)
+    if residual > DEFAULT_SIGMA_TOL:
+        raise ScatteringConvergenceError(T_s, excess, residual)
     J = problem.center.J
     return ScatteringResult(
         sigma=sigma,

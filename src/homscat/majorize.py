@@ -27,7 +27,6 @@ from .matkit import (
     CenterBlock,
     _float_array,
     _integer,
-    _positive_tol,
     _require_symmetric,
     max_abs,
 )
@@ -62,15 +61,14 @@ class MajorizationWitness:
         return int(self.a_sorted.size)
 
 
-def majorizes(a, b, tol: float = _MAJORIZE_TOL) -> MajorizationWitness:
-    """Decide a <| b: sorted partial sums of a never exceed those of b, totals equal."""
+def majorizes(a, b) -> MajorizationWitness:
+    """Decide a <| b: sorted partial sums of a never exceed those of b, totals equal, within _MAJORIZE_TOL."""
     av = np.atleast_1d(_float_array(a, "majorization vector a"))
     bv = np.atleast_1d(_float_array(b, "majorization vector b"))
     if av.ndim != 1 or bv.ndim != 1 or av.size == 0:
         raise ValueError("majorization needs two nonempty vectors")
     if av.size != bv.size:
         raise ValueError(f"length mismatch: {av.size} vs {bv.size}")
-    tol = _positive_tol(tol)
     a_sorted = np.sort(av)[::-1]
     b_sorted = np.sort(bv)[::-1]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -87,14 +85,14 @@ def majorizes(a, b, tol: float = _MAJORIZE_TOL) -> MajorizationWitness:
                 raise ValueError(f"majorization {what} beyond the float range")
     gaps = diffs[:-1]
     total = float(diffs[-1])
-    holds = bool(np.all(gaps >= -tol)) and abs(total) <= tol
+    holds = bool(np.all(gaps >= -_MAJORIZE_TOL)) and abs(total) <= _MAJORIZE_TOL
     return MajorizationWitness(
         a_sorted=a_sorted,
         b_sorted=b_sorted,
         partial_sum_gaps=gaps,
         total_gap=total,
         holds=holds,
-        tol=tol,
+        tol=_MAJORIZE_TOL,
     )
 
 
@@ -138,7 +136,7 @@ def mirsky_matrix(diag_entries, eigenvalues) -> np.ndarray:
     """
     d = np.atleast_1d(_float_array(diag_entries, "Mirsky diagonal"))
     lam = np.atleast_1d(_float_array(eigenvalues, "Mirsky spectrum"))
-    witness = majorizes(d, lam, _MAJORIZE_TOL)
+    witness = majorizes(d, lam)
     if not witness.holds:
         k = witness.first_failure()
         raise MajorizationError(

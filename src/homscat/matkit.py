@@ -198,7 +198,7 @@ def eigvalsh(S) -> np.ndarray:
 
 
 def classification_tol(S) -> float:
-    """Scale-relative default tolerance separating zero from nonzero eigenvalues."""
+    """Scale-relative tolerance separating zero from nonzero eigenvalues."""
     return _CLASSIFICATION_FLOOR * max(1.0, max_abs(S))
 
 
@@ -230,15 +230,15 @@ class SignatureReport:
         return self.n_pos + self.n_neg + self.n_zero
 
 
-def inertia(S, tol: float | None = None) -> SignatureReport:
-    """Count eigenvalues of a symmetric matrix above tol, below -tol, and between.
+def inertia(S) -> SignatureReport:
+    """Count eigenvalues of a symmetric matrix above tol, below -tol, and between,
+    with tol the classification_tol of the symmetrized matrix.
 
     S is checked and symmetrized once; its eigenvalues come from the LAPACK
-    driver behind eigvalsh, with no second symmetry check.  The default tol
-    is classification_tol of the symmetrized matrix, which needs no parse.
+    driver behind eigvalsh, with no second symmetry check.
     """
     A = _require_symmetric(S, "inertia input")
-    tol = classification_tol(A) if tol is None else _positive_tol(tol, "inertia tolerance")
+    tol = classification_tol(A)
     w = np.linalg.eigvalsh(A)[::-1]
     n_pos = int(np.count_nonzero(w > tol))
     n_neg = int(np.count_nonzero(w < -tol))

@@ -94,9 +94,9 @@ def eigvalsh(S):
     return np.linalg.eigvalsh(_require_symmetric(S, "eigendecomposition input", stack=True))[..., ::-1]
 
 
-def inertia(S, tol=None):
+def inertia(S):
     A = _require_symmetric(S, "inertia input")
-    tol = _positive_tol(classification_tol(A) if tol is None else tol, "inertia tolerance")
+    tol = _positive_tol(classification_tol(A), "inertia tolerance")
     w = eigvalsh(A)
     n_pos = int(np.sum(w > tol))
     n_neg = int(np.sum(w < -tol))

@@ -139,9 +139,7 @@ def test_criterion_04_never_definite():
     total_definite = 0
     extremes = []
     for l in (1, 2, 3):
-        summary = indefiniteness_ensemble(
-            CenterBlock(OMEGAS[l]).D, trials=1000, seed=400 + l, tol=1e-9
-        )
+        summary = indefiniteness_ensemble(CenterBlock(OMEGAS[l]).D, trials=1000, seed=400 + l)
         total_definite += summary.definite_positive + summary.definite_negative
         extremes.append(summary.largest_min_eigenvalue)
     elapsed = time.perf_counter() - start
@@ -162,7 +160,7 @@ def test_criterion_05_majorization_totality():
         g = np.concatenate([np.ones(l), -np.ones(l)])
         for m in range(1, 2 * l):
             cases += 1
-            if not majorizes(g, indefinite_spectrum(l, m), tol=1e-10).holds:
+            if not majorizes(g, indefinite_spectrum(l, m)).holds:
                 bad.append((l, m))
     elapsed = time.perf_counter() - start
     ok = not bad and cases == 100 and elapsed < 1.0
@@ -254,7 +252,7 @@ def test_criterion_09_reversible_case():
             assert draw < 100, "too many degenerate draws"
             B = random_reversible_form(l, rng)
             sigma = matrix_exponential(-1e-2 * J @ B)
-            rev, rep = reversible_signature(sigma, block, 1e-7)
+            rev, rep = reversible_signature(sigma, block)
             worst_rev = max(worst_rev, rev.residual)
             assert rev.passed
             if rep.degenerate:

@@ -1,4 +1,3 @@
-import inspect
 import json
 import os
 import resource
@@ -12,11 +11,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import homscat
-from homscat.classify import RealizationError, indefiniteness_ensemble
+from homscat import flow
+from homscat.classify import RealizationError
 from homscat.cli import build_parser, main
-from homscat.flow import ScatteringConvergenceError, scattering_matrix
-from homscat.majorize import majorizes
-from homscat.matkit import CenterBlock, inertia, matrix_exponential, max_abs, standard_symplectic_form
+from homscat.flow import ScatteringConvergenceError
+from homscat.matkit import CenterBlock, matrix_exponential, max_abs, standard_symplectic_form
 from homscat.models import ModelSpec
 
 
@@ -231,11 +230,21 @@ class TestDemoIntegrable:
         code, err = run_limited(["demo-integrable", "--l", l, "--out", os.devnull])
         assert code == 2 and json.loads(err)["kind"] == "input" and "is beyond 127" in err
 
-    def test_nan_tolerance_is_an_input_error(self, capsys):
-        # it used to exit 1, a failed identity check, although sigma = I
-        code, payload, err = run(capsys, ["demo-integrable", "--l", "1", "--tol", "nan"])
-        assert code == 2 and payload is None
-        assert json.loads(err)["kind"] == "input"
+    def test_l_whose_second_pass_is_beyond_the_cap_makes_no_field_call(self, capsys, monkeypatch):
+        # at l = 90 a span of 8 starts at n = 64 steps, whose 129 samples of the 180 x 180
+        # field fit the cap, but the 257 of the n = 128 pass it is compared with do not; it
+        # used to sample and multiply that first pass, then blame the tolerance
+        def no_field_call(fld, ts, d):
+            raise AssertionError(f"the field was sampled at {ts.size} times")
+
+        monkeypatch.setattr(flow, "_field_values", no_field_call)
+        code, payload, err = run(capsys, ["demo-integrable", "--l", "90"])
+        message = json.loads(err)
+        assert code == 3 and payload is None and message["kind"] == "numerical"
+        assert message["error"] == (
+            "a span of 8 starts at n = 64 RK4 steps and is compared with n = 128, whose (2n + 1) d^2 = "
+            "8326800 entries of the 180 x 180 field are beyond the cap of 4194304"
+        )
 
 
 class TestMajorizeCommand:
@@ -424,17 +433,6 @@ class TestIndefiniteCommand:
         message = json.loads(err)
         assert message["kind"] == "input" and "seed" in message["error"]
 
-    @pytest.mark.parametrize("tol", ["nan", "-5"])
-    def test_bad_tolerance_is_an_input_error(self, capsys, tol):
-        # NaN used to pass without checking anything, -5 to fail every trial with exit 1
-        code, payload, err = run(
-            capsys, ["indefinite", "--l", "1", "--omega", "1", "--trials", "3", "--seed", "3", f"--tol={tol}"]
-        )
-        assert code == 2 and payload is None
-        message = json.loads(err)
-        assert message["kind"] == "input" and "finite positive" in message["error"]
-
-
     def test_hessian_beyond_the_float_range_is_a_numerical_failure(self, capsys):
         # it warned twice in the Hessian matmul and then blamed
         # "eigendecomposition input contains non-finite entries" as an input error
@@ -473,12 +471,6 @@ class TestScatterCommand:
         doc = write_doc(tmp_path, {"l": l, "n_hyp": 1, "omega": list(range(1, l + 1)), "eps": 0.0})
         code, err = run_limited(["scatter", "--spec", doc, "--out", os.devnull])
         assert code == 2 and json.loads(err)["kind"] == "input" and "l = 100000 is beyond 127" in err
-
-    def test_nan_tolerance_is_an_input_error(self, capsys, tmp_path):
-        spec = ModelSpec(l=1, n_hyp=1, omega=[1.0], eps=0.0, T_support=2.0)
-        code, payload, err = run(capsys, ["scatter", "--spec", write_spec(tmp_path, spec), "--tol", "nan"])
-        assert code == 2 and payload is None
-        assert json.loads(err)["kind"] == "input"
 
     def test_infinite_support_names_the_field(self, capsys, tmp_path):
         # it used to fail with "integration endpoints must be finite"
@@ -838,18 +830,13 @@ class TestCliPlumbing:
         assert code == 0
         assert (len(built), len(parsed)) == BLOCKS[command]
 
-    @pytest.mark.parametrize(
-        "argv, function",
-        [
-            (["scatter", "--spec", "spec.json"], scattering_matrix),
-            (["classify", "--sigma", "sigma.json", "--omega", "1"], inertia),
-            (["indefinite", "--l", "1", "--omega", "1", "--trials", "1", "--seed", "0"], indefiniteness_ensemble),
-            (["majorize", "--a", "1", "--b", "1"], majorizes),
-        ],
-        ids=["scatter", "classify", "indefinite", "majorize"],
-    )
-    def test_tolerance_defaults_are_the_library_defaults(self, argv, function):
-        assert build_parser().parse_args(argv).tol == inspect.signature(function).parameters["tol"].default
+    @pytest.mark.parametrize("command", sorted(REPORTS))
+    def test_no_subcommand_takes_a_tolerance(self, capsys, tmp_path, command):
+        # each check applies one constant, which its report states; six subcommands had a --tol
+        subcommands = build_parser()._subparsers._group_actions[0].choices
+        assert "--tol" not in subcommands[command].format_help()
+        code, payload, err = run(capsys, REPORTS[command][0](tmp_path) + ["--tol", "1e-8"])
+        assert input_error(code, payload, err, "unrecognized arguments: --tol 1e-8")
 
     def test_numerical_failures_are_arithmetic_errors(self):
         # main maps ValueError to exit 2 and ArithmeticError to exit 3 by base class alone
@@ -865,16 +852,14 @@ class TestCliPlumbing:
 # subcommand -> its numeric and list flags; the ones missing from the REPORTS
 # argv are added with the value that APPENDED gives
 NUMERIC_FLAGS = {
-    "scatter": ["--tol"],
-    "classify": ["--omega", "--tol"],
+    "classify": ["--omega"],
     "realize": ["--l", "--m", "--omega", "--eps"],
-    "indefinite": ["--l", "--omega", "--trials", "--seed", "--tol"],
-    "reversible": ["--tol"],
+    "indefinite": ["--l", "--omega", "--trials", "--seed"],
     "mirsky": ["--diag", "--eigs"],
-    "majorize": ["--a", "--b", "--tol"],
-    "demo-integrable": ["--l", "--omega", "--tol"],
+    "majorize": ["--a", "--b"],
+    "demo-integrable": ["--l", "--omega"],
 }
-APPENDED = {"--tol": "1e-7", "--omega": "1"}
+APPENDED = {"--omega": "1"}
 
 
 class TestNumberReader:
@@ -938,8 +923,8 @@ class TestNumberReader:
         [
             (["majorize", "--a=-1,2", "--b", "1, 2"], {"a": [-1.0, 2.0], "b": [1.0, 2.0]}),
             (["majorize", "--a=-0.0,+.5,1.,1E-3", "--b", "1"], {"a": [-0.0, 0.5, 1.0, 0.001]}),
-            (["reversible", "--spec", "spec.json", "--tol=nan"], {"tol": float("nan")}),
-            (["reversible", "--spec", "spec.json", "--tol", " -Infinity "], {"tol": float("-inf")}),
+            (["realize", "--l", "1", "--m", "1", "--omega", "1", "--eps=nan"], {"eps": float("nan")}),
+            (["realize", "--l", "1", "--m", "1", "--omega", "1", "--eps", " -Infinity "], {"eps": float("-inf")}),
             (["realize", "--l", "+5", "--m", "-1", "--omega", "1", "--eps", "1e308"], {"l": 5, "m": -1, "eps": 1e308}),
             # leading zeros count towards int's digit limit, but not towards the value
             (["indefinite", "--l", "0" * 5000 + "2", "--omega", "1,2", "--trials", "-" + "0" * 5000, "--seed", "7"],

@@ -41,9 +41,7 @@ PARAMETER_ARRAYS = {
     "mirsky_matrix-diagonal": (lambda x: mirsky_matrix(x, [1.0, -1.0]), [0.0, 0.0], "Mirsky diagonal"),
     "mirsky_matrix-spectrum": (lambda x: mirsky_matrix([0.0, 0.0], x), [1.0, -1.0], "Mirsky spectrum"),
     "symplectic_rotation": (symplectic_rotation, [0.1, 0.2], "theta"),
-    "reversible_signature": (
-        lambda x: reversible_signature(x, CenterBlock([1.0]), 1e-7), I2, "scattering matrix"
-    ),
+    "reversible_signature": (lambda x: reversible_signature(x, CenterBlock([1.0])), I2, "scattering matrix"),
     "hessian_bracket": (lambda x: hessian_bracket(BLOCK, x), ZERO4, "bracket argument"),
 }
 
