@@ -12,10 +12,11 @@ from hypothesis import strategies as st
 
 import homscat
 from homscat import flow
-from homscat.classify import RealizationError
+from homscat.classify import RealizationError, indefiniteness_ensemble
 from homscat.cli import build_parser, main
 from homscat.flow import ScatteringConvergenceError
-from homscat.matkit import CenterBlock, matrix_exponential, max_abs, standard_symplectic_form
+from homscat.majorize import majorizes
+from homscat.matkit import CenterBlock, inertia, matrix_exponential, max_abs, standard_symplectic_form
 from homscat.models import ModelSpec
 
 
@@ -230,6 +231,12 @@ class TestDemoIntegrable:
         code, err = run_limited(["demo-integrable", "--l", l, "--out", os.devnull])
         assert code == 2 and json.loads(err)["kind"] == "input" and "is beyond 127" in err
 
+    def test_nan_tolerance_is_an_input_error(self, capsys):
+        # --tol nan used to exit 1, a failed identity check, although sigma = I;
+        # the bound is DEFAULT_SIGMA_TOL and no flag sets it
+        code, payload, err = run(capsys, ["demo-integrable", "--l", "1", "--tol", "nan"])
+        assert input_error(code, payload, err, "unrecognized arguments: --tol nan")
+
     def test_l_whose_second_pass_is_beyond_the_cap_makes_no_field_call(self, capsys, monkeypatch):
         # at l = 90 a span of 8 starts at n = 64 steps, whose 129 samples of the 180 x 180
         # field fit the cap, but the 257 of the n = 128 pass it is compared with do not; it
@@ -433,6 +440,15 @@ class TestIndefiniteCommand:
         message = json.loads(err)
         assert message["kind"] == "input" and "seed" in message["error"]
 
+    @pytest.mark.parametrize("tol", ["nan", "-5"])
+    def test_bad_tolerance_is_an_input_error(self, capsys, tol):
+        # NaN used to pass without checking anything, -5 to fail every trial with
+        # exit 1; the ensemble applies _ENSEMBLE_TOL and no flag sets it
+        code, payload, err = run(
+            capsys, ["indefinite", "--l", "1", "--omega", "1", "--trials", "3", "--seed", "3", f"--tol={tol}"]
+        )
+        assert input_error(code, payload, err, f"unrecognized arguments: --tol={tol}")
+
     def test_hessian_beyond_the_float_range_is_a_numerical_failure(self, capsys):
         # it warned twice in the Hessian matmul and then blamed
         # "eigendecomposition input contains non-finite entries" as an input error
@@ -471,6 +487,11 @@ class TestScatterCommand:
         doc = write_doc(tmp_path, {"l": l, "n_hyp": 1, "omega": list(range(1, l + 1)), "eps": 0.0})
         code, err = run_limited(["scatter", "--spec", doc, "--out", os.devnull])
         assert code == 2 and json.loads(err)["kind"] == "input" and "l = 100000 is beyond 127" in err
+
+    def test_nan_tolerance_is_an_input_error(self, capsys, tmp_path):
+        spec = ModelSpec(l=1, n_hyp=1, omega=[1.0], eps=0.0, T_support=2.0)
+        code, payload, err = run(capsys, ["scatter", "--spec", write_spec(tmp_path, spec), "--tol", "nan"])
+        assert input_error(code, payload, err, "unrecognized arguments: --tol nan")
 
     def test_infinite_support_names_the_field(self, capsys, tmp_path):
         # it used to fail with "integration endpoints must be finite"
@@ -837,6 +858,21 @@ class TestCliPlumbing:
         assert "--tol" not in subcommands[command].format_help()
         code, payload, err = run(capsys, REPORTS[command][0](tmp_path) + ["--tol", "1e-8"])
         assert input_error(code, payload, err, "unrecognized arguments: --tol 1e-8")
+
+    @pytest.mark.parametrize("command", ["scatter", "classify", "indefinite", "majorize"])
+    def test_tolerance_defaults_are_the_library_defaults(self, capsys, tmp_path, command):
+        # each report states the tolerance that the library call applied to the same input
+        code, payload, _ = run(capsys, REPORTS[command][0](tmp_path))
+        assert code == 0
+        if command == "scatter":
+            assert payload["tol"] == flow.DEFAULT_SIGMA_TOL
+        elif command == "classify":
+            H = np.array(payload["hessian"]["data"]).reshape(2, 2)
+            assert payload["signature"]["tol"] == inertia(H).tol
+        elif command == "indefinite":
+            assert payload["tol"] == indefiniteness_ensemble(CenterBlock([1.0]).D, trials=5, seed=3).tol
+        else:
+            assert payload["tol"] == majorizes([1.0, -1.0], [2.0, -2.0]).tol
 
     def test_numerical_failures_are_arithmetic_errors(self):
         # main maps ValueError to exit 2 and ArithmeticError to exit 3 by base class alone
