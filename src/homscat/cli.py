@@ -201,7 +201,7 @@ def _cmd_reversible(args) -> tuple[dict, bool]:
     spec = models.ModelSpec.from_json_dict(_load_json(args.spec))
     result = flow.scattering_matrix(models.scattering_problem(spec))
     rev, report = classify.reversible_signature(result.sigma, spec.center)
-    payload = {"command": "reversible", "spec": spec.to_json_dict(), "sigma": result.sigma, "reversibility": rev}
+    payload = {"command": "reversible", "spec": spec.to_json_dict(), **vars(result), "reversibility": rev}
     if report is not None:
         payload.update(signature=report, degenerate=report.degenerate)
     return {**payload, "pass": rev.passed}, rev.passed
@@ -232,7 +232,8 @@ def _cmd_majorize(args) -> tuple[dict, bool]:
 
 
 def _cmd_demo_integrable(args) -> tuple[dict, bool]:
-    l = models._pair_count(args.l)  # before the default omega, whose length it is
+    l = models._pair_count(args.l)
+    models._require_fit(l, models.ModelSpec.T_support)  # before the default omega, whose length is l
     omega = [float(k) for k in range(1, l + 1)] if args.omega is None else args.omega
     spec = models.ModelSpec(l=l, n_hyp=1, omega=omega, eps=0.0)
     result = flow.scattering_matrix(models.scattering_problem(spec))

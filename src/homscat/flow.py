@@ -34,7 +34,6 @@ DEFAULT_INTEGRATOR_TOL = 1e-10
 # bound on the (2n + 1) d^2 field entries of one RK4 pass, which holds a few
 # arrays of that size: 32 MiB each at the bound; a first pass has at least 16 steps
 _MAX_FIELD_ELEMENTS = 2 ** 22
-_MIN_STEPS = 16
 
 
 class ScatteringConvergenceError(ArithmeticError):
@@ -58,16 +57,15 @@ def _field_values(fld: Callable, ts: np.ndarray, d: int) -> np.ndarray:
     return values
 
 
-def _rk4_product(A: np.ndarray, h: float) -> np.ndarray:
+def _rk4_product(A1: np.ndarray, Am: np.ndarray, A4: np.ndarray, h: float) -> np.ndarray:
     # classic RK4 on the matrix equation, written as one update matrix per step
-    # so the per-step factors can be built and multiplied in batch; A holds the
-    # field at the 2n + 1 step ends and midpoints, n a power of two.  The
-    # stages are built in place, in the evaluation order of
+    # so the per-step factors can be built and multiplied in batch; A1, Am and
+    # A4 hold the field at the starts, midpoints and ends of the n steps, n a
+    # power of two.  The stages are built in place, in the evaluation order of
     #   U = I + (h/6) (K1 + 2 K2 + 2 K3 + K4),  K2 = Am + (h/2) Am K1, ...
     # so U is bit for bit that expression's value; written with temporaries, as
     # tests/rk4_oracle.py has it, the scatter benchmark ran about 14% slower
     # (672-697 against 795-803 ops/s, p90 2.1 against 1.7 ms, 2-CPU Xeon).
-    A1, Am, A4 = A[0:-1:2], A[1::2], A[2::2]
     K2 = Am @ A1
     K2 *= 0.5 * h
     K2 += Am
@@ -84,7 +82,7 @@ def _rk4_product(A: np.ndarray, h: float) -> np.ndarray:
     U += K3
     U += K4
     U *= h / 6.0
-    U += np.eye(A.shape[1])
+    U += np.eye(A1.shape[1])
     P = U
     while P.shape[0] > 1:
         P = P[1::2] @ P[0::2]
@@ -94,15 +92,17 @@ def _rk4_product(A: np.ndarray, h: float) -> np.ndarray:
 def _pass_steps(span: float, d: int, n: int | None = None) -> int:
     """The step count of the pass after one of n steps, or of the first when n is None, within the cap."""
     with np.errstate(over="ignore"):  # 2.0 ** 1024 is inf, and Python floats overflow without a warning
-        steps = float(2.0 ** np.ceil(np.log2(max(_MIN_STEPS, 8.0 * span)))) if n is None else 2 * n
+        steps = float(2.0 ** np.ceil(np.log2(max(16.0, 8.0 * span)))) if n is None else 2 * n
+    side = float(np.fmin(_as_float(d), np.inf))  # fmin skips the NaN of an integer d beyond the float range
     # every solve compares the first pass with its double, so both must fit; the first beyond the cap is named
-    last = 2 * steps if n is None and (2 * steps + 1) * d * d <= _MAX_FIELD_ELEMENTS else steps
-    if (2 * last + 1) * d * d <= _MAX_FIELD_ELEMENTS:
+    last = 2 * steps if n is None and (2 * steps + 1) * side * side <= _MAX_FIELD_ELEMENTS else steps
+    entries = (2 * last + 1) * side * side
+    if entries <= _MAX_FIELD_ELEMENTS:
         return int(steps)
     compared = "" if last == steps else f" and is compared with n = {last:.17g}"
     raise ArithmeticError(
         f"a span of {span:g} starts at n = {steps:.17g} RK4 steps{compared}, whose (2n + 1) d^2 = "
-        f"{(2 * last + 1) * d * d:.17g} entries of the {d} x {d} field are beyond the cap of {_MAX_FIELD_ELEMENTS}"
+        f"{entries:.17g} entries of the {side:.17g} x {side:.17g} field are beyond the cap of {_MAX_FIELD_ELEMENTS}"
         if n is None
         else f"step refinement exhausted without meeting the tolerance: n = {steps} steps of a "
         f"{d} x {d} field would exceed {_MAX_FIELD_ELEMENTS} field samples"
@@ -136,24 +136,26 @@ def fundamental_solution(fld: Callable, t0: float, t1: float, d: int) -> np.ndar
         return np.eye(d)
     span = t1 - t0
     budget = DEFAULT_INTEGRATOR_TOL * max(1.0, span)
-    A = previous = n = None
+    n = _pass_steps(span, d)
+    A = _field_values(fld, t0 + span * np.arange(2 * n + 1) / (2 * n), d)
+    A1, Am, A4 = A[0:-1:2], A[1::2], A[2::2]
+    previous = None
     while True:
-        n = _pass_steps(span, d, n)
-        ts = t0 + span * np.arange(2 * n + 1) / (2 * n)
-        if A is None:
-            A = _field_values(fld, ts, d)
-        else:
-            # the previous nodes are the even nodes of this grid, bit for bit
-            finer = np.empty((2 * n + 1, d, d))
-            finer[0::2], finer[1::2] = A, _field_values(fld, ts[1::2], d)
-            A = finer
         with np.errstate(over="ignore", invalid="ignore"):
-            current = _rk4_product(A, span / n)
+            current = _rk4_product(A1, Am, A4, span / n)
         if not np.isfinite(current).all():
             raise ArithmeticError(f"RK4 product overflowed with n = {n} steps over [{t0:g}, {t1:g}]")
         if previous is not None and max_abs(current - previous) <= budget:
             return current
         previous = current
+        n = _pass_steps(span, d, n)
+        if len(A) < n + 1:  # from the second doubling on, the last pass's grid interleaves A and Am
+            grid = np.empty((n + 1, d, d))
+            grid[0::2], grid[1::2] = A, Am
+            A = grid
+        # A, the step starts and ends, holds the even nodes of this pass's grid bit for bit
+        Am = _field_values(fld, t0 + span * np.arange(1, 2 * n, 2) / (2 * n), d)
+        A1, A4 = A[:-1], A[1:]
 
 
 @dataclass(eq=False)

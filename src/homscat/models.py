@@ -26,7 +26,6 @@ problem carries that same block.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, fields
 from functools import cache
 
@@ -47,9 +46,6 @@ from .matkit import (
 
 # exp(-x) is 0.0 in double precision for x >= 746
 _PROFILE_FLOOR = 1.0 / 746.0
-# the most centre pairs a solve can hold: it stops at its second pass at the
-# earliest, whose 2 * 32 + 1 samples of the 2l x 2l field must fit the cap
-_MAX_L = math.isqrt(flow._MAX_FIELD_ELEMENTS // (4 * flow._MIN_STEPS + 1)) // 2
 
 
 def _sech(u):
@@ -60,12 +56,9 @@ def _sech(u):
 
 def _raw_profile(s):
     """exp(-1/(1 - s^2)) inside |s| < 1, zero outside."""
-    s = np.asarray(s, dtype=float)
-    out = np.zeros_like(s)
-    p = 1.0 - np.minimum(np.abs(s), 1.0) ** 2  # s**2 may overflow beyond |s| = 1
-    live = p > _PROFILE_FLOOR
-    out[live] = np.exp(-1.0 / p[live])
-    return out
+    p = 1.0 - np.minimum(np.abs(np.asarray(s, dtype=float)), 1.0) ** 2  # s**2 may overflow beyond |s| = 1
+    # where p <= _PROFILE_FLOOR, |s| >= 1 included, the exponent is at most -746 and exp gives 0.0
+    return np.exp(-1.0 / np.maximum(p, 0.5 * _PROFILE_FLOOR))
 
 
 @cache
@@ -77,24 +70,26 @@ def _profile_mass() -> float:
 
 
 def _pair_count(l) -> int:
-    """l as an int, if it is at least 1 and at most _MAX_L."""
+    """l as an int, if it is at least 1."""
     l = _integer(l, "l")
     if l < 1:
         raise ValueError("need at least one centre pair")
-    if l > _MAX_L:
-        raise ValueError(
-            f"l = {l} is beyond {_MAX_L}, the most centre pairs the integrator can hold: a solve stops at "
-            f"its second pass at the earliest, which samples the 2l x 2l field at {4 * flow._MIN_STEPS + 1} "
-            f"times, and the cap is {flow._MAX_FIELD_ELEMENTS} field entries"
-        )
     return l
+
+
+def _require_fit(l: int, T_support: float) -> None:
+    """ValueError naming l and T_support if the integrator's cap refuses the solve over [-T_support, T_support]."""
+    try:
+        flow._pass_steps(2 * T_support, 2 * l)
+    except ArithmeticError as exc:
+        raise ValueError(f"l = {l} and T_support = {T_support:g} do not fit the integrator: {exc}") from None
 
 
 @dataclass(frozen=True, eq=False)
 class ModelSpec:
     """Parameters of the model family and its centre-block perturbation.
 
-    l: the number of centre pairs, from 1 to _MAX_L, the most the integrator can hold.
+    l: the number of centre pairs, at least 1; with T_support, it must fit the integrator's cap.
     n_hyp: the number of hyperbolic pairs, which must be 1: the one saddle (x, y).
     omega: l distinct nonzero centre frequencies with distinct squares.
     eps, C: strength and symmetric form (2l x 2l, or its row-major entries) of the perturbation.
@@ -115,6 +110,8 @@ class ModelSpec:
 
     def __post_init__(self):
         l = _pair_count(self.l)
+        T_support = _positive_tol(self.T_support, "T_support")
+        _require_fit(l, T_support)  # before omega is read or the default C built
         n_hyp = _integer(self.n_hyp, "n_hyp")
         if n_hyp != 1:
             raise ValueError(f"n_hyp must be 1, got {n_hyp}")
@@ -130,7 +127,6 @@ class ModelSpec:
         if C.shape != (2 * l, 2 * l):
             raise ValueError(f"C must be {2 * l} x {2 * l} or its {4 * l * l} row-major entries, got shape {C.shape}")
         _require_symmetric(C, "C", tol=1e-12)  # C itself is kept, not its symmetrization
-        T_support = _positive_tol(self.T_support, "T_support")
         parsed = dict(l=l, n_hyp=n_hyp, omega=center.omega, eps=eps, C=C, T_support=T_support, center=center)
         for name, value in parsed.items():
             object.__setattr__(self, name, value)  # frozen: each field is set once, here

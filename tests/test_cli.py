@@ -64,6 +64,10 @@ def run_limited(argv, address_space=1_500_000 * 1024):
     return child.returncode, child.stderr
 
 
+def no_field_call(fld, ts, d):
+    raise AssertionError(f"the field was sampled at {ts.size} times")
+
+
 def input_error(code, payload, err, field):
     message = json.loads(err)
     return code == 2 and payload is None and message["kind"] == "input" and field in message["error"]
@@ -146,7 +150,7 @@ REPORTS = {
     "reversible": (
         lambda tmp: ["reversible", "--spec", write_spec(tmp, reversible_spec())],
         {
-            "command": "str", "spec": SPEC, "sigma": MATRIX,
+            "command": "str", "spec": SPEC, **SCATTERING,
             "reversibility": {"residual": "float", "tol": "float", "passed": "bool"},
             "signature": SIGNATURE, "degenerate": "bool", "pass": "bool",
         },
@@ -218,18 +222,29 @@ class TestDemoIntegrable:
         assert json.loads(err) == {"error": message, "kind": "input"}
         assert code == 2 and payload is None
 
-    @pytest.mark.parametrize("l", [128, 179])
-    def test_l_beyond_what_the_integrator_holds_is_an_input_error(self, capsys, l):
-        # both exited 3 at the integrator's cap; at any T_support a solve of
-        # l >= 128 fails there, as its second pass holds 65 (2l)^2 > 2**22 entries
+    @pytest.mark.parametrize("l", [64, 90, 127, 128, 179])
+    def test_l_beyond_what_the_integrator_holds_is_an_input_error(self, capsys, monkeypatch, l):
+        # the default T_support 4 spans 8, which starts at n = 64 steps and is compared with
+        # n = 128, whose 257 (2l)^2 entries are beyond 2**22 from l = 64 on: l = 64 to 127
+        # exited 3 at the cap, and 128 and 179 were refused by a bound derived for a span of 2
+        monkeypatch.setattr(flow, "_field_values", no_field_call)
         code, payload, err = run(capsys, ["demo-integrable", "--l", str(l)])
-        assert input_error(code, payload, err, f"l = {l} is beyond 127")
+        message = json.loads(err)["error"]
+        assert input_error(code, payload, err, f"l = {l} and T_support = 4 do not fit the integrator")
+        assert "a span of 8 starts at n = 64 RK4 steps" in message and "cap of 4194304" in message
+        assert f"of the {2 * l} x {2 * l} field" in message and ("compared with n = 128" in message) == (l <= 90)
+
+    def test_l_whose_solve_fits_the_cap_runs(self, capsys):
+        # 257 * 126^2 = 4080132 entries fit the cap
+        code, payload, _ = run(capsys, ["demo-integrable", "--l", "63"])
+        assert code == 0 and payload["pass"] is True
 
     @pytest.mark.parametrize("l", ["100000000", "1" + "0" * 300])
     def test_large_l_fails_before_the_default_omega_is_built(self, l):
         # a list of 10**8 default frequencies ended in MemoryError, exit 1, under this limit
         code, err = run_limited(["demo-integrable", "--l", l, "--out", os.devnull])
-        assert code == 2 and json.loads(err)["kind"] == "input" and "is beyond 127" in err
+        assert code == 2 and json.loads(err)["kind"] == "input" and "T_support = 4 do not fit the integrator: " in err
+        assert err.count("\n") == 1 and len(err.encode()) < 1024 and "MemoryError" not in err
 
     def test_nan_tolerance_is_an_input_error(self, capsys):
         # --tol nan used to exit 1, a failed identity check, although sigma = I;
@@ -240,15 +255,14 @@ class TestDemoIntegrable:
     def test_l_whose_second_pass_is_beyond_the_cap_makes_no_field_call(self, capsys, monkeypatch):
         # at l = 90 a span of 8 starts at n = 64 steps, whose 129 samples of the 180 x 180
         # field fit the cap, but the 257 of the n = 128 pass it is compared with do not; it
-        # used to sample and multiply that first pass, then blame the tolerance
-        def no_field_call(fld, ts, d):
-            raise AssertionError(f"the field was sampled at {ts.size} times")
-
+        # used to sample and multiply that first pass, then blame the tolerance, and then
+        # exited 3 at the cap although l alone decides the refusal
         monkeypatch.setattr(flow, "_field_values", no_field_call)
         code, payload, err = run(capsys, ["demo-integrable", "--l", "90"])
         message = json.loads(err)
-        assert code == 3 and payload is None and message["kind"] == "numerical"
+        assert code == 2 and payload is None and message["kind"] == "input"
         assert message["error"] == (
+            "l = 90 and T_support = 4 do not fit the integrator: "
             "a span of 8 starts at n = 64 RK4 steps and is compared with n = 128, whose (2n + 1) d^2 = "
             "8326800 entries of the 180 x 180 field are beyond the cap of 4194304"
         )
@@ -486,7 +500,7 @@ class TestScatterCommand:
         l = 100000
         doc = write_doc(tmp_path, {"l": l, "n_hyp": 1, "omega": list(range(1, l + 1)), "eps": 0.0})
         code, err = run_limited(["scatter", "--spec", doc, "--out", os.devnull])
-        assert code == 2 and json.loads(err)["kind"] == "input" and "l = 100000 is beyond 127" in err
+        assert code == 2 and json.loads(err)["kind"] == "input" and "l = 100000 and T_support = 4 do not fit" in err
 
     def test_nan_tolerance_is_an_input_error(self, capsys, tmp_path):
         spec = ModelSpec(l=1, n_hyp=1, omega=[1.0], eps=0.0, T_support=2.0)
@@ -526,16 +540,17 @@ class TestScatterCommand:
         code, payload, err = run(capsys, ["scatter", "--spec", write_doc(tmp_path, doc)])
         assert input_error(code, payload, err, "C is not symmetric (asymmetry inf)") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("T_support", [1e308, 1e200])
-    def test_support_beyond_the_step_cap_is_a_numerical_failure(self, capsys, tmp_path, T_support):
+    @pytest.mark.parametrize("T_support", [1e308, 1e200, 8192.5])
+    def test_support_beyond_the_step_cap_is_an_input_error(self, capsys, tmp_path, monkeypatch, T_support):
         # 1e308 exited 3 with "cannot convert float infinity to integer", and
-        # 1e200 blamed a step refinement that never ran
+        # 1e200 blamed a step refinement that never ran; then both exited 3 at
+        # the cap, although the document alone decides the refusal
+        monkeypatch.setattr(flow, "_field_values", no_field_call)
         doc = spec_doc(T_support=T_support)
         code, payload, err = run(capsys, ["scatter", "--spec", write_doc(tmp_path, doc)])
-        assert code == 3 and payload is None
-        message = json.loads(err)
-        assert message["kind"] == "numerical"
-        assert f"span of {2 * T_support:g}" in message["error"] and "refinement" not in message["error"]
+        assert input_error(code, payload, err, f"l = 1 and T_support = {T_support:g} do not fit the integrator")
+        message = json.loads(err)["error"]
+        assert f"span of {2 * T_support:g}" in message and "refinement" not in message
 
     def test_support_whose_squared_field_overflows_names_T_support(self, capsys, tmp_path):
         # it blamed "RK4 product overflowed with n = 16 steps over [-1e-300, 1e-300]"

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from homscat.flow import (
+    DEFAULT_INTEGRATOR_TOL,
     ScatteringConvergenceError,
     ScatteringProblem,
     _pass_steps,
@@ -22,6 +23,7 @@ from homscat.matkit import (
 from homscat.models import ModelSpec, scattering_problem
 from lab_frame_oracle import center_variational_field
 import rk4_oracle
+import two_bump_oracle
 
 
 def plain_rk4(field, t0, t1, steps, dim):
@@ -257,6 +259,28 @@ class TestOracleAgreement:
         with pytest.raises(ArithmeticError) as got:
             fundamental_solution(jump, 2.0, 3.0, 8)
         assert "n = 32768 steps" in str(got.value) and str(got.value) == str(expected.value)
+
+
+class TestTwoBumpOracle:
+    """scattering_matrix against the exact sigma = exp(-eps J C_2) exp(-eps J C_1)
+    of two disjoint unit-mass bumps, tests/two_bump_oracle.py."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("eps", [0.05, 0.3, 1.0, 3.0])
+    @pytest.mark.parametrize("l", [1, 2, 3, 4])
+    def test_sigma_is_within_the_integrator_contract(self, l, eps, seed):
+        rng = np.random.default_rng(100 * l + seed)
+        C1, C2 = (R + R.T for R in rng.standard_normal((2, 2 * l, 2 * l)))
+        C1, C2 = C1 / np.linalg.norm(C1, 2), C2 / np.linalg.norm(C2, 2)
+        center = CenterBlock(np.arange(1.0, l + 1.0))
+        field = two_bump_oracle.field(center.J, C1, C2, eps)
+        problem = ScatteringProblem(field=field, support_halfwidth=two_bump_oracle.SUPPORT, center=center)
+        result = scattering_matrix(problem)
+        exact = two_bump_oracle.scattering_matrix(center.J, C1, C2, eps)
+        bound = DEFAULT_INTEGRATOR_TOL * 2 * two_bump_oracle.SUPPORT
+        assert result.residual == 0.0 and max_abs(result.sigma - exact) <= bound
+        # the order of the two factors shows, far above the bound
+        assert max_abs(exact - two_bump_oracle.scattering_matrix(center.J, C2, C1, eps)) > 1e4 * bound
 
 
 class TestCenterLinearFlow:

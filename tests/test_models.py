@@ -236,18 +236,42 @@ class TestModelSpec:
         with pytest.raises(ValueError, match=f"{field} must be an integer, got {value!r}"):
             ModelSpec(**kwargs)
 
-    def test_l_is_at_most_what_the_integrator_holds(self):
-        # a solve stops at its second pass at the earliest, n = 32 steps and 65
-        # samples: 65 * 254^2 = 4193540 entries fit the cap of 2**22 = 4194304,
-        # and 65 * 256^2 = 4259840 do not
-        assert models._MAX_L == 127
-        assert flow._pass_steps(1.0, 254, 16) == 32
-        with pytest.raises(ArithmeticError, match="n = 32 steps of a 256 x 256 field"):
-            flow._pass_steps(1.0, 256, 16)
-        assert ModelSpec(l=127, n_hyp=1, omega=np.arange(1.0, 128.0)).C.shape == (254, 254)
-        # the omega of a spec beyond the bound is not read, and no C is built
-        with pytest.raises(ValueError, match=re.escape("l = 100000 is beyond 127, the most centre pairs the integrator can hold")):
-            ModelSpec(l=100000, n_hyp=1, omega=[1.0])
+    @pytest.mark.parametrize(
+        "l, T_support, refusal",
+        [
+            # a span of 8 starts at n = 64 and is compared with n = 128, whose 257 (2l)^2
+            # entries fit the cap of 2**22 = 4194304 up to l = 63 (4080132), not at l = 64
+            (63, 4.0, None),
+            (64, 4.0, "a span of 8 starts at n = 64 RK4 steps and is compared with n = 128, whose (2n + 1) d^2 = "
+             "4210688 entries of the 128 x 128 field are beyond the cap of 4194304"),
+            # at l = 1 a span of 16384 starts at n = 131072; one of 16385 starts at n = 262144,
+            # whose double holds 1048577 * 4 = 4194308 entries
+            (1, 8192.0, None),
+            (1, 8192.5, "a span of 16385 starts at n = 262144 RK4 steps and is compared with n = 524288, whose "
+             "(2n + 1) d^2 = 4194308 entries of the 2 x 2 field are beyond the cap of 4194304"),
+            (100000, 4.0, "a span of 8 starts at n = 64 RK4 steps, whose (2n + 1) d^2 = 5160000000000 entries of the "
+             "200000 x 200000 field are beyond the cap of 4194304"),
+            # d = 2l is beyond the float range, and reads inf
+            (10**308, 4.0, "a span of 8 starts at n = 64 RK4 steps, whose (2n + 1) d^2 = inf entries of the inf x inf "
+             "field are beyond the cap of 4194304"),
+        ],
+        ids=["l=63", "l=64", "T_support=8192", "T_support=8192.5", "l=1e5", "l=1e308"],
+    )
+    def test_l_and_T_support_must_fit_the_integrator(self, monkeypatch, l, T_support, refusal):
+        # the integrator's step rule decides: l = 64 to 127 passed a bound derived for the
+        # shortest span and then exited 3 at the cap, and a T_support the cap refuses exited 3
+        def no_field_call(fld, ts, d):
+            raise AssertionError(f"the field was sampled at {ts.size} times")
+
+        monkeypatch.setattr(flow, "_field_values", no_field_call)
+        if refusal is None:
+            spec = ModelSpec(l=l, n_hyp=1, omega=np.arange(1.0, l + 1.0), T_support=T_support)
+            assert spec.C.shape == (2 * l, 2 * l) and spec.T_support == T_support
+            return
+        # refused before omega, here of the wrong length, is read or the default C built
+        message = f"l = {l} and T_support = {T_support:g} do not fit the integrator: {refusal}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ModelSpec(l=l, n_hyp=1, omega=[1.0, 2.0], T_support=T_support)
 
     def test_bump_order_is_an_unknown_field(self):
         # fields that are gone: the bump's sharpness changed no sigma, and the model
@@ -374,6 +398,32 @@ class TestBump:
     def test_profile_mass_bits(self):
         # every sigma scales with this constant, so its bits are pinned
         assert _profile_mass().hex() == "0x1.c6a650a045c5cp-2"
+
+    def test_raw_profile_is_the_masked_formula_bit_for_bit(self):
+        # exp(-1/p) was taken only where p = 1 - s^2 exceeds the floor 1/746, and 0.0
+        # elsewhere; clamping p at half the floor gives an exponent of at most -746
+        # there, where exp underflows to the same +0.0
+        def masked(s):
+            out = np.zeros_like(s)
+            p = 1.0 - np.minimum(np.abs(s), 1.0) ** 2
+            live = p > models._PROFILE_FLOOR
+            out[live] = np.exp(-1.0 / p[live])
+            return out
+
+        edge = np.sqrt(1.0 - models._PROFILE_FLOOR)  # |s| at which p is the floor
+        near_edge = edge + np.arange(-6, 7) * np.spacing(edge)
+        p = 1.0 - near_edge**2
+        assert (p > models._PROFILE_FLOOR).any() and (p <= models._PROFILE_FLOOR).any()
+        s = np.concatenate([
+            np.linspace(-1.25, 1.25, 2**16 + 1),
+            np.linspace(1.0 - 1e-12, 1.0, 4097),
+            near_edge,
+            [0.0, 1.0, 1e154, 1e308],
+        ])
+        s = np.concatenate([s, -s])
+        got, want = models._raw_profile(s), masked(s)
+        assert got.dtype == want.dtype == np.float64
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))  # sign bits included
 
     def test_unimodal(self):
         spec = two_center_spec()
