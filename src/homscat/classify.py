@@ -40,7 +40,7 @@ from .matkit import (
     CenterBlock,
     SignatureReport,
     _integer,
-    _positive_tol,
+    _positive_number,
     _slice_max_abs,
     _square,
     eigvalsh,
@@ -65,9 +65,14 @@ class RealizationError(ArithmeticError):
     puts the first-order Hessian eigenvalues under the zero tolerance."""
 
 
-def _require_symplectic(S: np.ndarray, J: np.ndarray) -> None:
+def _symplectic_defect(S: np.ndarray, J: np.ndarray):
+    """max|S^T J S - J| of S, or of each slice of a stack; NaN where it overflows."""
     with np.errstate(over="ignore", invalid="ignore"):
-        defect = _slice_max_abs(S.swapaxes(-1, -2) @ J @ S - J)
+        return _slice_max_abs(S.swapaxes(-1, -2) @ J @ S - J)
+
+
+def _require_symplectic(S: np.ndarray, J: np.ndarray) -> None:
+    defect = _symplectic_defect(S, J)
     # a NaN defect fails this test too
     if not (defect <= _SYMPLECTIC_PRECONDITION_TOL).all():
         raise ValueError(f"scattering matrix is not symplectic (defect {defect.max():.3e})")
@@ -89,7 +94,11 @@ def _hessian(S: np.ndarray, block: CenterBlock) -> np.ndarray:
 
 def hessian_from_scattering(sigma, D_center) -> np.ndarray:
     """sigma^T D sigma - D with D the diag(omega, omega) of D_center; requires sigma
-    symplectic within 1e-7, and raises ArithmeticError on overflow."""
+    symplectic within 1e-7, and raises ArithmeticError on overflow.
+
+    A centre rotation Psi is orthogonal and commutes with D, so Psi sigma has
+    the Hessian sigma^T Psi^T D Psi sigma - D = sigma^T D sigma - D of sigma.
+    """
     S = _square(sigma, "scattering matrix")
     block = CenterBlock.from_diagonal(D_center)
     if S.shape[0] != block.dim:
@@ -217,11 +226,13 @@ def realize_signature(l: int, m: int, omega, eps: float) -> RealizationReport:
 
     Pipeline: majorizing spectrum -> symmetric target with the balanced +-1
     diagonal -> bracket solve for the generator B -> sigma = exp(-eps J B).
-    If the achieved signature misses the target (the second-order terms are
-    not yet dominated), eps is halved, up to 20 times.  A miss with the
-    smallest first-order eigenvalue eps * min|b| at or below 1e-7, the floor
-    of the zero tolerance, raises at once: halving eps only moves it further
-    below.  A tolerance above that floor grows with the second-order terms,
+    The balanced diagonal cancels in conjugate pairs, so the target G is in
+    the bracket's range, and to first order H = eps G, whose inertia is b's,
+    (m, 2l - m, 0).  If the achieved signature misses the target (the
+    second-order terms are not yet dominated), eps is halved, up to 20
+    times.  A miss with the smallest first-order eigenvalue eps * min|b| at
+    or below 1e-7, the floor of the zero tolerance, raises at once: halving
+    eps only moves it further below.  A tolerance above that floor grows with the second-order terms,
     which halving shrinks faster, so it does not stop the halvings.  An
     eps whose generator, exponential or Hessian overflows the float range
     raises ArithmeticError before any halving.
@@ -229,15 +240,17 @@ def realize_signature(l: int, m: int, omega, eps: float) -> RealizationReport:
     The inputs are checked once, here and in the public mirsky_matrix; the
     exactly symmetric Mirsky target goes to the bracket kernel unchecked.
     Each attempt forms sigma^T D sigma - D once, for both the overflow test
-    and the inertia, and checks that sigma is symplectic within 1e-7.  The
-    first-order gap is measured against the bracket of B that the solve
-    already formed for its residual bound.
+    and the inertia.  An attempt whose sigma is off symplectic by more than
+    1e-7 is a miss, as a wrong inertia is, and eps halves: the caller
+    supplied no sigma, so it is no input error.  The first-order gap is
+    measured against the bracket of B that the solve already formed for its
+    residual bound.
     """
     l, m = _integer(l, "l"), _integer(m, "m")
     block = CenterBlock(omega)
     if block.l != l:
         raise ValueError(f"omega must have length l = {l}, got {block.l}")
-    eps = _positive_tol(eps, "eps")
+    eps = _positive_number(eps, "eps")
     _require_bracket_hypothesis(block)
     balanced = np.concatenate([np.ones(l), -np.ones(l)])
     b = indefinite_spectrum(l, m)
@@ -261,9 +274,8 @@ def realize_signature(l: int, m: int, omega, eps: float) -> RealizationReport:
                 f"eps = {eps_cur:.3g} overflows the float range: the Hessian of exp(-eps J B), with "
                 f"max|J B| = {max_abs(JB):.3g}, exceeds it; the realization needs a smaller eps"
             )
-        _require_symplectic(sigma, block.J)
         achieved = inertia(H)
-        if achieved.inertia == target:
+        if achieved.inertia == target and _symplectic_defect(sigma, block.J) <= _SYMPLECTIC_PRECONDITION_TOL:
             gap = max_abs(H / eps_cur - bracket)
             return RealizationReport(
                 l=l,
@@ -327,7 +339,8 @@ def reversible_signature(sigma, center: CenterBlock) -> tuple[ReversibilityRepor
     singular vectors) and P- (its last l right ones), and the signature is the
     inertia of [[0, M^T], [M, 0]], M = P-^T D P+, whose eigenvalues are the
     +- singular values of M and 2l - 2r zeros.  |M| <= max|omega|, so no
-    |sigma|^2-sized term arises.  Degenerate means r < l, with r = n_pos.
+    |sigma|^2-sized term arises, and only an M beyond the float range raises
+    ArithmeticError.  Degenerate means r < l, with r = n_pos.
     """
     S = _square(sigma, "scattering matrix")
     if S.shape[0] != center.dim:

@@ -201,13 +201,21 @@ def _cmd_reversible(args) -> tuple[dict, bool]:
     spec = models.ModelSpec.from_json_dict(_load_json(args.spec))
     result = flow.scattering_matrix(models.scattering_problem(spec))
     rev, report = classify.reversible_signature(result.sigma, spec.center)
-    payload = {"command": "reversible", "spec": spec.to_json_dict(), **vars(result), "reversibility": rev}
+    payload = {
+        "command": "reversible",
+        "spec": spec.to_json_dict(),
+        "tol": flow.DEFAULT_SIGMA_TOL,
+        **vars(result),
+        "reversibility": rev,
+    }
     if report is not None:
         payload.update(signature=report, degenerate=report.degenerate)
     return {**payload, "pass": rev.passed}, rev.passed
 
 
 def _cmd_mirsky(args) -> tuple[dict, bool]:
+    """Passes when diag_error <= 1e-10 max(1, max|eigs|) and eigenvalue_error <= 1e-8 max(1, max|eigs|),
+    the bounds of acceptance criterion 06 scaled with the spectrum."""
     d, eigs = np.array(args.diag), np.array(args.eigs)
     M = mirsky_matrix(d, eigs)
     w = eigvalsh(M)

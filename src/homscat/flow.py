@@ -25,7 +25,7 @@ from .matkit import (
     _as_float,
     _float_array,
     _integer,
-    _positive_tol,
+    _positive_number,
     max_abs,
 )
 
@@ -90,7 +90,8 @@ def _rk4_product(A1: np.ndarray, Am: np.ndarray, A4: np.ndarray, h: float) -> np
 
 
 def _pass_steps(span: float, d: int, n: int | None = None) -> int:
-    """The step count of the pass after one of n steps, or of the first when n is None, within the cap."""
+    """The step count of the pass after one of n steps, or of the first when n is None, within the cap.
+    A first pass takes 8 steps per unit time, at least 16, rounded up to a power of two."""
     with np.errstate(over="ignore"):  # 2.0 ** 1024 is inf, and Python floats overflow without a warning
         steps = float(2.0 ** np.ceil(np.log2(max(16.0, 8.0 * span)))) if n is None else 2 * n
     side = float(np.fmin(_as_float(d), np.inf))  # fmin skips the NaN of an integer d beyond the float range
@@ -204,7 +205,7 @@ def scattering_matrix(problem: ScatteringProblem) -> ScatteringResult:
     integrator's cap raises ArithmeticError before any field call, and a
     field of the wrong shape ValueError before any integration.
     """
-    T_s = _positive_tol(problem.support_halfwidth, "support_halfwidth")
+    T_s = _positive_number(problem.support_halfwidth, "support_halfwidth")
     d = problem.center.dim
     _pass_steps(T_s + T_s, d)  # the span T_s - (-T_s) of the solve below
     s = np.linspace(0.0, 1.0, 65)

@@ -62,7 +62,8 @@ class MajorizationWitness:
 
 
 def majorizes(a, b) -> MajorizationWitness:
-    """Decide a <| b: sorted partial sums of a never exceed those of b, totals equal, within _MAJORIZE_TOL."""
+    """Decide a <| b: sorted partial sums of a never exceed those of b, totals equal, within _MAJORIZE_TOL.
+    Partial sums, or their differences, beyond the float range raise ValueError naming them."""
     av = np.atleast_1d(_float_array(a, "majorization vector a"))
     bv = np.atleast_1d(_float_array(b, "majorization vector b"))
     if av.ndim != 1 or bv.ndim != 1 or av.size == 0:
@@ -132,7 +133,9 @@ def mirsky_matrix(diag_entries, eigenvalues) -> np.ndarray:
     it runs on a list of Python-float rows over those live entries, with the
     column pair updated before the row pair, and every other entry stays an
     exact 0.0.  There is no matmul, so the result does not depend on the
-    BLAS.  The rows become one array for the final permutation.
+    BLAS.  The rows become one array for the final permutation.  A rotation
+    whose two values lie more than the float range apart raises
+    ArithmeticError.
     """
     d = np.atleast_1d(_float_array(diag_entries, "Mirsky diagonal"))
     lam = np.atleast_1d(_float_array(eigenvalues, "Mirsky spectrum"))
@@ -235,7 +238,10 @@ def hessian_bracket(block: CenterBlock, B) -> np.ndarray:
     """B @ J @ D - D @ J @ B for symmetric B: the first-order Hessian of the
     splitting function under a perturbation generated by B.
 
-    The result is symmetric and traceless for every symmetric B.
+    With sigma = exp(-eps J B) = I - eps J B + O(eps^2), sigma^T = I + eps B J,
+    so sigma^T D sigma - D = eps (B J D - D J B) + O(eps^2).  The result is
+    symmetric and traceless for every symmetric B; a B or bracket beyond the
+    float range raises ArithmeticError, without a warning.
     """
     Bs = _require_symmetric(B, "bracket argument")
     if Bs.shape[0] != block.dim:
@@ -267,9 +273,10 @@ def _solve_bracket(block: CenterBlock, Gs: np.ndarray) -> tuple[np.ndarray, np.n
     The block must pass _require_bracket_hypothesis and Gs must be an
     exactly symmetric 2l x 2l float array: it is not checked again here.
     The range test and the residual bound, both 1e-8 * max(1, max|Gs|), run
-    on Gs.  B is filled block by block and is exactly symmetric: P_ji and
-    R_ji are the quotients P_ij and R_ij with numerator and denominator both
-    negated.  The bracket of B, formed once for the residual bound, is what
+    on Gs: a target outside the range raises ValueError, and a residual
+    above the bound ArithmeticError.  B is filled block by block and is
+    exactly symmetric: P_ji and R_ji are the quotients P_ij and R_ij with
+    numerator and denominator both negated.  The bracket of B, formed once for the residual bound, is what
     realize_signature measures its first-order gap against.
     """
     l, w = block.l, block.omega

@@ -9,7 +9,8 @@ tolerance 1e-7 * max(1, |S|), far above the backward error of the
 eigensolver.  The eigensolver and the exponential also take a (k, n, n)
 stack and treat each slice exactly as they treat that matrix alone.
 _float_array is the one parser of caller-supplied numbers, for every public
-entry point through _square, _require_symmetric and CenterBlock.  CenterBlock
+entry point through _square, _require_symmetric and CenterBlock, at the
+entry point's boundary and before any arithmetic.  CenterBlock
 alone turns centre frequencies into D = diag(omega, omega) and J, or reads
 them back from a D array, which only the two classify functions that take
 one do; the other pipelines pass the block object on.
@@ -28,7 +29,8 @@ _CLASSIFICATION_FLOOR = 1e-7
 
 
 def max_abs(M) -> float:
-    """Entrywise max-abs norm; the reference norm for tolerances throughout."""
+    """Entrywise max-abs norm; the reference norm for tolerances throughout.
+    It measures arrays the package made, so it does not parse its argument."""
     A = np.asarray(M, dtype=float)
     return float(np.abs(A).max()) if A.size else 0.0
 
@@ -87,12 +89,12 @@ def _float_array(value, name: str) -> np.ndarray:
     return A
 
 
-def _positive_tol(tol, name: str = "tolerance") -> float:
-    """tol as a float, rejecting anything but a finite positive number (NaN, None and booleans included)."""
-    value = _as_float(tol)
-    if not 0.0 < value < np.inf:
-        raise ValueError(f"{name} must be a finite positive number, got {tol!r}")
-    return value
+def _positive_number(value, name: str) -> float:
+    """value as a float, rejecting anything but a finite positive number (NaN, None and booleans included)."""
+    number = _as_float(value)
+    if not 0.0 < number < np.inf:
+        raise ValueError(f"{name} must be a finite positive number, got {value!r}")
+    return number
 
 
 def _integer(value, name: str) -> int:

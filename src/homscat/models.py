@@ -19,7 +19,11 @@ A perturbation of strength eps with symmetric form C acts on the centre
 block through a smooth bump of unit mass supported strictly inside
 [-T_support, T_support].  In the frame co-rotating with the free centre
 flow the perturbed variational equation reads wdot = -eps xi(t) J C w, so
-the scattering matrix of the perturbed problem is exactly exp(-eps J C).
+the scattering matrix of the perturbed problem is exactly exp(-eps J C):
+the coefficient is a scalar function times one constant matrix, so it
+commutes with itself at all times, and the propagator is the exponential
+of its integral, -eps J C, as xi has unit mass.  Any smooth bump of unit
+mass gives the same sigma, so a spec has no field that shapes the bump.
 A ModelSpec keeps the CenterBlock that validates omega, and its scattering
 problem carries that same block.
 """
@@ -38,7 +42,7 @@ from .matkit import (
     _as_float,
     _float_array,
     _integer,
-    _positive_tol,
+    _positive_number,
     _require_symmetric,
     max_abs,
     standard_symplectic_form,
@@ -110,7 +114,7 @@ class ModelSpec:
 
     def __post_init__(self):
         l = _pair_count(self.l)
-        T_support = _positive_tol(self.T_support, "T_support")
+        T_support = _positive_number(self.T_support, "T_support")
         _require_fit(l, T_support)  # before omega is read or the default C built
         n_hyp = _integer(self.n_hyp, "n_hyp")
         if n_hyp != 1:
@@ -218,7 +222,8 @@ class HamiltonianSystem:
 
 def homoclinic_orbit(spec: ModelSpec, t):
     """State on the homoclinic loop: x = (3/2) sech^2(t/2), y = xdot, the
-    centre at rest.  Accepts a scalar or a vector of times."""
+    centre at rest.  Accepts a scalar or a vector of times, unparsed: an
+    infinite time is valid."""
     tt = np.atleast_1d(np.asarray(t, dtype=float))
     u = 0.5 * tt
     g = 1.5 * _sech(u) ** 2
@@ -229,7 +234,8 @@ def homoclinic_orbit(spec: ModelSpec, t):
 
 
 def bump(spec: ModelSpec, t):
-    """Smooth unit-mass bump supported strictly inside [-T_support, T_support]."""
+    """Smooth unit-mass bump supported strictly inside [-T_support, T_support];
+    the times are not parsed, since an infinite time is valid."""
     tt = np.atleast_1d(np.asarray(t, dtype=float))
     s = tt / spec.T_support
     out = (1.0 / (spec.T_support * _profile_mass())) * _raw_profile(s)
@@ -238,7 +244,10 @@ def bump(spec: ModelSpec, t):
 
 def scattering_problem(spec: ModelSpec) -> flow.ScatteringProblem:
     """Centre-block scattering problem of the (possibly perturbed) model along
-    its unsplit homoclinic loop, with the co-rotating field -eps xi(t) J C."""
+    its unsplit homoclinic loop, with the co-rotating field -eps xi(t) J C.
+    A field whose peak p = eps xi(0) max|J C| gives 2l p^2 beyond the float
+    range raises ArithmeticError naming eps and T_support, before any
+    integration."""
     JC = spec.center.J @ spec.C
     # Python floats overflow to inf without a warning.  The peak bounds every
     # field entry, so 2l peak^2 bounds every entry of the RK4 stage products

@@ -9,8 +9,10 @@ mirsky_oracle, and the exponential and the spectrum from homscat.  The
 centre block and the frequency reader are copies of the versions that
 path called, which checked the bracket's hypothesis in the block's
 constructor, so the oracle keeps their arithmetic and their order of
-rejections.  Both paths do the same arithmetic in the same order, so
-their reports must agree bit for bit, and their errors word for word.
+rejections.  One rule came later and is in both paths: an attempt whose
+sigma is off symplectic is a miss, and eps halves, instead of an error.
+Both paths do the same arithmetic in the same order, so their reports
+must agree bit for bit, and their errors word for word.
 """
 
 from dataclasses import dataclass, field
@@ -27,7 +29,7 @@ from homscat.majorize import indefinite_spectrum
 from homscat.matkit import (
     _CLASSIFICATION_FLOOR,
     SignatureReport,
-    _positive_tol,
+    _positive_number,
     _require_symmetric,
     _slice_max_abs,
     _square,
@@ -96,7 +98,7 @@ def eigvalsh(S):
 
 def inertia(S):
     A = _require_symmetric(S, "inertia input")
-    tol = _positive_tol(classification_tol(A), "inertia tolerance")
+    tol = _positive_number(classification_tol(A), "inertia tolerance")
     w = eigvalsh(A)
     n_pos = int(np.sum(w > tol))
     n_neg = int(np.sum(w < -tol))
@@ -124,7 +126,7 @@ def hessian_bracket(block, B):
 
 def in_bracket_range(block, M, tol=1e-8):
     Ms = _check_block_input(block, M, "range candidate")
-    tol = _positive_tol(tol)
+    tol = _positive_number(tol, "tolerance")
     dvec = np.diag(Ms)
     l = block.l
     return bool(np.all(np.abs(dvec[:l] + dvec[l:]) <= tol))
@@ -175,7 +177,7 @@ def realize_signature(l, m, omega, eps):
     w = np.atleast_1d(np.asarray(omega, dtype=float))
     if w.size != l:
         raise ValueError(f"omega must have length l = {l}, got {w.size}")
-    eps = _positive_tol(eps, "eps")
+    eps = _positive_number(eps, "eps")
     block = CenterBlock(w)
     balanced = np.concatenate([np.ones(l), -np.ones(l)])
     b = indefinite_spectrum(l, m)
@@ -194,9 +196,11 @@ def realize_signature(l, m, omega, eps):
         )
     eps_cur = eps
     for _ in range(_REALIZE_MAX_HALVINGS):
-        H = hessian_from_scattering(sigma, block.D)
+        with np.errstate(over="ignore", invalid="ignore"):
+            symplectic = max_abs(sigma.T @ block.J @ sigma - block.J) <= _SYMPLECTIC_PRECONDITION_TOL
+        H = hessian_from_scattering(sigma, block.D) if symplectic else sigma.T @ block.D @ sigma - block.D
         achieved = inertia(H)
-        if achieved.inertia == target:
+        if symplectic and achieved.inertia == target:
             gap = max_abs(H / eps_cur - hessian_bracket(block, B))
             return RealizationReport(
                 l=l,

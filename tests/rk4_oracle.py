@@ -11,7 +11,7 @@ tolerance both must stop at the same step count.
 import numpy as np
 
 from homscat.flow import _MAX_FIELD_ELEMENTS, _field_values
-from homscat.matkit import _positive_tol, _square, max_abs
+from homscat.matkit import _positive_number, _square, max_abs
 
 
 def _rk4_product(fld, t0, t1, n, d):
@@ -45,7 +45,7 @@ def fundamental_solution(fld, t0, t1, tol=1e-10):
         raise ValueError("integration endpoints must be finite")
     if t1 < t0:
         raise ValueError("t0 must not exceed t1")
-    tol = _positive_tol(tol, "integrator tolerance")
+    tol = _positive_number(tol, "integrator tolerance")
     probe = np.asarray(fld(np.array([t0])), dtype=float)
     if probe.ndim != 3 or probe.shape[0] != 1:
         raise ValueError(f"field returned shape {probe.shape} for 1 time, expected (1, d, d)")

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import ensemble_oracle
+import mirsky_oracle
 import realize_oracle
 from homscat import classify
 from homscat.classify import (
@@ -391,6 +392,22 @@ class TestRealizeMatchesOracle:
                 assert json.dumps(to_json(report)) == json.dumps(to_json(expected)), (l, m)
                 halved += report.eps_used < eps
         assert halved > 0 if eps == 1.0 else halved == 0
+
+    @pytest.mark.parametrize("l, m, eps", [(3, 2, 50.0), (3, 2, 300.0), (4, 4, 300.0)])
+    def test_off_symplectic_attempt_is_a_miss(self, l, m, eps):
+        # the first exp(-eps J B) is off symplectic by more than 1e-7: it used to
+        # raise ValueError, an input error, although the caller gave no sigma
+        omega = [1.0, 1.5, 2.25, 3.375][:l]
+        block = CenterBlock(omega)
+        JB = block.J @ _solve_bracket(block, mirsky_oracle.mirsky_matrix(
+            np.repeat([1.0, -1.0], l), indefinite_spectrum(l, m)))[0]
+        sigma = matrix_exponential(-eps * JB)
+        H = sigma.T @ block.D @ sigma - block.D
+        assert np.isfinite(H).all()  # not the overflow rule, which raises at once
+        assert max_abs(sigma.T @ block.J @ sigma - block.J) > classify._SYMPLECTIC_PRECONDITION_TOL
+        report = realize_signature(l, m, omega, eps)
+        assert report.eps_used < eps and report.achieved.inertia == (m, 2 * l - m, 0)
+        assert json.dumps(to_json(report)) == json.dumps(to_json(realize_oracle.realize_signature(l, m, omega, eps)))
 
     @pytest.mark.parametrize("l, eps", [(2, 1e-8), (2, 1e-7), (1, 1e300), (1, 1e3), (3, 1e300)])
     def test_same_errors(self, l, eps):

@@ -150,7 +150,7 @@ REPORTS = {
     "reversible": (
         lambda tmp: ["reversible", "--spec", write_spec(tmp, reversible_spec())],
         {
-            "command": "str", "spec": SPEC, **SCATTERING,
+            "command": "str", "spec": SPEC, "tol": "float", **SCATTERING,
             "reversibility": {"residual": "float", "tol": "float", "passed": "bool"},
             "signature": SIGNATURE, "degenerate": "bool", "pass": "bool",
         },
@@ -358,6 +358,17 @@ class TestRealizeCommand:
         assert code == 0
         sig = payload["achieved"]
         assert (sig["n_pos"], sig["n_neg"], sig["n_zero"]) == (3, 1, 0)
+
+    @pytest.mark.parametrize("eps, eps_used", [("50", 25.0), ("300", 1.171875)])
+    def test_off_symplectic_attempt_halves_eps(self, capsys, eps, eps_used):
+        # exp(-eps J B) at eps = 50 is off symplectic by 5.9e-7, and the run
+        # exited 2 blaming the caller for the sigma it built itself
+        argv = ["realize", "--l", "3", "--m", "2", "--omega", "1,1.5,2.25", "--eps", eps]
+        code, payload, err = run(capsys, argv)
+        assert code == 0 and err == ""
+        sig = payload["achieved"]
+        assert (sig["n_pos"], sig["n_neg"], sig["n_zero"]) == (2, 4, 0)
+        assert payload["eps_used"] == eps_used
 
     def test_out_of_range_m(self, capsys):
         code, _, err = run(capsys, ["realize", "--l", "2", "--m", "0", "--omega", "1,2", "--eps", "0.01"])
