@@ -26,6 +26,7 @@ ensemble checks the claim by census for every omega.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -43,7 +44,6 @@ from .matkit import (
     _positive_number,
     _slice_max_abs,
     _square,
-    eigvalsh,
     inertia,
     matrix_exponential,
     max_abs,
@@ -186,8 +186,10 @@ def indefiniteness_ensemble(D_center, trials: int, seed: int) -> EnsembleSummary
     smallest_max = np.inf
     for start in range(0, trials, chunk):
         sigmas = _random_symplectics(block, streams, min(chunk, trials - start))
-        w = eigvalsh(_hessian(sigmas, block))
-        lo, hi = w[:, -1], w[:, 0]
+        H = _hessian(sigmas, block)
+        # symmetrized as eigvalsh would, without its check of a Hessian formed just above
+        w = np.linalg.eigvalsh(0.5 * H + 0.5 * H.swapaxes(-1, -2))
+        lo, hi = w[:, 0], w[:, -1]
         largest_min = max(largest_min, float(np.max(lo)))
         smallest_max = min(smallest_max, float(np.min(hi)))
         definite_pos += int(np.count_nonzero(lo > _ENSEMBLE_TOL))
@@ -203,6 +205,24 @@ def indefiniteness_ensemble(D_center, trials: int, seed: int) -> EnsembleSummary
         largest_min_eigenvalue=largest_min,
         smallest_max_eigenvalue=smallest_max,
     )
+
+
+@lru_cache(maxsize=128)
+def _signature_target(l: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The spectrum b = indefinite_spectrum(l, m) and the Mirsky target G
+    with the balanced +-1 diagonal and spectrum b, both read-only.
+
+    Neither depends on omega or eps, so the 128 signatures last used keep
+    theirs, functools' default bound, which holds every signature up to
+    l = 11.  An entry holds (2l)^2 + 2l floats, so the cache holds at most
+    128 * 8 * (4l^2 + 2l) bytes at the largest l realized: about 6.6 MB at
+    l = 40.  A call that raises keeps nothing.
+    """
+    balanced = np.concatenate([np.ones(l), -np.ones(l)])
+    b = indefinite_spectrum(l, m)
+    G = mirsky_matrix(balanced, b)
+    b.flags.writeable = G.flags.writeable = False
+    return b, G
 
 
 @dataclass(frozen=True, eq=False)
@@ -237,8 +257,12 @@ def realize_signature(l: int, m: int, omega, eps: float) -> RealizationReport:
     eps whose generator, exponential or Hessian overflows the float range
     raises ArithmeticError before any halving.
 
-    The inputs are checked once, here and in the public mirsky_matrix; the
-    exactly symmetric Mirsky target goes to the bracket kernel unchecked.
+    The spectrum and the Mirsky target depend on (l, m) only, not on omega
+    or eps: they are built once per signature and kept in a cache of at
+    most 128 entries (_signature_target), and the report holds copies of
+    them.  The inputs are checked once, here and in the public mirsky_matrix
+    on a cache miss; the exactly symmetric Mirsky target goes to the bracket
+    kernel unchecked.
     Each attempt forms sigma^T D sigma - D once, for both the overflow test
     and the inertia.  An attempt whose sigma is off symplectic by more than
     1e-7 is a miss, as a wrong inertia is, and eps halves: the caller
@@ -252,9 +276,7 @@ def realize_signature(l: int, m: int, omega, eps: float) -> RealizationReport:
         raise ValueError(f"omega must have length l = {l}, got {block.l}")
     eps = _positive_number(eps, "eps")
     _require_bracket_hypothesis(block)
-    balanced = np.concatenate([np.ones(l), -np.ones(l)])
-    b = indefinite_spectrum(l, m)
-    G = mirsky_matrix(balanced, b)
+    b, G = _signature_target(l, m)
     B, bracket = _solve_bracket(block, G)
     b_min = np.min(np.abs(b))
     target = (m, 2 * l - m, 0)
@@ -280,8 +302,8 @@ def realize_signature(l: int, m: int, omega, eps: float) -> RealizationReport:
             return RealizationReport(
                 l=l,
                 m=m,
-                b=b,
-                G=G,
+                b=b.copy(),
+                G=G.copy(),
                 B=B,
                 eps_used=eps_cur,
                 sigma=sigma,

@@ -173,6 +173,10 @@ def matrix_exponential(M) -> np.ndarray:
     norm = np.abs(A).sum(axis=-1).max(axis=-1)
     mantissa, exponent = np.frexp(np.maximum(norm, 0.5))  # norm = mantissa 2^exponent, 0.5 <= mantissa < 1
     squarings = exponent + (mantissa > 0.5)
+    # slices in falling order of squarings, so that round r squares a leading run
+    order = None if (np.diff(squarings) <= 0).all() else np.argsort(-squarings, kind="stable")
+    if order is not None:
+        A, norm, squarings = A[order], norm[order], squarings[order]
     A = np.ldexp(A, -squarings[:, None, None])
     A[np.isinf(norm)] = np.nan
     I = np.eye(shape[-1])
@@ -184,11 +188,12 @@ def matrix_exponential(M) -> np.ndarray:
         E = A @ E
         E /= k
         E += I
-    # round r squares the slices whose count exceeds r
+    # round r squares the slices whose count exceeds r: the first live ones
     for r in range(squarings.max(initial=0)):
-        live = squarings > r
-        F = E[live]
-        E[live] = F @ F
+        live = np.count_nonzero(squarings > r)
+        E[:live] = E[:live] @ E[:live]
+    if order is not None:
+        E[order] = E.copy()
     return E.reshape(shape)
 
 

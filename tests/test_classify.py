@@ -435,6 +435,37 @@ class TestRealizeMatchesOracle:
         assert to_json(inertia(5e-8 * S)) == to_json(realize_oracle.inertia(5e-8 * S))
 
 
+class TestSignatureTargetCache:
+    """The spectrum and the Mirsky target are kept per (l, m); omega and eps
+    enter only after them, so a kept target changes no report."""
+
+    @pytest.mark.parametrize("first, second", [(0, 1), (1, 0)])
+    def test_two_omegas_share_a_target(self, first, second):
+        omegas = [[1.0, 1.5, 2.25], seeded_omega(3)]
+        classify._signature_target.cache_clear()
+        for k in (first, second):
+            report = realize_signature(3, 2, omegas[k], 1e-2)
+            expected = realize_oracle.realize_signature(3, 2, omegas[k], 1e-2)
+            assert json.dumps(to_json(report)) == json.dumps(to_json(expected)), k
+        assert classify._signature_target.cache_info().hits == 1
+
+    def test_mutating_a_report_changes_no_later_report(self):
+        omega = [1.0, 2.0]
+        expected = json.dumps(to_json(realize_oracle.realize_signature(2, 1, omega, 1e-2)))
+        report = realize_signature(2, 1, omega, 1e-2)
+        report.b[:] = 7.0
+        report.G[:] = 7.0
+        assert json.dumps(to_json(realize_signature(2, 1, omega, 1e-2))) == expected
+
+    def test_an_out_of_range_m_raises_on_every_call(self):
+        messages = set()
+        for _ in range(3):
+            with pytest.raises(ValueError, match="m must lie in 1..3, got 4") as info:
+                realize_signature(2, 4, [1.0, 2.0], 1e-2)
+            messages.add(str(info.value))
+        assert len(messages) == 1
+
+
 class TestRotationQuotient:
     def test_hessian_invariant_under_rotations(self):
         rng = np.random.default_rng(19)
