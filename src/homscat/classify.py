@@ -208,21 +208,24 @@ def indefiniteness_ensemble(D_center, trials: int, seed: int) -> EnsembleSummary
 
 
 @lru_cache(maxsize=128)
-def _signature_target(l: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """The spectrum b = indefinite_spectrum(l, m) and the Mirsky target G
-    with the balanced +-1 diagonal and spectrum b, both read-only.
+def _signature_target(l: int, m: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """The spectrum b = indefinite_spectrum(l, m), the Mirsky target G
+    with the balanced +-1 diagonal and spectrum b, both read-only, and
+    min|b|, which realize_signature's stop rule reads on every op.
 
-    Neither depends on omega or eps, so the 128 signatures last used keep
-    theirs, functools' default bound, which holds every signature up to
+    None of them depends on omega or eps, so the 128 signatures last used
+    keep theirs, functools' default bound, which holds every signature up to
     l = 11.  An entry holds (2l)^2 + 2l floats, so the cache holds at most
     128 * 8 * (4l^2 + 2l) bytes at the largest l realized: about 6.6 MB at
-    l = 40.  A call that raises keeps nothing.
+    l = 40.  A call that raises keeps nothing.  min|b| is the float that
+    realize_signature computed from b on every op before it was kept here,
+    so no stop decision or message changes by a bit.
     """
     balanced = np.concatenate([np.ones(l), -np.ones(l)])
     b = indefinite_spectrum(l, m)
     G = mirsky_matrix(balanced, b)
     b.flags.writeable = G.flags.writeable = False
-    return b, G
+    return b, G, float(np.abs(b).min())
 
 
 @dataclass(frozen=True, eq=False)
@@ -259,10 +262,10 @@ def realize_signature(l: int, m: int, omega, eps: float) -> RealizationReport:
 
     The spectrum and the Mirsky target depend on (l, m) only, not on omega
     or eps: they are built once per signature and kept in a cache of at
-    most 128 entries (_signature_target), and the report holds copies of
-    them.  The inputs are checked once, here and in the public mirsky_matrix
-    on a cache miss; the exactly symmetric Mirsky target goes to the bracket
-    kernel unchecked.
+    most 128 entries (_signature_target) with min|b|, and the report holds
+    copies of them.  The inputs are checked once, here and in the public
+    mirsky_matrix on a cache miss; the exactly symmetric Mirsky target goes
+    to the bracket kernel unchecked.
     Each attempt forms sigma^T D sigma - D once, for both the overflow test
     and the inertia.  An attempt whose sigma is off symplectic by more than
     1e-7 is a miss, as a wrong inertia is, and eps halves: the caller
@@ -276,9 +279,8 @@ def realize_signature(l: int, m: int, omega, eps: float) -> RealizationReport:
         raise ValueError(f"omega must have length l = {l}, got {block.l}")
     eps = _positive_number(eps, "eps")
     _require_bracket_hypothesis(block)
-    b, G = _signature_target(l, m)
+    b, G, b_min = _signature_target(l, m)
     B, bracket = _solve_bracket(block, G)
-    b_min = np.min(np.abs(b))
     target = (m, 2 * l - m, 0)
     D, JB = block.D, block.J @ B
     if eps * max_abs(JB) == np.inf:  # halving eps only shrinks the generator: one check covers every attempt

@@ -62,8 +62,10 @@ class MajorizationWitness:
 
 
 def majorizes(a, b) -> MajorizationWitness:
-    """Decide a <| b: sorted partial sums of a never exceed those of b, totals equal, within _MAJORIZE_TOL.
-    Partial sums, or their differences, beyond the float range raise ValueError naming them."""
+    """Decide a <| b: sorted partial sums of a never exceed those of b, totals equal, within
+    _MAJORIZE_TOL * max(1, max|a|, max|b|), the witness's tol: the round-off of a partial sum
+    grows with its entries.  Partial sums, or their differences, beyond the float range raise
+    ValueError naming them."""
     av = np.atleast_1d(_float_array(a, "majorization vector a"))
     bv = np.atleast_1d(_float_array(b, "majorization vector b"))
     if av.ndim != 1 or bv.ndim != 1 or av.size == 0:
@@ -86,14 +88,15 @@ def majorizes(a, b) -> MajorizationWitness:
                 raise ValueError(f"majorization {what} beyond the float range")
     gaps = diffs[:-1]
     total = float(diffs[-1])
-    holds = bool(np.all(gaps >= -_MAJORIZE_TOL)) and abs(total) <= _MAJORIZE_TOL
+    tol = _MAJORIZE_TOL * max(1.0, max_abs(av), max_abs(bv))
+    holds = bool((gaps >= -tol).all()) and abs(total) <= tol
     return MajorizationWitness(
         a_sorted=a_sorted,
         b_sorted=b_sorted,
         partial_sum_gaps=gaps,
         total_gap=total,
         holds=holds,
-        tol=_MAJORIZE_TOL,
+        tol=tol,
     )
 
 
@@ -208,18 +211,26 @@ def mirsky_matrix(diag_entries, eigenvalues) -> np.ndarray:
 
 def _require_bracket_hypothesis(block: CenterBlock) -> CenterBlock:
     """block, if its frequencies are nonzero with squares in the float range
-    and pairwise distinct: what _solve_bracket divides by, w_i and w_i^2 - w_j^2."""
+    and pairwise distinct: what _solve_bracket divides by, w_i and w_i^2 - w_j^2.
+
+    It runs once per realize op and in every ModelSpec, so it calls array
+    methods, not the np.any / np.max / np.diff wrappers around them, and
+    takes the largest square as top * top: squaring rounds monotonically in
+    |w|, so that is the largest entry of w * w, bit for bit.
+    """
     w = block.omega
-    if np.any(w == 0.0):
+    if (w == 0.0).any():
         raise ValueError("all centre frequencies must be nonzero")
-    top = float(np.max(np.abs(w)))
+    aw = np.abs(w)
+    top = float(aw.max())
     if top * top == np.inf:  # Python floats overflow without a warning
-        k = int(np.argmax(np.abs(w)))
+        k = int(aw.argmax())
         raise ValueError(f"omega[{k}] = {w[k]:g} is too large: its square overflows the float range")
     sq = w * w
-    gap = 1e-12 * max(1.0, float(sq.max()))
+    gap = 1e-12 * max(1.0, top * top)
     # some pair is within gap iff some neighbour pair of the sorted squares is
-    if sq.size < 2 or np.diff(np.sort(sq)).min() > gap:
+    s = np.sort(sq)
+    if sq.size < 2 or (s[1:] - s[:-1]).min() > gap:
         return block
     # np.nonzero lists the pairs i < j in row-major order
     i, j = np.nonzero(np.triu(np.abs(sq[:, None] - sq[None, :]) <= gap, 1))
@@ -278,11 +289,17 @@ def _solve_bracket(block: CenterBlock, Gs: np.ndarray) -> tuple[np.ndarray, np.n
     exactly symmetric: P_ji and R_ji are the quotients P_ij and R_ij with
     numerator and denominator both negated.  The bracket of B, formed once for the residual bound, is what
     realize_signature measures its first-order gap against.
+
+    It runs once per realize op, so the range test calls the array's own
+    methods, not the np.diag / np.all wrappers, and the diagonal fills read
+    the diagonals of G12 and G22 as views, not gathered by an index, divide
+    by 2 w once, and set R_ii from the very quotient stored in P_ii: the
+    same floats by fewer numpy calls.
     """
     l, w = block.l, block.omega
     scale = max(1.0, max_abs(Gs))
-    dvec = np.diag(Gs)
-    if not np.all(np.abs(dvec[:l] + dvec[l:]) <= 1e-8 * scale):
+    dvec = Gs.diagonal()
+    if not (np.abs(dvec[:l] + dvec[l:]) <= 1e-8 * scale).all():
         raise ValueError(
             "target is outside the bracket range: diagonal entries do not cancel in conjugate pairs"
         )
@@ -295,10 +312,10 @@ def _solve_bracket(block: CenterBlock, Gs: np.ndarray) -> tuple[np.ndarray, np.n
     B[:l, l:] = (wj * G11 + wi * G22) / delta
     B[l:, l:] = (wj * G12.T - wi * G12) / delta
     P, Q, R = B[:l, :l], B[:l, l:], B[l:, l:]
-    k = np.arange(l)
-    Q[k, k] = G22[k, k] / (2.0 * w)
-    P[k, k] = G12[k, k] / (2.0 * w)
-    R[k, k] = -P[k, k]
+    k, two_w = np.arange(l), 2.0 * w
+    Q[k, k] = G22.diagonal() / two_w
+    P[k, k] = p = G12.diagonal() / two_w
+    R[k, k] = -p
     B[l:, :l] = Q.T
     bracket = _bracket(block, B)
     residual = max_abs(bracket - Gs)

@@ -166,6 +166,15 @@ def matrix_exponential(M) -> np.ndarray:
     for bit as it would alone.  Accuracy is far below 1e-8 for the matrix
     sizes used in this package.  A slice whose norm or exponential is beyond
     the float range comes out non-finite, never as a finite wrong matrix.
+
+    The bookkeeping costs no call that the arithmetic does not need: the
+    squaring order is tested on slices of the counts, and the round count
+    is the leading slice's.  When no slice needs halving, the ldexp copy is
+    skipped, since ldexp by 0 is the identity and E = A / 12 makes a new
+    array anyway; the argument is never written to and the result never
+    shares its memory.  A norm beyond the float range gives a count of 1
+    (frexp(inf) has exponent 0), so the NaN patch runs only after halving,
+    and only when some norm is infinite.
     """
     A = _square(M, stack=True)
     shape = A.shape
@@ -174,11 +183,14 @@ def matrix_exponential(M) -> np.ndarray:
     mantissa, exponent = np.frexp(np.maximum(norm, 0.5))  # norm = mantissa 2^exponent, 0.5 <= mantissa < 1
     squarings = exponent + (mantissa > 0.5)
     # slices in falling order of squarings, so that round r squares a leading run
-    order = None if (np.diff(squarings) <= 0).all() else np.argsort(-squarings, kind="stable")
+    order = None if (squarings[1:] <= squarings[:-1]).all() else np.argsort(-squarings, kind="stable")
     if order is not None:
         A, norm, squarings = A[order], norm[order], squarings[order]
-    A = np.ldexp(A, -squarings[:, None, None])
-    A[np.isinf(norm)] = np.nan
+    rounds = int(squarings[0]) if squarings.size else 0
+    if rounds:
+        A = np.ldexp(A, -squarings[:, None, None])
+        if norm.max() == np.inf:
+            A[np.isinf(norm)] = np.nan
     I = np.eye(shape[-1])
     # Horner's E = I + (A @ E) / k from E = I, summed in place: A @ I is A and
     # x + I is I + x, so every step rounds exactly as that expression does
@@ -189,7 +201,7 @@ def matrix_exponential(M) -> np.ndarray:
         E /= k
         E += I
     # round r squares the slices whose count exceeds r: the first live ones
-    for r in range(squarings.max(initial=0)):
+    for r in range(rounds):
         live = np.count_nonzero(squarings > r)
         E[:live] = E[:live] @ E[:live]
     if order is not None:

@@ -449,6 +449,14 @@ class TestSignatureTargetCache:
             assert json.dumps(to_json(report)) == json.dumps(to_json(expected)), k
         assert classify._signature_target.cache_info().hits == 1
 
+    def test_the_kept_minimum_is_min_abs_b(self):
+        # the stop rule read min|b| from b on every op; the cache keeps that float
+        keys = [(l, m) for l in range(1, 7) for m in range(1, 2 * l)]
+        classify._signature_target.cache_clear()
+        for l, m in keys:
+            assert classify._signature_target(l, m)[2] == np.min(np.abs(indefinite_spectrum(l, m))), (l, m)
+        assert classify._signature_target.cache_info().misses == len(keys)
+
     def test_mutating_a_report_changes_no_later_report(self):
         omega = [1.0, 2.0]
         expected = json.dumps(to_json(realize_oracle.realize_signature(2, 1, omega, 1e-2)))

@@ -343,6 +343,22 @@ class TestMirskyCommand:
         message = json.loads(err)
         assert message["kind"] == "numerical" and "beyond the float range" in message["error"]
 
+    # a Schur-Horn pair at scale 1e6: the diagonal of Q diag(eigs) Q^T
+    LARGE_DIAG = [-1273788.6914347336, -470615.308262831, -117587.02371583505, -803853.9836271892, -224075.7939581287]
+    LARGE_EIGS = [547846.7492858173, -920853.1449445188, -1836105.9042552211, -1933889.4578858835, 1253080.9568010897]
+
+    def test_large_scale_pair(self, capsys):
+        # it exited 2: "partial sum 5 fails (gap 9.313e-10)", round-off under an absolute 1e-10
+        diag, eigs = (",".join(map(repr, v)) for v in (self.LARGE_DIAG, self.LARGE_EIGS))
+        code, payload, _ = run(capsys, ["mirsky", f"--diag={diag}", f"--eigs={eigs}"])
+        assert code == 0 and payload["pass"] is True
+
+    def test_large_scale_pair_off_by_a_relative_1e_3_exits_2(self, capsys):
+        moved = [self.LARGE_DIAG[0] * 1.001] + self.LARGE_DIAG[1:]
+        diag, eigs = (",".join(map(repr, v)) for v in (moved, self.LARGE_EIGS))
+        code, payload, err = run(capsys, ["mirsky", f"--diag={diag}", f"--eigs={eigs}"])
+        assert input_error(code, payload, err, "diagonal is not majorized by the spectrum")
+
     def test_non_majorized_exits_2(self, capsys):
         code, payload, err = run(capsys, ["mirsky", "--diag", "2,0", "--eigs", "1,1"])
         assert code == 2

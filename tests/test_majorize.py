@@ -48,6 +48,15 @@ def transfer_towards(rng, v, steps):
     return out
 
 
+def schur_horn_pair(seed, scale):
+    """A diagonal d and a spectrum lam with d <| lam by Schur-Horn: d is the
+    diagonal of Q diag(lam) Q^T for an orthogonal Q."""
+    rng = np.random.default_rng(seed)
+    lam = scale * rng.uniform(-2.0, 2.0, 5)
+    Q = np.linalg.qr(rng.standard_normal((5, 5)))[0]
+    return np.diag(Q @ np.diag(lam) @ Q.T).copy(), lam
+
+
 class TestMajorizes:
     def test_hand_example(self):
         w = majorizes([1, 1, -1, -1], [3, -1, -1, -1])
@@ -90,6 +99,28 @@ class TestMajorizes:
         # they overflowed with a RuntimeWarning and the witness held NaN or inf
         with pytest.raises(ValueError, match=f"{match} .*beyond the float range"):
             majorizes(a, b)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e3, 1e6])
+    def test_schur_horn_pairs_hold_at_every_scale(self, scale):
+        # at scale 1e6, 16 of these 20 pairs failed an absolute bound of 1e-10
+        # with a total gap near 1e-9, the round-off of sums near 1e6
+        for seed in range(20):
+            d, lam = schur_horn_pair(seed, scale)
+            w = majorizes(d, lam)
+            assert w.holds, seed
+            assert w.tol == 1e-10 * max(1.0, max_abs(d), max_abs(lam))
+
+    def test_a_relative_miss_at_large_scale_fails(self):
+        for seed in range(20):
+            d, lam = schur_horn_pair(seed, 1e6)
+            d[seed % 5] += 1e-6 * max_abs(lam)
+            assert not majorizes(d, lam).holds, seed
+
+    def test_entries_within_one_keep_the_absolute_bound(self):
+        w = majorizes([0.5, 0.5, -0.5, -0.5], [1.0, 0.0, -0.5, -0.5])
+        assert w.holds and w.tol == 1e-10
+        assert majorizes([0.5, -0.5], [0.5, -0.5 + 5e-11]).holds
+        assert not majorizes([0.5, -0.5], [0.5, -0.5 + 2e-10]).holds
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 10**6), st.integers(2, 10))
@@ -158,6 +189,15 @@ class TestMirskyMatrix:
         assert max_abs(np.diag(M) - d) <= 1e-10
         w = np.linalg.eigvalsh(M)
         assert max_abs(np.sort(w) - np.sort(b)) <= 1e-8
+
+    def test_schur_horn_pairs_at_large_scale(self):
+        # the pairs were refused as "diagonal is not majorized by the spectrum"
+        for seed in range(20):
+            d, lam = schur_horn_pair(seed, 1e6)
+            M = mirsky_matrix(d, lam)
+            scale = max_abs(lam)
+            assert max_abs(np.diag(M) - d) <= 1e-10 * scale, seed
+            assert max_abs(np.sort(np.linalg.eigvalsh(M)) - np.sort(lam)) <= 1e-8 * scale, seed
 
     def test_rejects_non_majorized(self):
         with pytest.raises(MajorizationError) as info:

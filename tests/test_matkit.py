@@ -97,20 +97,38 @@ class TestMatrixExponential:
         assert max_abs(matrix_exponential(M) @ matrix_exponential(-M) - np.eye(5)) <= 1e-10
 
     def test_stack_slices_match_single(self):
-        # max-row-sum norms 0.3 * 2**j need j squarings; shuffled so that the
-        # slices are not already in order of their squaring counts
+        # max-row-sum norms 0.3 * 2**j need j squarings, and a ninth slice of
+        # norm 0.5 needs none either; shuffled so that the slices are not
+        # already in order of their squaring counts.  A slice that needs no
+        # halving skips ldexp alone and is halved by 0 in the stack.
         rng = np.random.default_rng(12)
-        M = rng.standard_normal((8, 5, 5))
+        M = rng.standard_normal((9, 5, 5))
         M /= np.max(np.sum(np.abs(M), axis=2), axis=1)[:, None, None]
-        M *= 0.3 * 2.0 ** np.arange(8)[:, None, None]
-        M = M[rng.permutation(8)]
+        M *= np.append(0.3 * 2.0 ** np.arange(8), 0.5)[:, None, None]
+        M = M[rng.permutation(9)]
         norms = np.max(np.sum(np.abs(M), axis=2), axis=1)
         squarings = np.ceil(np.log2(np.maximum(norms, 0.5) / 0.5))
-        assert sorted(squarings) == list(range(8))
+        assert sorted(squarings) == [0] + list(range(8))
         E = matrix_exponential(M)
         assert E.shape == M.shape
-        for k in range(8):
+        for k in range(9):
             assert np.array_equal(E[k], matrix_exponential(M[k]))
+
+    @pytest.mark.parametrize(
+        "M",
+        [
+            0.1 * np.arange(9.0).reshape(3, 3) / 36.0,
+            np.stack([4.0 * np.eye(3), np.eye(3), np.zeros((3, 3))]),
+            np.stack([np.eye(2), np.array([[1e308, 1e308], [0.0, 0.0]])]),
+        ],
+        ids=["no-halving", "stack-in-squaring-order", "stack-with-an-overflowing-row-sum"],
+    )
+    def test_argument_is_neither_written_nor_returned(self, M):
+        before = M.copy()
+        with np.errstate(over="ignore", invalid="ignore"):
+            E = matrix_exponential(M)
+        assert np.array_equal(M, before)
+        assert not np.shares_memory(E, M)
 
     def test_single_matrix_matches_sequential_oracle(self):
         # max-row-sum norm 3 needs three squarings
