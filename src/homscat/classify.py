@@ -66,21 +66,20 @@ class RealizationError(ArithmeticError):
 
 
 def _symplectic_defect(S: np.ndarray, J: np.ndarray):
-    """max|S^T J S - J| of S, or of each slice of a stack; NaN where it overflows."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _slice_max_abs(S.swapaxes(-1, -2) @ J @ S - J)
+    """max|S^T J S - J| of S, or of each slice of a stack; NaN where it overflows, under the caller's errstate."""
+    return _slice_max_abs(S.swapaxes(-1, -2) @ J @ S - J)
 
 
-def _require_symplectic(S: np.ndarray, J: np.ndarray) -> None:
+def _require_symplectic(S: np.ndarray, J: np.ndarray, scale: float = 1.0) -> None:
     defect = _symplectic_defect(S, J)
     # a NaN defect fails this test too
-    if not (defect <= _SYMPLECTIC_PRECONDITION_TOL).all():
+    if not (defect <= _SYMPLECTIC_PRECONDITION_TOL * scale).all():
         raise ValueError(f"scattering matrix is not symplectic (defect {defect.max():.3e})")
 
 
 def _hessian(S: np.ndarray, block: CenterBlock) -> np.ndarray:
-    _require_symplectic(S, block.J)
     with np.errstate(over="ignore", invalid="ignore"):
+        _require_symplectic(S, block.J)
         H = S.swapaxes(-1, -2) @ block.D @ S - block.D
     if not np.isfinite(H).all():
         # the first overflowing slice: the same trial in every chunking of an ensemble
@@ -293,13 +292,14 @@ def realize_signature(l: int, m: int, omega, eps: float) -> RealizationReport:
         with np.errstate(over="ignore", invalid="ignore"):
             sigma = matrix_exponential(-eps_cur * JB)
             H = sigma.T @ D @ sigma - D
+            defect = _symplectic_defect(sigma, block.J)
         if not np.isfinite(H).all():
             raise ArithmeticError(
                 f"eps = {eps_cur:.3g} overflows the float range: the Hessian of exp(-eps J B), with "
                 f"max|J B| = {max_abs(JB):.3g}, exceeds it; the realization needs a smaller eps"
             )
         achieved = inertia(H)
-        if achieved.inertia == target and _symplectic_defect(sigma, block.J) <= _SYMPLECTIC_PRECONDITION_TOL:
+        if achieved.inertia == target and defect <= _SYMPLECTIC_PRECONDITION_TOL:
             gap = max_abs(H / eps_cur - bracket)
             return RealizationReport(
                 l=l,
@@ -345,8 +345,8 @@ def reversible_signature(sigma, center: CenterBlock) -> tuple[ReversibilityRepor
     """Residual of sigma R sigma = R for the centre reversal R = diag(I_l, -I_l),
     and in the reversible case the inertia of sigma^T D sigma - D, D = center.D.
 
-    A residual beyond the float range is inf.  A residual above
-    _REVERSIBILITY_TOL fails the check, and the signature is None.
+    A residual beyond the float range is inf, and one above the report's tol,
+    _REVERSIBILITY_TOL * max(1, max|sigma|), fails the check: no signature.
 
     The reversal is the normal form R = diag(I, -I), and that loses nothing:
     a reversor of the centre flow commutes with D, so for distinct
@@ -355,8 +355,8 @@ def reversible_signature(sigma, center: CenterBlock) -> tuple[ReversibilityRepor
     with a congruent Hessian.
 
     The signature comes from an identity.  With A = R sigma, A^2 = I, and a
-    symplectic sigma (checked within 1e-7) makes the fixed spaces Fix(A) and
-    Fix(-A) Lagrangian, of dimension l each.  R commutes with D, so
+    symplectic sigma (checked within the same 1e-7 max(1, max|sigma|)) makes
+    Fix(A) and Fix(-A) Lagrangian, of dimension l each.  R commutes with D, so
     sigma^T D sigma = A^T D A and H vanishes on both: in a basis [P+, P-] H is
     [[0, X^T], [X, 0]] with X = -2 P-^T D P+, of inertia (r, r, 2l - 2r),
     r = rank X.  One SVD of (I + A)/2 gives orthonormal P+ (its first l left
@@ -373,10 +373,13 @@ def reversible_signature(sigma, center: CenterBlock) -> tuple[ReversibilityRepor
     with np.errstate(over="ignore", invalid="ignore"):
         residual = max_abs(S @ R @ S - R)
     residual = np.inf if np.isnan(residual) else residual  # inf - inf where the product overflowed
-    report = ReversibilityReport(residual=residual, tol=_REVERSIBILITY_TOL, passed=bool(residual <= _REVERSIBILITY_TOL))
+    scale = max(1.0, max_abs(S))  # the round-off of sigma R sigma and of sigma^T J sigma grows with |sigma|
+    tol = _REVERSIBILITY_TOL * scale
+    report = ReversibilityReport(residual=residual, tol=tol, passed=bool(residual <= tol))
     if not report.passed:
         return report, None
-    _require_symplectic(S, center.J)
+    with np.errstate(over="ignore", invalid="ignore"):
+        _require_symplectic(S, center.J, scale)
     l = center.l
     U, _, Vt = np.linalg.svd(0.5 * (np.eye(center.dim) + R @ S))
     with np.errstate(over="ignore", invalid="ignore"):

@@ -215,7 +215,7 @@ def _cmd_reversible(args) -> tuple[dict, bool]:
 
 def _cmd_mirsky(args) -> tuple[dict, bool]:
     """Passes when diag_error <= 1e-10 max(1, max|eigs|) and eigenvalue_error <= 1e-8 max(1, max|eigs|),
-    the bounds of acceptance criterion 06 scaled with the spectrum."""
+    the bounds of acceptance criterion 06 scaled with the spectrum; tol is the majorization bound."""
     d, eigs = np.array(args.diag), np.array(args.eigs)
     M = mirsky_matrix(d, eigs)
     w = eigvalsh(M)
@@ -230,6 +230,7 @@ def _cmd_mirsky(args) -> tuple[dict, bool]:
         "matrix": M,
         "diag_error": diag_error,
         "eigenvalue_error": eigenvalue_error,
+        "tol": majorizes(d, eigs).tol,
         "pass": ok,
     }
     return payload, ok

@@ -34,6 +34,8 @@ DEFAULT_INTEGRATOR_TOL = 1e-10
 # bound on the (2n + 1) d^2 field entries of one RK4 pass, which holds a few
 # arrays of that size: 32 MiB each at the bound; a first pass has at least 16 steps
 _MAX_FIELD_ELEMENTS = 2 ** 22
+_SLAB_NODES = np.linspace(0.0, 1.0, 65)  # spacing 1/64 on a unit slab beyond the support
+_SLAB_NODES.flags.writeable = False
 
 
 class ScatteringConvergenceError(ArithmeticError):
@@ -51,21 +53,20 @@ class ScatteringConvergenceError(ArithmeticError):
 
 
 def _field_values(fld: Callable, ts: np.ndarray, d: int) -> np.ndarray:
-    values = _float_array(fld(ts), "field")
+    values = fld(ts)
+    if not (type(values) is np.ndarray and values.dtype == np.float64 and np.isfinite(values).all()):
+        values = _float_array(values, "field")  # the full parse, which names the first non-finite entry
     if values.shape != (ts.size, d, d):
         raise ValueError(f"field returned shape {values.shape} for {ts.size} times, expected ({ts.size}, {d}, {d})")
     return values
 
 
 def _rk4_product(A1: np.ndarray, Am: np.ndarray, A4: np.ndarray, h: float) -> np.ndarray:
-    # classic RK4 on the matrix equation, written as one update matrix per step
-    # so the per-step factors can be built and multiplied in batch; A1, Am and
-    # A4 hold the field at the starts, midpoints and ends of the n steps, n a
-    # power of two.  The stages are built in place, in the evaluation order of
-    #   U = I + (h/6) (K1 + 2 K2 + 2 K3 + K4),  K2 = Am + (h/2) Am K1, ...
-    # so U is bit for bit that expression's value; written with temporaries, as
-    # tests/rk4_oracle.py has it, the scatter benchmark ran about 14% slower
-    # (672-697 against 795-803 ops/s, p90 2.1 against 1.7 ms, 2-CPU Xeon).
+    # classic RK4 on the matrix equation, one update matrix per step, built and multiplied in batch
+    # from the field at the n step starts A1, midpoints Am and ends A4, n a power of two.  The stages
+    # are built in place in the evaluation order of U = I + (h/6) (K1 + 2 K2 + 2 K3 + K4), K2 = Am +
+    # (h/2) Am K1, ..., so U is bit for bit that value; with temporaries, as tests/rk4_oracle.py
+    # has them, the three passes of an l = 3 op took 9-18% longer (see CHANGES.md).
     K2 = Am @ A1
     K2 *= 0.5 * h
     K2 += Am
@@ -115,15 +116,16 @@ def fundamental_solution(fld: Callable, t0: float, t1: float, d: int) -> np.ndar
 
     `fld` follows the field contract of ScatteringProblem: a 1-D array of
     times in, an (n, d, d) array out, for the positive integer d the caller
-    states.  The first pass samples its 2n + 1 step ends and midpoints; the
-    step count is a power of two, so each doubling samples only the 2n new
-    midpoints.  It doubles until two passes agree within
-    DEFAULT_INTEGRATOR_TOL * max(1, t1 - t0) in max-abs norm and returns the
-    finer; t1 == t0 gives the identity.  The cap of 2**22 field entries,
-    (2n + 1) d^2 for n steps, is checked before each sampling, the first
-    pass together with its double, so no field call precedes it: a span
-    beyond it raises ArithmeticError, and so do a refinement that reaches it
-    and a product that overflows.
+    states.  The first pass samples its n + 1 step ends, then its n
+    midpoints, so every pass reads contiguous starts, midpoints and ends; n
+    is a power of two, so each doubling samples only the 2n new midpoints.
+    It doubles until two passes agree within DEFAULT_INTEGRATOR_TOL *
+    max(1, t1 - t0) in max-abs norm and returns the finer; t1 == t0 gives
+    the identity.  The cap of 2**22 field entries, (2n + 1) d^2 for n steps,
+    is checked before each sampling, the first pass together with its
+    double, so no field call precedes it: a span beyond it raises
+    ArithmeticError, and so do a refinement that reaches it and a product
+    that overflows, under the one errstate of all passes.
     """
     d = _integer(d, "d")
     if d < 1:
@@ -138,25 +140,23 @@ def fundamental_solution(fld: Callable, t0: float, t1: float, d: int) -> np.ndar
     span = t1 - t0
     budget = DEFAULT_INTEGRATOR_TOL * max(1.0, span)
     n = _pass_steps(span, d)
-    A = _field_values(fld, t0 + span * np.arange(2 * n + 1) / (2 * n), d)
-    A1, Am, A4 = A[0:-1:2], A[1::2], A[2::2]
+    nodes = np.concatenate([np.arange(0, 2 * n + 1, 2), np.arange(1, 2 * n, 2)])
+    A = _field_values(fld, t0 + span * nodes / (2 * n), d)
+    A, Am = A[: n + 1], A[n + 1 :]
     previous = None
-    while True:
-        with np.errstate(over="ignore", invalid="ignore"):
-            current = _rk4_product(A1, Am, A4, span / n)
-        if not np.isfinite(current).all():
-            raise ArithmeticError(f"RK4 product overflowed with n = {n} steps over [{t0:g}, {t1:g}]")
-        if previous is not None and max_abs(current - previous) <= budget:
-            return current
-        previous = current
-        n = _pass_steps(span, d, n)
-        if len(A) < n + 1:  # from the second doubling on, the last pass's grid interleaves A and Am
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            current = _rk4_product(A[:-1], Am, A[1:], span / n)
+            if not np.isfinite(current).all():
+                raise ArithmeticError(f"RK4 product overflowed with n = {n} steps over [{t0:g}, {t1:g}]")
+            if previous is not None and max_abs(current - previous) <= budget:
+                return current
+            previous = current
+            n = 2 * n if (4 * n + 1) * d * d <= _MAX_FIELD_ELEMENTS else _pass_steps(span, d, n)
             grid = np.empty((n + 1, d, d))
             grid[0::2], grid[1::2] = A, Am
-            A = grid
-        # A, the step starts and ends, holds the even nodes of this pass's grid bit for bit
-        Am = _field_values(fld, t0 + span * np.arange(1, 2 * n, 2) / (2 * n), d)
-        A1, A4 = A[:-1], A[1:]
+            # A, the step starts and ends, holds the even nodes of this pass's grid bit for bit
+            A, Am = grid, _field_values(fld, t0 + span * np.arange(1, 2 * n, 2) / (2 * n), d)
 
 
 @dataclass(eq=False)
@@ -208,11 +208,11 @@ def scattering_matrix(problem: ScatteringProblem) -> ScatteringResult:
     T_s = _positive_number(problem.support_halfwidth, "support_halfwidth")
     d = problem.center.dim
     _pass_steps(T_s + T_s, d)  # the span T_s - (-T_s) of the solve below
-    s = np.linspace(0.0, 1.0, 65)
-    slabs = _field_values(problem.field, np.concatenate([-(T_s + s), T_s + s]), d)
+    slabs = _field_values(problem.field, np.concatenate([-(T_s + _SLAB_NODES), T_s + _SLAB_NODES]), d)
     sigma = fundamental_solution(problem.field, -T_s, T_s, d)
     with np.errstate(over="ignore"):
-        excess = np.linalg.norm(slabs, axis=(1, 2)).reshape(2, 65).max(axis=1)
+        # the Frobenius norms by np.linalg.norm's formula, without its dispatch
+        excess = np.sqrt(np.add.reduce(slabs * slabs, axis=(1, 2))).reshape(2, 65).max(axis=1)
         residual = float(np.linalg.norm(sigma) * np.expm1(excess.sum()))
     if residual > DEFAULT_SIGMA_TOL:
         raise ScatteringConvergenceError(T_s, excess, residual)

@@ -147,7 +147,8 @@ def mirsky_matrix(diag_entries, eigenvalues) -> np.ndarray:
         k = witness.first_failure()
         raise MajorizationError(
             f"diagonal is not majorized by the spectrum: partial sum {k} fails "
-            f"(gap {witness.partial_sum_gaps[k - 1] if k <= witness.partial_sum_gaps.size else witness.total_gap:.3e})",
+            f"(gap {witness.partial_sum_gaps[k - 1] if k <= witness.partial_sum_gaps.size else witness.total_gap:.3e}, "
+            f"whose magnitude exceeds the bound {witness.tol:.3e})",
             index=k,
         )
     n = d.size

@@ -26,6 +26,7 @@ import numpy as np
 _EXP_SERIES_ORDER = 12
 _SYMMETRY_TOL = 1e-10
 _CLASSIFICATION_FLOOR = 1e-7
+_SHARED_FORMS: dict[int, np.ndarray] = {}
 
 
 def max_abs(M) -> float:
@@ -46,7 +47,7 @@ def _square(M, name: str = "matrix", stack: bool = False) -> np.ndarray:
 
 def _slice_max_abs(A: np.ndarray, floor: float = 0.0):
     """max(floor, max_abs) of a matrix, or of each slice of a stack."""
-    return np.abs(A).max(axis=(-2, -1), initial=floor)
+    return np.abs(A).max(axis=(-2, -1) if A.ndim > 2 else None, initial=floor)
 
 
 def _as_float(value) -> float:
@@ -272,8 +273,8 @@ def inertia(S) -> SignatureReport:
 
 @dataclass(frozen=True, eq=False)
 class CenterBlock:
-    """Centre frequencies omega, any nonempty finite vector, with D = diag(omega, omega) and
-    J built on first use; majorize checks the bracket's stricter hypothesis on omega."""
+    """Centre frequencies omega, any nonempty finite vector, with D = diag(omega, omega) built on
+    first use and J shared per l; majorize checks the bracket's stricter hypothesis on omega."""
 
     omega: np.ndarray
 
@@ -289,22 +290,26 @@ class CenterBlock:
 
     @cached_property
     def J(self) -> np.ndarray:
-        return standard_symplectic_form(self.omega.size)
+        # read-only; one array per l <= 16 is shared by every block, 47 KB for all sixteen
+        if self.l not in _SHARED_FORMS:
+            J = standard_symplectic_form(self.l)
+            J.flags.writeable = False
+            return _SHARED_FORMS.setdefault(self.l, J) if self.l <= 16 else J
+        return _SHARED_FORMS[self.l]
 
     @classmethod
     def from_diagonal(cls, D) -> "CenterBlock":
-        """The block whose D is the given diag(omega, omega), with its
-        pattern checked to a relative 1e-12."""
+        """The block whose D is the given diag(omega, omega), its pattern checked to a relative 1e-12."""
         A = _square(D, "centre diagonal")
         if A.shape[0] % 2:
             raise ValueError("centre diagonal must have even dimension")
-        d = np.diag(A)
+        w = A.diagonal()[: A.shape[0] // 2].copy()
         gap = 1e-12 * max(1.0, max_abs(A))
-        if max_abs(A - np.diag(d)) > gap:
-            raise ValueError("centre block must be diagonal")
-        w = d[: d.size // 2].copy()
-        if max_abs(d[w.size :] - w) > gap:
-            raise ValueError("centre diagonal must repeat its frequencies in both blocks")
+        with np.errstate(over="ignore"):  # one check of the pattern diag(w, w); inf fails it
+            if max_abs(A - np.diag(np.concatenate([w, w]))) > gap:
+                if max_abs(A - np.diag(np.diag(A))) > gap:  # the off-diagonal part names the cause
+                    raise ValueError("centre block must be diagonal")
+                raise ValueError("centre diagonal must repeat its frequencies in both blocks")
         return cls(w)
 
     @property

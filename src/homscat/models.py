@@ -259,8 +259,16 @@ def scattering_problem(spec: ModelSpec) -> flow.ScatteringProblem:
             f"of two field samples: eps = {spec.eps:g} and T_support = {spec.T_support:g} give "
             f"bump peak {bump(spec, 0.0):.3g}, with max|C| = {max_abs(spec.C):g}"
         )
+    neg_eps, scale, T = -spec.eps, 1.0 / (spec.T_support * _profile_mass()), spec.T_support
+
+    def field(t):  # -eps * bump(spec, t) times J C: bump's products in its order, scaled in place
+        xi = _raw_profile(np.divide(t, T))
+        xi *= scale
+        xi *= neg_eps
+        return xi[:, None, None] * JC
+
     return flow.ScatteringProblem(
-        field=lambda t: (-spec.eps * bump(spec, t))[:, None, None] * JC,
+        field=field,
         support_halfwidth=spec.T_support,
         center=spec.center,
     )

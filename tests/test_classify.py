@@ -617,8 +617,24 @@ class TestReversibleSignature:
         B[0, l] = B[l, 0] = 1.0
         sigma = matrix_exponential(-0.3 * standard_symplectic_form(l) @ B)
         rev, rep = reversible_signature(sigma, CenterBlock([1.0, 2.0]))
-        assert not rev.passed and rev.residual > 1e-4 and rev.tol == 1e-7
+        assert not rev.passed and rev.residual > 1e-4 and rev.tol == 1e-7 * max_abs(sigma) > 1e-7
         assert rep is None
+
+    def test_bound_scales_with_sigma_above_one(self):
+        # the residual's round-off grows with |sigma|: the bound is 1e-7 max(1, max|sigma|),
+        # 1e-7 for a rotation, and 1e-6 for a boost of max|sigma| 10.07
+        center = CenterBlock([1.0])
+        rotation = np.array([[np.cos(0.7), np.sin(0.7)], [-np.sin(0.7), np.cos(0.7)]])
+        assert reversible_signature(rotation, center)[0].tol == 1e-7
+        boost = np.array([[np.cosh(3.0), np.sinh(3.0)], [np.sinh(3.0), np.cosh(3.0)]])
+        for delta, passed in ((0.0, True), (1.5e-9, True), (1.5e-7, False)):
+            sigma = boost @ np.diag([1.0 + delta, 1.0 / (1.0 + delta)])  # reversible only at delta = 0
+            rev, rep = reversible_signature(sigma, center)
+            assert rev.tol == 1e-7 * max_abs(sigma) and rev.passed is passed and (rep is not None) is passed
+            # delta = 1.5e-9 leaves a residual of 3e-7, which the absolute 1e-7 refused
+            assert delta != 1.5e-9 or 1e-7 < rev.residual < 1e-6
+        # near max|sigma| = 1 the same residual still fails
+        assert not reversible_signature(np.diag([1.0 + 1.5e-7, 1.0 / (1.0 + 1.5e-7)]), center)[0].passed
 
     def test_rejects_sigma_of_another_dimension(self):
         with pytest.raises(ValueError, match="scattering matrix has dimension 2 but the centre block 4"):

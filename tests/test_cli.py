@@ -159,7 +159,7 @@ REPORTS = {
         lambda tmp: ["mirsky", "--diag", "1,-1", "--eigs", "2,-2"],
         {
             "command": "str", "diag": ["float"], "eigs": ["float"], "matrix": MATRIX,
-            "diag_error": "float", "eigenvalue_error": "float", "pass": "bool",
+            "diag_error": "float", "eigenvalue_error": "float", "tol": "float", "pass": "bool",
         },
     ),
     "majorize": (
@@ -358,6 +358,19 @@ class TestMirskyCommand:
         diag, eigs = (",".join(map(repr, v)) for v in (moved, self.LARGE_EIGS))
         code, payload, err = run(capsys, ["mirsky", f"--diag={diag}", f"--eigs={eigs}"])
         assert input_error(code, payload, err, "diagonal is not majorized by the spectrum")
+
+    def test_report_states_the_majorization_bound(self, capsys):
+        diag, eigs = (",".join(map(repr, v)) for v in (self.LARGE_DIAG, self.LARGE_EIGS))
+        code, payload, _ = run(capsys, ["mirsky", f"--diag={diag}", f"--eigs={eigs}"])
+        assert code == 0
+        assert payload["tol"] == majorizes(self.LARGE_DIAG, self.LARGE_EIGS).tol == 1e-10 * 1933889.4578858835
+
+    def test_refusal_names_the_bound_that_was_missed(self, capsys):
+        moved = [self.LARGE_DIAG[0] * 1.001] + self.LARGE_DIAG[1:]
+        diag, eigs = (",".join(map(repr, v)) for v in (moved, self.LARGE_EIGS))
+        code, payload, err = run(capsys, ["mirsky", f"--diag={diag}", f"--eigs={eigs}"])
+        assert input_error(code, payload, err, "diagonal is not majorized by the spectrum: partial sum 5 fails")
+        assert "bound 1.934e-04" in json.loads(err)["error"]
 
     def test_non_majorized_exits_2(self, capsys):
         code, payload, err = run(capsys, ["mirsky", "--diag", "2,0", "--eigs", "1,1"])
@@ -811,6 +824,29 @@ class TestReversibleCommand:
         assert code == 1
         assert payload["pass"] is False
         assert payload["reversibility"]["passed"] is False
+
+    def test_large_reversible_sigma_passes_within_the_scaled_bound(self, capsys, tmp_path):
+        # C = diag(1, -1) leaves sigma reversible; at eps = 9 max|sigma| is 4.05e3 and the
+        # residual 5.5e-7, which an absolute 1e-7 refused with exit 1
+        spec = ModelSpec(l=1, n_hyp=1, omega=[1.0], eps=9.0, C=[1.0, 0.0, 0.0, -1.0], T_support=3.0)
+        code, payload, err = run(capsys, ["reversible", "--spec", write_spec(tmp_path, spec)])
+        assert code == 0 and err == ""
+        scale = max_abs(np.array(payload["sigma"]["data"]))
+        assert 4e3 < scale < 4.1e3
+        rev = payload["reversibility"]
+        assert 1e-7 < rev["residual"] <= rev["tol"] == 1e-7 * scale
+        assert payload["pass"] is True and payload["signature"]["n_pos"] == 1
+
+    @pytest.mark.parametrize("eps, residual", [(0.3, 0.37), (9.0, 1.8e8)])
+    def test_coupled_twin_still_fails(self, capsys, tmp_path, eps, residual):
+        # the off-diagonal 0.5 couples the reversal eigenspaces: no scale of the bound lets it pass
+        spec = ModelSpec(l=1, n_hyp=1, omega=[1.0], eps=eps, C=[1.0, 0.5, 0.5, -1.0], T_support=3.0)
+        code, payload, err = run(capsys, ["reversible", "--spec", write_spec(tmp_path, spec)])
+        assert code == 1 and err == ""
+        rev = payload["reversibility"]
+        assert rev["passed"] is False and payload["pass"] is False
+        assert rev["residual"] == pytest.approx(residual, rel=0.05)
+        assert rev["tol"] == 1e-7 * max(1.0, max_abs(np.array(payload["sigma"]["data"])))
 
 
 class TestCliPlumbing:

@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -9,12 +10,14 @@ from homscat.flow import (
     DEFAULT_INTEGRATOR_TOL,
     ScatteringConvergenceError,
     ScatteringProblem,
+    _field_values,
     _pass_steps,
     fundamental_solution,
     scattering_matrix,
 )
 from homscat.matkit import (
     CenterBlock,
+    _float_array,
     matrix_exponential,
     max_abs,
     standard_symplectic_form,
@@ -218,6 +221,48 @@ class TestFundamentalSolution:
 
         with pytest.raises(ValueError):
             fundamental_solution(bad, 0.0, 1.0, 2)
+
+
+class TestFieldValues:
+    """_field_values takes a finite float64 array as it is, and passes anything else to
+    _float_array: it accepts and refuses what the parser does, with the parser's message."""
+
+    KINDS = {
+        "list": lambda v: v.tolist(),
+        "int array": lambda v: v.astype(int),
+        "float32 array": lambda v: v.astype(np.float32),
+        "object array": lambda v: v.astype(object),
+        "float64 array": lambda v: v.copy(),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_accepts_what_the_parser_accepts(self, kind):
+        values = self.KINDS[kind](np.arange(12.0).reshape(3, 2, 2))
+        got = _field_values(lambda t: values, np.arange(3.0), 2)
+        assert got.dtype == np.float64 and np.array_equal(got, _float_array(values, "field"))
+
+    @pytest.mark.parametrize("kind", ["list", "float32 array", "object array", "float64 array"])
+    @pytest.mark.parametrize("bad, name", [(np.nan, "nan"), (np.inf, "inf"), (-np.inf, "-inf")])
+    def test_refuses_what_the_parser_refuses(self, kind, bad, name):
+        values = np.arange(12.0).reshape(3, 2, 2)
+        values[1, 0, 1] = bad
+        values = self.KINDS[kind](values)
+        with pytest.raises(ValueError) as parsed:
+            _float_array(values, "field")
+        assert str(parsed.value) == f"field has a non-finite entry {name} at index 1, 0, 1"
+        with pytest.raises(ValueError) as sampled:
+            _field_values(lambda t: values, np.arange(3.0), 2)
+        assert str(sampled.value) == str(parsed.value)
+
+    @pytest.mark.parametrize("signs", [(1.0, 1.0), (1.0, -1.0)])
+    def test_entries_near_the_float_limit_pass_without_a_warning(self, signs):
+        # their sum overflows, to inf or to inf - inf = nan, and the full parse accepts them
+        values = np.empty((4, 2, 2))
+        values[:2], values[2:] = signs[0] * 1.7e308, signs[1] * 1.7e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _field_values(lambda t: values, np.arange(4.0), 2)
+        assert got is values
 
 
 class TestOracleAgreement:

@@ -291,6 +291,21 @@ class TestCenterDiagonal:
         recovered = CenterBlock.from_diagonal(block.D)
         assert np.array_equal(recovered.omega, w) and np.array_equal(recovered.D, block.D)
 
+    def test_blocks_of_one_l_share_one_read_only_J(self):
+        for l in (1, 2, 5):
+            w = np.arange(1.0, l + 1.0)
+            J = CenterBlock(w).J
+            assert CenterBlock.from_diagonal(CenterBlock(2 * w).D).J is J
+            assert not J.flags.writeable and np.array_equal(J, standard_symplectic_form(l))
+            with pytest.raises(ValueError, match="read-only"):
+                J[0, 0] = 1.0
+
+    def test_standard_form_is_a_fresh_writable_array(self):
+        first = standard_symplectic_form(3)
+        first[0, 0] = 7.0
+        again = standard_symplectic_form(3)
+        assert again[0, 0] == 0.0 and again.flags.writeable and again is not CenterBlock(np.ones(3)).J
+
     def test_rejects_unpaired(self):
         with pytest.raises(ValueError, match="must repeat its frequencies in both blocks"):
             CenterBlock.from_diagonal(np.diag([1.0, 2.0, 1.0, 3.0]))

@@ -537,6 +537,27 @@ class TestScatteringProblemBuilder:
         with pytest.raises(ArithmeticError, match="T_support = 1e-300"):
             scattering_problem(spec)
 
+    @pytest.mark.parametrize("l", [1, 2, 3, 4])
+    def test_field_is_the_bump_times_J_C_bit_for_bit(self, l):
+        # the field's closure scales the raw profile in place; it must give every bit of
+        # -eps * bump(spec, t) times J C at the times the integrator and the slabs sample
+        rng = np.random.default_rng(40 + l)
+        raw = rng.standard_normal((2 * l, 2 * l))
+        spec = ModelSpec(l=l, n_hyp=1, omega=np.arange(1.0, l + 1.0), eps=0.07, C=raw + raw.T, T_support=3.0)
+        T, n = spec.T_support, 64
+        nodes = np.concatenate([np.arange(0, 2 * n + 1, 2), np.arange(1, 2 * n, 2)])
+        slab = np.linspace(0.0, 1.0, 65)
+        times = [
+            -T + 2 * T * nodes / (2 * n),  # the first pass: step ends, then midpoints
+            -T + 2 * T * np.arange(1, 4 * n, 2) / (4 * n),  # the midpoints of its doubling
+            np.concatenate([-(T + slab), T + slab]),  # the slabs beyond the support
+            np.array([-T, T, -1e300, 1e300, -np.inf, np.inf]),  # |t| >= T_support
+        ]
+        JC = standard_symplectic_form(l) @ spec.C
+        field = scattering_problem(spec).field
+        for t in times:
+            assert np.array_equal(field(t), (-spec.eps * bump(spec, t))[:, None, None] * JC)
+
     def test_builds_consistent_problem(self):
         spec = two_center_spec(eps=0.1, C=np.eye(4))
         problem = scattering_problem(spec)
