@@ -34,8 +34,7 @@ DEFAULT_INTEGRATOR_TOL = 1e-10
 # bound on the (2n + 1) d^2 field entries of one RK4 pass, which holds a few
 # arrays of that size: 32 MiB each at the bound; a first pass has at least 16 steps
 _MAX_FIELD_ELEMENTS = 2 ** 22
-_SLAB_NODES = np.linspace(0.0, 1.0, 65)  # spacing 1/64 on a unit slab beyond the support
-_SLAB_NODES.flags.writeable = False
+_SLAB_NODES = np.linspace(0.0, 1.0, 65)  # spacing 1/64 on a unit slab beyond the support; never written
 
 
 class ScatteringConvergenceError(ArithmeticError):
@@ -53,9 +52,7 @@ class ScatteringConvergenceError(ArithmeticError):
 
 
 def _field_values(fld: Callable, ts: np.ndarray, d: int) -> np.ndarray:
-    values = fld(ts)
-    if not (type(values) is np.ndarray and values.dtype == np.float64 and np.isfinite(values).all()):
-        values = _float_array(values, "field")  # the full parse, which names the first non-finite entry
+    values = _float_array(fld(ts), "field")
     if values.shape != (ts.size, d, d):
         raise ValueError(f"field returned shape {values.shape} for {ts.size} times, expected ({ts.size}, {d}, {d})")
     return values
@@ -93,11 +90,16 @@ def _rk4_product(A1: np.ndarray, Am: np.ndarray, A4: np.ndarray, h: float) -> np
 def _pass_steps(span: float, d: int, n: int | None = None) -> int:
     """The step count of the pass after one of n steps, or of the first when n is None, within the cap.
     A first pass takes 8 steps per unit time, at least 16, rounded up to a power of two."""
+    if n is not None:  # a refinement: d is the solve's checked int, so the test is exact
+        if (4 * n + 1) * d * d > _MAX_FIELD_ELEMENTS:
+            raise ArithmeticError(f"step refinement exhausted without meeting the tolerance: n = {2 * n} steps "
+                                  f"of a {d} x {d} field would exceed {_MAX_FIELD_ELEMENTS} field samples")
+        return 2 * n
     with np.errstate(over="ignore"):  # 2.0 ** 1024 is inf, and Python floats overflow without a warning
-        steps = float(2.0 ** np.ceil(np.log2(max(16.0, 8.0 * span)))) if n is None else 2 * n
+        steps = float(2.0 ** np.ceil(np.log2(max(16.0, 8.0 * span))))
     side = float(np.fmin(_as_float(d), np.inf))  # fmin skips the NaN of an integer d beyond the float range
     # every solve compares the first pass with its double, so both must fit; the first beyond the cap is named
-    last = 2 * steps if n is None and (2 * steps + 1) * side * side <= _MAX_FIELD_ELEMENTS else steps
+    last = 2 * steps if (2 * steps + 1) * side * side <= _MAX_FIELD_ELEMENTS else steps
     entries = (2 * last + 1) * side * side
     if entries <= _MAX_FIELD_ELEMENTS:
         return int(steps)
@@ -105,9 +107,6 @@ def _pass_steps(span: float, d: int, n: int | None = None) -> int:
     raise ArithmeticError(
         f"a span of {span:g} starts at n = {steps:.17g} RK4 steps{compared}, whose (2n + 1) d^2 = "
         f"{entries:.17g} entries of the {side:.17g} x {side:.17g} field are beyond the cap of {_MAX_FIELD_ELEMENTS}"
-        if n is None
-        else f"step refinement exhausted without meeting the tolerance: n = {steps} steps of a "
-        f"{d} x {d} field would exceed {_MAX_FIELD_ELEMENTS} field samples"
     )
 
 
@@ -117,15 +116,14 @@ def fundamental_solution(fld: Callable, t0: float, t1: float, d: int) -> np.ndar
     `fld` follows the field contract of ScatteringProblem: a 1-D array of
     times in, an (n, d, d) array out, for the positive integer d the caller
     states.  The first pass samples its n + 1 step ends, then its n
-    midpoints, so every pass reads contiguous starts, midpoints and ends; n
-    is a power of two, so each doubling samples only the 2n new midpoints.
-    It doubles until two passes agree within DEFAULT_INTEGRATOR_TOL *
-    max(1, t1 - t0) in max-abs norm and returns the finer; t1 == t0 gives
-    the identity.  The cap of 2**22 field entries, (2n + 1) d^2 for n steps,
-    is checked before each sampling, the first pass together with its
-    double, so no field call precedes it: a span beyond it raises
-    ArithmeticError, and so do a refinement that reaches it and a product
-    that overflows, under the one errstate of all passes.
+    midpoints; n is a power of two, so each doubling samples only the 2n
+    new midpoints.  It doubles until two passes agree within
+    DEFAULT_INTEGRATOR_TOL * max(1, t1 - t0) in max-abs norm and returns the
+    finer; t1 == t0 gives the identity.  The cap of 2**22 field entries,
+    (2n + 1) d^2 for n steps, is checked before each sampling, the first
+    pass together with its double, so no field call precedes it: a span
+    beyond it raises ArithmeticError, and so do a refinement that reaches it
+    and a product that overflows.
     """
     d = _integer(d, "d")
     if d < 1:
@@ -144,19 +142,19 @@ def fundamental_solution(fld: Callable, t0: float, t1: float, d: int) -> np.ndar
     A = _field_values(fld, t0 + span * nodes / (2 * n), d)
     A, Am = A[: n + 1], A[n + 1 :]
     previous = None
-    with np.errstate(over="ignore", invalid="ignore"):
-        while True:
+    while True:
+        with np.errstate(over="ignore", invalid="ignore"):
             current = _rk4_product(A[:-1], Am, A[1:], span / n)
             if not np.isfinite(current).all():
                 raise ArithmeticError(f"RK4 product overflowed with n = {n} steps over [{t0:g}, {t1:g}]")
             if previous is not None and max_abs(current - previous) <= budget:
                 return current
-            previous = current
-            n = 2 * n if (4 * n + 1) * d * d <= _MAX_FIELD_ELEMENTS else _pass_steps(span, d, n)
-            grid = np.empty((n + 1, d, d))
-            grid[0::2], grid[1::2] = A, Am
-            # A, the step starts and ends, holds the even nodes of this pass's grid bit for bit
-            A, Am = grid, _field_values(fld, t0 + span * np.arange(1, 2 * n, 2) / (2 * n), d)
+        previous = current
+        n = _pass_steps(span, d, n)
+        grid = np.empty((n + 1, d, d))
+        grid[0::2], grid[1::2] = A, Am
+        # A, the step starts and ends, holds the even nodes of this pass's grid bit for bit
+        A, Am = grid, _field_values(fld, t0 + span * np.arange(1, 2 * n, 2) / (2 * n), d)
 
 
 @dataclass(eq=False)

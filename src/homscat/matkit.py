@@ -290,8 +290,7 @@ class CenterBlock:
 
     @cached_property
     def J(self) -> np.ndarray:
-        # read-only; one array per l <= 16 is shared by every block, 47 KB for all sixteen
-        if self.l not in _SHARED_FORMS:
+        if self.l not in _SHARED_FORMS:  # read-only; one array per l <= 16 serves every block, 47 KB in all
             J = standard_symplectic_form(self.l)
             J.flags.writeable = False
             return _SHARED_FORMS.setdefault(self.l, J) if self.l <= 16 else J

@@ -236,10 +236,15 @@ def homoclinic_orbit(spec: ModelSpec, t):
 def bump(spec: ModelSpec, t):
     """Smooth unit-mass bump supported strictly inside [-T_support, T_support];
     the times are not parsed, since an infinite time is valid."""
-    tt = np.atleast_1d(np.asarray(t, dtype=float))
-    s = tt / spec.T_support
-    out = (1.0 / (spec.T_support * _profile_mass())) * _raw_profile(s)
+    out = _bump_values(np.atleast_1d(np.asarray(t, dtype=float)), spec.T_support)
     return float(out[0]) if np.ndim(t) == 0 else out
+
+
+def _bump_values(t: np.ndarray, T_support: float) -> np.ndarray:
+    """The bump at a 1-D float array of times, a new array: the raw profile scaled in place."""
+    out = _raw_profile(t / T_support)
+    out *= 1.0 / (T_support * _profile_mass())
+    return out
 
 
 def scattering_problem(spec: ModelSpec) -> flow.ScatteringProblem:
@@ -259,12 +264,9 @@ def scattering_problem(spec: ModelSpec) -> flow.ScatteringProblem:
             f"of two field samples: eps = {spec.eps:g} and T_support = {spec.T_support:g} give "
             f"bump peak {bump(spec, 0.0):.3g}, with max|C| = {max_abs(spec.C):g}"
         )
-    neg_eps, scale, T = -spec.eps, 1.0 / (spec.T_support * _profile_mass()), spec.T_support
-
-    def field(t):  # -eps * bump(spec, t) times J C: bump's products in its order, scaled in place
-        xi = _raw_profile(np.divide(t, T))
-        xi *= scale
-        xi *= neg_eps
+    def field(t):  # (-eps * bump(spec, t))[:, None, None] * J C, scaled in place
+        xi = _bump_values(t, spec.T_support)
+        xi *= -spec.eps
         return xi[:, None, None] * JC
 
     return flow.ScatteringProblem(

@@ -224,8 +224,8 @@ class TestFundamentalSolution:
 
 
 class TestFieldValues:
-    """_field_values takes a finite float64 array as it is, and passes anything else to
-    _float_array: it accepts and refuses what the parser does, with the parser's message."""
+    """_field_values parses what the field returns with _float_array: it accepts and refuses
+    what the parser does, with the parser's message, and takes a finite float64 array as it is."""
 
     KINDS = {
         "list": lambda v: v.tolist(),
@@ -256,7 +256,7 @@ class TestFieldValues:
 
     @pytest.mark.parametrize("signs", [(1.0, 1.0), (1.0, -1.0)])
     def test_entries_near_the_float_limit_pass_without_a_warning(self, signs):
-        # their sum overflows, to inf or to inf - inf = nan, and the full parse accepts them
+        # a sum of them overflows, to inf or to inf - inf = nan, and the parser accepts them
         values = np.empty((4, 2, 2))
         values[:2], values[2:] = signs[0] * 1.7e308, signs[1] * 1.7e308
         with warnings.catch_warnings():
