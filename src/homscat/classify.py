@@ -21,6 +21,10 @@ sigma^-1 = -J sigma^T J, whose Hessian is -sigma^-T H sigma^-1, the same
 gives -tr(sigma^-1 D^-1 sigma^-T H) = |D^(-1/2) sigma D^(1/2)|_F^2 - 2l > 0:
 nor is H positive semidefinite, and at l = 1 its signature is (1, 1).  The
 ensemble checks the claim by census for every omega.
+
+Total resonance locks the signature.  If every omega_i = omega, then
+H = omega (sigma^T sigma - I).  The eigenvalues of sigma^T sigma pair as
+mu, 1/mu, so the inertia of H is (r, r, 2l - 2r), r the count of mu > 1.
 """
 
 from __future__ import annotations
@@ -126,12 +130,12 @@ def _random_symplectics(block: CenterBlock, streams, k: int) -> np.ndarray:
     to a spectral norm drawn from [0.1, _MAX_NORM).  The generators of the
     factor counts, the raw generators and their norms are each read in
     trial order by one call.  A raw draw with a zero symmetric part is
-    skipped, with its norm.  One stacked eigvalsh gives all spectral norms
-    and one stacked exponential all factors.  Each trial's factors go in
-    draw order into a (k, longest count, 2l, 2l) stack padded with I, and
-    the sigmas are its first position times the later ones, one stacked
-    product per position: I @ F and F @ I are F for a finite factor, so
-    the padding changes no bit of a product.
+    skipped, with its norm.  One stacked eigvalsh gives all spectral norms,
+    each the larger of minus the first and the last of its ascending
+    eigenvalues, which is max|w| to the bit, and one stacked exponential
+    gives all factors.  The sigmas are the products of _factor_stack's
+    positions, one stacked product per position: I @ F and F @ I are F for
+    a finite factor, so the padding changes no bit of a product.
     """
     d = block.dim
     count_stream, raw_stream, norm_stream = streams
@@ -146,16 +150,25 @@ def _random_symplectics(block: CenterBlock, streams, k: int) -> np.ndarray:
         counts = np.add.reduceat(keep, np.cumsum(counts) - counts, dtype=int)
         B, norms = B[keep], norms[keep]
     # B is exactly symmetric, so LAPACK takes it without eigvalsh's symmetry check
-    B *= (norms / np.abs(np.linalg.eigvalsh(B)).max(axis=-1))[:, None, None]
-    factors = matrix_exponential(-block.J @ B)
-    width = max(1, counts.max(initial=0))
-    stack = np.tile(np.eye(d), (k, width, 1, 1))
-    # the mask runs trial by trial, position by position: the draw order
-    stack[np.arange(width) < counts[:, None]] = factors
+    w = np.linalg.eigvalsh(B)
+    B *= (norms / np.maximum(-w[:, 0], w[:, -1]))[:, None, None]
+    stack = _factor_stack(matrix_exponential(-block.J @ B), counts)
     sigmas = stack[:, 0]
-    for position in range(1, width):
+    for position in range(1, stack.shape[1]):
         sigmas = sigmas @ stack[:, position]
     return sigmas
+
+
+def _factor_stack(factors: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The (k, longest count, d, d) stack of the (sum of counts, d, d) factors,
+    trial k's counts[k] factors in draw order from position 0, padded with I."""
+    d = factors.shape[-1]
+    width = max(1, counts.max(initial=0))
+    stack = np.empty((counts.size, width, d, d))
+    stack[...] = np.eye(d)
+    # the mask runs trial by trial, position by position: the draw order
+    stack[np.arange(width) < counts[:, None]] = factors
+    return stack
 
 
 def indefiniteness_ensemble(D_center, trials: int, seed: int) -> EnsembleSummary:
@@ -189,8 +202,8 @@ def indefiniteness_ensemble(D_center, trials: int, seed: int) -> EnsembleSummary
         # symmetrized as eigvalsh would, without its check of a Hessian formed just above
         w = np.linalg.eigvalsh(0.5 * H + 0.5 * H.swapaxes(-1, -2))
         lo, hi = w[:, 0], w[:, -1]
-        largest_min = max(largest_min, float(np.max(lo)))
-        smallest_max = min(smallest_max, float(np.min(hi)))
+        largest_min = max(largest_min, float(lo.max()))
+        smallest_max = min(smallest_max, float(hi.min()))
         definite_pos += int(np.count_nonzero(lo > _ENSEMBLE_TOL))
         definite_neg += int(np.count_nonzero(hi < -_ENSEMBLE_TOL))
     return EnsembleSummary(

@@ -18,6 +18,7 @@ one do; the other pipelines pass the block object on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -102,7 +103,7 @@ def _integer(value, name: str) -> int:
     """value as an int, rejecting None, booleans, numbers with a fractional
     part and integers beyond the float range."""
     if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        if np.isnan(_as_float(value)):
+        if math.isnan(_as_float(value)):
             raise ValueError(f"{name} is an integer beyond the float range")
         return int(value)
     if isinstance(value, float) and value.is_integer():
@@ -168,14 +169,14 @@ def matrix_exponential(M) -> np.ndarray:
     sizes used in this package.  A slice whose norm or exponential is beyond
     the float range comes out non-finite, never as a finite wrong matrix.
 
-    The bookkeeping costs no call that the arithmetic does not need: the
-    squaring order is tested on slices of the counts, and the round count
-    is the leading slice's.  When no slice needs halving, the ldexp copy is
-    skipped, since ldexp by 0 is the identity and E = A / 12 makes a new
-    array anyway; the argument is never written to and the result never
-    shares its memory.  A norm beyond the float range gives a count of 1
-    (frexp(inf) has exponent 0), so the NaN patch runs only after halving,
-    and only when some norm is infinite.
+    A stack of more than one slice is put in falling order of its counts by
+    one stable argsort, undone at the end, and a single matrix by none; the
+    round count is the leading slice's.  When no slice needs halving, the
+    ldexp copy is skipped, since ldexp by 0 is the identity and E = A / 12
+    makes a new array anyway; the argument is never written to and the
+    result never shares its memory.  A norm beyond the float range gives a
+    count of 1 (frexp(inf) has exponent 0), so the NaN patch runs only
+    after halving, and only when some norm is infinite.
     """
     A = _square(M, stack=True)
     shape = A.shape
@@ -184,7 +185,7 @@ def matrix_exponential(M) -> np.ndarray:
     mantissa, exponent = np.frexp(np.maximum(norm, 0.5))  # norm = mantissa 2^exponent, 0.5 <= mantissa < 1
     squarings = exponent + (mantissa > 0.5)
     # slices in falling order of squarings, so that round r squares a leading run
-    order = None if (squarings[1:] <= squarings[:-1]).all() else np.argsort(-squarings, kind="stable")
+    order = np.argsort(-squarings, kind="stable") if squarings.size > 1 else None
     if order is not None:
         A, norm, squarings = A[order], norm[order], squarings[order]
     rounds = int(squarings[0]) if squarings.size else 0

@@ -270,10 +270,74 @@ class TestEnsembleMatchesSequentialOracle:
             short = classify._random_symplectics(block, ensemble_oracle.ensemble_streams(5), k)
             assert np.array_equal(long[:k], short)
 
+    @pytest.mark.parametrize("spectrum", ["positive", "negative", "mixed"])
+    @pytest.mark.parametrize("l", [1, 3])
+    def test_spectral_norm_from_the_end_eigenvalues(self, l, spectrum):
+        # generators of one sign put the largest magnitude at one end of the
+        # ascending spectrum, mixed ones at either; the kernel's norm must be
+        # max|w| to the bit, so that every sigma is the oracle's
+        d = 2 * l
+        X = np.random.default_rng((41, l)).standard_normal((60, d, d))
+        definite = X @ X.swapaxes(1, 2) + 0.1 * np.eye(d)
+        raw = {"positive": definite, "negative": -definite, "mixed": X}[spectrum]
+        w = np.linalg.eigvalsh(0.5 * (raw + raw.swapaxes(1, 2)))
+        ends = -w[:, 0] > w[:, -1]
+        assert {"positive": not ends.any(), "negative": ends.all(), "mixed": 0 < ends.sum() < 60}[spectrum]
+        assert np.array_equal(np.maximum(-w[:, 0], w[:, -1]), np.abs(w).max(axis=-1))
+
+        def streams():
+            return np.random.default_rng(7), ListedDraws(raw), np.random.default_rng(8)
+
+        sigmas = classify._random_symplectics(CenterBlock(np.ones(l)), streams(), 12)
+        sequential = streams()
+        for k in range(12):
+            assert np.array_equal(sigmas[k], ensemble_oracle._draw_sigma(l, sequential, 5, 2.0))
+
+    @pytest.mark.parametrize("counts", [[3, 0, 5, 1, 2], [0, 0], [2]])
+    def test_factor_stack_is_the_tiled_identity_holding_the_factors(self, counts):
+        counts, d = np.array(counts), 4
+        factors = np.random.default_rng(9).standard_normal((counts.sum(), d, d))
+        expected = np.tile(np.eye(d), (counts.size, max(1, counts.max()), 1, 1))
+        for k, start in enumerate(np.cumsum(counts) - counts):
+            expected[k, : counts[k]] = factors[start : start + counts[k]]
+        assert np.array_equal(classify._factor_stack(factors, counts), expected)
+
+
+class TestTotalResonance:
+    """The total-resonance lock of the classify docstring: with every omega_i =
+    omega, H = omega (sigma^T sigma - I), whose eigenvalues omega (mu - 1) pair
+    through mu, 1/mu, so its inertia is (r, r, 2l - 2r)."""
+
+    @pytest.mark.parametrize("omega", [(1.0, 1.0), (1.0, 1.0, 1.0), (2.0, 2.0, 2.0), (-1.5, -1.5)])
+    def test_signature_is_balanced_and_eigenvalues_pair(self, omega):
+        block = CenterBlock(omega)
+        rng = np.random.default_rng((6, block.l))
+        for _ in range(500):
+            sigma = ensemble_oracle.random_symplectic(block.l, rng)
+            report = inertia(hessian_from_scattering(sigma, block.D))
+            assert report.n_pos == report.n_neg
+            # descending eigenvalues: mu_i pairs with mu_(2l - 1 - i) for either sign of omega
+            mu = 1.0 + report.eigenvalues / omega[0]
+            assert np.abs(mu * mu[::-1] - 1.0).max() <= 1e-10 * max(1.0, max_abs(sigma)) ** 2
+
 
 def one_draw(l, rng):
     """One sigma of the ensemble kernel, with rng as all three of its streams."""
     return classify._random_symplectics(CenterBlock(np.ones(l)), (rng, rng, rng), 1)[0]
+
+
+class ListedDraws:
+    """A standard normal stream that hands out the entries of the given
+    matrices in order, whether drawn in one call or one at a time."""
+
+    def __init__(self, matrices):
+        self.entries, self.drawn = np.ravel(matrices), 0
+
+    def standard_normal(self, shape=None):
+        size = 1 if shape is None else int(np.prod(shape))
+        out = self.entries[self.drawn : self.drawn + size]
+        self.drawn += size
+        return float(out[0]) if shape is None else out.reshape(shape)
 
 
 class AntisymmetricDraws:

@@ -114,6 +114,21 @@ class TestMatrixExponential:
         for k in range(9):
             assert np.array_equal(E[k], matrix_exponential(M[k]))
 
+    @pytest.mark.parametrize("counts", [[7, 5, 5, 2, 0], [3] * 6, [4]], ids=["falling", "equal", "one-slice"])
+    def test_stack_slices_match_single_in_any_order(self, counts):
+        # a stack already in falling order of its squaring counts, or with all
+        # counts equal, is still put in order by argsort, and a one-slice stack
+        # is not: every slice keeps the bits that it and the oracle get alone
+        M = np.random.default_rng(len(counts)).standard_normal((len(counts), 5, 5))
+        M *= (0.3 * 2.0 ** np.array(counts) / np.max(np.sum(np.abs(M), axis=2), axis=1))[:, None, None]
+        norms = np.max(np.sum(np.abs(M), axis=2), axis=1)
+        assert list(np.ceil(np.log2(np.maximum(norms, 0.5) / 0.5))) == counts
+        E = matrix_exponential(M)
+        assert E.shape == M.shape
+        for k in range(len(counts)):
+            assert np.array_equal(E[k], matrix_exponential(M[k]))
+            assert np.array_equal(E[k], ensemble_oracle._expm(M[k]))
+
     @pytest.mark.parametrize(
         "M",
         [

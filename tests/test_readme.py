@@ -95,12 +95,18 @@ def docstring(dotted: str) -> str | None:
 ROWS = claims(README.read_text())
 
 
+def row_id(k: int) -> str:
+    """Row k's argued-in name, with its row number when an earlier row names the same object."""
+    argued = ROWS[k]["argued"]
+    return argued if all(row["argued"] != argued for row in ROWS[:k]) else f"{argued}-row{k + 1}"
+
+
 def test_readme_is_a_short_contract_that_opens_with_its_claims():
     assert len(README.read_text().splitlines()) <= MAX_LINES
     assert ROWS, f"the first section of the README must be a Claims table with the columns {HEADER}"
 
 
-@pytest.mark.parametrize("row", ROWS, ids=[row["argued"] for row in ROWS])
+@pytest.mark.parametrize("row", ROWS, ids=[row_id(k) for k in range(len(ROWS))])
 def test_claim(row):
     assert row["width"] == len(HEADER)
     assert row["status"] in STATUSES, row["status"]
