@@ -11,6 +11,13 @@ CenterBlock of D and J.  So W is integrated once over the declared support,
 and a Gronwall bound from field samples on one unit slab beyond each end
 checks the declaration, so that a mis-specified problem is reported instead
 of silently truncated.
+
+The integrator keeps its RK4 stages and step grids in a workspace.  One
+module-level slot retains a workspace of at most _RETAINED_BYTES = 1 MiB
+(l <= 4 at n <= 256 steps) between solves, so its pages stay mapped: a
+solve takes it out on entry and puts it back on exit unless it outgrew the
+bound, and a nested or concurrent solve finds the slot empty and allocates
+its own.
 """
 
 from __future__ import annotations
@@ -31,9 +38,12 @@ from .matkit import (
 
 DEFAULT_SIGMA_TOL = 1e-8
 DEFAULT_INTEGRATOR_TOL = 1e-10
-# bound on the (2n + 1) d^2 field entries of one RK4 pass, which holds a few
-# arrays of that size: 32 MiB each at the bound; a first pass has at least 16 steps
+# bound on the (2n + 1) d^2 field entries of one RK4 pass, 32 MiB at the bound; the solve's
+# workspace holds the three stages, 3n d^2, and the grids of this pass and the last, (n + 1) d^2
+# and (n/2 + 1) d^2, 72 MiB more at the bound; a first pass has at least 16 steps
 _MAX_FIELD_ELEMENTS = 2 ** 22
+_RETAINED_BYTES = 2 ** 20  # the most a workspace kept between solves may hold; l = 4 at n = 256 takes 641 KiB
+_slot: list = []  # at most one workspace; list.pop and slice assignment are atomic, so threads never share one
 _SLAB_NODES = np.linspace(0.0, 1.0, 65)  # spacing 1/64 on a unit slab beyond the support; never written
 
 
@@ -58,19 +68,31 @@ def _field_values(fld: Callable, ts: np.ndarray, d: int) -> np.ndarray:
     return values
 
 
-def _rk4_product(A1: np.ndarray, Am: np.ndarray, A4: np.ndarray, h: float) -> np.ndarray:
+def _buffer(work: list, k: int, rows: int, d: int) -> np.ndarray:
+    """Buffer k of the workspace as a (rows, d, d) array, first grown to exactly that size if smaller."""
+    size = rows * d * d
+    if work[k].size < size:
+        work[k] = np.empty(size)
+    return work[k][:size].reshape(rows, d, d)
+
+
+def _rk4_product(A1: np.ndarray, Am: np.ndarray, A4: np.ndarray, h: float, work: list) -> np.ndarray:
     # classic RK4 on the matrix equation, one update matrix per step, built and multiplied in batch
     # from the field at the n step starts A1, midpoints Am and ends A4, n a power of two.  The stages
-    # are built in place in the evaluation order of U = I + (h/6) (K1 + 2 K2 + 2 K3 + K4), K2 = Am +
-    # (h/2) Am K1, ..., so U is bit for bit that value; with temporaries, as tests/rk4_oracle.py
-    # has them, the three passes of an l = 3 op took 9-18% longer (see CHANGES.md).
-    K2 = Am @ A1
+    # are built in place, in the workspace's buffer 0, in the evaluation order of U = I + (h/6)
+    # (K1 + 2 K2 + 2 K3 + K4), K2 = Am + (h/2) Am K1, ..., so U is bit for bit that value; with
+    # temporaries, as tests/rk4_oracle.py has them, the three passes of an l = 3 op took 9-18% longer
+    # (see CHANGES.md).  The tree's products are new arrays (n >= 16), so no view into the workspace
+    # is returned; writing them into it too took as few page faults and 3-5 us more per pass.
+    n, d = A1.shape[:2]
+    K = _buffer(work, 0, 3 * n, d)
+    K2 = np.matmul(Am, A1, out=K[:n])
     K2 *= 0.5 * h
     K2 += Am
-    K3 = Am @ K2
+    K3 = np.matmul(Am, K2, out=K[n : 2 * n])
     K3 *= 0.5 * h
     K3 += Am
-    K4 = A4 @ K3
+    K4 = np.matmul(A4, K3, out=K[2 * n :])
     K4 *= h
     K4 += A4
     U = K2
@@ -80,7 +102,7 @@ def _rk4_product(A1: np.ndarray, Am: np.ndarray, A4: np.ndarray, h: float) -> np
     U += K3
     U += K4
     U *= h / 6.0
-    U += np.eye(A1.shape[1])
+    U += np.eye(d)
     P = U
     while P.shape[0] > 1:
         P = P[1::2] @ P[0::2]
@@ -124,6 +146,12 @@ def fundamental_solution(fld: Callable, t0: float, t1: float, d: int) -> np.ndar
     pass together with its double, so no field call precedes it: a span
     beyond it raises ArithmeticError, and so do a refinement that reaches it
     and a product that overflows.
+
+    The stages and grids live in a workspace taken from the module's one
+    slot and put back on exit, returned or raised, if it holds at most
+    _RETAINED_BYTES = 2**20 bytes; a nested or concurrent solve finds the
+    slot empty and allocates its own, and a larger one is not kept.  The
+    result is a new array.
     """
     d = _integer(d, "d")
     if d < 1:
@@ -141,20 +169,29 @@ def fundamental_solution(fld: Callable, t0: float, t1: float, d: int) -> np.ndar
     nodes = np.concatenate([np.arange(0, 2 * n + 1, 2), np.arange(1, 2 * n, 2)])
     A = _field_values(fld, t0 + span * nodes / (2 * n), d)
     A, Am = A[: n + 1], A[n + 1 :]
-    previous = None
-    while True:
-        with np.errstate(over="ignore", invalid="ignore"):
-            current = _rk4_product(A[:-1], Am, A[1:], span / n)
-            if not np.isfinite(current).all():
-                raise ArithmeticError(f"RK4 product overflowed with n = {n} steps over [{t0:g}, {t1:g}]")
-            if previous is not None and max_abs(current - previous) <= budget:
-                return current
-        previous = current
-        n = _pass_steps(span, d, n)
-        grid = np.empty((n + 1, d, d))
-        grid[0::2], grid[1::2] = A, Am
-        # A, the step starts and ends, holds the even nodes of this pass's grid bit for bit
-        A, Am = grid, _field_values(fld, t0 + span * np.arange(1, 2 * n, 2) / (2 * n), d)
+    try:
+        work = _slot.pop()
+    except IndexError:
+        work = [np.empty(0)] * 3  # the stages K2, K3 and K4, then two grids
+    try:
+        previous = None
+        while True:
+            with np.errstate(over="ignore", invalid="ignore"):
+                current = _rk4_product(A[:-1], Am, A[1:], span / n, work)
+                if not np.isfinite(current).all():
+                    raise ArithmeticError(f"RK4 product overflowed with n = {n} steps over [{t0:g}, {t1:g}]")
+                if previous is not None and max_abs(current - previous) <= budget:
+                    return current
+            previous = current
+            n = _pass_steps(span, d, n)
+            # n doubles, so successive grids alternate between buffers 1 and 2 and never overwrite A
+            grid = _buffer(work, 1 + n.bit_length() % 2, n + 1, d)
+            grid[0::2], grid[1::2] = A, Am
+            # A, the step starts and ends, holds the even nodes of this pass's grid bit for bit
+            A, Am = grid, _field_values(fld, t0 + span * np.arange(1, 2 * n, 2) / (2 * n), d)
+    finally:
+        if sum(b.nbytes for b in work) <= _RETAINED_BYTES:
+            _slot[:] = [work]
 
 
 @dataclass(eq=False)

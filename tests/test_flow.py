@@ -1,4 +1,5 @@
 import re
+import threading
 import warnings
 
 import numpy as np
@@ -6,18 +7,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from homscat.classify import hessian_from_scattering
 from homscat.flow import (
+    _RETAINED_BYTES,
     DEFAULT_INTEGRATOR_TOL,
     ScatteringConvergenceError,
     ScatteringProblem,
     _field_values,
     _pass_steps,
+    _slot,
     fundamental_solution,
     scattering_matrix,
 )
 from homscat.matkit import (
     CenterBlock,
     _float_array,
+    inertia,
     matrix_exponential,
     max_abs,
     standard_symplectic_form,
@@ -25,6 +30,7 @@ from homscat.matkit import (
 )
 from homscat.models import ModelSpec, scattering_problem
 from lab_frame_oracle import center_variational_field
+import loop_oracle
 import rk4_oracle
 import two_bump_oracle
 
@@ -304,6 +310,121 @@ class TestOracleAgreement:
         with pytest.raises(ArithmeticError) as got:
             fundamental_solution(jump, 2.0, 3.0, 8)
         assert "n = 32768 steps" in str(got.value) and str(got.value) == str(expected.value)
+
+
+def model_field(l, T, seed=0):
+    rng = np.random.default_rng(seed)
+    C = rng.standard_normal((2 * l, 2 * l))
+    return scattering_problem(ModelSpec(l=l, n_hyp=1, omega=np.arange(1.0, l + 1.0), eps=0.05, C=C + C.T, T_support=T)).field
+
+
+def oracle_solve(field, T, d):
+    """fundamental_solution over [-T, T], asserted equal to tests/rk4_oracle.py's bit for bit."""
+    got = fundamental_solution(field, -T, T, d)
+    assert np.array_equal(got, rk4_oracle.fundamental_solution(field, -T, T))
+    return got
+
+
+class TestWorkspace:
+    """fundamental_solution keeps its stages and grids in a workspace that the module's one slot
+    retains between solves.  Nested, concurrent and failed solves, and solves of other sizes, must
+    leave every result bit for bit the oracle's, and no result may share the retained memory."""
+
+    def test_field_that_integrates(self):
+        # the inner solve is smaller than the outer one, so a shared workspace would hold it in the
+        # outer's buffers and overwrite the grid that the outer's field call returns to
+        rotation = constant(standard_symplectic_form(1))
+        inner_calls = []
+
+        def outer(t):
+            inner_calls.append(fundamental_solution(rotation, 0.0, 0.1, 2)[0, 0])
+            return inner_calls[-1] * model_field(3, 3.0)(t)
+
+        oracle_solve(outer, 3.0, 6)
+        assert len(inner_calls) >= 3 and len(set(inner_calls)) == 1  # one inner solve per field call, all alike
+
+    def test_concurrent_solves_of_different_sizes(self):
+        problems = [(model_field(2, 5.0, seed=1), 5.0, 4), (model_field(4, 3.0, seed=2), 3.0, 8)]
+        expected = [rk4_oracle.fundamental_solution(field, -T, T) for field, T, _ in problems]
+        start, results = threading.Barrier(2), [[], []]
+
+        def solve(k):
+            field, T, d = problems[k]
+            start.wait()
+            results[k].extend(fundamental_solution(field, -T, T, d) for _ in range(20))
+
+        threads = [threading.Thread(target=solve, args=(k,)) for k in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        for got, want in zip(results, expected):
+            assert len(got) == 20 and all(np.array_equal(sigma, want) for sigma in got)
+
+    def test_solve_after_a_field_raised_on_refinement(self):
+        calls = []
+
+        def failing(t):
+            calls.append(t.size)
+            if len(calls) == 2:
+                raise RuntimeError("refinement sample failed")
+            return model_field(4, 3.0)(t)
+
+        with pytest.raises(RuntimeError, match="refinement sample failed"):
+            fundamental_solution(failing, -3.0, 3.0, 8)
+        assert calls == [129, 128] and len(_slot) == 1
+        oracle_solve(model_field(4, 3.0, seed=3), 3.0, 8)
+
+    def test_solve_after_an_overflow(self):
+        with pytest.raises(ArithmeticError, match="overflow"):
+            fundamental_solution(constant(1e300 * standard_symplectic_form(4)), -3.0, 3.0, 8)
+        assert len(_slot) == 1
+        oracle_solve(model_field(4, 3.0, seed=4), 3.0, 8)
+
+    def test_large_small_large(self):
+        first = oracle_solve(model_field(4, 5.0), 5.0, 8)
+        oracle_solve(model_field(1, 3.0), 3.0, 2)
+        assert np.array_equal(oracle_solve(model_field(4, 5.0), 5.0, 8), first)
+
+    def test_results_own_their_memory(self):
+        first = oracle_solve(model_field(4, 5.0), 5.0, 8)
+        kept = first.copy()
+        assert len(_slot) == 1 and not any(np.shares_memory(first, b) for b in _slot[0])
+        second = oracle_solve(model_field(4, 3.0, seed=5), 3.0, 8)
+        assert not any(np.shares_memory(second, b) for b in _slot[0])
+        assert np.array_equal(first, kept) and not np.array_equal(first, second)
+
+    def test_slot_keeps_at_most_the_bound(self):
+        # l = 4 at n = 256 is kept; l = 8 at n = 256 outgrows 1 MiB and is dropped, and the solve
+        # after it allocates again
+        oracle_solve(model_field(4, 5.0), 5.0, 8)
+        assert len(_slot) == 1 and sum(b.nbytes for b in _slot[0]) <= _RETAINED_BYTES
+        oracle_solve(model_field(8, 5.0), 5.0, 16)
+        assert not _slot
+        oracle_solve(model_field(2, 3.0), 3.0, 4)
+        assert len(_slot) == 1
+
+
+class TestLoopOracle:
+    """scattering_matrix and the Hessian on the loop's own field at l = 1 against the
+    Poschl-Teller closed form, tests/loop_oracle.py: solves at n >= 1024 of a field that
+    does not commute with itself."""
+
+    @pytest.mark.parametrize("eps", [0.05, 0.3])
+    @pytest.mark.parametrize("omega", [0.5, 1.0, 2.0])
+    def test_hessian_eigenvalues(self, omega, eps):
+        problem = loop_oracle.loop_problem(omega, eps, 1.0)
+        H = hessian_from_scattering(scattering_matrix(problem).sigma, problem.D_center)
+        exact = loop_oracle.hessian_eigenvalues(omega, eps, 1.0)
+        assert np.allclose(np.linalg.eigvalsh(H)[::-1], exact, rtol=1e-5, atol=0.0)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_reflectionless_couplings_are_degenerate(self, n):
+        eps_n = loop_oracle.reflectionless_eps(n, 1.0, 1.0)
+        for factor, expected in [(1.0, (0, 0, 2)), (1.0 - 1e-3, (1, 1, 0)), (1.0 + 1e-3, (1, 1, 0))]:
+            problem = loop_oracle.loop_problem(1.0, factor * eps_n, 1.0)
+            H = hessian_from_scattering(scattering_matrix(problem).sigma, problem.D_center)
+            assert inertia(H).inertia == expected
 
 
 class TestTwoBumpOracle:
