@@ -31,7 +31,6 @@ from .matkit import (
     CenterBlock,
     SignatureReport,
     classification_tol,
-    eigvalsh,
     inertia,
     matrix_exponential,
     max_abs,

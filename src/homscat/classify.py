@@ -46,8 +46,8 @@ from .matkit import (
     SignatureReport,
     _integer,
     _positive_number,
-    _slice_max_abs,
     _square,
+    _symplectic_defect,
     inertia,
     matrix_exponential,
     max_abs,
@@ -67,11 +67,6 @@ _MAX_CHUNK_ELEMENTS = 2 ** 14
 class RealizationError(ArithmeticError):
     """The target signature was not reached: the eps halvings ran out, or eps
     puts the first-order Hessian eigenvalues under the zero tolerance."""
-
-
-def _symplectic_defect(S: np.ndarray, J: np.ndarray):
-    """max|S^T J S - J| of S, or of each slice of a stack; NaN where it overflows, under the caller's errstate."""
-    return _slice_max_abs(S.swapaxes(-1, -2) @ J @ S - J)
 
 
 def _require_symplectic(S: np.ndarray, J: np.ndarray, scale: float = 1.0) -> None:
@@ -130,12 +125,13 @@ def _random_symplectics(block: CenterBlock, streams, k: int) -> np.ndarray:
     to a spectral norm drawn from [0.1, _MAX_NORM).  The generators of the
     factor counts, the raw generators and their norms are each read in
     trial order by one call.  A raw draw with a zero symmetric part is
-    skipped, with its norm.  One stacked eigvalsh gives all spectral norms,
-    each the larger of minus the first and the last of its ascending
-    eigenvalues, which is max|w| to the bit, and one stacked exponential
-    gives all factors.  The sigmas are the products of _factor_stack's
-    positions, one stacked product per position: I @ F and F @ I are F for
-    a finite factor, so the padding changes no bit of a product.
+    skipped, with its norm.  One stacked np.linalg.eigvalsh gives all
+    spectral norms, each the larger of minus the first and the last of its
+    ascending eigenvalues, which is max|w| to the bit, and one stacked
+    exponential gives all factors.  The sigmas are the products of
+    _factor_stack's positions, one stacked product per position: I @ F and
+    F @ I are F for a finite factor, so the padding changes no bit of a
+    product.
     """
     d = block.dim
     count_stream, raw_stream, norm_stream = streams
@@ -149,7 +145,7 @@ def _random_symplectics(block: CenterBlock, streams, k: int) -> np.ndarray:
         keep |= B.any(axis=(1, 2))
         counts = np.add.reduceat(keep, np.cumsum(counts) - counts, dtype=int)
         B, norms = B[keep], norms[keep]
-    # B is exactly symmetric, so LAPACK takes it without eigvalsh's symmetry check
+    # B is exactly symmetric, so it goes to LAPACK with no symmetry check
     w = np.linalg.eigvalsh(B)
     B *= (norms / np.maximum(-w[:, 0], w[:, -1]))[:, None, None]
     stack = _factor_stack(matrix_exponential(-block.J @ B), counts)
@@ -199,7 +195,7 @@ def indefiniteness_ensemble(D_center, trials: int, seed: int) -> EnsembleSummary
     for start in range(0, trials, chunk):
         sigmas = _random_symplectics(block, streams, min(chunk, trials - start))
         H = _hessian(sigmas, block)
-        # symmetrized as eigvalsh would, without its check of a Hessian formed just above
+        # symmetrized as _require_symmetric would, without its check of a Hessian formed just above
         w = np.linalg.eigvalsh(0.5 * H + 0.5 * H.swapaxes(-1, -2))
         lo, hi = w[:, 0], w[:, -1]
         largest_min = max(largest_min, float(lo.max()))

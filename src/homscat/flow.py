@@ -33,6 +33,7 @@ from .matkit import (
     _float_array,
     _integer,
     _positive_number,
+    _symplectic_defect,
     max_abs,
 )
 
@@ -251,10 +252,9 @@ def scattering_matrix(problem: ScatteringProblem) -> ScatteringResult:
         residual = float(np.linalg.norm(sigma) * np.expm1(excess.sum()))
     if residual > DEFAULT_SIGMA_TOL:
         raise ScatteringConvergenceError(T_s, excess, residual)
-    J = problem.center.J
     return ScatteringResult(
         sigma=sigma,
         T_used=T_s + 1.0,
         residual=residual,
-        symplectic_defect=max_abs(sigma.T @ J @ sigma - J),
+        symplectic_defect=float(_symplectic_defect(sigma, problem.center.J)),
     )

@@ -1,13 +1,14 @@
 """Dense linear algebra for small real matrices with symplectic structure.
 
 Everything here targets matrices of at most a few dozen rows: the one
-symmetric eigensolver, eigvalsh, is LAPACK's through numpy.linalg.eigvalsh,
-reordered to descending eigenvalues; no pipeline needs eigenvectors.  The
-exponential is truncated scaling-and-squaring, and tolerances are expressed
-in the entrywise max-abs norm.  Inertia counts rest on the absolute-scale
+symmetric eigensolver is LAPACK's np.linalg.eigvalsh, called directly with
+no wrapper, and no pipeline needs eigenvectors.  The exponential is
+truncated scaling-and-squaring, and tolerances are expressed in the
+entrywise max-abs norm.  Inertia counts rest on the absolute-scale
 tolerance 1e-7 * max(1, |S|), far above the backward error of the
-eigensolver.  The eigensolver and the exponential also take a (k, n, n)
-stack and treat each slice exactly as they treat that matrix alone.
+eigensolver.  The exponential and the symplectic defect also take a
+(k, n, n) stack and treat each slice exactly as they treat that matrix
+alone.
 _float_array is the one parser of caller-supplied numbers, for every public
 entry point through _square, _require_symmetric and CenterBlock, at the
 entry point's boundary and before any arithmetic.  CenterBlock
@@ -46,9 +47,9 @@ def _square(M, name: str = "matrix", stack: bool = False) -> np.ndarray:
     return A
 
 
-def _slice_max_abs(A: np.ndarray, floor: float = 0.0):
-    """max(floor, max_abs) of a matrix, or of each slice of a stack."""
-    return np.abs(A).max(axis=(-2, -1) if A.ndim > 2 else None, initial=floor)
+def _symplectic_defect(S: np.ndarray, J: np.ndarray):
+    """max|S^T J S - J| of S, or of each slice of a stack; NaN where it overflows, under the caller's errstate."""
+    return np.abs(S.swapaxes(-1, -2) @ J @ S - J).max(axis=(-2, -1))
 
 
 def _as_float(value) -> float:
@@ -111,17 +112,15 @@ def _integer(value, name: str) -> int:
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
-def _require_symmetric(M, name: str = "matrix", stack: bool = False, tol: float = _SYMMETRY_TOL) -> np.ndarray:
-    """Symmetrized M, if its asymmetry is at most tol times max(1, max|M|);
-    with stack=True each slice is checked against its own scale."""
-    A = _square(M, name, stack)
-    At = A.swapaxes(-1, -2)
+def _require_symmetric(M, name: str = "matrix", tol: float = _SYMMETRY_TOL) -> np.ndarray:
+    """Symmetrized M, one square matrix, if its asymmetry max|M - M^T| is at
+    most tol times max(1, max|M|)."""
+    A = _square(M, name)
     with np.errstate(over="ignore"):  # an asymmetry beyond the float range is inf, and fails the check
-        defect = _slice_max_abs(A - At)
-    asymmetric = defect > tol * _slice_max_abs(A, 1.0)
-    if asymmetric.any():
-        raise ValueError(f"{name} is not symmetric (asymmetry {np.max(defect, where=asymmetric, initial=0.0):.3e})")
-    return 0.5 * A + 0.5 * At  # halved first: entries may be near the float limit
+        defect = max_abs(A - A.T)
+    if defect > tol * max(1.0, max_abs(A)):
+        raise ValueError(f"{name} is not symmetric (asymmetry {defect:.3e})")
+    return 0.5 * A + 0.5 * A.T  # halved first: entries may be near the float limit
 
 
 def standard_symplectic_form(n: int) -> np.ndarray:
@@ -211,13 +210,6 @@ def matrix_exponential(M) -> np.ndarray:
     return E.reshape(shape)
 
 
-def eigvalsh(S) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix, or of each slice of a (k, n, n) stack,
-    sorted descending; every slice must pass the symmetry check, and a slice
-    of a stack gets exactly the values it gets alone."""
-    return np.linalg.eigvalsh(_require_symmetric(S, "eigendecomposition input", stack=True))[..., ::-1]
-
-
 def classification_tol(S) -> float:
     """Scale-relative tolerance separating zero from nonzero eigenvalues."""
     return _CLASSIFICATION_FLOOR * max(1.0, max_abs(S))
@@ -255,8 +247,8 @@ def inertia(S) -> SignatureReport:
     """Count eigenvalues of a symmetric matrix above tol, below -tol, and between,
     with tol the classification_tol of the symmetrized matrix.
 
-    S is checked and symmetrized once; its eigenvalues come from the LAPACK
-    driver behind eigvalsh, with no second symmetry check.
+    S is checked and symmetrized once by _require_symmetric, and its
+    eigenvalues, in descending order, come from np.linalg.eigvalsh.
     """
     A = _require_symmetric(S, "inertia input")
     tol = classification_tol(A)

@@ -11,6 +11,8 @@ path called, which checked the bracket's hypothesis in the block's
 constructor, so the oracle keeps their arithmetic and their order of
 rejections.  One rule came later and is in both paths: an attempt whose
 sigma is off symplectic is a miss, and eps halves, instead of an error.
+The symplectic defect is matkit's one kernel, the formula this path wrote
+inline, and the eigenvalue copy checks one matrix, all its caller passes.
 Both paths do the same arithmetic in the same order, so their reports
 must agree bit for bit, and their errors word for word.
 """
@@ -31,8 +33,8 @@ from homscat.matkit import (
     SignatureReport,
     _positive_number,
     _require_symmetric,
-    _slice_max_abs,
     _square,
+    _symplectic_defect,
     classification_tol,
     matrix_exponential,
     max_abs,
@@ -93,7 +95,7 @@ def center_frequencies(D):
 
 
 def eigvalsh(S):
-    return np.linalg.eigvalsh(_require_symmetric(S, "eigendecomposition input", stack=True))[..., ::-1]
+    return np.linalg.eigvalsh(_require_symmetric(S, "eigendecomposition input"))[::-1]
 
 
 def inertia(S):
@@ -166,7 +168,7 @@ def hessian_from_scattering(sigma, D_center):
         raise ValueError("scattering matrix and centre diagonal have different dimensions")
     J = standard_symplectic_form(D.shape[0] // 2)
     St = S.swapaxes(-1, -2)
-    defect = _slice_max_abs(St @ J @ S - J)
+    defect = _symplectic_defect(S, J)
     if (defect > _SYMPLECTIC_PRECONDITION_TOL).any():
         raise ValueError(f"scattering matrix is not symplectic (defect {defect.max():.3e})")
     return St @ D @ S - D

@@ -246,12 +246,6 @@ class TestDemoIntegrable:
         assert code == 2 and json.loads(err)["kind"] == "input" and "T_support = 4 do not fit the integrator: " in err
         assert err.count("\n") == 1 and len(err.encode()) < 1024 and "MemoryError" not in err
 
-    def test_nan_tolerance_is_an_input_error(self, capsys):
-        # --tol nan used to exit 1, a failed identity check, although sigma = I;
-        # the bound is DEFAULT_SIGMA_TOL and no flag sets it
-        code, payload, err = run(capsys, ["demo-integrable", "--l", "1", "--tol", "nan"])
-        assert input_error(code, payload, err, "unrecognized arguments: --tol nan")
-
     def test_l_whose_second_pass_is_beyond_the_cap_makes_no_field_call(self, capsys, monkeypatch):
         # at l = 90 a span of 8 starts at n = 64 steps, whose 129 samples of the 180 x 180
         # field fit the cap, but the 257 of the n = 128 pass it is compared with do not; it
@@ -494,15 +488,6 @@ class TestIndefiniteCommand:
         message = json.loads(err)
         assert message["kind"] == "input" and "seed" in message["error"]
 
-    @pytest.mark.parametrize("tol", ["nan", "-5"])
-    def test_bad_tolerance_is_an_input_error(self, capsys, tol):
-        # NaN used to pass without checking anything, -5 to fail every trial with
-        # exit 1; the ensemble applies _ENSEMBLE_TOL and no flag sets it
-        code, payload, err = run(
-            capsys, ["indefinite", "--l", "1", "--omega", "1", "--trials", "3", "--seed", "3", f"--tol={tol}"]
-        )
-        assert input_error(code, payload, err, f"unrecognized arguments: --tol={tol}")
-
     def test_hessian_beyond_the_float_range_is_a_numerical_failure(self, capsys):
         # it warned twice in the Hessian matmul and then blamed
         # "eigendecomposition input contains non-finite entries" as an input error
@@ -541,11 +526,6 @@ class TestScatterCommand:
         doc = write_doc(tmp_path, {"l": l, "n_hyp": 1, "omega": list(range(1, l + 1)), "eps": 0.0})
         code, err = run_limited(["scatter", "--spec", doc, "--out", os.devnull])
         assert code == 2 and json.loads(err)["kind"] == "input" and "l = 100000 and T_support = 4 do not fit" in err
-
-    def test_nan_tolerance_is_an_input_error(self, capsys, tmp_path):
-        spec = ModelSpec(l=1, n_hyp=1, omega=[1.0], eps=0.0, T_support=2.0)
-        code, payload, err = run(capsys, ["scatter", "--spec", write_spec(tmp_path, spec), "--tol", "nan"])
-        assert input_error(code, payload, err, "unrecognized arguments: --tol nan")
 
     def test_infinite_support_names_the_field(self, capsys, tmp_path):
         # it used to fail with "integration endpoints must be finite"
@@ -929,13 +909,16 @@ class TestCliPlumbing:
         assert code == 0
         assert (len(built), len(parsed)) == BLOCKS[command]
 
+    @pytest.mark.parametrize("token", [["--tol", "1e-8"], ["--tol", "nan"], ["--tol=-5"]], ids=" ".join)
     @pytest.mark.parametrize("command", sorted(REPORTS))
-    def test_no_subcommand_takes_a_tolerance(self, capsys, tmp_path, command):
-        # each check applies one constant, which its report states; six subcommands had a --tol
+    def test_no_subcommand_takes_a_tolerance(self, capsys, tmp_path, command, token):
+        # each check applies one constant, which its report states; six subcommands had a --tol.
+        # --tol nan once failed demo-integrable's identity check at sigma = I with exit 1 and
+        # let the ensemble pass unchecked, and --tol=-5 failed every ensemble trial
         subcommands = build_parser()._subparsers._group_actions[0].choices
         assert "--tol" not in subcommands[command].format_help()
-        code, payload, err = run(capsys, REPORTS[command][0](tmp_path) + ["--tol", "1e-8"])
-        assert input_error(code, payload, err, "unrecognized arguments: --tol 1e-8")
+        code, payload, err = run(capsys, REPORTS[command][0](tmp_path) + token)
+        assert input_error(code, payload, err, f"unrecognized arguments: {' '.join(token)}")
 
     @pytest.mark.parametrize("command", ["scatter", "classify", "indefinite", "majorize"])
     def test_tolerance_defaults_are_the_library_defaults(self, capsys, tmp_path, command):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homscat.classify import hessian_from_scattering
+from homscat.classify import hessian_from_scattering, reversible_signature
 from homscat.flow import (
     _RETAINED_BYTES,
     DEFAULT_INTEGRATOR_TOL,
@@ -425,6 +425,22 @@ class TestLoopOracle:
             problem = loop_oracle.loop_problem(1.0, factor * eps_n, 1.0)
             H = hessian_from_scattering(scattering_matrix(problem).sigma, problem.D_center)
             assert inertia(H).inertia == expected
+
+    @pytest.mark.parametrize("eps", [0.05, 0.3])
+    @pytest.mark.parametrize("omega", [0.5, 1.0, 2.0])
+    def test_reversible_signature(self, omega, eps):
+        # C = diag(c, 0) commutes with R = diag(1, -1) and the loop is even in t, so sigma R sigma = R
+        problem = loop_oracle.loop_problem(omega, eps, 1.0)
+        rev, report = reversible_signature(scattering_matrix(problem).sigma, problem.center)
+        assert rev.passed and report.inertia == (1, 1, 0) and not report.degenerate
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_reversible_signature_is_degenerate_at_reflectionless_couplings(self, n):
+        eps_n = loop_oracle.reflectionless_eps(n, 1.0, 1.0)
+        for factor, expected in [(1.0, (0, 0, 2)), (1.0 - 1e-3, (1, 1, 0)), (1.0 + 1e-3, (1, 1, 0))]:
+            problem = loop_oracle.loop_problem(1.0, factor * eps_n, 1.0)
+            rev, report = reversible_signature(scattering_matrix(problem).sigma, problem.center)
+            assert rev.passed and report.inertia == expected and report.degenerate is (factor == 1.0)
 
 
 class TestTwoBumpOracle:

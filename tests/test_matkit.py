@@ -8,7 +8,6 @@ from homscat.cli import to_json
 from homscat.matkit import (
     CenterBlock,
     classification_tol,
-    eigvalsh,
     inertia,
     matrix_exponential,
     max_abs,
@@ -197,39 +196,6 @@ class TestMatrixExponential:
             B /= norm
         J = standard_symplectic_form(n)
         assert is_symplectic(matrix_exponential(-eps * J @ B), 1e-9)
-
-
-class TestEigvalsh:
-    def test_diagonal_sorted(self):
-        assert np.array_equal(eigvalsh(np.diag([2.0, -3.0, 0.0])), np.array([2.0, 0.0, -3.0]))
-
-    @pytest.mark.parametrize("n", [4, 6, 10])
-    def test_stack_slices_match_single(self, n):
-        S = np.stack([random_symmetric(np.random.default_rng((n, k)), n) for k in range(200)])
-        w = eigvalsh(S)
-        assert w.shape == (200, n)
-        for k in range(200):
-            assert np.array_equal(w[k], eigvalsh(S[k]))
-
-    def test_empty_stack(self):
-        assert eigvalsh(np.zeros((0, 4, 4))).shape == (0, 4)
-
-    def test_rejects_one_asymmetric_slice_as_eigh_does(self):
-        # the check is per slice: 1e-6 asymmetry is within tolerance at scale 1e5 only
-        S = np.stack([np.eye(3), 1e5 * np.eye(3), np.eye(3)])
-        S[1, 0, 1] += 1e-6
-        eigvalsh(S)
-        S[2, 0, 1] += 1e-6
-        with pytest.raises(ValueError) as raised:
-            eigvalsh(S)
-        assert str(raised.value) == "eigendecomposition input is not symmetric (asymmetry 1.000e-06)"
-
-    @pytest.mark.parametrize("n", [6, 24])
-    def test_within_rounding_of_eigh(self, n):
-        rng = np.random.default_rng(n)
-        S = np.stack([random_symmetric(rng, n, scale) for scale in (1e-3, 1.0, 50.0, 1e4) for _ in range(10)])
-        scale = np.maximum(1.0, np.abs(S).max(axis=(1, 2)))
-        assert np.all(np.abs(eigvalsh(S) - np.linalg.eigh(S)[0][:, ::-1]) <= 1e-13 * scale[:, None])
 
 
 class TestMaxAbs:

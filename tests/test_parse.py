@@ -15,7 +15,7 @@ from homscat.classify import (
     reversible_signature,
 )
 from homscat.majorize import hessian_bracket, majorizes, mirsky_matrix
-from homscat.matkit import CenterBlock, eigvalsh, inertia, matrix_exponential, symplectic_rotation
+from homscat.matkit import CenterBlock, inertia, matrix_exponential, symplectic_rotation
 from homscat.models import ModelSpec
 
 I2 = [[1.0, 0.0], [0.0, 1.0]]
@@ -34,7 +34,6 @@ PARAMETER_ARRAYS = {
     "hessian_from_scattering-D": (lambda x: hessian_from_scattering(np.eye(2), x), I2, "centre diagonal"),
     "indefiniteness_ensemble": (lambda x: indefiniteness_ensemble(x, 1, 0), I2, "centre diagonal"),
     "inertia": (inertia, I2, "inertia input"),
-    "eigvalsh": (eigvalsh, I2, "eigendecomposition input"),
     "matrix_exponential": (matrix_exponential, I2, "matrix"),
     "majorizes-a": (lambda x: majorizes(x, [1.0, -1.0]), [0.0, 0.0], "majorization vector a"),
     "majorizes-b": (lambda x: majorizes([0.0, 0.0], x), [1.0, -1.0], "majorization vector b"),
@@ -93,7 +92,6 @@ ASYMMETRIC_2 = np.array([[1.0, 1e308], [-1e308, 1.0]])
 ASYMMETRIC_4 = np.block([[ASYMMETRIC_2, np.zeros((2, 2))], [np.zeros((2, 2)), np.eye(2)]])
 ASYMMETRIC = {
     "inertia": ASYMMETRIC_2,
-    "eigvalsh": ASYMMETRIC_2,
     "hessian_bracket": ASYMMETRIC_4,
 }
 
