@@ -45,6 +45,7 @@ from .matkit import (
     CenterBlock,
     SignatureReport,
     _integer,
+    _pair_count,
     _positive_number,
     _square,
     _symplectic_defect,
@@ -281,7 +282,7 @@ def realize_signature(l: int, m: int, omega, eps: float) -> RealizationReport:
     measured against the bracket of B that the solve already formed for its
     residual bound.
     """
-    l, m = _integer(l, "l"), _integer(m, "m")
+    l, m = _pair_count(l), _integer(m, "m")
     block = CenterBlock(omega)
     if block.l != l:
         raise ValueError(f"omega must have length l = {l}, got {block.l}")
@@ -337,9 +338,7 @@ def realize_signature(l: int, m: int, omega, eps: float) -> RealizationReport:
 
 def center_reversal(l: int) -> np.ndarray:
     """The centre-block involution diag(I_l, -I_l): q -> q, p -> -p."""
-    l = _integer(l, "l")
-    if l < 1:
-        raise ValueError("l must be at least 1")
+    l = _pair_count(l)
     return np.diag(np.concatenate([np.ones(l), -np.ones(l)]))
 
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import classify, flow, models
 from .majorize import majorizes, mirsky_matrix
-from .matkit import CenterBlock, _float_array, _integer, inertia, max_abs
+from .matkit import CenterBlock, _float_array, _integer, _pair_count, inertia, max_abs
 
 _FAILURE_EXIT = 1
 _USAGE_EXIT = 2
@@ -190,6 +190,8 @@ def _cmd_realize(args) -> tuple[dict, bool]:
 
 
 def _cmd_indefinite(args) -> tuple[dict, bool]:
+    if args.l < 1:  # named in the library's words; a count beyond the float range misses omega's length, below
+        _pair_count(args.l)
     if len(args.omega) != args.l:
         raise ValueError(f"omega has {len(args.omega)} entries but --l is {_shown(str(args.l))}")
     summary = classify.indefiniteness_ensemble(CenterBlock(args.omega).D, args.trials, args.seed)
@@ -241,7 +243,7 @@ def _cmd_majorize(args) -> tuple[dict, bool]:
 
 
 def _cmd_demo_integrable(args) -> tuple[dict, bool]:
-    l = models._pair_count(args.l)
+    l = _pair_count(args.l)
     models._require_fit(l, models.ModelSpec.T_support)  # before the default omega, whose length is l
     omega = [float(k) for k in range(1, l + 1)] if args.omega is None else args.omega
     spec = models.ModelSpec(l=l, n_hyp=1, omega=omega, eps=0.0)

@@ -27,6 +27,7 @@ from .matkit import (
     CenterBlock,
     _float_array,
     _integer,
+    _pair_count,
     _require_symmetric,
     max_abs,
 )
@@ -108,9 +109,7 @@ def indefinite_spectrum(l: int, m: int) -> np.ndarray:
     -(2l-1)/(2l-m); it realises the signature (m, 2l-m) through the Mirsky
     construction.
     """
-    l, m = _integer(l, "l"), _integer(m, "m")
-    if l < 1:
-        raise ValueError("l must be at least 1")
+    l, m = _pair_count(l), _integer(m, "m")
     if not 1 <= m <= 2 * l - 1:
         raise ValueError(f"m must lie in 1..{2 * l - 1}, got {m}")
     head = [float(2 * l - m)] + [1.0] * (m - 1)

@@ -112,6 +112,14 @@ def _integer(value, name: str) -> int:
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def _pair_count(l) -> int:
+    """l, a number of centre pairs, as an int, if it is at least 1."""
+    l = _integer(l, "l")
+    if l < 1:
+        raise ValueError("l must be at least 1")
+    return l
+
+
 def _require_symmetric(M, name: str = "matrix", tol: float = _SYMMETRY_TOL) -> np.ndarray:
     """Symmetrized M, one square matrix, if its asymmetry max|M - M^T| is at
     most tol times max(1, max|M|)."""

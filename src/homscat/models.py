@@ -42,6 +42,7 @@ from .matkit import (
     _as_float,
     _float_array,
     _integer,
+    _pair_count,
     _positive_number,
     _require_symmetric,
     max_abs,
@@ -71,14 +72,6 @@ def _profile_mass() -> float:
     as the profile is 0 at both ends; 1024 and 2048 intervals give the same bits."""
     n = 8192
     return float((2.0 / n) * np.sum(_raw_profile(np.linspace(-1.0, 1.0, n + 1))))
-
-
-def _pair_count(l) -> int:
-    """l as an int, if it is at least 1."""
-    l = _integer(l, "l")
-    if l < 1:
-        raise ValueError("need at least one centre pair")
-    return l
 
 
 def _require_fit(l: int, T_support: float) -> None:

@@ -17,7 +17,7 @@ from homscat.classify import (
     realize_signature,
     reversible_signature,
 )
-from homscat.cli import to_json
+from homscat.cli import main, to_json
 from homscat.majorize import _solve_bracket, hessian_bracket, indefinite_spectrum
 from homscat.matkit import (
     CenterBlock,
@@ -200,14 +200,39 @@ class TestEnsembleMatchesSequentialOracle:
         batched = indefiniteness_ensemble(D, trials=40, seed=seed)
         assert to_json(batched) == to_json(ensemble_oracle.indefiniteness_ensemble(D, 40, seed))
 
-    @pytest.mark.parametrize("elements", [1, 1000])
-    def test_summary_across_chunks(self, monkeypatch, elements):
-        # l = 3 trials hold 5 * 36 entries, so 1000 entries make chunks of 5
-        # trials and 1 entry chunks of one trial
-        monkeypatch.setattr(classify, "_MAX_CHUNK_ELEMENTS", elements)
-        D = CenterBlock(OMEGAS[3]).D
-        batched = indefiniteness_ensemble(D, trials=23, seed=4)
-        assert to_json(batched) == to_json(ensemble_oracle.indefiniteness_ensemble(D, 23, 4))
+    @pytest.mark.parametrize(
+        "omega, trials, elements, chunk",
+        [
+            # l = 3 trials hold 5 * 36 entries, so 1 entry makes chunks of one
+            # trial and 1000 entries chunks of 5 trials
+            (OMEGAS[3], 23, 1, 1),
+            (OMEGAS[3], 23, 1000, 5),
+            # the default chunking runs 2000 trials at l = 6 in 91 chunks of 22
+            ([1.0, 1.5, 2.0, 2.5, 3.0, 3.5], 2000, None, 22),
+        ],
+        ids=["1", "1000", "default-l6"],
+    )
+    def test_summary_across_chunks(self, monkeypatch, tmp_path, omega, trials, elements, chunk):
+        # the indefinite report must equal the oracle's summary, encoded by the same
+        # cli.to_json, in every field; the summary's two extremes miss a reversed or
+        # shortened product, so every sigma drawn in chunks is compared as well
+        if elements is not None:
+            monkeypatch.setattr(classify, "_MAX_CHUNK_ELEMENTS", elements)
+        block, out = CenterBlock(omega), tmp_path / "report.json"
+        omega_flag = "--omega=" + ",".join(repr(float(w)) for w in omega)
+        assert main(["indefinite", "--l", str(block.l), omega_flag, "--trials", str(trials), "--seed", "4",
+                     "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        for key in ("command", "pass", "timestamp"):
+            report.pop(key)
+        assert report == to_json(ensemble_oracle.indefiniteness_ensemble(block.D, trials, 4))
+        streams, sequential = ensemble_oracle.ensemble_streams(4), ensemble_oracle.ensemble_streams(4)
+        sigmas = np.concatenate(
+            [classify._random_symplectics(block, streams, min(chunk, trials - k)) for k in range(0, trials, chunk)]
+        )
+        oracle = [ensemble_oracle._draw_sigma(block.l, sequential, 5, 2.0) for _ in range(trials)]
+        differ = [k for k in range(trials) if not np.array_equal(sigmas[k], oracle[k])]
+        assert len(sigmas) == trials and not differ, f"sigmas of trials {differ[:10]} differ from the oracle"
 
     def test_overflow_message_across_chunks(self, monkeypatch):
         # it named max|sigma| over the whole overflowing chunk: 2.34 at the
@@ -308,11 +333,16 @@ class TestTotalResonance:
     omega, H = omega (sigma^T sigma - I), whose eigenvalues omega (mu - 1) pair
     through mu, 1/mu, so its inertia is (r, r, 2l - 2r)."""
 
-    @pytest.mark.parametrize("omega", [(1.0, 1.0), (1.0, 1.0, 1.0), (2.0, 2.0, 2.0), (-1.5, -1.5)])
-    def test_signature_is_balanced_and_eigenvalues_pair(self, omega):
+    @pytest.mark.parametrize(
+        "omega, seed, draws",
+        [((1.0, 1.0), (6, 2), 500), ((1.0, 1.0, 1.0), (6, 3), 500), ((2.0, 2.0, 2.0), (6, 3), 500),
+         ((-1.5, -1.5), (6, 2), 500), ((1.0,) * 6, 4, 2000)],
+        ids=["l2", "l3", "l3-omega2", "l2-negative", "l6"],
+    )
+    def test_signature_is_balanced_and_eigenvalues_pair(self, omega, seed, draws):
         block = CenterBlock(omega)
-        rng = np.random.default_rng((6, block.l))
-        for _ in range(500):
+        rng = np.random.default_rng(seed)
+        for _ in range(draws):
             sigma = ensemble_oracle.random_symplectic(block.l, rng)
             report = inertia(hessian_from_scattering(sigma, block.D))
             assert report.n_pos == report.n_neg

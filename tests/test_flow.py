@@ -410,8 +410,18 @@ class TestLoopOracle:
     Poschl-Teller closed form, tests/loop_oracle.py: solves at n >= 1024 of a field that
     does not commute with itself."""
 
-    @pytest.mark.parametrize("eps", [0.05, 0.3])
-    @pytest.mark.parametrize("omega", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize(
+        "omega, eps",
+        [(omega, eps) for omega in (0.5, 1.0, 2.0) for eps in (0.05, 0.3)]
+        # the exact H is +-1.1e-10 at omega = 4 and +-3.1e-13 at omega = 5, below RK4's symplectic
+        # defect of about 1e-10, which makes H negative definite, as no symplectic sigma can
+        + [
+            pytest.param(
+                omega, 0.01, marks=pytest.mark.xfail(strict=True, reason="RK4's defect swamps H (ROADMAP item 19)")
+            )
+            for omega in (4.0, 5.0)
+        ],
+    )
     def test_hessian_eigenvalues(self, omega, eps):
         problem = loop_oracle.loop_problem(omega, eps, 1.0)
         H = hessian_from_scattering(scattering_matrix(problem).sigma, problem.D_center)

@@ -67,6 +67,13 @@ def ci_steps() -> set[str]:
     return set(re.findall(r"^\s*- name: (.+?)\s*$", WORKFLOW.read_text(), re.MULTILINE))
 
 
+def second_harness(text: str) -> list[str]:
+    """The workflow lines that run the CLI or define a shell function: the CLI's
+    checks belong to the tier-1 suite, which pytest runs, not to a second harness."""
+    harness = re.compile(r"-m homscat\b|^\s*(function\s+[\w-]+|[\w-]+\s*\(\s*\)\s*\{)")
+    return [line.strip() for line in text.splitlines() if harness.search(line)]
+
+
 def check_exists(check: str) -> bool:
     if check.startswith("CI: "):
         return check[len("CI: "):] in ci_steps()
@@ -134,3 +141,16 @@ def test_a_bogus_check_fails(check):
 @pytest.mark.parametrize("dotted", ["homscat.classify.no_such_function", "numpy.linalg", "homscat.nothing"])
 def test_a_bogus_argument_fails(dotted):
     assert not (docstring(dotted) or "").strip()
+
+
+def test_ci_runs_no_second_harness():
+    assert second_harness(WORKFLOW.read_text()) == []
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["python -W error::RuntimeWarning -m homscat indefinite --l 6", "python -m homscat.cli majorize --a 1 --b 1",
+     "expect() {", "coupled_spec () {", "function check {"],
+)
+def test_a_second_harness_is_found(line):
+    assert second_harness(f"run: |\n  export PYTHONPATH=src\n  {line}\n") == [line]
