@@ -44,9 +44,11 @@ from .matkit import (
     _CLASSIFICATION_FLOOR,
     CenterBlock,
     SignatureReport,
+    _center_block,
+    _count,
     _integer,
-    _pair_count,
     _positive_number,
+    _require_block_dim,
     _square,
     _symplectic_defect,
     inertia,
@@ -100,9 +102,7 @@ def hessian_from_scattering(sigma, D_center) -> np.ndarray:
     """
     S = _square(sigma, "scattering matrix")
     block = CenterBlock.from_diagonal(D_center)
-    if S.shape[0] != block.dim:
-        raise ValueError(f"scattering matrix has dimension {S.shape[0]} but the centre block {block.dim}")
-    return _hessian(S, block)
+    return _hessian(_require_block_dim(S, block, "scattering matrix"), block)
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,9 +182,7 @@ def indefiniteness_ensemble(D_center, trials: int, seed: int) -> EnsembleSummary
     definite.
     """
     block = CenterBlock.from_diagonal(D_center)
-    trials = _integer(trials, "trials")
-    if trials < 1:
-        raise ValueError("need at least one trial")
+    trials = _count(trials, "trials")
     seed = _integer(seed, "seed")
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
@@ -282,10 +280,8 @@ def realize_signature(l: int, m: int, omega, eps: float) -> RealizationReport:
     measured against the bracket of B that the solve already formed for its
     residual bound.
     """
-    l, m = _pair_count(l), _integer(m, "m")
-    block = CenterBlock(omega)
-    if block.l != l:
-        raise ValueError(f"omega must have length l = {l}, got {block.l}")
+    block = _center_block(omega, l)
+    l, m = block.l, _integer(m, "m")
     eps = _positive_number(eps, "eps")
     _require_bracket_hypothesis(block)
     b, G, b_min = _signature_target(l, m)
@@ -338,7 +334,7 @@ def realize_signature(l: int, m: int, omega, eps: float) -> RealizationReport:
 
 def center_reversal(l: int) -> np.ndarray:
     """The centre-block involution diag(I_l, -I_l): q -> q, p -> -p."""
-    l = _pair_count(l)
+    l = _count(l, "l")
     return np.diag(np.concatenate([np.ones(l), -np.ones(l)]))
 
 
@@ -374,9 +370,7 @@ def reversible_signature(sigma, center: CenterBlock) -> tuple[ReversibilityRepor
     |sigma|^2-sized term arises, and only an M beyond the float range raises
     ArithmeticError.  Degenerate means r < l, with r = n_pos.
     """
-    S = _square(sigma, "scattering matrix")
-    if S.shape[0] != center.dim:
-        raise ValueError(f"scattering matrix has dimension {S.shape[0]} but the centre block {center.dim}")
+    S = _require_block_dim(_square(sigma, "scattering matrix"), center, "scattering matrix")
     R = center_reversal(center.l)
     with np.errstate(over="ignore", invalid="ignore"):
         residual = max_abs(S @ R @ S - R)

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import classify, flow, models
 from .majorize import majorizes, mirsky_matrix
-from .matkit import CenterBlock, _float_array, _integer, _pair_count, inertia, max_abs
+from .matkit import CenterBlock, _center_block, _count, _float_array, inertia, max_abs
 
 _FAILURE_EXIT = 1
 _USAGE_EXIT = 2
@@ -42,24 +42,21 @@ def _reader(grammar: str, convert, what: str, listed: bool = False):
     return number
 
 
-def _shown(digits: str) -> str:
-    # a long count is named by its first and last ten digits, never echoed whole
-    return digits if len(digits) <= 20 else f"'{digits[:10]}...{digits[-10:]}' ({len(digits)} digits)"
-
-
 def _int(token: str) -> int:
     # int reads at most sys.get_int_max_str_digits() digits, leading zeros included, and
-    # that many significant digits (640 at the least) are far beyond the float range
+    # that many significant digits (640 at the least) are far beyond the float range, and
+    # are named by the first and last ten, never echoed whole
     sign = token[0] if token[0] in "+-" else ""
     digits = token[len(sign) :].lstrip("0") or "0"
     try:
         return int(sign + digits)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"{_shown(digits)} is an integer beyond the float range") from None
+        shown = f"'{digits[:10]}...{digits[-10:]}' ({len(digits)} digits)"
+        raise argparse.ArgumentTypeError(f"{shown} is an integer beyond the float range") from None
 
 
 _NUMBER = r"[+-]?(([0-9]+\.?[0-9]*|\.[0-9]+)(e[+-]?[0-9]+)?|nan|inf|infinity)"
-_count = _reader(r"[+-]?[0-9]+", _int, "an integer")
+_whole = _reader(r"[+-]?[0-9]+", _int, "an integer")
 _number = _reader(_NUMBER, float, "a number")
 _number_list = _reader(_NUMBER, float, "a comma-separated list of numbers", listed=True)
 
@@ -67,9 +64,7 @@ _number_list = _reader(_NUMBER, float, "a comma-separated list of numbers", list
 def _mat_from_json(doc) -> np.ndarray:
     if not isinstance(doc, dict) or "dim" not in doc or "data" not in doc:
         raise ValueError("matrix document must be an object with 'dim' and 'data'")
-    dim = _integer(doc["dim"], "matrix dim")
-    if dim < 1:
-        raise ValueError(f"matrix dim must be at least 1, got {dim}")
+    dim = _count(doc["dim"], "matrix dim")
     data = _float_array(doc["data"], "matrix data")
     if data.ndim != 1:
         got = "a single number" if data.ndim == 0 else f"nested lists of shape {data.shape}"
@@ -105,7 +100,7 @@ def _load_json(path: str) -> dict:
             return json.load(handle)
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # undecodable bytes too, and nesting beyond the recursion limit
         raise ValueError(f"malformed JSON in {path}: {exc}") from None
 
 
@@ -136,16 +131,16 @@ def build_parser() -> argparse.ArgumentParser:
     cls.add_argument("--omega", type=_number_list, required=True, help="comma-separated centre frequencies")
 
     realize = sub.add_parser("realize", help="realize the signature (m, 2l - m)", parents=[out])
-    realize.add_argument("--l", type=_count, required=True)
-    realize.add_argument("--m", type=_count, required=True)
+    realize.add_argument("--l", type=_whole, required=True)
+    realize.add_argument("--m", type=_whole, required=True)
     realize.add_argument("--omega", type=_number_list, required=True)
     realize.add_argument("--eps", type=_number, required=True)
 
     indef = sub.add_parser("indefinite", help="never-definite check over a random ensemble", parents=[out])
-    indef.add_argument("--l", type=_count, required=True)
+    indef.add_argument("--l", type=_whole, required=True)
     indef.add_argument("--omega", type=_number_list, required=True)
-    indef.add_argument("--trials", type=_count, required=True)
-    indef.add_argument("--seed", type=_count, required=True)
+    indef.add_argument("--trials", type=_whole, required=True)
+    indef.add_argument("--seed", type=_whole, required=True)
 
     rev = sub.add_parser("reversible", help="reversibility check and (l, l) signature", parents=[out])
     rev.add_argument("--spec", required=True)
@@ -159,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
     maj.add_argument("--b", type=_number_list, required=True)
 
     demo = sub.add_parser("demo-integrable", help="eps = 0 model end to end; asserts sigma = I", parents=[out])
-    demo.add_argument("--l", type=_count, required=True)
+    demo.add_argument("--l", type=_whole, required=True)
     demo.add_argument("--omega", type=_number_list, default=None, help="defaults to 1, 2, ..., l")
 
     return parser
@@ -190,11 +185,7 @@ def _cmd_realize(args) -> tuple[dict, bool]:
 
 
 def _cmd_indefinite(args) -> tuple[dict, bool]:
-    if args.l < 1:  # named in the library's words; a count beyond the float range misses omega's length, below
-        _pair_count(args.l)
-    if len(args.omega) != args.l:
-        raise ValueError(f"omega has {len(args.omega)} entries but --l is {_shown(str(args.l))}")
-    summary = classify.indefiniteness_ensemble(CenterBlock(args.omega).D, args.trials, args.seed)
+    summary = classify.indefiniteness_ensemble(_center_block(args.omega, args.l).D, args.trials, args.seed)
     ok = summary.definite_positive == 0 and summary.definite_negative == 0
     return {"command": "indefinite", **vars(summary), "pass": ok}, ok
 
@@ -243,7 +234,7 @@ def _cmd_majorize(args) -> tuple[dict, bool]:
 
 
 def _cmd_demo_integrable(args) -> tuple[dict, bool]:
-    l = _pair_count(args.l)
+    l = _count(args.l, "l")
     models._require_fit(l, models.ModelSpec.T_support)  # before the default omega, whose length is l
     omega = [float(k) for k in range(1, l + 1)] if args.omega is None else args.omega
     spec = models.ModelSpec(l=l, n_hyp=1, omega=omega, eps=0.0)

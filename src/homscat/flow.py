@@ -30,8 +30,8 @@ import numpy as np
 from .matkit import (
     CenterBlock,
     _as_float,
+    _count,
     _float_array,
-    _integer,
     _positive_number,
     _symplectic_defect,
     max_abs,
@@ -154,9 +154,7 @@ def fundamental_solution(fld: Callable, t0: float, t1: float, d: int) -> np.ndar
     slot empty and allocates its own, and a larger one is not kept.  The
     result is a new array.
     """
-    d = _integer(d, "d")
-    if d < 1:
-        raise ValueError(f"d must be a positive integer, got {d}")
+    d = _count(d, "d")
     t0, t1 = _as_float(t0), _as_float(t1)
     if not (np.isfinite(t0) and np.isfinite(t1)):
         raise ValueError("integration endpoints must be finite numbers")

@@ -25,9 +25,10 @@ import numpy as np
 
 from .matkit import (
     CenterBlock,
+    _count,
     _float_array,
     _integer,
-    _pair_count,
+    _require_block_dim,
     _require_symmetric,
     max_abs,
 )
@@ -109,7 +110,7 @@ def indefinite_spectrum(l: int, m: int) -> np.ndarray:
     -(2l-1)/(2l-m); it realises the signature (m, 2l-m) through the Mirsky
     construction.
     """
-    l, m = _pair_count(l), _integer(m, "m")
+    l, m = _count(l, "l"), _integer(m, "m")
     if not 1 <= m <= 2 * l - 1:
         raise ValueError(f"m must lie in 1..{2 * l - 1}, got {m}")
     head = [float(2 * l - m)] + [1.0] * (m - 1)
@@ -254,9 +255,7 @@ def hessian_bracket(block: CenterBlock, B) -> np.ndarray:
     symmetric and traceless for every symmetric B; a B or bracket beyond the
     float range raises ArithmeticError, without a warning.
     """
-    Bs = _require_symmetric(B, "bracket argument")
-    if Bs.shape[0] != block.dim:
-        raise ValueError(f"bracket argument has dimension {Bs.shape[0]}, centre block expects {block.dim}")
+    Bs = _require_block_dim(_require_symmetric(B, "bracket argument"), block, "bracket argument")
     with np.errstate(over="ignore", invalid="ignore"):
         bracket = _bracket(block, Bs)
     if not np.isfinite(bracket).all():

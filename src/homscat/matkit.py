@@ -15,6 +15,8 @@ entry point's boundary and before any arithmetic.  CenterBlock
 alone turns centre frequencies into D = diag(omega, omega) and J, or reads
 them back from a D array, which only the two classify functions that take
 one do; the other pipelines pass the block object on.
+The basic input rules, a count, omega's length l and a matrix's dimension
+against a centre block, are _count, _center_block and _require_block_dim.
 """
 
 from __future__ import annotations
@@ -64,15 +66,17 @@ def _as_float(value) -> float:
 
 
 def _check_numbers(item, name: str) -> None:
-    if isinstance(item, np.ndarray):
-        if item.dtype.kind in "iuf":  # integer and real arrays hold numbers only
-            return
-        item = item.tolist()
-    if isinstance(item, (list, tuple)):
-        for entry in item:
-            _check_numbers(entry, name)
-    elif isinstance(item, bool) or not isinstance(item, (int, float, np.integer, np.floating)):
-        raise ValueError(f"{name} entries must be numbers, got {item!r}")
+    pending = [item]  # a stack, not recursion: numpy, not the recursion limit, refuses deep nesting
+    while pending:
+        item = pending.pop()
+        if isinstance(item, np.ndarray):
+            if item.dtype.kind in "iuf":  # integer and real arrays hold numbers only
+                continue
+            item = item.tolist()
+        if isinstance(item, (list, tuple)):
+            pending.extend(reversed(item))  # the first bad entry in reading order is named
+        elif isinstance(item, bool) or not isinstance(item, (int, float, np.integer, np.floating)):
+            raise ValueError(f"{name} entries must be numbers, got {item!r}")
 
 
 def _float_array(value, name: str) -> np.ndarray:
@@ -112,12 +116,12 @@ def _integer(value, name: str) -> int:
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
-def _pair_count(l) -> int:
-    """l, a number of centre pairs, as an int, if it is at least 1."""
-    l = _integer(l, "l")
-    if l < 1:
-        raise ValueError("l must be at least 1")
-    return l
+def _count(value, name: str) -> int:
+    """value, a number of pairs, trials or rows, as an int, if it is at least 1."""
+    count = _integer(value, name)
+    if count < 1:
+        raise ValueError(f"{name} must be at least 1")
+    return count
 
 
 def _require_symmetric(M, name: str = "matrix", tol: float = _SYMMETRY_TOL) -> np.ndarray:
@@ -133,9 +137,7 @@ def _require_symmetric(M, name: str = "matrix", tol: float = _SYMMETRY_TOL) -> n
 
 def standard_symplectic_form(n: int) -> np.ndarray:
     """The 2n x 2n block matrix [[0, I], [-I, 0]]."""
-    n = _integer(n, "n")
-    if n < 1:
-        raise ValueError("the symplectic form needs at least one conjugate pair")
+    n = _count(n, "n")
     J = np.zeros((2 * n, 2 * n))
     J[:n, n:] = np.eye(n)
     J[n:, :n] = -np.eye(n)
@@ -319,3 +321,19 @@ class CenterBlock:
     @property
     def dim(self) -> int:
         return 2 * self.omega.size
+
+
+def _center_block(omega, l) -> CenterBlock:
+    """CenterBlock(omega), if l is a count and omega has length l."""
+    l = _count(l, "l")
+    block = CenterBlock(omega)
+    if block.l != l:
+        raise ValueError(f"omega must have length l = {l}, got {block.l}")
+    return block
+
+
+def _require_block_dim(A: np.ndarray, block: CenterBlock, name: str) -> np.ndarray:
+    """A, a parsed square matrix, if its dimension is the centre block's."""
+    if A.shape[0] != block.dim:
+        raise ValueError(f"{name} has dimension {A.shape[0]} but the centre block {block.dim}")
+    return A

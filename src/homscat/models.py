@@ -30,7 +30,7 @@ problem carries that same block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from functools import cache
 
 import numpy as np
@@ -40,9 +40,10 @@ from .majorize import _require_bracket_hypothesis
 from .matkit import (
     CenterBlock,
     _as_float,
+    _center_block,
+    _count,
     _float_array,
     _integer,
-    _pair_count,
     _positive_number,
     _require_symmetric,
     max_abs,
@@ -106,15 +107,13 @@ class ModelSpec:
     center: CenterBlock = field(init=False, repr=False)
 
     def __post_init__(self):
-        l = _pair_count(self.l)
+        l = _count(self.l, "l")
         T_support = _positive_number(self.T_support, "T_support")
         _require_fit(l, T_support)  # before omega is read or the default C built
         n_hyp = _integer(self.n_hyp, "n_hyp")
         if n_hyp != 1:
             raise ValueError(f"n_hyp must be 1, got {n_hyp}")
-        center = _require_bracket_hypothesis(CenterBlock(self.omega))
-        if center.l != l:
-            raise ValueError(f"omega must be a vector of length {l}")
+        center = _require_bracket_hypothesis(_center_block(self.omega, l))
         eps = _as_float(self.eps)
         if not np.isfinite(eps):
             raise ValueError(f"eps must be a finite number, got {self.eps!r}")
@@ -153,9 +152,9 @@ class ModelSpec:
         unknown = sorted(set(doc) - set(known))
         if unknown:
             raise ValueError(f"model document has unknown fields {unknown}; the fields are {known}")
-        for key in ("l", "n_hyp", "omega"):
-            if key not in doc:
-                raise ValueError(f"model document is missing field '{key}'")
+        for f in fields(cls):
+            if f.init and f.default is MISSING and f.name not in doc:
+                raise ValueError(f"model document is missing field '{f.name}'")
         return cls(**doc)
 
 

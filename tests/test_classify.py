@@ -63,10 +63,6 @@ class TestHessianFromScattering:
         with pytest.raises(ValueError):
             hessian_from_scattering(2.0 * np.eye(2), D)
 
-    def test_rejects_sigma_of_another_dimension_naming_both(self):
-        with pytest.raises(ValueError, match="scattering matrix has dimension 4 but the centre block 2"):
-            hessian_from_scattering(np.eye(4), CenterBlock([1.0]).D)
-
     # the ensemble forms the Hessians of a stack of sigmas with classify._hessian
     def test_stack_slices_match_single(self):
         block = CenterBlock([1.0, 2.0])
@@ -152,10 +148,6 @@ class TestIndefinitenessEnsemble:
         a = indefiniteness_ensemble(D, trials=50, seed=5)
         b = indefiniteness_ensemble(D, trials=50, seed=5)
         assert to_json(a) == to_json(b)
-
-    def test_rejects_zero_trials(self):
-        with pytest.raises(ValueError):
-            indefiniteness_ensemble(CenterBlock([1.0]).D, trials=0, seed=1)
 
     def test_rejects_negative_seed(self):
         with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
@@ -729,10 +721,6 @@ class TestReversibleSignature:
             assert delta != 1.5e-9 or 1e-7 < rev.residual < 1e-6
         # near max|sigma| = 1 the same residual still fails
         assert not reversible_signature(np.diag([1.0 + 1.5e-7, 1.0 / (1.0 + 1.5e-7)]), center)[0].passed
-
-    def test_rejects_sigma_of_another_dimension(self):
-        with pytest.raises(ValueError, match="scattering matrix has dimension 2 but the centre block 4"):
-            reversible_signature(np.eye(2), CenterBlock([1.0, 2.0]))
 
     @pytest.mark.parametrize("l", [1, 2, 3])
     def test_rotated_reversor_reduces_to_the_centre_reversal(self, l):

@@ -230,7 +230,7 @@ class TestDemoIntegrable:
         "argv, message",
         [
             (["--l", "0"], "l must be at least 1"),
-            (["--l", "2", "--omega", "1"], "omega must be a vector of length 2"),
+            (["--l", "2", "--omega", "1"], "omega must have length l = 2, got 1"),
         ],
     )
     def test_model_spec_names_a_bad_l_or_omega(self, capsys, argv, message):
@@ -491,7 +491,7 @@ class TestIndefiniteCommand:
     @pytest.mark.parametrize(
         "l, message",
         [
-            ("2", "omega has 1 entries but --l is 2"),
+            ("2", "omega must have length l = 2, got 1"),
             # l below 1 was blamed on omega: "omega has 1 entries but --l is 0"
             ("0", "l must be at least 1"),
             ("-1", "l must be at least 1"),
@@ -680,6 +680,14 @@ class TestScatterCommand:
         code, _, err = run(capsys, ["scatter", "--spec", write_doc(tmp_path, doc)])
         assert input_error(code, err, "T_suport")
 
+    def test_document_nested_to_the_recursion_limit_names_the_field(self, tmp_path):
+        # json decodes an omega nested 985 deep in a fresh process, and the check of its
+        # entries then crashed with a RecursionError traceback and exit 1
+        path = tmp_path / "spec.json"
+        path.write_text('{"l": 1, "n_hyp": 1, "omega": ' + "[" * 985 + "1.0" + "]" * 985 + "}")
+        code, err = run_limited(["scatter", "--spec", str(path), "--out", os.devnull])
+        assert code == 2 and json.loads(err)["error"] == "omega must be a list of numbers or of equal-length rows of them"
+
     def test_malformed_json(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -727,13 +735,15 @@ class TestClassifyCommand:
              "matrix data must be a flat list of dim^2 = 4 row-major entries, got nested lists of shape (2, 2)"),
             ({"dim": 2, "data": 1.0}, "1",
              "matrix data must be a flat list of dim^2 = 4 row-major entries, got a single number"),
-            ({"dim": 0, "data": []}, "1", "matrix dim must be at least 1, got 0"),
-            ({"dim": -2, "data": [1.0, 0.0, 0.0, 1.0]}, "1", "matrix dim must be at least 1, got -2"),
+            ({"dim": 0, "data": []}, "1", "matrix dim must be at least 1"),
+            ({"dim": -2, "data": [1.0, 0.0, 0.0, 1.0]}, "1", "matrix dim must be at least 1"),
+            ([1.0, 0.0, 0.0, 1.0], "1", "matrix document must be an object with 'dim' and 'data'"),
+            ({"dim": 2, "data": [1.0, 0.0, 0.0]}, "1", "matrix data length 3 does not match dim 2"),
             ({"dim": 2, "data": [float("nan"), 0.0, 0.0, 1.0]}, "1",
              "matrix data has a non-finite entry nan at index 0"),
             ({"dim": 2, "data": [2.0, 0.0, 0.0, 0.5]}, "nan", "omega has a non-finite entry nan at index 0"),
         ],
-        ids=["nested", "scalar", "zero-dim", "negative-dim", "nan-data", "nan-omega"],
+        ids=["nested", "scalar", "zero-dim", "negative-dim", "not-an-object", "short-data", "nan-data", "nan-omega"],
     )
     def test_bad_input_names_its_cause(self, capsys, tmp_path, doc, omega, message):
         path = write_doc(tmp_path, doc)
@@ -966,6 +976,26 @@ class TestCliPlumbing:
         assert issubclass(RealizationError, ArithmeticError)
         assert issubclass(ScatteringConvergenceError, ArithmeticError)
 
+    @pytest.mark.parametrize(
+        "content, cause",
+        [
+            # a RecursionError traceback and exit 1
+            (b"[" * 100000, "maximum recursion depth exceeded"),
+            # these two gave the codec's or the int parser's message alone, naming no file
+            (b'{"l": \xff}', "'utf-8' codec can't decode byte 0xff in position 6"),
+            (b'{"l": ' + b"1" * 5000 + b"}", "for integer string conversion"),
+        ],
+        ids=["nested", "undecodable", "long-integer"],
+    )
+    @pytest.mark.parametrize("command", ["scatter", "classify"])
+    def test_document_that_cannot_be_decoded_names_the_file(self, capsys, tmp_path, command, content, cause):
+        path = tmp_path / "doc.json"
+        path.write_bytes(content)
+        argv = ["scatter", "--spec", str(path)] if command == "scatter" else ["classify", "--sigma", str(path), "--omega", "1"]
+        code, _, err = run(capsys, argv)
+        message = json.loads(err)["error"]
+        assert code == 2 and message.startswith(f"malformed JSON in {path}: ") and cause in message
+
     def test_bad_number_list(self, capsys):
         code, _, err = run(capsys, ["majorize", "--a", "1,spam", "--b", "1,1"])
         assert code == 2
@@ -1029,11 +1059,11 @@ class TestNumberReader:
         assert len(err) < 200
 
     def test_count_that_misses_omega_is_shortened(self, capsys):
-        # int reads these 4000 digits, and the length check echoed all of them in 4062 bytes
+        # int reads these 4000 digits, and the length check echoed all of them in 4062 bytes, then
+        # blamed omega's length where realize names l; l is checked before omega is measured
         argv = ["indefinite", "--l", "1" * 4000, "--omega", "1", "--trials", "2", "--seed", "1"]
         code, _, err = run(capsys, argv)
-        assert input_error(code, err, "omega has 1 entries but --l is '1111111111...1111111111' (4000 digits)")
-        assert len(err.encode()) <= 1024
+        assert code == 2 and json.loads(err)["error"] == "l is an integer beyond the float range"
 
     def test_list_entry_outside_the_grammar_is_named(self, capsys):
         code, _, err = run(capsys, ["majorize", "--a", "1,1_0", "--b", "1,1"])

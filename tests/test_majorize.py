@@ -341,11 +341,6 @@ class TestBracket:
         B = np.diag([0.7, 0.7])
         assert max_abs(hessian_bracket(block, B)) == 0.0
 
-    def test_dimension_mismatch(self):
-        block = CenterBlock(np.array([1.0]))
-        with pytest.raises(ValueError):
-            hessian_bracket(block, np.eye(4))
-
     def test_bracket_beyond_the_float_range_is_named(self):
         # B @ J @ D overflowed with a RuntimeWarning, or without one returned inf
         B = np.full((4, 4), 1e308)

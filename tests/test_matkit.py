@@ -39,10 +39,6 @@ class TestStandardForm:
         J = standard_symplectic_form(3)
         assert np.array_equal(J.T, -J)
 
-    def test_rejects_zero(self):
-        with pytest.raises(ValueError):
-            standard_symplectic_form(0)
-
 
 class TestIsSymplectic:
     def test_hamiltonian_exponential(self):

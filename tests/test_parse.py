@@ -1,22 +1,28 @@
 """Every public entry point that takes a parameter array parses it with
 matkit._float_array: a string, boolean, None, complex value or NaN anywhere
-in it is a ValueError naming the argument, raised before any warning."""
+in it is a ValueError naming the argument, raised before any warning.
+The basic input rules, a count, omega's length l and a matrix's dimension
+against a centre block, each read in one wording at every entry point."""
 
 import copy
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+from homscat import cli
 from homscat.classify import (
+    center_reversal,
     hessian_from_scattering,
     indefiniteness_ensemble,
     realize_signature,
     reversible_signature,
 )
-from homscat.majorize import hessian_bracket, majorizes, mirsky_matrix
-from homscat.matkit import CenterBlock, inertia, matrix_exponential, symplectic_rotation
-from homscat.models import ModelSpec
+from homscat.flow import fundamental_solution
+from homscat.majorize import hessian_bracket, indefinite_spectrum, majorizes, mirsky_matrix
+from homscat.matkit import CenterBlock, inertia, matrix_exponential, standard_symplectic_form, symplectic_rotation
+from homscat.models import HamiltonianSystem, ModelSpec
 
 I2 = [[1.0, 0.0], [0.0, 1.0]]
 ZERO4 = np.zeros((4, 4)).tolist()
@@ -114,3 +120,113 @@ def test_complex_hermitian_inertia_is_rejected():
 def test_arrays_of_non_numbers_are_rejected_like_their_lists(array):
     message = raised_without_warning(CenterBlock, array)
     assert message == f"omega entries must be numbers, got {array.tolist()[0]!r}"
+
+
+@pytest.mark.parametrize("entry_point", sorted(PARAMETER_ARRAYS))
+def test_an_argument_nested_to_the_recursion_limit_is_named(entry_point):
+    # the check of its entries recursed once per level and raised RecursionError
+    call, valid, name = PARAMETER_ARRAYS[entry_point]
+    nested = valid
+    for _ in range(sys.getrecursionlimit()):
+        nested = [nested]
+    assert raised_without_warning(call, nested) == f"{name} must be a list of numbers or of equal-length rows of them"
+
+
+def command(*argv):
+    """The CLI handler of argv, called directly, so that its ValueError reaches the caller."""
+    args = cli.build_parser().parse_args([str(token) for token in argv])
+    return cli._HANDLERS[args.command](args)
+
+
+# The three basic input rules, each with one home in matkit and one wording:
+# entry point -> (call on the count, the count's name in messages)
+COUNTS = {
+    "center_reversal": (center_reversal, "l"),
+    "indefinite_spectrum": (lambda l: indefinite_spectrum(l, 1), "l"),
+    "realize_signature": (lambda l: realize_signature(l, 1, [1.0], 0.01), "l"),
+    "ModelSpec": (lambda l: ModelSpec(l=l, n_hyp=1, omega=[1.0]), "l"),
+    "realize --l": (lambda l: command("realize", "--l", l, "--m", 1, "--omega", 1, "--eps", 0.01), "l"),
+    "indefinite --l": (lambda l: command("indefinite", "--l", l, "--omega", 1, "--trials", 5, "--seed", 3), "l"),
+    "demo-integrable --l": (lambda l: command("demo-integrable", "--l", l), "l"),
+    "standard_symplectic_form": (standard_symplectic_form, "n"),
+    "indefiniteness_ensemble": (lambda trials: indefiniteness_ensemble(CenterBlock([1.0]).D, trials, 0), "trials"),
+    "indefinite --trials": (
+        lambda trials: command("indefinite", "--l", 1, "--omega", 1, "--trials", trials, "--seed", 3), "trials"
+    ),
+    "fundamental_solution": (lambda d: fundamental_solution(lambda t: np.zeros((t.size, 1, 1)), 0.0, 1.0, d), "d"),
+    "matrix document": (lambda dim: cli._mat_from_json({"dim": dim, "data": [1.0]}), "matrix dim"),
+}
+
+
+@pytest.mark.parametrize(
+    "value, cause",
+    [
+        (0, "must be at least 1"),
+        (-1, "must be at least 1"),
+        # indefinite --l of 4000 digits blamed omega's length: "omega has 1 entries but --l is ..."
+        (int("1" * 4000), "is an integer beyond the float range"),
+    ],
+    ids=["0", "-1", "4000-digits"],
+)
+@pytest.mark.parametrize("entry_point", sorted(COUNTS))
+def test_a_count_is_checked_in_one_wording(entry_point, value, cause):
+    # the retired wordings: "need at least one trial", "d must be a positive integer, got 0",
+    # "the symplectic form needs at least one conjugate pair", "matrix dim must be at least 1, got 0"
+    call, name = COUNTS[entry_point]
+    assert raised_without_warning(call, value) == f"{name} {cause}"
+
+
+# entry point -> a call with l = 2 on omega
+LENGTHS = {
+    "realize_signature": lambda omega: realize_signature(2, 1, omega, 0.01),
+    "ModelSpec": lambda omega: ModelSpec(l=2, n_hyp=1, omega=omega),
+    "realize": lambda omega: command("realize", "--l", 2, "--m", 1, "--omega", ",".join(map(str, omega)), "--eps", 0.01),
+    "indefinite": lambda omega: command(
+        "indefinite", "--l", 2, "--omega", ",".join(map(str, omega)), "--trials", 5, "--seed", 3
+    ),
+    "demo-integrable": lambda omega: command("demo-integrable", "--l", 2, "--omega", ",".join(map(str, omega))),
+}
+
+
+@pytest.mark.parametrize("omega", [[1.0], [1.0, 2.0, 3.0]], ids=["short", "long"])
+@pytest.mark.parametrize("entry_point", sorted(LENGTHS))
+def test_omega_is_checked_against_l_in_one_wording(entry_point, omega):
+    # the retired wordings: "omega must be a vector of length 2", "omega has 1 entries but --l is 2"
+    message = raised_without_warning(LENGTHS[entry_point], omega)
+    assert message == f"omega must have length l = 2, got {len(omega)}"
+
+
+# entry point -> (call on a matrix, against the centre block of omega = (1, 2), the matrix's name)
+DIMENSIONS = {
+    "hessian_from_scattering": (lambda M: hessian_from_scattering(M, BLOCK.D), "scattering matrix"),
+    "reversible_signature": (lambda M: reversible_signature(M, BLOCK), "scattering matrix"),
+    "hessian_bracket": (lambda M: hessian_bracket(BLOCK, M), "bracket argument"),
+}
+
+
+@pytest.mark.parametrize("n", [2, 3, 6])
+@pytest.mark.parametrize("entry_point", sorted(DIMENSIONS))
+def test_a_matrix_is_checked_against_the_centre_block_in_one_wording(entry_point, n):
+    # the retired wording: "bracket argument has dimension 2, centre block expects 4"
+    call, name = DIMENSIONS[entry_point]
+    assert raised_without_warning(call, np.eye(n)) == f"{name} has dimension {n} but the centre block 4"
+
+
+# entry point -> (call on an argument of the wrong shape, that argument, the message)
+SHAPES = {
+    "majorizes": (lambda v: majorizes(v, v), [], "majorization needs two nonempty vectors"),
+    "symplectic_rotation": (
+        symplectic_rotation, [], "theta must be a nonempty vector of angles or a (k, n) array of them"
+    ),
+    "HamiltonianSystem": (
+        HamiltonianSystem(ModelSpec(l=1, n_hyp=1, omega=[1.0])).hamiltonian,
+        [0.0, 0.0, 0.0],
+        "state must have dimension 4, got (3,)",
+    ),
+}
+
+
+@pytest.mark.parametrize("entry_point", sorted(SHAPES))
+def test_an_argument_of_the_wrong_shape_is_named(entry_point):
+    call, argument, message = SHAPES[entry_point]
+    assert raised_without_warning(call, argument) == message

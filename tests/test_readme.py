@@ -68,9 +68,9 @@ def ci_steps() -> set[str]:
 
 
 def second_harness(text: str) -> list[str]:
-    """The workflow lines that run the CLI or define a shell function: the CLI's
-    checks belong to the tier-1 suite, which pytest runs, not to a second harness."""
-    harness = re.compile(r"-m homscat\b|^\s*(function\s+[\w-]+|[\w-]+\s*\(\s*\)\s*\{)")
+    """The workflow lines that run the CLI, an inline python -c program or define a shell
+    function: checks belong to the tier-1 suite or to scripts/, not to a second harness."""
+    harness = re.compile(r"-m homscat\b|\bpython3?\b.*\s-c\b|^\s*(function\s+[\w-]+|[\w-]+\s*\(\s*\)\s*\{)")
     return [line.strip() for line in text.splitlines() if harness.search(line)]
 
 
@@ -150,7 +150,8 @@ def test_ci_runs_no_second_harness():
 @pytest.mark.parametrize(
     "line",
     ["python -W error::RuntimeWarning -m homscat indefinite --l 6", "python -m homscat.cli majorize --a 1 --b 1",
-     "expect() {", "coupled_spec () {", "function check {"],
+     "expect() {", "coupled_spec () {", "function check {",
+     'OPENBLAS_NUM_THREADS=1 python -W error::RuntimeWarning -c "', "python3 -c 'import homscat'"],
 )
 def test_a_second_harness_is_found(line):
     assert second_harness(f"run: |\n  export PYTHONPATH=src\n  {line}\n") == [line]
