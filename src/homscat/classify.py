@@ -72,17 +72,21 @@ class RealizationError(ArithmeticError):
     puts the first-order Hessian eigenvalues under the zero tolerance."""
 
 
-def _require_symplectic(S: np.ndarray, J: np.ndarray, scale: float = 1.0) -> None:
-    defect = _symplectic_defect(S, J)
+def _require_symplectic(defect, scale: float = 1.0) -> None:
     # a NaN defect fails this test too
     if not (defect <= _SYMPLECTIC_PRECONDITION_TOL * scale).all():
         raise ValueError(f"scattering matrix is not symplectic (defect {defect.max():.3e})")
 
 
+@np.errstate(over="ignore", invalid="ignore")
+def _hessian_and_defect(S: np.ndarray, block: CenterBlock):
+    """S^T D S - D and the symplectic defect of S, or of each slice of a stack; inf or NaN where they overflow."""
+    return S.swapaxes(-1, -2) @ block.D @ S - block.D, _symplectic_defect(S, block.J)
+
+
 def _hessian(S: np.ndarray, block: CenterBlock) -> np.ndarray:
-    with np.errstate(over="ignore", invalid="ignore"):
-        _require_symplectic(S, block.J)
-        H = S.swapaxes(-1, -2) @ block.D @ S - block.D
+    H, defect = _hessian_and_defect(S, block)
+    _require_symplectic(defect)
     if not np.isfinite(H).all():
         # the first overflowing slice: the same trial in every chunking of an ensemble
         first = S[np.argmin(np.isfinite(H).all(axis=(-2, -1)))] if S.ndim == 3 else S
@@ -215,24 +219,21 @@ def indefiniteness_ensemble(D_center, trials: int, seed: int) -> EnsembleSummary
 
 
 @lru_cache(maxsize=128)
-def _signature_target(l: int, m: int) -> tuple[np.ndarray, np.ndarray, float]:
-    """The spectrum b = indefinite_spectrum(l, m), the Mirsky target G
-    with the balanced +-1 diagonal and spectrum b, both read-only, and
-    min|b|, which realize_signature's stop rule reads on every op.
+def _signature_target(l: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The spectrum b = indefinite_spectrum(l, m) and the Mirsky target G
+    with the balanced +-1 diagonal and spectrum b, both read-only.
 
-    None of them depends on omega or eps, so the 128 signatures last used
+    Neither depends on omega or eps, so the 128 signatures last used
     keep theirs, functools' default bound, which holds every signature up to
     l = 11.  An entry holds (2l)^2 + 2l floats, so the cache holds at most
     128 * 8 * (4l^2 + 2l) bytes at the largest l realized: about 6.6 MB at
-    l = 40.  A call that raises keeps nothing.  min|b| is the float that
-    realize_signature computed from b on every op before it was kept here,
-    so no stop decision or message changes by a bit.
+    l = 40.  A call that raises keeps nothing.
     """
     balanced = np.concatenate([np.ones(l), -np.ones(l)])
     b = indefinite_spectrum(l, m)
     G = mirsky_matrix(balanced, b)
     b.flags.writeable = G.flags.writeable = False
-    return b, G, float(np.abs(b).min())
+    return b, G
 
 
 @dataclass(frozen=True, eq=False)
@@ -262,32 +263,33 @@ def realize_signature(l: int, m: int, omega, eps: float) -> RealizationReport:
     second-order terms are not yet dominated), eps is halved, up to 20
     times.  A miss with the smallest first-order eigenvalue eps * min|b| at
     or below 1e-7, the floor of the zero tolerance, raises at once: halving
-    eps only moves it further below.  A tolerance above that floor grows with the second-order terms,
-    which halving shrinks faster, so it does not stop the halvings.  An
-    eps whose generator, exponential or Hessian overflows the float range
-    raises ArithmeticError before any halving.
+    eps only moves it further below.  min|b| = 1 (indefinite_spectrum), so
+    the rule tests eps itself.  A tolerance above that floor grows with the
+    second-order terms, which halving shrinks faster, so it does not stop
+    the halvings.  An eps whose generator, exponential or Hessian overflows
+    the float range raises ArithmeticError before any halving.
 
     The spectrum and the Mirsky target depend on (l, m) only, not on omega
     or eps: they are built once per signature and kept in a cache of at
-    most 128 entries (_signature_target) with min|b|, and the report holds
-    copies of them.  The inputs are checked once, here and in the public
-    mirsky_matrix on a cache miss; the exactly symmetric Mirsky target goes
-    to the bracket kernel unchecked.
-    Each attempt forms sigma^T D sigma - D once, for both the overflow test
-    and the inertia.  An attempt whose sigma is off symplectic by more than
-    1e-7 is a miss, as a wrong inertia is, and eps halves: the caller
-    supplied no sigma, so it is no input error.  The first-order gap is
-    measured against the bracket of B that the solve already formed for its
-    residual bound.
+    most 128 entries (_signature_target), and the report holds copies of
+    them.  The inputs are checked once, here and in the public mirsky_matrix
+    on a cache miss; the exactly symmetric Mirsky target goes to the bracket
+    kernel unchecked.  Each attempt forms sigma^T D sigma - D and its
+    symplectic defect once, in the kernel of hessian_from_scattering, for
+    the overflow test, the inertia and the defect test.  An attempt whose
+    sigma is off symplectic by more than 1e-7 is a miss, as a wrong inertia
+    is, and eps halves: the caller supplied no sigma, so it is no input
+    error.  The first-order gap is measured against the bracket of B that
+    the solve already formed for its residual bound.
     """
     block = _center_block(omega, l)
     l, m = block.l, _integer(m, "m")
     eps = _positive_number(eps, "eps")
     _require_bracket_hypothesis(block)
-    b, G, b_min = _signature_target(l, m)
+    b, G = _signature_target(l, m)
     B, bracket = _solve_bracket(block, G)
     target = (m, 2 * l - m, 0)
-    D, JB = block.D, block.J @ B
+    JB = block.J @ B
     if eps * max_abs(JB) == np.inf:  # halving eps only shrinks the generator: one check covers every attempt
         raise ArithmeticError(
             f"eps = {eps:.3g} overflows the float range: the generator eps J B, with "
@@ -297,8 +299,7 @@ def realize_signature(l: int, m: int, omega, eps: float) -> RealizationReport:
     for _ in range(_REALIZE_MAX_HALVINGS):
         with np.errstate(over="ignore", invalid="ignore"):
             sigma = matrix_exponential(-eps_cur * JB)
-            H = sigma.T @ D @ sigma - D
-            defect = _symplectic_defect(sigma, block.J)
+        H, defect = _hessian_and_defect(sigma, block)
         if not np.isfinite(H).all():
             raise ArithmeticError(
                 f"eps = {eps_cur:.3g} overflows the float range: the Hessian of exp(-eps J B), with "
@@ -319,11 +320,11 @@ def realize_signature(l: int, m: int, omega, eps: float) -> RealizationReport:
                 first_order_gap=gap,
                 gap_constant=gap / eps_cur,
             )
-        if eps_cur * b_min <= _CLASSIFICATION_FLOOR:
+        if eps_cur <= _CLASSIFICATION_FLOOR:
             raise RealizationError(
                 f"eps = {eps_cur:.3g} puts the smallest first-order Hessian eigenvalue "
-                f"eps * min|b| = {eps_cur * b_min:.3g} at or below the zero tolerance {achieved.tol:.3g}; "
-                f"signature ({m}, {2 * l - m}) needs eps above {achieved.tol / b_min:.3g}"
+                f"eps * min|b| = {eps_cur:.3g} at or below the zero tolerance {achieved.tol:.3g}; "
+                f"signature ({m}, {2 * l - m}) needs eps above {achieved.tol:.3g}"
             )
         eps_cur *= 0.5
     raise RealizationError(
@@ -381,7 +382,7 @@ def reversible_signature(sigma, center: CenterBlock) -> tuple[ReversibilityRepor
     if not report.passed:
         return report, None
     with np.errstate(over="ignore", invalid="ignore"):
-        _require_symplectic(S, center.J, scale)
+        _require_symplectic(_symplectic_defect(S, center.J), scale)
     l = center.l
     U, _, Vt = np.linalg.svd(0.5 * (np.eye(center.dim) + R @ S))
     with np.errstate(over="ignore", invalid="ignore"):

@@ -11,9 +11,6 @@ Off the diagonal the bracket splits into 2x2 systems with determinants
 blocks that pass _require_bracket_hypothesis.  Together
 with Mirsky's diagonal-versus-spectrum criterion this lets us build a
 symmetric target with any prescribed indefinite signature and solve for B.
-The Mirsky construction (mirsky_matrix) rotates Python floats on the few
-rows and columns each plane rotation can change, so at the sizes realize
-works at it makes no numpy call per rotation.
 """
 
 from __future__ import annotations
@@ -107,8 +104,8 @@ def indefinite_spectrum(l: int, m: int) -> np.ndarray:
     majorizes the balanced diagonal (1,..,1,-1,..,-1).
 
     The vector is (2l-m, 1, ..., 1) followed by 2l-m copies of
-    -(2l-1)/(2l-m); it realises the signature (m, 2l-m) through the Mirsky
-    construction.
+    -(2l-1)/(2l-m) <= -1, so min|b| = 1; it realises the signature (m, 2l-m)
+    through the Mirsky construction.
     """
     l, m = _count(l, "l"), _integer(m, "m")
     if not 1 <= m <= 2 * l - 1:
@@ -129,16 +126,11 @@ def mirsky_matrix(diag_entries, eigenvalues) -> np.ndarray:
     exactly.  A final symmetric permutation restores the requested diagonal
     order.
 
-    The pivots are chosen in scalar arithmetic on a list of the diagonal:
-    a rotation in the plane (a, b) pins a and changes no other unpinned
-    diagonal entry than b's.  Since the unpinned block stays diagonal, the
-    rotation changes only the pinned rows and columns and those of a and b;
-    it runs on a list of Python-float rows over those live entries, with the
-    column pair updated before the row pair, and every other entry stays an
-    exact 0.0.  There is no matmul, so the result does not depend on the
-    BLAS.  The rows become one array for the final permutation.  A rotation
-    whose two values lie more than the float range apart raises
-    ArithmeticError.
+    The pivots are chosen in scalar arithmetic on the diagonal, read back as
+    Python floats.  Each rotation updates the column pair, then the row pair,
+    elementwise: there is no matmul, so the result does not depend on the
+    BLAS.  A rotation whose two values lie more than the float range apart
+    raises ArithmeticError.
     """
     d = np.atleast_1d(_float_array(diag_entries, "Mirsky diagonal"))
     lam = np.atleast_1d(_float_array(eigenvalues, "Mirsky spectrum"))
@@ -151,12 +143,10 @@ def mirsky_matrix(diag_entries, eigenvalues) -> np.ndarray:
             f"whose magnitude exceeds the bound {witness.tol:.3e})",
             index=k,
         )
-    n = d.size
     order = np.argsort(d, kind="stable")
     targets = d[order].tolist()
-    rows = np.diag(np.sort(lam)).tolist()
-    diag = [rows[slot][slot] for slot in range(n)]
-    unpinned = list(range(n))
+    A = np.diag(np.sort(lam))
+    unpinned = list(range(d.size))
     pinned = []  # the slot pinned to each target, in target order
     scale = max(1.0, max_abs(lam))
     snap = 1e-13 * scale
@@ -164,6 +154,7 @@ def mirsky_matrix(diag_entries, eigenvalues) -> np.ndarray:
         # a: the largest value at or below t, b: the smallest at or above it,
         # the first in unpinned order on a tie, else the first nearest t
         hi, lo = t + snap, t - snap
+        diag = A.diagonal().tolist()
         a_slot = b_slot = -1
         for slot in unpinned:
             v = diag[slot]
@@ -188,24 +179,15 @@ def mirsky_matrix(diag_entries, eigenvalues) -> np.ndarray:
             )
         c = math.sqrt((vb - t) / (vb - va))
         s = math.sqrt((t - va) / (vb - va))
-        # only the pinned slots, a and b hold nonzero entries in columns a and
-        # b; each pair is read before either entry is stored
-        live = pinned + [a_slot, b_slot]
-        for i in live:
-            row = rows[i]
-            x, y = row[a_slot], row[b_slot]
-            row[a_slot], row[b_slot] = c * x - s * y, s * x + c * y
-        ra, rb = rows[a_slot], rows[b_slot]
-        for j in live:
-            x, y = ra[j], rb[j]
-            ra[j], rb[j] = c * x - s * y, s * x + c * y
-        diag[b_slot] = rb[b_slot]
+        # both new columns, then both new rows, are formed before either is stored
+        x, y = A[:, a_slot], A[:, b_slot]
+        A[:, a_slot], A[:, b_slot] = c * x - s * y, s * x + c * y
+        x, y = A[a_slot], A[b_slot]
+        A[a_slot], A[b_slot] = c * x - s * y, s * x + c * y
         pinned.append(a_slot)
         unpinned.remove(a_slot)
-    A = np.array(rows)
-    rank_of = np.empty(n, dtype=int)
-    rank_of[order] = np.arange(n)
-    placement = np.array(pinned)[rank_of]
+    placement = np.empty(d.size, dtype=int)
+    placement[order] = pinned  # the slot of each diagonal entry, in the requested order
     out = A[np.ix_(placement, placement)]
     return 0.5 * out + 0.5 * out.T  # halved first: entries may be near the float limit
 

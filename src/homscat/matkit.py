@@ -79,6 +79,14 @@ def _check_numbers(item, name: str) -> None:
             raise ValueError(f"{name} entries must be numbers, got {item!r}")
 
 
+def _nesting_depth(value) -> int:
+    """The nesting of value's first entries: the dimensions of its array, if its rows have equal length."""
+    depth = 0
+    while isinstance(value, (list, tuple)) and value:
+        depth, value = depth + 1, value[0]
+    return depth + np.ndim(value)  # an empty list is one level, an array its ndim
+
+
 def _float_array(value, name: str) -> np.ndarray:
     """A number or nested lists, tuples and arrays of numbers as a float array; a string, boolean,
     None, complex value, NaN, inf or other object anywhere in it raises ValueError naming name."""
@@ -88,6 +96,11 @@ def _float_array(value, name: str) -> np.ndarray:
     except OverflowError:
         raise ValueError(f"{name} has an integer entry beyond the float range") from None
     except ValueError:
+        depth = _nesting_depth(value)
+        try:
+            np.empty((1,) * depth)  # numpy's own limit: 64 dimensions in numpy 2, 32 before
+        except ValueError:
+            raise ValueError(f"{name} is nested {depth} levels deep, beyond numpy's limit on array dimensions") from None
         raise ValueError(f"{name} must be a list of numbers or of equal-length rows of them") from None
     if not np.isfinite(A).all():
         entries = np.atleast_1d(A)

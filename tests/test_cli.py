@@ -682,11 +682,13 @@ class TestScatterCommand:
 
     def test_document_nested_to_the_recursion_limit_names_the_field(self, tmp_path):
         # json decodes an omega nested 985 deep in a fresh process, and the check of its
-        # entries then crashed with a RecursionError traceback and exit 1
+        # entries then crashed with a RecursionError traceback and exit 1; then the
+        # message blamed unequal rows, although every row had equal length
         path = tmp_path / "spec.json"
         path.write_text('{"l": 1, "n_hyp": 1, "omega": ' + "[" * 985 + "1.0" + "]" * 985 + "}")
         code, err = run_limited(["scatter", "--spec", str(path), "--out", os.devnull])
-        assert code == 2 and json.loads(err)["error"] == "omega must be a list of numbers or of equal-length rows of them"
+        assert code == 2
+        assert json.loads(err)["error"] == "omega is nested 985 levels deep, beyond numpy's limit on array dimensions"
 
     def test_malformed_json(self, capsys, tmp_path):
         path = tmp_path / "broken.json"

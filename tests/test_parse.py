@@ -122,14 +122,34 @@ def test_arrays_of_non_numbers_are_rejected_like_their_lists(array):
     assert message == f"omega entries must be numbers, got {array.tolist()[0]!r}"
 
 
+def nested_in(value, levels):
+    for _ in range(levels):
+        value = [value]
+    return value
+
+
 @pytest.mark.parametrize("entry_point", sorted(PARAMETER_ARRAYS))
 def test_an_argument_nested_to_the_recursion_limit_is_named(entry_point):
-    # the check of its entries recursed once per level and raised RecursionError
+    # the check of its entries recursed once per level and raised RecursionError;
+    # then the message blamed unequal rows, although every row had equal length
     call, valid, name = PARAMETER_ARRAYS[entry_point]
-    nested = valid
-    for _ in range(sys.getrecursionlimit()):
-        nested = [nested]
-    assert raised_without_warning(call, nested) == f"{name} must be a list of numbers or of equal-length rows of them"
+    depth = sys.getrecursionlimit() + np.ndim(valid)
+    assert raised_without_warning(call, nested_in(valid, sys.getrecursionlimit())) == (
+        f"{name} is nested {depth} levels deep, beyond numpy's limit on array dimensions"
+    )
+
+
+@pytest.mark.parametrize(
+    "omega, message",
+    [
+        (nested_in([1.0], 70), "omega is nested 71 levels deep, beyond numpy's limit on array dimensions"),
+        ([[1.0, 2.0], [3.0]], "omega must be a list of numbers or of equal-length rows of them"),
+        ([[1.0], [[2.0]]], "omega must be a list of numbers or of equal-length rows of them"),
+    ],
+    ids=["deep", "ragged", "ragged-in-depth"],
+)
+def test_nesting_beyond_numpy_is_told_from_ragged_rows(omega, message):
+    assert raised_without_warning(CenterBlock, omega) == message
 
 
 def command(*argv):
@@ -174,6 +194,31 @@ def test_a_count_is_checked_in_one_wording(entry_point, value, cause):
     # "the symplectic form needs at least one conjugate pair", "matrix dim must be at least 1, got 0"
     call, name = COUNTS[entry_point]
     assert raised_without_warning(call, value) == f"{name} {cause}"
+
+
+# entry point -> (call on an integer argument, its name in messages)
+INTEGERS = {
+    "ModelSpec-l": (lambda l: ModelSpec(l=l, n_hyp=1, omega=[1.0]), "l"),
+    "ModelSpec-n_hyp": (lambda n_hyp: ModelSpec(l=1, n_hyp=n_hyp, omega=[1.0]), "n_hyp"),
+    "realize_signature-l": (lambda l: realize_signature(l, 1, [1.0], 0.01), "l"),
+    "realize_signature-m": (lambda m: realize_signature(2, m, [1.0, 2.0], 0.01), "m"),
+    "indefinite_spectrum-l": (lambda l: indefinite_spectrum(l, 1), "l"),
+    "indefinite_spectrum-m": (lambda m: indefinite_spectrum(2, m), "m"),
+    "indefiniteness_ensemble-trials": (lambda trials: indefiniteness_ensemble(BLOCK.D, trials, 1), "trials"),
+    "indefiniteness_ensemble-seed": (lambda seed: indefiniteness_ensemble(BLOCK.D, 2, seed), "seed"),
+    "center_reversal": (center_reversal, "l"),
+    "standard_symplectic_form": (standard_symplectic_form, "n"),
+    "fundamental_solution": COUNTS["fundamental_solution"],
+    "matrix document": COUNTS["matrix document"],
+}
+
+
+@pytest.mark.parametrize("value", [1.5, True, "1", None], ids=["1.5", "True", "str", "None"])
+@pytest.mark.parametrize("entry_point", sorted(INTEGERS))
+def test_an_integer_argument_is_checked_in_one_wording(entry_point, value):
+    # int() truncated them: m = 1.5 realized m = 1, 2.9 trials ran 2, and True counted as 1
+    call, name = INTEGERS[entry_point]
+    assert raised_without_warning(call, value) == f"{name} must be an integer, got {value!r}"
 
 
 # entry point -> a call with l = 2 on omega
